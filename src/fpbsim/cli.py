@@ -271,7 +271,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError(f"counts file {args.counts} contains no records")
     record_rows = []
     for record in records:
-        probs = montecarlo.estimate_probabilities(record)
+        try:
+            probs = montecarlo.estimate_probabilities(record)
+        except ValueError as exc:
+            raise UsageError(
+                f"record ({record.alice.value}, {record.bob_basis.value}, "
+                f"{_fmt(record.pe_nominal)}): {exc}"
+            ) from exc
         record_rows.append(
             {
                 "alice": record.alice.value,
@@ -290,12 +296,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
+        try:
+            renyi = montecarlo.measured_renyi(members)
+            error_rate = montecarlo.sifted_error_rate(members)
+        except ValueError as exc:
+            raise UsageError(f"basis {basis.value} at pe {_fmt(pe)}: {exc}") from exc
         group_rows.append(
             {
                 "basis": basis.value,
                 "pe": pe,
-                "measured_renyi": montecarlo.measured_renyi(members),
-                "sifted_error_rate": montecarlo.sifted_error_rate(members),
+                "measured_renyi": renyi,
+                "sifted_error_rate": error_rate,
             }
         )
     if args.format == "json":
@@ -366,12 +377,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = error_model.fit_parameters(records, init=init, options=options)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if result.held:
+        print(
+            f"warning: no record constrains {', '.join(result.held)}; held at "
+            "the initial values",
+            file=sys.stderr,
+        )
     doc = result.params.to_dict()
     if args.format == "json":
         payload = {key: _jsonable(value) for key, value in doc.items()}
         payload["residual"] = float(f"{result.residual:.6e}")
         payload["evaluations"] = result.evaluations
         payload["converged"] = result.converged
+        payload["held"] = list(result.held)
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         lines = ["key,value"]
@@ -428,7 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit error-model parameters to counts")
     fit.add_argument("--counts", required=True, metavar="PATH")
     fit.add_argument("--init", metavar="PATH", help="initial parameter file")
-    fit.add_argument("--max-evals", type=int, default=50_000)
+    fit.add_argument(
+        "--max-evals", type=int, default=50_000,
+        help="hard budget on residual evaluations, Jacobian columns included",
+    )
     fit.add_argument("--weighting", choices=("equal", "counts"), default="equal")
     _add_output_flags(fit)
     fit.set_defaults(func=cmd_fit)

@@ -6,8 +6,8 @@ phase and four per-state wave-plate offsets on Alice's qubit, an
 imbalance and phase of the entangling gate, and one analyzer offset per
 measurement basis. The forward model predicts the four joint detection
 probabilities for any configuration; the fitter recovers the ten
-parameters from measured coincidence counts by derivative-free simplex
-descent on a least-squares objective.
+parameters from measured coincidence counts by bounded trust-region
+least squares on the weighted residual vector.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .probe import (
     OUTCOME_ORDER,
@@ -265,17 +264,16 @@ def model_sifted_error_rate(
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the simplex fit.
+    """Knobs of the least-squares fit.
 
-    ``weighting`` selects how records enter the objective: "equal"
-    weights every record's normalized probabilities the same, "counts"
-    scales each record by its total counts relative to the mean total.
+    ``max_evals`` is a hard budget on calls of the residual function,
+    finite-difference Jacobian columns included. ``weighting`` selects
+    how records enter the objective: "equal" weights every record's
+    normalized probabilities the same, "counts" scales each record by
+    its total counts relative to the mean total.
     """
 
     max_evals: int = 50_000
-    simplex_tol: float = 1e-6
-    objective_tol: float = 1e-12
-    max_restarts: int = 10
     weighting: str = "equal"
 
     def __post_init__(self) -> None:
@@ -287,17 +285,28 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a parameter fit."""
+    """Outcome of a parameter fit.
+
+    ``held`` names the parameters no record can move (see
+    ``fit_parameters``); they keep their initial values.
+    """
 
     params: ErrorModelParams
     residual: float
     evaluations: int
     converged: bool
+    held: tuple[str, ...]
 
 
 def _record_design(
     records: Sequence["CountsRecord"], weighting: str
 ) -> list[tuple[Bb84State, SiftBasis, ProbeConfig, np.ndarray, float]]:
+    """Per record: state, basis, configuration, estimated probabilities
+    and the square root of its weight, in canonical record order."""
+    records = sorted(
+        records,
+        key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
+    )
     totals = []
     for record in records:
         total = sum(record.counts)
@@ -314,33 +323,49 @@ def _record_design(
         weight = 1.0 if weighting == "equal" else total / mean_total
         design.append(
             (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal),
-             estimated, weight)
+             estimated, math.sqrt(weight))
         )
     return design
 
 
 def _make_objective(records: Sequence["CountsRecord"], weighting: str):
-    """Least-squares objective over all records and outcomes.
+    """Weighted residual vector over all records and outcomes.
 
-    Terms are accumulated with exact summation, so the value is
-    bit-identical under any reordering of the records.
+    Entries are ``sqrt(weight) * (estimated - predicted)``, four per
+    record, with the records sorted by (alice, basis, pe_nominal,
+    counts); the vector is therefore bit-identical under any reordering
+    of the records.
     """
     design = _record_design(records, weighting)
 
-    def objective(x: np.ndarray) -> float:
-        excess = np.abs(x) - ANGLE_BOUND
-        if np.any(excess >= 0.0):
-            # Steer the simplex back inside the box instead of failing.
-            return 1e6 * (1.0 + float(np.sum(np.maximum(excess, 0.0))))
+    def residuals(x: np.ndarray) -> np.ndarray:
         params = ErrorModelParams.from_vector(x)
-        terms = []
-        for alice, basis, cfg, estimated, weight in design:
-            predicted = predict_outcome_probs(params, alice, basis, cfg).p
-            diff = estimated - predicted
-            terms.extend(weight * diff * diff)
-        return math.fsum(terms)
+        return np.concatenate(
+            [
+                root_weight
+                * (estimated - predict_outcome_probs(params, alice, basis, cfg).p)
+                for alice, basis, cfg, estimated, root_weight in design
+            ]
+        )
 
-    return objective
+    return residuals
+
+
+def _held_keys(records: Sequence["CountsRecord"]) -> tuple[str, ...]:
+    """Parameters that no record's prediction depends on.
+
+    A wave-plate offset only enters records prepared in its state and an
+    analyzer offset only records measured in its basis.
+    """
+    states = {record.alice for record in records}
+    bases = {record.bob_basis for record in records}
+    held = {f"d_theta_a_{s.value.lower()}" for s in Bb84State if s not in states}
+    held |= {f"d_theta_b_{b.value.lower()}" for b in SiftBasis if b not in bases}
+    return tuple(key for key in _PARAM_KEYS if key in held)
+
+
+class _BudgetExhausted(Exception):
+    """The residual function was asked for one call beyond ``max_evals``."""
 
 
 def fit_parameters(
@@ -351,10 +376,16 @@ def fit_parameters(
     """Fit the ten error-model parameters to measured counts.
 
     Minimizes the summed squared differences between each record's
-    normalized probabilities and the forward-model prediction, using
-    Nelder-Mead simplex descent restarted from its own solution until no
-    further improvement. Deterministic given identical records, init,
-    and options.
+    normalized probabilities and the forward-model prediction with
+    bounded trust-region reflective least squares (Branch, Coleman & Li,
+    SIAM J. Sci. Comput. 21, 1999) inside |angle| < pi/2, using a
+    two-point finite-difference Jacobian. Deterministic given identical
+    records (in any order), init, and options.
+
+    Parameters that no record constrains -- the wave-plate offset of an
+    input state absent from the records, the analyzer offset of a basis
+    absent from them -- are held at their initial values and named in
+    ``FitResult.held``.
 
     The model's probabilities are invariant under jointly negating
     d_xi, d_chi, alpha, and delta (complex conjugation of every
@@ -370,15 +401,18 @@ def fit_parameters(
     init:
         Starting point; all-zero parameters when omitted.
     options:
-        Termination and weighting controls.
+        Evaluation budget and weighting.
 
     Returns
     -------
     FitResult
-        Best parameters, the objective value there, the number of
-        objective evaluations, and whether the simplex converged within
-        its tolerances.
+        Best parameters seen, the summed squared residuals there, the
+        number of residual evaluations (never above ``max_evals``), and
+        whether the solver met its tolerances within the budget.
     """
+    # Imported here so that commands which never fit do not load scipy.
+    from scipy.optimize import least_squares
+
     options = options or FitOptions()
     init = init or ErrorModelParams()
     if len(records) * 4 < 10:
@@ -390,42 +424,49 @@ def fit_parameters(
         raise ValueError("records must span at least 2 distinct error probabilities")
 
     objective = _make_objective(records, options.weighting)
-    x = init.as_vector()
-    best = objective(x)
-    evaluations = 1
-    converged = False
-    for _ in range(options.max_restarts):
-        remaining = options.max_evals - evaluations
-        if remaining <= 0:
-            break
-        result = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "xatol": options.simplex_tol,
-                "fatol": options.objective_tol,
-                "adaptive": True,
-            },
+    held = _held_keys(records)
+    free = np.array([key not in held for key in _PARAM_KEYS])
+    x0 = init.as_vector()
+    best_x, best_residual = x0, math.inf
+    evaluations = 0
+
+    def free_residuals(z: np.ndarray) -> np.ndarray:
+        nonlocal best_x, best_residual, evaluations
+        if evaluations >= options.max_evals:
+            raise _BudgetExhausted
+        x = x0.copy()
+        x[free] = z
+        r = objective(x)
+        evaluations += 1
+        value = math.fsum(r * r)
+        if value < best_residual:
+            best_x, best_residual = x, value
+        return r
+
+    # The largest float below the open bound keeps every trial point,
+    # finite-difference steps included, a valid parameter vector.
+    bound = math.nextafter(ANGLE_BOUND, 0.0)
+    try:
+        result = least_squares(
+            free_residuals,
+            x0[free],
+            bounds=(-bound, bound),
+            method="trf",
+            max_nfev=options.max_evals,
         )
-        evaluations += int(result.nfev)
-        improved = result.fun < best - options.objective_tol
-        x = np.asarray(result.x, dtype=float)
-        best = float(result.fun)
-        if bool(result.success) and not improved:
-            # A restart that converges without improving confirms the optimum.
-            converged = True
-            break
+        converged = bool(result.status > 0)
+    except _BudgetExhausted:
+        converged = False
+    x = best_x
     if x[6] < 0.0:
-        # Pick the conjugation-symmetric representative with alpha >= 0.
+        # Pick the conjugation-symmetric representative with alpha >= 0;
+        # it predicts the same probabilities, so the residual stands.
         x = x.copy()
         x[[0, 1, 6, 7]] *= -1.0
-        best = objective(x)
-        evaluations += 1
     return FitResult(
         params=ErrorModelParams.from_vector(x),
-        residual=best,
+        residual=best_residual,
         evaluations=evaluations,
         converged=converged,
+        held=held,
     )

@@ -49,9 +49,16 @@ class CountsRecord:
                 f"{self.pe_nominal}"
             )
         if len(self.counts) != 4 or any(
-            (not isinstance(c, int)) or c < 0 for c in self.counts
+            not isinstance(c, int) or isinstance(c, bool) or c < 0
+            for c in self.counts
         ):
             raise ValueError("counts must be 4 nonnegative integers")
+        if self.duration_s is not None and not (
+            math.isfinite(self.duration_s) and self.duration_s >= 0.0
+        ):
+            raise ValueError(
+                f"duration must be finite and nonnegative, got {self.duration_s}"
+            )
 
     @property
     def total(self) -> int:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from fpbsim import (
     renyi_closed_form,
     write_counts_file,
 )
+import fpbsim
 from fpbsim.cli import main
 
 from conftest import IDEAL_EXPECTED, MEASURED_ESTIMATED
@@ -254,6 +259,22 @@ class TestEstimate:
         assert code == 1
         assert "error" in err
 
+    def test_pair_without_error_free_counts(self, capsys, tmp_path):
+        path = tmp_path / "all_wrong.csv"
+        path.write_text("D,DA,0,10,10,0,0\nA,DA,0,0,0,10,10\n")
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 1
+        assert err.startswith("error: basis DA at pe 0:")
+        assert "no error-free sift counts" in err
+
+    def test_zero_total_record(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("D,DA,0.1,0,0,0,0\n")
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 1
+        assert err.startswith("error: record (D, DA, 0.1):")
+        assert "zero total counts" in err
+
 
 class TestFit:
     def test_underdetermined_data_warns_but_fits(self, capsys):
@@ -265,6 +286,26 @@ class TestFit:
         payload = json.loads(out)
         assert set(payload) > set(["alpha", "residual", "converged"])
         assert code in (0, 2)
+
+    def test_reference_fit_holds_unconstrained_angles(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "fit", "--counts", str(reference_counts_path()),
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        held = ["d_theta_a_h", "d_theta_a_v", "d_theta_b_hv"]
+        assert payload["held"] == held
+        assert all(payload[key] == 0.0 for key in held)
+        assert "no record constrains d_theta_a_h, d_theta_a_v, d_theta_b_hv" in err
+        init = tmp_path / "fit.json"
+        init.write_text(out)
+        code, out, _ = run(
+            capsys, "fit", "--counts", str(reference_counts_path()),
+            "--init", str(init), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["residual"] <= payload["residual"]
 
     def test_nonconvergence_exit_code(self, capsys, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -330,3 +371,27 @@ class TestParsing:
         np.testing.assert_allclose(
             [float(v) for v in rows[0][2:]], IDEAL_EXPECTED[("A", 1 / 3)], atol=5e-4
         )
+
+
+def test_only_fit_imports_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from fpbsim.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    counts = str(tmp_path / "sim.csv")
+    commands = [
+        ["curve", "--steps", "2"],
+        ["table"],
+        ["simulate", "--pairs", "100", "--out", counts],
+        ["estimate", "--counts", counts],
+    ]
+    src = str(Path(fpbsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"

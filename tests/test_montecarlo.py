@@ -244,6 +244,9 @@ class TestCountsFiles:
             ("D,DA,0.9,1,2,3,4", "0.5"),
             ("D,DA,0.1,1,-2,3,4", "nonnegative"),
             ("D,DA,0.1,1,2.5,3,4", "2.5"),
+            ("D,DA,0.1,1,2,3,4,-5", "duration"),
+            ("D,DA,0.1,1,2,3,4,nan", "duration"),
+            ("D,DA,0.1,1,2,3,4,inf", "duration"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, line, match):
@@ -272,3 +275,12 @@ def test_counts_record_validation():
         CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, -1))
     with pytest.raises(ValueError, match="4 nonnegative"):
         CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1))
+
+
+def test_counts_record_rejects_bool_counts_and_bad_duration():
+    with pytest.raises(ValueError, match="4 nonnegative integers"):
+        CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (True, False, 1, 2))
+    for duration in (-5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duration"):
+            CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, 1), duration)
+    assert CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, 1), 0.0).total == 4
