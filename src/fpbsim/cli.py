@@ -127,14 +127,9 @@ def _render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    parser.add_argument(
         "--params", metavar="PATH",
         help="error-model parameter file (JSON, degrees); default ideal model",
-    )
-    group.add_argument(
-        "--ideal", action="store_true",
-        help="force the ideal model (the default when --params is absent)",
     )
 
 
@@ -226,8 +221,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.pairs < 1:
-        raise UsageError("--pairs must be at least 1")
+    if not 1 <= args.pairs <= montecarlo.MAX_PAIRS:
+        raise UsageError(f"--pairs must be between 1 and {montecarlo.MAX_PAIRS}")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be an unsigned 64-bit integer")
     params = _resolve_model(args)

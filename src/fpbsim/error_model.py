@@ -1,13 +1,22 @@
-"""Physical error model of the probe hardware and its least-squares fit.
+"""Forward model of the entangling-probe attack and its least-squares fit.
 
-Ten angle parameters describe the deviations of a real setup from the
-ideal attack: a residual phase on the probe preparation, a residual
-phase and four per-state wave-plate offsets on Alice's qubit, an
-imbalance and phase of the entangling gate, and one analyzer offset per
-measurement basis. The forward model predicts the four joint detection
-probabilities for any configuration; the fitter recovers the ten
-parameters from measured coincidence counts by bounded trust-region
-least squares on the weighted residual vector.
+One model covers both the ideal attack and real hardware. Ten angle
+parameters describe the deviations of a real setup from the ideal
+attack: a residual phase on the probe preparation, a residual phase and
+four per-state wave-plate offsets on Alice's qubit, an imbalance and
+phase of the entangling gate, and one analyzer offset per measurement
+basis. With all ten at zero the model is the ideal attack.
+
+The building blocks return plain numpy arrays: single-qubit states are
+``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
+two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
+photon (control) bit ``c`` and probe (target) bit ``t``. The forward
+model predicts the four joint detection probabilities for any
+configuration, the error-free-sift joint distribution and the Renyi
+information derived from it; the fitter recovers the ten parameters
+from measured coincidence counts by bounded trust-region least squares
+on the weighted residual vector. Angles are radians; degrees appear only
+at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .probe import (
     SiftBasis,
     renyi_information,
 )
-from .qmath import StateVec2, Unitary4, apply_unitary, overlap_prob, tensor
 
 if TYPE_CHECKING:
     from .montecarlo import CountsRecord
@@ -156,35 +164,39 @@ class OutcomeProbs:
         return float(self.p[OUTCOME_ORDER.index((bob_bit, eve_bit))])
 
 
-def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> StateVec2:
-    """Probe preparation with a residual phase ``d_xi`` on the upper state."""
-    return StateVec2(
-        complex(math.cos(cfg.theta_in)),
-        cmath.exp(1j * d_xi) * math.sin(cfg.theta_in),
+def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
+    """Probe preparation with a residual phase ``d_xi`` on the upper state.
+
+    Returns the normalized ``(2,)`` complex amplitudes.
+    """
+    return np.array(
+        [math.cos(cfg.theta_in), cmath.exp(1j * d_xi) * math.sin(cfg.theta_in)]
     )
 
 
-def nonideal_alice_state(
-    alice: Bb84State, d_theta: float, d_chi: float
-) -> StateVec2:
-    """Alice's qubit with a wave-plate angle offset and residual phase."""
+def nonideal_alice_state(alice: Bb84State, d_theta: float, d_chi: float) -> np.ndarray:
+    """Alice's qubit with a wave-plate angle offset and residual phase.
+
+    Returns the normalized ``(2,)`` complex amplitudes in the control
+    frame; with zero offset and phase this is ``(cos theta, sin theta)``
+    at the state's polar angle.
+    """
     theta = alice.theta + d_theta
-    return StateVec2(
-        complex(math.cos(theta)), cmath.exp(1j * d_chi) * math.sin(theta)
-    )
+    return np.array([math.cos(theta), cmath.exp(1j * d_chi) * math.sin(theta)])
 
 
-def nonideal_pcnot(alpha: float, delta: float) -> Unitary4:
+def nonideal_pcnot(alpha: float, delta: float) -> np.ndarray:
     """Entangling gate with imbalance ``alpha`` and phase ``delta``.
 
-    Block diagonal in the control bit; reduces to the ideal CNOT at
-    ``alpha = delta = 0`` and stays exactly unitary for all arguments.
+    A ``(4, 4)`` complex matrix, block diagonal in the control bit; it
+    reduces to the ideal CNOT at ``alpha = delta = 0`` and is unitary by
+    construction for every real argument.
     """
     c = math.cos(alpha)
     s = math.sin(alpha)
     ep = cmath.exp(1j * delta)
     em = cmath.exp(-1j * delta)
-    return Unitary4(
+    return np.array(
         [
             [c, 1j * em * s, 0.0, 0.0],
             [1j * ep * s, c, 0.0, 0.0],
@@ -194,18 +206,37 @@ def nonideal_pcnot(alpha: float, delta: float) -> Unitary4:
     )
 
 
-def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> tuple[StateVec2, StateVec2]:
+def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
     """Bob's two analyzed-bit states in the control frame.
 
     The analyzer angle is the basis nominal (+22.5 deg for HV, -22.5 deg
-    for DA) plus the offset. Returns the (bit-0, bit-1) states; with a
-    zero offset these coincide with the basis states themselves.
+    for DA) plus the offset. Returns a ``(2, 2)`` array whose rows are the
+    (bit-0, bit-1) states; with a zero offset these coincide with the
+    basis states themselves.
     """
     nominal = math.pi / 8 if basis is SiftBasis.HV else -math.pi / 8
     theta = nominal + d_theta_b
-    bit0 = StateVec2(complex(math.cos(theta)), complex(-math.sin(theta)))
-    bit1 = StateVec2(complex(math.sin(theta)), complex(math.cos(theta)))
-    return bit0, bit1
+    return np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+
+
+def output_state(
+    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+) -> np.ndarray:
+    """Joint photon/probe state after the entangling gate.
+
+    The ``(4,)`` amplitudes are ordered control-major, index ``2*c + t``
+    for photon (control) bit ``c`` and probe (target) bit ``t``. At zero
+    parameters this is the ideal attack output.
+    """
+    photon = nonideal_alice_state(alice, params.theta_a_offset(alice), params.d_chi)
+    probe = nonideal_probe_state(cfg, params.d_xi)
+    return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
+
+
+#: Flat index ``2*bob_bit + eve_bit`` of each entry of ``OUTCOME_ORDER``.
+_OUTCOME_INDEX = np.array([2 * b + e for b, e in OUTCOME_ORDER])
 
 
 def predict_outcome_probs(
@@ -216,36 +247,35 @@ def predict_outcome_probs(
 ) -> OutcomeProbs:
     """Forward-model the four joint detection probabilities.
 
-    Pipeline: prepare Alice's and the probe's non-ideal states, apply
-    the non-ideal entangling gate, then project onto Bob's analyzed-bit
-    states and Eve's computational states. Entries follow
+    Projects the output state onto Bob's analyzed-bit states (photon)
+    and Eve's computational states (probe). Entries follow
     ``OUTCOME_ORDER`` and sum to one by unitarity.
     """
-    joint = tensor(
-        nonideal_alice_state(alice, params.theta_a_offset(alice), params.d_chi),
-        nonideal_probe_state(cfg, params.d_xi),
-    )
-    out = apply_unitary(nonideal_pcnot(params.alpha, params.delta), joint)
     analyzer = bob_analyzer(bob_basis, params.theta_b_offset(bob_basis))
-    comp = (StateVec2(1.0, 0.0), StateVec2(0.0, 1.0))
-    return OutcomeProbs(
-        np.array([overlap_prob(out, analyzer[b], comp[e]) for b, e in OUTCOME_ORDER])
-    )
+    amplitudes = analyzer.conj() @ output_state(params, alice, cfg).reshape(2, 2)
+    return OutcomeProbs((np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX])
 
 
-def model_renyi(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig) -> float:
-    """Renyi information predicted by the error model for one basis.
+def sift_joint_distribution(
+    params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
+) -> JointDistribution:
+    """Joint Bob/Eve bit distribution on error-free sift events.
 
-    Pools the error-free-sift cells of both of the basis's input states
-    with equal priors and evaluates the information of the resulting
-    joint distribution.
+    Alice's two basis states are taken equiprobable; the error-free
+    cells of both are pooled and renormalized over the error-free
+    subspace.
     """
     raw = np.zeros((2, 2))
     for state in basis.states:
         probs = predict_outcome_probs(params, state, basis, cfg)
         for e in (0, 1):
             raw[state.bit, e] = 0.5 * probs.prob(state.bit, e)
-    return renyi_information(JointDistribution.from_raw(raw))
+    return JointDistribution.from_raw(raw)
+
+
+def model_renyi(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig) -> float:
+    """Renyi information predicted by the error model for one basis."""
+    return renyi_information(sift_joint_distribution(params, basis, cfg))
 
 
 def model_sifted_error_rate(

@@ -23,6 +23,9 @@ from .probe import OUTCOME_ORDER, Bb84State, JointDistribution, SiftBasis, renyi
 
 _REFERENCE_FILE = "reference_counts.csv"
 
+#: Largest number of pairs one multinomial draw accepts (numpy's int64 limit).
+MAX_PAIRS = 2**63 - 1
+
 
 class CountsFileError(ValueError):
     """A counts file failed to parse; the message carries the line number."""
@@ -72,8 +75,8 @@ def simulate_counts(
 
     Deterministic given the seed; the counts sum to ``n_pairs`` exactly.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
     p = probs.p / probs.p.sum()
     draw = np.random.default_rng(seed).multinomial(n_pairs, p)
     return tuple(int(c) for c in draw)
@@ -213,10 +216,13 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsR
 
 
 def read_counts_file(path: str | Path) -> list[CountsRecord]:
-    """Read a counts file; raises CountsFileError with line context."""
+    """Read a UTF-8 counts file; raises CountsFileError with line context."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return parse_counts(handle, source=str(path))
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            return parse_counts(handle, source=str(path))
+    except UnicodeDecodeError as exc:
+        raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def write_counts_file(path: str | Path, records: Sequence[CountsRecord]) -> None:

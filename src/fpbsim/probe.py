@@ -1,13 +1,16 @@
-"""Ideal entangling-probe attack on BB84.
+"""BB84 vocabulary and the eavesdropper's Renyi information.
 
 The eavesdropper entangles a probe qubit with each transmitted photon
 through a CNOT gate whose control basis is rotated pi/8 from the H-V
 polarization basis, then reads the probe with a projective measurement
-in its computational basis. This module provides the ideal attack:
-state preparation, the entangled output states, the induced error
-probability, the joint Bob/Eve bit statistics on error-free sift
-events, and the eavesdropper's Renyi information, both evaluated from
-the state vectors and in closed form.
+in its computational basis. This module names the pieces of that
+setting: the four BB84 states, the two sift bases, the detector outcome
+order, and the probe preparation for a chosen induced error probability.
+It also holds the joint Bob/Eve bit distribution on error-free sift
+events, the Renyi information of such a distribution, and its closed
+form for the ideal attack. The state vectors and probabilities of the
+attack are computed by the forward model in ``error_model``; the ideal
+attack is that model with all ten hardware angles at zero.
 """
 
 from __future__ import annotations
@@ -19,23 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from .qmath import StateVec2, StateVec4, Unitary4, apply_unitary, overlap_prob, tensor
-
 _SQRT2 = math.sqrt(2.0)
 
 #: Detector outcome order used for all 4-entry probability/count tables:
 #: (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0).
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (0, 0))
-
-#: CNOT in the control-major amplitude ordering (flips target iff control=1).
-CNOT = Unitary4(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-)
 
 
 class Bb84State(Enum):
@@ -117,21 +108,6 @@ class ProbeConfig:
 
 
 @dataclass(frozen=True)
-class TargetTriple:
-    """Probe output components in the target computational basis.
-
-    ``t0`` and ``t1`` accompany Bob reading bit 0 / bit 1 on error-free
-    sift events; ``te`` accompanies error events. The vectors are
-    deliberately unnormalized: ``<t0|t0> = <t1|t1> = 1 - pe`` and
-    ``<te|te> = pe``.
-    """
-
-    t0: StateVec2
-    t1: StateVec2
-    te: StateVec2
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """2x2 joint distribution of Bob's and Eve's bits on error-free sifts.
 
@@ -168,91 +144,6 @@ class JointDistribution:
         p = table / total
         p.setflags(write=False)
         return cls(p=p, prior_b=p.sum(axis=1), prior_e=p.sum(axis=0))
-
-
-def control_frame(state: Bb84State) -> StateVec2:
-    """Polarization state expressed in the control-basis frame.
-
-    Returns ``(cos theta, sin theta)`` with the state's polar angle; the
-    amplitudes are real and the vector is normalized.
-    """
-    theta = state.theta
-    return StateVec2(complex(math.cos(theta)), complex(math.sin(theta)))
-
-
-def probe_state(cfg: ProbeConfig) -> StateVec2:
-    """Initial probe qubit ``((c+s)/sqrt2, (c-s)/sqrt2)``; normalized."""
-    return StateVec2(
-        complex((cfg.c + cfg.s) / _SQRT2), complex((cfg.c - cfg.s) / _SQRT2)
-    )
-
-
-def target_triple(cfg: ProbeConfig) -> TargetTriple:
-    """Probe output components for a given error probability.
-
-    ``t0 = (c/sqrt2 + s/2, c/sqrt2 - s/2)``, ``t1`` is ``t0`` with the
-    components swapped, and ``te = (s/2, -s/2)``.
-    """
-    hi = cfg.c / _SQRT2 + cfg.s / 2.0
-    lo = cfg.c / _SQRT2 - cfg.s / 2.0
-    return TargetTriple(
-        t0=StateVec2(complex(hi), complex(lo)),
-        t1=StateVec2(complex(lo), complex(hi)),
-        te=StateVec2(complex(cfg.s / 2.0), complex(-cfg.s / 2.0)),
-    )
-
-
-def attack_output(alice: Bb84State, cfg: ProbeConfig) -> StateVec4:
-    """Joint photon/probe state after the entangling CNOT."""
-    return apply_unitary(CNOT, tensor(control_frame(alice), probe_state(cfg)))
-
-
-def outcome_probabilities(
-    alice: Bb84State, bob_basis: SiftBasis, cfg: ProbeConfig
-) -> np.ndarray:
-    """Ideal joint detection probabilities for one configuration.
-
-    Bob analyzes in ``bob_basis`` and Eve projects the probe onto its
-    computational basis. Entries follow ``OUTCOME_ORDER``.
-    """
-    psi = attack_output(alice, cfg)
-    bit_state = {s.bit: control_frame(s) for s in bob_basis.states}
-    comp = (StateVec2(1.0, 0.0), StateVec2(0.0, 1.0))
-    return np.array(
-        [overlap_prob(psi, bit_state[b], comp[e]) for b, e in OUTCOME_ORDER]
-    )
-
-
-def error_probability(alice: Bb84State, cfg: ProbeConfig) -> float:
-    """Probability that Bob, measuring in Alice's basis, gets the wrong bit.
-
-    Equals ``cfg.pe`` for every input state; evaluated from the state
-    vector rather than assumed.
-    """
-    psi = attack_output(alice, cfg)
-    other = next(s for s in alice.basis.states if s is not alice)
-    wrong = control_frame(other)
-    return overlap_prob(psi, wrong, StateVec2(1.0, 0.0)) + overlap_prob(
-        psi, wrong, StateVec2(0.0, 1.0)
-    )
-
-
-def sift_joint_distribution(basis: SiftBasis, cfg: ProbeConfig) -> JointDistribution:
-    """Joint Bob/Eve bit distribution on error-free sift events.
-
-    Alice's two basis states are taken equiprobable. Raw entries are the
-    projection probabilities of the attack output onto (correct Bob
-    state) x (Eve computational state), renormalized over the error-free
-    subspace.
-    """
-    comp = (StateVec2(1.0, 0.0), StateVec2(0.0, 1.0))
-    raw = np.zeros((2, 2))
-    for state in basis.states:
-        psi = attack_output(state, cfg)
-        bob = control_frame(state)
-        for e in (0, 1):
-            raw[state.bit, e] = 0.5 * overlap_prob(psi, bob, comp[e])
-    return JointDistribution.from_raw(raw)
 
 
 def renyi_information(dist: JointDistribution) -> float:

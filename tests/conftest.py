@@ -3,9 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from fpbsim import Bb84State, ErrorModelParams
+from fpbsim import (
+    OUTCOME_ORDER,
+    Bb84State,
+    ErrorModelParams,
+    ProbeConfig,
+    SiftBasis,
+    predict_outcome_probs,
+)
 
 RT2 = math.sqrt(2.0)
+
+
+def frame(deg: float) -> np.ndarray:
+    """Real polarization state at ``deg`` degrees in the control frame."""
+    return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
+
+
+#: Control-frame polar angles (degrees) of the four BB84 states.
+FRAME_DEG = {
+    Bb84State.H: -22.5,
+    Bb84State.V: 67.5,
+    Bb84State.D: 22.5,
+    Bb84State.A: 112.5,
+}
+
+
+def target_triple(pe: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe output components ``(t0, t1, te)`` of the ideal attack.
+
+    ``t0`` and ``t1`` accompany Bob reading bit 0 / bit 1 on error-free
+    sift events, ``te`` accompanies error events:
+    ``t0 = (c/sqrt2 + s/2, c/sqrt2 - s/2)``, ``t1`` is ``t0`` with the
+    components swapped, and ``te = (s/2, -s/2)``, with ``c = sqrt(1 - 2*pe)``
+    and ``s = sqrt(2*pe)``. The vectors are deliberately unnormalized:
+    ``|t0|^2 = |t1|^2 = 1 - pe`` and ``|te|^2 = pe``.
+    """
+    c, s = math.sqrt(1 - 2 * pe), math.sqrt(2 * pe)
+    t0 = np.array([c / RT2 + s / 2, c / RT2 - s / 2])
+    return t0, t0[::-1], np.array([s / 2, -s / 2])
 
 
 def analytic_output(state: Bb84State, pe: float) -> np.ndarray:
@@ -13,17 +49,10 @@ def analytic_output(state: Bb84State, pe: float) -> np.ndarray:
 
     Constructs the control-frame basis vectors and the probe output
     components directly from the error probability, independent of the
-    gate pipeline under test.
+    forward model under test.
     """
-    c, s = math.sqrt(1 - 2 * pe), math.sqrt(2 * pe)
-    t0 = np.array([c / RT2 + s / 2, c / RT2 - s / 2])
-    t1 = t0[::-1]
-    te = np.array([s / 2, -s / 2])
-
-    def frame(deg):
-        return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
-
-    h, v, d, a = frame(-22.5), frame(67.5), frame(22.5), frame(112.5)
+    t0, t1, te = target_triple(pe)
+    h, v, d, a = (frame(FRAME_DEG[Bb84State(x)]) for x in "HVDA")
     decomposition = {
         Bb84State.H: np.kron(h, t0) + np.kron(v, te),
         Bb84State.V: np.kron(v, t1) + np.kron(h, te),
@@ -31,6 +60,37 @@ def analytic_output(state: Bb84State, pe: float) -> np.ndarray:
         Bb84State.A: np.kron(a, t1) - np.kron(d, te),
     }
     return decomposition[state]
+
+
+def analytic_probs(state: Bb84State, basis: SiftBasis, pe: float) -> np.ndarray:
+    """Ideal detection probabilities in ``OUTCOME_ORDER`` from the oracle.
+
+    Projects ``analytic_output`` onto Bob's basis state for each bit
+    (photon) and Eve's computational state (probe).
+    """
+    psi = analytic_output(state, pe).reshape(2, 2)
+    bob = {s.bit: frame(FRAME_DEG[s]) for s in basis.states}
+    return np.array([abs(bob[b] @ psi[:, e]) ** 2 for b, e in OUTCOME_ORDER])
+
+
+def error_probability(alice: Bb84State, cfg: ProbeConfig) -> float:
+    """Ideal-attack probability that Bob, measuring in Alice's basis, gets
+    the wrong bit, summed from the forward model's detection cells."""
+    probs = predict_outcome_probs(ErrorModelParams(), alice, alice.basis, cfg).p
+    return sum(p for p, (b, _) in zip(probs, OUTCOME_ORDER) if b != alice.bit)
+
+
+def states_close(a, b, tol: float = 1e-9) -> bool:
+    """Amplitude-wise equality of two state vectors up to a global phase.
+
+    The compensating phase is the one maximizing the overlap of the two
+    vectors, so physically identical states compare equal regardless of
+    an overall phase factor.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
+    return bool(np.max(np.abs(a / phase - b)) <= tol)
 
 
 @pytest.fixture(scope="session")

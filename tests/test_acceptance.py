@@ -15,25 +15,31 @@ from fpbsim import (
     OutcomeProbs,
     ProbeConfig,
     SiftBasis,
-    StateVec4,
-    attack_output,
-    error_probability,
     measured_renyi,
     model_renyi,
     model_sifted_error_rate,
     nonideal_pcnot,
-    outcome_probabilities,
+    output_state,
     predict_outcome_probs,
     reference_counts_path,
     renyi_closed_form,
     renyi_information,
     sift_joint_distribution,
     simulate_counts,
-    states_close,
 )
 from fpbsim.cli import main
 
-from conftest import IDEAL_EXPECTED, MEASURED_ESTIMATED, analytic_output
+from conftest import (
+    IDEAL_EXPECTED,
+    MEASURED_ESTIMATED,
+    analytic_output,
+    analytic_probs,
+    error_probability,
+    states_close,
+)
+
+#: The ideal attack: the forward model with all ten angles at zero.
+ZERO = ErrorModelParams()
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -77,7 +83,9 @@ def test_criterion_3_definition_matches_closed_form():
     worst = 0.0
     for basis in SiftBasis:
         for pe in grid:
-            via_def = renyi_information(sift_joint_distribution(basis, ProbeConfig(pe)))
+            via_def = renyi_information(
+                sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
+            )
             worst = max(worst, abs(via_def - renyi_closed_form(pe)))
     ok = worst < 1e-10
     report(3, ok, f"both bases over {len(grid)}-point grid, worst gap = {worst:.2e}")
@@ -90,9 +98,8 @@ def test_criterion_4_state_vector_vs_analytic():
     for state in Bb84State:
         for pe in grid:
             cfg = ProbeConfig(float(pe))
-            got = attack_output(state, cfg)
-            want = StateVec4(analytic_output(state, float(pe)))
-            if not states_close(got, want, tol=1e-12):
+            got = output_state(ZERO, state, cfg)
+            if not states_close(got, analytic_output(state, float(pe)), tol=1e-12):
                 states_ok = False
             err_worst = max(err_worst, abs(error_probability(state, cfg) - pe))
     ok = states_ok and err_worst < 1e-12
@@ -109,17 +116,16 @@ def test_criterion_5_gate_unitarity_and_zero_reduction():
     unitary_worst = 0.0
     for _ in range(100):
         alpha, delta = rng.uniform(-math.pi, math.pi, size=2)
-        gate = nonideal_pcnot(alpha, delta).matrix
+        gate = nonideal_pcnot(alpha, delta)
         unitary_worst = max(
             unitary_worst, float(np.max(np.abs(gate.conj().T @ gate - np.eye(4))))
         )
-    zero = ErrorModelParams()
     reduction_worst = 0.0
     for state in Bb84State:
         for basis in SiftBasis:
             for pe in np.linspace(0.0, 0.5, 11):
-                got = predict_outcome_probs(zero, state, basis, ProbeConfig(pe)).p
-                want = outcome_probabilities(state, basis, ProbeConfig(pe))
+                got = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe)).p
+                want = analytic_probs(state, basis, float(pe))
                 reduction_worst = max(reduction_worst, float(np.max(np.abs(got - want))))
     ok = unitary_worst < 1e-12 and reduction_worst < 1e-10
     report(
@@ -139,7 +145,7 @@ def test_criterion_6_monte_carlo_consistency():
         for pe in (0.0, 0.05, 0.1, 0.2, 1 / 3)
     ]
     model = {
-        cfg: outcome_probabilities(cfg[0], cfg[1], ProbeConfig(cfg[2]))
+        cfg: predict_outcome_probs(ZERO, cfg[0], cfg[1], ProbeConfig(cfg[2])).p
         for cfg in configs
     }
     seeds = np.random.SeedSequence(20240613).generate_state(1000, np.uint64)
@@ -162,9 +168,7 @@ def test_criterion_6_monte_carlo_consistency():
             SiftBasis.DA,
             0.1,
             simulate_counts(
-                OutcomeProbs(
-                    outcome_probabilities(state, SiftBasis.DA, ProbeConfig(0.1))
-                ),
+                predict_outcome_probs(ZERO, state, SiftBasis.DA, ProbeConfig(0.1)),
                 n,
                 int(seed),
             ),

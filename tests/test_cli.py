@@ -11,11 +11,11 @@ import pytest
 from fpbsim import (
     Bb84State,
     CountsRecord,
-    OutcomeProbs,
+    ErrorModelParams,
     ProbeConfig,
     SiftBasis,
     noise_free_counts,
-    outcome_probabilities,
+    predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
@@ -54,7 +54,7 @@ class TestCurve:
         assert all(abs(v - 1.0) < 1e-9 for v in last[1:])
 
     def test_zero_params_model_matches_ideal_column(self, capsys):
-        code, out, _ = run(capsys, "curve", "--steps", "12", "--ideal")
+        code, out, _ = run(capsys, "curve", "--steps", "12")
         assert code == 0
         (_, rows), = parse_csv(out)
         for row in rows:
@@ -89,21 +89,14 @@ class TestCurve:
             ("curve", "--pe-max", "0.6"),
             ("curve", "--pe-min", "0.2", "--pe-max", "0.1"),
             ("curve", "--pe-min", "oops"),
+            ("curve", "--ideal"),
+            ("simulate", "--pairs", str(2**63)),
         ],
     )
     def test_usage_errors(self, capsys, args):
         code, _, err = run(capsys, *args)
         assert code == 1
         assert "error" in err
-
-    def test_model_sources_mutually_exclusive(self, capsys, tmp_path):
-        params_path = tmp_path / "p.json"
-        params_path.write_text("{}")
-        code, _, err = run(
-            capsys, "curve", "--params", str(params_path), "--ideal"
-        )
-        assert code == 1
-        assert "not allowed" in err
 
 
 class TestTable:
@@ -184,9 +177,9 @@ class TestSimulate:
         for row in record_table[1]:
             alice, basis, pe = row[0], row[1], float(row[2])
             estimated = np.array([float(v) for v in row[3:]])
-            model = outcome_probabilities(
-                Bb84State(alice), SiftBasis(basis), ProbeConfig(pe)
-            )
+            model = predict_outcome_probs(
+                ErrorModelParams(), Bb84State(alice), SiftBasis(basis), ProbeConfig(pe)
+            ).p
             np.testing.assert_allclose(estimated, model, atol=0.005)
 
 
@@ -222,8 +215,8 @@ class TestEstimate:
     def test_noise_free_renyi_near_closed_form(self, capsys, tmp_path):
         records = []
         for state in SiftBasis.DA.states:
-            probs = OutcomeProbs(
-                outcome_probabilities(state, SiftBasis.DA, ProbeConfig(0.1))
+            probs = predict_outcome_probs(
+                ErrorModelParams(), state, SiftBasis.DA, ProbeConfig(0.1)
             )
             records.append(
                 CountsRecord(
@@ -258,6 +251,13 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--counts", str(tmp_path / "no.csv"))
         assert code == 1
         assert "error" in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + "D,DA,0.1,1,2,3,4\n".encode("utf-16-le"))
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text")
 
     def test_pair_without_error_free_counts(self, capsys, tmp_path):
         path = tmp_path / "all_wrong.csv"
@@ -341,6 +341,13 @@ class TestFit:
         )
         assert code in (0, 2)
         assert "evaluations" in json.loads(out)
+
+    def test_non_utf8_counts_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + "D,DA,0.1,1,2,3,4\n".encode("utf-16-le"))
+        code, _, err = run(capsys, "fit", "--counts", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text")
 
     def test_bad_init_file(self, capsys, tmp_path):
         sim = tmp_path / "sim.csv"

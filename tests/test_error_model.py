@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpbsim import (
-    CNOT,
     Bb84State,
     CountsRecord,
     ErrorModelParams,
@@ -12,7 +13,6 @@ from fpbsim import (
     ProbeConfig,
     SiftBasis,
     bob_analyzer,
-    control_frame,
     fit_parameters,
     load_reference_counts,
     model_renyi,
@@ -21,15 +21,34 @@ from fpbsim import (
     nonideal_pcnot,
     nonideal_probe_state,
     noise_free_counts,
-    outcome_probabilities,
     predict_outcome_probs,
-    probe_state,
     renyi_closed_form,
     simulate_counts,
 )
 from fpbsim.error_model import _make_objective
 
+from conftest import FRAME_DEG, analytic_probs, frame
+
 PE_POINTS = (0.0, 0.1, 1 / 3)
+
+#: CNOT in the control-major amplitude ordering (flips target iff control=1).
+CNOT = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ]
+)
+
+#: Any angle inside the open parameter box |angle| < pi/2.
+IN_BOX = st.floats(
+    -math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True
+)
+ANY_PARAMS = st.lists(IN_BOX, min_size=10, max_size=10).map(
+    ErrorModelParams.from_vector
+)
+ANY_PE = st.floats(0.0, 0.5)
 
 
 def synth_records(params, n_pairs, seed=None):
@@ -94,44 +113,43 @@ class TestNonidealStates:
     def test_probe_zero_residual_matches_ideal(self):
         cfg = ProbeConfig(0.1)
         got = nonideal_probe_state(cfg, 0.0)
-        want = probe_state(cfg)
-        assert abs(got.a0 - want.a0) < 1e-15 and abs(got.a1 - want.a1) < 1e-15
+        want = ((cfg.c + cfg.s) / math.sqrt(2.0), (cfg.c - cfg.s) / math.sqrt(2.0))
+        assert abs(got[0] - want[0]) < 1e-15 and abs(got[1] - want[1]) < 1e-15
 
     def test_probe_quarter_phase(self):
         got = nonideal_probe_state(ProbeConfig(0.1), math.pi / 2)
-        assert abs(got.a0 - 0.9486832980505138) < 1e-15
-        assert abs(got.a1 - 0.31622776601683793j) < 1e-15
+        assert abs(got[0] - 0.9486832980505138) < 1e-15
+        assert abs(got[1] - 0.31622776601683793j) < 1e-15
 
     def test_probe_norm_for_any_phase(self):
         cfg = ProbeConfig(0.2)
         for d_xi in np.linspace(-math.pi, math.pi, 9):
-            assert abs(nonideal_probe_state(cfg, d_xi).norm_sq - 1.0) < 1e-12
+            probe = nonideal_probe_state(cfg, d_xi)
+            assert abs(np.sum(np.abs(probe) ** 2) - 1.0) < 1e-12
 
     def test_alice_reduces_to_frame(self):
         got = nonideal_alice_state(Bb84State.D, 0.0, 0.0)
-        want = control_frame(Bb84State.D)
-        assert got.a0 == want.a0 and got.a1 == want.a1
+        theta = Bb84State.D.theta
+        assert got[0] == math.cos(theta) and got[1] == math.sin(theta)
 
     def test_alice_angle_addition(self):
         got = nonideal_alice_state(Bb84State.H, math.radians(3.2), 0.0)
         theta = math.radians(-19.3)
-        assert abs(got.a0 - math.cos(theta)) < 1e-12
-        assert abs(got.a1 - math.sin(theta)) < 1e-12
+        assert abs(got[0] - math.cos(theta)) < 1e-12
+        assert abs(got[1] - math.sin(theta)) < 1e-12
 
     def test_alice_norm(self):
         for state in Bb84State:
             vec = nonideal_alice_state(state, 0.3, -1.1)
-            assert abs(vec.norm_sq - 1.0) < 1e-12
+            assert abs(np.sum(np.abs(vec) ** 2) - 1.0) < 1e-12
 
 
 class TestNonidealGate:
     def test_reduces_to_cnot(self):
-        np.testing.assert_allclose(
-            nonideal_pcnot(0.0, 0.0).matrix, CNOT.matrix, atol=1e-15
-        )
+        np.testing.assert_allclose(nonideal_pcnot(0.0, 0.0), CNOT, atol=1e-15)
 
     def test_quarter_imbalance_flips_control_zero_block(self):
-        gate = nonideal_pcnot(math.pi / 2, 0.0).matrix
+        gate = nonideal_pcnot(math.pi / 2, 0.0)
         np.testing.assert_allclose(
             gate[:2, :2], 1j * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15
         )
@@ -140,39 +158,35 @@ class TestNonidealGate:
         rng = np.random.default_rng(99)
         for _ in range(100):
             alpha, delta = rng.uniform(-math.pi, math.pi, size=2)
-            gate = nonideal_pcnot(alpha, delta).matrix
+            gate = nonideal_pcnot(alpha, delta)
             np.testing.assert_allclose(
                 gate.conj().T @ gate, np.eye(4), atol=1e-12
             )
 
     def test_fitted_angles_unitary(self, ref_params):
-        # Construction itself enforces unitarity within 1e-12.
-        nonideal_pcnot(ref_params.alpha, ref_params.delta)
+        gate = nonideal_pcnot(ref_params.alpha, ref_params.delta)
+        np.testing.assert_allclose(gate.conj().T @ gate, np.eye(4), atol=1e-12)
 
 
 class TestBobAnalyzer:
     def test_perfect_analyzer_matches_basis_states(self):
         for basis in SiftBasis:
             bit0, bit1 = bob_analyzer(basis, 0.0)
-            want0, want1 = (control_frame(s) for s in basis.states)
-            np.testing.assert_allclose(
-                [bit0.a0, bit0.a1], [want0.a0, want0.a1], atol=1e-15
-            )
-            np.testing.assert_allclose(
-                [bit1.a0, bit1.a1], [want1.a0, want1.a1], atol=1e-15
-            )
+            want0, want1 = (frame(FRAME_DEG[s]) for s in basis.states)
+            np.testing.assert_allclose(bit0, want0, atol=1e-15)
+            np.testing.assert_allclose(bit1, want1, atol=1e-15)
 
     def test_offset_rotates_analyzer(self):
         bit0, _ = bob_analyzer(SiftBasis.HV, math.radians(-1.8))
         theta = math.radians(20.7)
-        assert abs(bit0.a0 - math.cos(theta)) < 1e-12
-        assert abs(bit0.a1 + math.sin(theta)) < 1e-12
+        assert abs(bit0[0] - math.cos(theta)) < 1e-12
+        assert abs(bit0[1] + math.sin(theta)) < 1e-12
 
     def test_analyzer_states_orthonormal_for_any_offset(self):
         for offset in np.linspace(-0.5, 0.5, 7):
             bit0, bit1 = bob_analyzer(SiftBasis.DA, offset)
-            assert abs(np.vdot(bit0.as_array(), bit1.as_array())) < 1e-12
-            assert abs(bit0.norm_sq - 1.0) < 1e-12
+            assert abs(np.vdot(bit0, bit1)) < 1e-12
+            assert abs(np.vdot(bit0, bit0) - 1.0) < 1e-12
 
 
 class TestForwardModel:
@@ -192,20 +206,20 @@ class TestForwardModel:
                     got = predict_outcome_probs(
                         zero, state, basis, ProbeConfig(pe)
                     ).p
-                    want = outcome_probabilities(state, basis, ProbeConfig(pe))
+                    want = analytic_probs(state, basis, pe)
                     np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_probabilities_normalized_for_random_params(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            params = ErrorModelParams.from_vector(rng.uniform(-0.6, 0.6, size=10))
-            state = rng.choice(list(Bb84State))
-            basis = rng.choice(list(SiftBasis))
-            probs = predict_outcome_probs(
-                params, state, basis, ProbeConfig(float(rng.uniform(0.0, 0.5)))
-            ).p
-            assert np.all(probs >= 0.0)
-            assert abs(probs.sum() - 1.0) < 1e-10
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=ANY_PARAMS,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+    )
+    def test_probabilities_normalized_for_random_params(self, params, state, basis, pe):
+        probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe)).p
+        assert np.all(probs >= 0.0)
+        assert abs(probs.sum() - 1.0) < 1e-10
 
     def test_reference_params_near_measured_row(self, ref_params):
         probs = predict_outcome_probs(
@@ -215,14 +229,18 @@ class TestForwardModel:
             probs, [0.058, 0.086, 0.196, 0.661], atol=0.05
         )
 
-    def test_conjugation_symmetry(self, ref_params):
-        twin = mirror(ref_params)
-        for state in Bb84State:
-            for basis in SiftBasis:
-                for pe in PE_POINTS:
-                    a = predict_outcome_probs(ref_params, state, basis, ProbeConfig(pe)).p
-                    b = predict_outcome_probs(twin, state, basis, ProbeConfig(pe)).p
-                    np.testing.assert_allclose(a, b, atol=1e-14)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=ANY_PARAMS,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+    )
+    def test_conjugation_symmetry(self, params, state, basis, pe):
+        cfg = ProbeConfig(pe)
+        a = predict_outcome_probs(params, state, basis, cfg).p
+        b = predict_outcome_probs(mirror(params), state, basis, cfg).p
+        np.testing.assert_allclose(a, b, atol=1e-14)
 
 
 class TestModelSummaries:

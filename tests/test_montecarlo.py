@@ -7,6 +7,7 @@ from fpbsim import (
     Bb84State,
     CountsFileError,
     CountsRecord,
+    ErrorModelParams,
     OutcomeProbs,
     ProbeConfig,
     SiftBasis,
@@ -14,7 +15,7 @@ from fpbsim import (
     load_reference_counts,
     measured_renyi,
     noise_free_counts,
-    outcome_probabilities,
+    predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
@@ -25,7 +26,7 @@ from fpbsim import (
 
 
 def ideal_probs(state, basis, pe) -> OutcomeProbs:
-    return OutcomeProbs(outcome_probabilities(state, basis, ProbeConfig(pe)))
+    return predict_outcome_probs(ErrorModelParams(), state, basis, ProbeConfig(pe))
 
 
 def sift_pair(pe, n_pairs, seeds=(101, 202)) -> list[CountsRecord]:
@@ -87,6 +88,8 @@ class TestSimulateCounts:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n_pairs"):
             simulate_counts(OutcomeProbs([0.25] * 4), 0, 1)
+        with pytest.raises(ValueError, match="n_pairs"):
+            simulate_counts(OutcomeProbs([0.25] * 4), 2**63, 1)
 
 
 class TestNoiseFreeCounts:

@@ -6,24 +6,31 @@ import pytest
 
 from fpbsim import (
     Bb84State,
+    ErrorModelParams,
     JointDistribution,
     ProbeConfig,
     SiftBasis,
-    attack_output,
-    control_frame,
-    error_probability,
-    outcome_probabilities,
-    probe_state,
+    nonideal_alice_state,
+    nonideal_probe_state,
+    output_state,
+    predict_outcome_probs,
     renyi_closed_form,
     renyi_information,
     sift_joint_distribution,
+)
+
+from conftest import (
+    analytic_output,
+    error_probability,
+    frame,
     states_close,
     target_triple,
 )
 
-from conftest import analytic_output
-
 RT2 = math.sqrt(2.0)
+
+#: The ideal attack: the forward model with all ten angles at zero.
+ZERO = ErrorModelParams()
 
 # Extended-precision evaluations of the closed form, frozen as oracles.
 CLOSED_FORM_VALUES = {
@@ -35,20 +42,24 @@ CLOSED_FORM_VALUES = {
 PE_GRID = [i * 0.02 for i in range(17)] + [1 / 3]
 
 
+def norm_sq(vec) -> float:
+    return float(np.sum(np.abs(vec) ** 2))
+
+
 class TestStatesAndConfig:
     def test_control_frame_values(self):
-        h = control_frame(Bb84State.H)
+        h = nonideal_alice_state(Bb84State.H, 0.0, 0.0)
         np.testing.assert_allclose(
-            [h.a0, h.a1], [0.9238795325112867, -0.3826834323650898], atol=1e-15
+            h, [0.9238795325112867, -0.3826834323650898], atol=1e-15
         )
-        d = control_frame(Bb84State.D)
+        d = nonideal_alice_state(Bb84State.D, 0.0, 0.0)
         np.testing.assert_allclose(
-            [d.a0, d.a1], [0.9238795325112867, 0.3826834323650898], atol=1e-15
+            d, [0.9238795325112867, 0.3826834323650898], atol=1e-15
         )
 
     @pytest.mark.parametrize("basis", list(SiftBasis))
     def test_basis_states_orthonormal(self, basis):
-        s0, s1 = (control_frame(s).as_array() for s in basis.states)
+        s0, s1 = (nonideal_alice_state(s, 0.0, 0.0) for s in basis.states)
         assert abs(np.vdot(s0, s1)) < 1e-15
         assert abs(np.vdot(s0, s0) - 1.0) < 1e-15
 
@@ -73,80 +84,81 @@ class TestStatesAndConfig:
             ProbeConfig(pe)
 
     def test_probe_state_values(self):
-        flat = probe_state(ProbeConfig(0.0))
-        np.testing.assert_allclose([flat.a0, flat.a1], [1 / RT2, 1 / RT2], atol=1e-15)
-        mid = probe_state(ProbeConfig(0.1))
+        flat = nonideal_probe_state(ProbeConfig(0.0), 0.0)
+        np.testing.assert_allclose(flat, [1 / RT2, 1 / RT2], atol=1e-15)
+        mid = nonideal_probe_state(ProbeConfig(0.1), 0.0)
         np.testing.assert_allclose(
-            [mid.a0, mid.a1],
-            [0.9486832980505138, 0.31622776601683793],
-            atol=1e-15,
+            mid, [0.9486832980505138, 0.31622776601683793], atol=1e-15
         )
-        third = probe_state(ProbeConfig(1 / 3))
+        third = nonideal_probe_state(ProbeConfig(1 / 3), 0.0)
         np.testing.assert_allclose(
-            [third.a0, third.a1],
-            [0.98559855965348878, -0.16910197872576275],
-            atol=1e-15,
+            third, [0.98559855965348878, -0.16910197872576275], atol=1e-15
         )
 
     def test_probe_state_normalized_on_grid(self):
         for pe in PE_GRID:
-            assert abs(probe_state(ProbeConfig(pe)).norm_sq - 1.0) < 1e-12
+            probe = nonideal_probe_state(ProbeConfig(pe), 0.0)
+            assert abs(norm_sq(probe) - 1.0) < 1e-12
 
 
 class TestTargetTriple:
+    """The probe components of the analytic oracle that the model is
+    checked against (``conftest.target_triple``)."""
+
     def test_no_disturbance(self):
-        triple = target_triple(ProbeConfig(0.0))
-        np.testing.assert_allclose(
-            [triple.t0.a0, triple.t0.a1], [1 / RT2, 1 / RT2], atol=1e-15
-        )
-        assert triple.t0 == triple.t1
-        assert triple.te.norm_sq == 0.0
+        t0, t1, te = target_triple(0.0)
+        np.testing.assert_allclose(t0, [1 / RT2, 1 / RT2], atol=1e-15)
+        assert np.array_equal(t0, t1)
+        assert norm_sq(te) == 0.0
 
     def test_frozen_values(self):
-        triple = target_triple(ProbeConfig(0.1))
+        t0, _, te = target_triple(0.1)
         np.testing.assert_allclose(
-            [triple.t0.a0, triple.t0.a1],
-            [0.85606232978365484, 0.4088487342836969],
-            atol=1e-15,
+            t0, [0.85606232978365484, 0.4088487342836969], atol=1e-15
         )
-        assert abs(triple.te.norm_sq - 0.1) < 1e-12
+        assert abs(norm_sq(te) - 0.1) < 1e-12
 
     def test_orthogonal_components_at_one_third(self):
-        triple = target_triple(ProbeConfig(1 / 3))
-        assert abs(triple.t0.a1) < 1e-15
-        overlap = np.vdot(triple.t0.as_array(), triple.t1.as_array())
-        assert abs(overlap) < 1e-15
+        t0, t1, _ = target_triple(1 / 3)
+        assert abs(t0[1]) < 1e-15
+        assert abs(np.vdot(t0, t1)) < 1e-15
 
     def test_norm_relations_on_grid(self):
         for pe in PE_GRID:
-            triple = target_triple(ProbeConfig(pe))
-            assert abs(triple.te.norm_sq - pe) < 1e-12
-            assert abs(triple.t0.norm_sq - (1 - pe)) < 1e-12
-            assert abs(triple.t1.norm_sq - (1 - pe)) < 1e-12
-            assert abs(triple.t0.norm_sq + triple.te.norm_sq - 1.0) < 1e-12
+            t0, t1, te = target_triple(pe)
+            assert abs(norm_sq(te) - pe) < 1e-12
+            assert abs(norm_sq(t0) - (1 - pe)) < 1e-12
+            assert abs(norm_sq(t1) - (1 - pe)) < 1e-12
+            assert abs(norm_sq(t0) + norm_sq(te) - 1.0) < 1e-12
             # t1 is t0 with components swapped.
-            assert triple.t1.a0 == triple.t0.a1
-            assert triple.t1.a1 == triple.t0.a0
+            assert t1[0] == t0[1]
+            assert t1[1] == t0[0]
 
 
 class TestAttackOutput:
     def test_product_state_at_zero(self):
-        out = attack_output(Bb84State.H, ProbeConfig(0.0))
-        h = control_frame(Bb84State.H).as_array()
-        expected = np.kron(h, np.array([1 / RT2, 1 / RT2]))
-        np.testing.assert_allclose(out.amps, expected, atol=1e-15)
+        out = output_state(ZERO, Bb84State.H, ProbeConfig(0.0))
+        expected = np.kron(frame(-22.5), np.array([1 / RT2, 1 / RT2]))
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("state", list(Bb84State))
     def test_matches_analytic_decomposition(self, state):
-        from fpbsim import StateVec4
-
         for pe in PE_GRID:
-            got = attack_output(state, ProbeConfig(pe))
-            want = StateVec4(analytic_output(state, pe))
-            assert states_close(got, want, tol=1e-12)
+            got = output_state(ZERO, state, ProbeConfig(pe))
+            assert states_close(got, analytic_output(state, pe), tol=1e-12)
+
+    def test_error_component_of_attack_output(self):
+        # Projecting the output for an H input onto the V state and the
+        # normalized error component of the probe yields exactly pe.
+        psi = output_state(ZERO, Bb84State.H, ProbeConfig(0.1))
+        te = target_triple(0.1)[2]
+        bra = np.kron(frame(67.5), te / math.sqrt(norm_sq(te)))
+        assert abs(abs(np.vdot(bra, psi)) ** 2 - 0.1) < 1e-12
 
     def test_outcome_probability_examples(self):
-        probs = outcome_probabilities(Bb84State.D, SiftBasis.DA, ProbeConfig(1 / 3))
+        probs = predict_outcome_probs(
+            ZERO, Bb84State.D, SiftBasis.DA, ProbeConfig(1 / 3)
+        ).p
         # (b=0, e=0) cell sits last in outcome order.
         assert abs(probs[3] - 2 / 3) < 1e-12
 
@@ -154,7 +166,7 @@ class TestAttackOutput:
         for state in Bb84State:
             for basis in SiftBasis:
                 for pe in (0.0, 0.1, 1 / 3, 0.5):
-                    probs = outcome_probabilities(state, basis, ProbeConfig(pe))
+                    probs = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe)).p
                     assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -172,13 +184,30 @@ class TestErrorProbability:
             assert max(values) - min(values) < 1e-12
 
 
+class TestStatesClose:
+    """The phase-insensitive comparison the decomposition checks rely on."""
+
+    def test_global_phase_ignored(self):
+        a = np.array([0.5, 0.5j, -0.5, 0.5])
+        assert states_close(a, np.exp(1j * 0.7) * a)
+
+    def test_distinct_states_detected(self):
+        assert not states_close([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+
+    def test_small_perturbation_beyond_tolerance(self):
+        a = np.array([1.0, 0.0, 0.0, 0.0])
+        b = np.array([1.0, 1e-6, 0.0, 0.0]) / math.sqrt(1 + 1e-12)
+        assert not states_close(a, b, tol=1e-9)
+        assert states_close(a, b, tol=1e-5)
+
+
 class TestJointDistribution:
     def test_uncorrelated_at_zero(self):
-        dist = sift_joint_distribution(SiftBasis.HV, ProbeConfig(0.0))
+        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.0))
         np.testing.assert_allclose(dist.p, 0.25, atol=1e-12)
 
     def test_frozen_table(self):
-        dist = sift_joint_distribution(SiftBasis.HV, ProbeConfig(0.1))
+        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
         expected = np.array(
             [
                 [0.40713484026367723, 0.092865159736322772],
@@ -188,7 +217,7 @@ class TestJointDistribution:
         np.testing.assert_allclose(dist.p, expected, atol=1e-12)
 
     def test_perfect_correlation_at_one_third(self):
-        dist = sift_joint_distribution(SiftBasis.DA, ProbeConfig(1 / 3))
+        dist = sift_joint_distribution(ZERO, SiftBasis.DA, ProbeConfig(1 / 3))
         np.testing.assert_allclose(dist.p, np.diag([0.5, 0.5]), atol=1e-12)
         # Eve's projective readout is exact there.
         assert dist.p[0, 1] + dist.p[1, 0] < 1e-12
@@ -196,7 +225,7 @@ class TestJointDistribution:
     def test_invariants_on_grid(self):
         for basis in SiftBasis:
             for pe in PE_GRID:
-                dist = sift_joint_distribution(basis, ProbeConfig(pe))
+                dist = sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
                 assert np.all(dist.p >= 0.0)
                 assert abs(dist.p.sum() - 1.0) < 1e-10
                 np.testing.assert_allclose(
@@ -227,7 +256,7 @@ class TestRenyiInformation:
         assert renyi_information(dist) == 0.0
 
     def test_matches_frozen_value(self):
-        dist = sift_joint_distribution(SiftBasis.HV, ProbeConfig(0.1))
+        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
         assert abs(renyi_information(dist) - 0.48032895953056298) < 1e-10
 
 
@@ -244,7 +273,7 @@ class TestClosedForm:
         for basis in SiftBasis:
             for pe in PE_GRID:
                 via_def = renyi_information(
-                    sift_joint_distribution(basis, ProbeConfig(pe))
+                    sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
                 )
                 assert abs(via_def - renyi_closed_form(pe)) < 1e-10
 
