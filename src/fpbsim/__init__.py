@@ -4,14 +4,9 @@ from .error_model import (
     ErrorModelParams,
     FitOptions,
     FitResult,
-    OutcomeProbs,
-    bob_analyzer,
     fit_parameters,
     model_renyi,
     model_sifted_error_rate,
-    nonideal_alice_state,
-    nonideal_pcnot,
-    nonideal_probe_state,
     output_state,
     predict_outcome_probs,
     sift_joint_distribution,
@@ -32,7 +27,6 @@ from .montecarlo import (
 from .probe import (
     OUTCOME_ORDER,
     Bb84State,
-    JointDistribution,
     ProbeConfig,
     SiftBasis,
     renyi_closed_form,
@@ -46,12 +40,9 @@ __all__ = [
     "ErrorModelParams",
     "FitOptions",
     "FitResult",
-    "JointDistribution",
     "OUTCOME_ORDER",
-    "OutcomeProbs",
     "ProbeConfig",
     "SiftBasis",
-    "bob_analyzer",
     "estimate_probabilities",
     "fit_parameters",
     "load_reference_counts",
@@ -59,9 +50,6 @@ __all__ = [
     "model_renyi",
     "model_sifted_error_rate",
     "noise_free_counts",
-    "nonideal_alice_state",
-    "nonideal_pcnot",
-    "nonideal_probe_state",
     "output_state",
     "predict_outcome_probs",
     "read_counts_file",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -152,15 +153,25 @@ def cmd_curve(args: argparse.Namespace) -> int:
     params = _resolve_model(args)
     grid = np.linspace(pe_min, pe_max, args.steps)
     rows = []
-    for pe in grid:
-        cfg = ProbeConfig(float(pe))
-        rows.append(
-            {
-                "pe": float(pe),
-                "renyi_hv": error_model.model_renyi(params, SiftBasis.HV, cfg),
-                "renyi_da": error_model.model_renyi(params, SiftBasis.DA, cfg),
-                "renyi_ideal": probe.renyi_closed_form(float(pe)),
-            }
+    # The closed form warns once per grid point above pe = 1/3; report
+    # those points on one line instead.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for pe in grid:
+            cfg = ProbeConfig(float(pe))
+            rows.append(
+                {
+                    "pe": float(pe),
+                    "renyi_hv": error_model.model_renyi(params, SiftBasis.HV, cfg),
+                    "renyi_da": error_model.model_renyi(params, SiftBasis.DA, cfg),
+                    "renyi_ideal": probe.renyi_closed_form(float(pe)),
+                }
+            )
+    if caught:
+        print(
+            f"warning: {len(caught)} of {len(grid)} grid points lie above "
+            "pe = 1/3, outside the attack's useful operating range",
+            file=sys.stderr,
         )
     if args.format == "json":
         payload = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
@@ -185,7 +196,7 @@ def _table_rows(
             probs = error_model.predict_outcome_probs(
                 params, state, state.basis, ProbeConfig(pe)
             )
-            rows.append({"alice": state.value, "pe": pe, "probs": probs.p})
+            rows.append({"alice": state.value, "pe": pe, "probs": probs})
     return rows
 
 
@@ -278,7 +289,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 "alice": record.alice.value,
                 "basis": record.bob_basis.value,
                 "pe": record.pe_nominal,
-                "probs": probs.p,
+                "probs": probs,
             }
         )
     group_rows = []

@@ -7,15 +7,16 @@ four per-state wave-plate offsets on Alice's qubit, an imbalance and
 phase of the entangling gate, and one analyzer offset per measurement
 basis. With all ten at zero the model is the ideal attack.
 
-The building blocks return plain numpy arrays: single-qubit states are
-``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
+The model works on plain numpy arrays throughout. Single-qubit states
+are ``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
 two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
-photon (control) bit ``c`` and probe (target) bit ``t``. The forward
-model predicts the four joint detection probabilities for any
-configuration, the error-free-sift joint distribution and the Renyi
-information derived from it; the fitter recovers the ten parameters
-from measured coincidence counts by bounded trust-region least squares
-on the weighted residual vector. Angles are radians; degrees appear only
+photon (control) bit ``c`` and probe (target) bit ``t``. The four joint
+detection probabilities of a configuration come back as a ``(4,)``
+array in ``OUTCOME_ORDER`` and the error-free-sift joint distribution
+as a ``(2, 2)`` array; the model is unitary by construction, so neither
+is re-validated. The fitter recovers the ten parameters from measured
+coincidence counts by bounded trust-region least squares on the
+weighted residual vector. Angles are radians; degrees appear only
 at I/O boundaries.
 """
 
@@ -28,14 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .probe import (
-    OUTCOME_ORDER,
-    Bb84State,
-    JointDistribution,
-    ProbeConfig,
-    SiftBasis,
-    renyi_information,
-)
+from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis, renyi_information
 
 if TYPE_CHECKING:
     from .montecarlo import CountsRecord
@@ -138,32 +132,6 @@ class ErrorModelParams:
         )
 
 
-@dataclass(frozen=True)
-class OutcomeProbs:
-    """Joint detection probabilities for one configuration.
-
-    ``p`` holds four entries in ``OUTCOME_ORDER``, i.e. (bob_bit,
-    eve_bit) = (1,0), (1,1), (0,1), (0,0); they are nonnegative and sum
-    to one.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.p, dtype=float)
-        if p.shape != (4,):
-            raise ValueError("outcome probabilities must have 4 entries")
-        if np.any(p < 0.0) or not np.isfinite(p).all():
-            raise ValueError("outcome probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"outcome probabilities must sum to 1, got {p.sum()!r}")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-    def prob(self, bob_bit: int, eve_bit: int) -> float:
-        return float(self.p[OUTCOME_ORDER.index((bob_bit, eve_bit))])
-
-
 def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
     """Probe preparation with a residual phase ``d_xi`` on the upper state.
 
@@ -244,38 +212,57 @@ def predict_outcome_probs(
     alice: Bb84State,
     bob_basis: SiftBasis,
     cfg: ProbeConfig,
-) -> OutcomeProbs:
+) -> np.ndarray:
     """Forward-model the four joint detection probabilities.
 
     Projects the output state onto Bob's analyzed-bit states (photon)
-    and Eve's computational states (probe). Entries follow
-    ``OUTCOME_ORDER`` and sum to one by unitarity.
+    and Eve's computational states (probe). Returns a ``(4,)`` float
+    array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
+    (0,1), (0,0); the entries sum to one by unitarity.
     """
     analyzer = bob_analyzer(bob_basis, params.theta_b_offset(bob_basis))
     amplitudes = analyzer.conj() @ output_state(params, alice, cfg).reshape(2, 2)
-    return OutcomeProbs((np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX])
+    return (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
 
 
-def sift_joint_distribution(
+def _error_free_table(
     params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
-) -> JointDistribution:
-    """Joint Bob/Eve bit distribution on error-free sift events.
+) -> np.ndarray:
+    """Unnormalized 2x2 Bob/Eve table of the error-free sift cells.
 
-    Alice's two basis states are taken equiprobable; the error-free
-    cells of both are pooled and renormalized over the error-free
-    subspace.
+    Alice's two basis states are taken equiprobable, so each contributes
+    half of its cells where Bob's bit equals hers.
     """
     raw = np.zeros((2, 2))
     for state in basis.states:
         probs = predict_outcome_probs(params, state, basis, cfg)
         for e in (0, 1):
-            raw[state.bit, e] = 0.5 * probs.prob(state.bit, e)
-    return JointDistribution.from_raw(raw)
+            raw[state.bit, e] = 0.5 * probs[OUTCOME_ORDER.index((state.bit, e))]
+    return raw
+
+
+def sift_joint_distribution(
+    params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
+) -> np.ndarray:
+    """Joint Bob/Eve bit distribution on error-free sift events.
+
+    A ``(2, 2)`` array indexed ``[bob_bit, eve_bit]``: the error-free
+    cells of both equiprobable basis states, renormalized over the
+    error-free subspace. Raises ValueError when the model predicts no
+    error-free sift events in ``basis``.
+    """
+    raw = _error_free_table(params, basis, cfg)
+    total = raw.sum()
+    if total < 1e-15:
+        raise ValueError(
+            f"model predicts no error-free sift events in basis {basis.value}"
+        )
+    return raw / total
 
 
 def model_renyi(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig) -> float:
     """Renyi information predicted by the error model for one basis."""
-    return renyi_information(sift_joint_distribution(params, basis, cfg))
+    return renyi_information(_error_free_table(params, basis, cfg))
 
 
 def model_sifted_error_rate(
@@ -286,7 +273,7 @@ def model_sifted_error_rate(
     for state in basis.states:
         probs = predict_outcome_probs(params, state, basis, cfg)
         total += 0.5 * sum(
-            float(probs.p[i]) for i, (b, _) in enumerate(OUTCOME_ORDER)
+            float(probs[i]) for i, (b, _) in enumerate(OUTCOME_ORDER)
             if b != state.bit
         )
     return total
@@ -373,7 +360,7 @@ def _make_objective(records: Sequence["CountsRecord"], weighting: str):
         return np.concatenate(
             [
                 root_weight
-                * (estimated - predict_outcome_probs(params, alice, basis, cfg).p)
+                * (estimated - predict_outcome_probs(params, alice, basis, cfg))
                 for alice, basis, cfg, estimated, root_weight in design
             ]
         )

@@ -1,11 +1,11 @@
 """Coincidence-count simulation and estimation.
 
 Generates multinomial coincidence counts from any outcome-probability
-model with explicit per-call seeding, and turns measured counts back
-into normalized probabilities, sifted error rates, and the measured
-Renyi information. A reference data set of measured counts for the D
-and A inputs at three nominal error probabilities ships with the
-package.
+vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
+explicit per-call seeding, and turns measured counts back into
+normalized probabilities, sifted error rates, and the measured Renyi
+information. A reference data set of measured counts for the D and A
+inputs at three nominal error probabilities ships with the package.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .error_model import OutcomeProbs
-from .probe import OUTCOME_ORDER, Bb84State, JointDistribution, SiftBasis, renyi_information
+from .probe import OUTCOME_ORDER, Bb84State, SiftBasis, renyi_information
 
 _REFERENCE_FILE = "reference_counts.csv"
 
@@ -69,37 +68,47 @@ class CountsRecord:
 
 
 def simulate_counts(
-    probs: OutcomeProbs, n_pairs: int, seed: int
+    probs: np.ndarray, n_pairs: int, seed: int
 ) -> tuple[int, int, int, int]:
     """Draw one multinomial sample of ``n_pairs`` detection events.
 
+    ``probs`` holds the four outcome probabilities in ``OUTCOME_ORDER``;
+    they are renormalized, and numpy rejects negative or NaN entries.
     Deterministic given the seed; the counts sum to ``n_pairs`` exactly.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
-    p = probs.p / probs.p.sum()
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (4,):
+        raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
+    p = probs / probs.sum()
     draw = np.random.default_rng(seed).multinomial(n_pairs, p)
     return tuple(int(c) for c in draw)
 
 
-def noise_free_counts(probs: OutcomeProbs, n_pairs: int) -> tuple[int, int, int, int]:
+def noise_free_counts(probs: np.ndarray, n_pairs: int) -> tuple[int, int, int, int]:
     """Deterministic counts ``round(p * n)`` with the total forced exact.
 
+    ``probs`` holds the four outcome probabilities in ``OUTCOME_ORDER``.
     Rounding is half-to-even; any leftover after rounding is absorbed by
     the largest cell so the counts sum to ``n_pairs``.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    cells = [round(float(p) * n_pairs) for p in probs.p]
-    cells[int(np.argmax(probs.p))] += n_pairs - sum(cells)
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (4,) or not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise ValueError("expected 4 finite nonnegative outcome probabilities")
+    cells = [round(float(p) * n_pairs) for p in probs]
+    cells[int(np.argmax(probs))] += n_pairs - sum(cells)
     return tuple(int(c) for c in cells)
 
 
-def estimate_probabilities(record: CountsRecord) -> OutcomeProbs:
-    """Per-record probabilities: each count over the record's total."""
+def estimate_probabilities(record: CountsRecord) -> np.ndarray:
+    """Per-record probabilities: each count over the record's total, as a
+    ``(4,)`` array in ``OUTCOME_ORDER``."""
     if record.total <= 0:
         raise ValueError("cannot estimate probabilities from zero total counts")
-    return OutcomeProbs(np.array(record.counts, dtype=float) / record.total)
+    return np.array(record.counts, dtype=float) / record.total
 
 
 def _require_sift_group(records: Sequence[CountsRecord]) -> SiftBasis:
@@ -115,6 +124,8 @@ def _require_sift_group(records: Sequence[CountsRecord]) -> SiftBasis:
                 f"record with input {record.alice.value} is not a sift record "
                 f"for basis {basis.value}"
             )
+        if record.total <= 0:
+            raise ValueError("record with zero total counts")
     present = {record.alice for record in records}
     if present != set(basis.states):
         raise ValueError(
@@ -133,8 +144,6 @@ def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
     _require_sift_group(records)
     fractions = []
     for record in records:
-        if record.total <= 0:
-            raise ValueError("record with zero total counts")
         wrong = sum(
             count
             for count, (b, _) in zip(record.counts, OUTCOME_ORDER)
@@ -169,7 +178,7 @@ def measured_renyi(
             raw[b, e] = record.counts[OUTCOME_ORDER.index((b, e))] * scale
     if raw.sum() <= 0.0:
         raise ValueError("records contain no error-free sift counts")
-    return renyi_information(JointDistribution.from_raw(raw))
+    return renyi_information(raw)
 
 
 def format_record(record: CountsRecord) -> str:

@@ -6,11 +6,11 @@ polarization basis, then reads the probe with a projective measurement
 in its computational basis. This module names the pieces of that
 setting: the four BB84 states, the two sift bases, the detector outcome
 order, and the probe preparation for a chosen induced error probability.
-It also holds the joint Bob/Eve bit distribution on error-free sift
-events, the Renyi information of such a distribution, and its closed
-form for the ideal attack. The state vectors and probabilities of the
-attack are computed by the forward model in ``error_model``; the ideal
-attack is that model with all ten hardware angles at zero.
+It also holds the Renyi information of a 2x2 Bob/Eve bit table on
+error-free sift events, a plain numpy array, and its closed form for
+the ideal attack. The state vectors and probabilities of the attack are
+computed by the forward model in ``error_model``; the ideal attack is
+that model with all ten hardware angles at zero.
 """
 
 from __future__ import annotations
@@ -107,60 +107,32 @@ class ProbeConfig:
         )
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """2x2 joint distribution of Bob's and Eve's bits on error-free sifts.
-
-    ``p[b, e]`` holds the joint probability; ``prior_b`` and ``prior_e``
-    are the marginals.
-    """
-
-    p: np.ndarray
-    prior_b: np.ndarray
-    prior_e: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError("joint table must be 2x2")
-        if np.any(p < 0.0) or not np.isfinite(p).all():
-            raise ValueError("joint table entries must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"joint table must sum to 1, got {p.sum()!r}")
-        if np.max(np.abs(p.sum(axis=1) - self.prior_b)) > 1e-12 or np.max(
-            np.abs(p.sum(axis=0) - self.prior_e)
-        ) > 1e-12:
-            raise ValueError("marginals inconsistent with joint table")
-
-    @classmethod
-    def from_raw(cls, raw) -> "JointDistribution":
-        """Normalize a raw nonnegative 2x2 table into a distribution."""
-        table = np.asarray(raw, dtype=float).reshape(2, 2)
-        if np.any(table < 0.0) or not np.isfinite(table).all():
-            raise ValueError("raw table entries must be finite and nonnegative")
-        total = table.sum()
-        if total < 1e-15:
-            raise ValueError("raw table has no probability mass")
-        p = table / total
-        p.setflags(write=False)
-        return cls(p=p, prior_b=p.sum(axis=1), prior_e=p.sum(axis=0))
-
-
-def renyi_information(dist: JointDistribution) -> float:
+def renyi_information(table) -> float:
     """Order-2 (Renyi) information about Bob's bit carried by Eve's bit.
 
-    Computed from the joint distribution as the collision-entropy gain
-    of conditioning on Eve's outcome; 0 bits for independent tables and
-    1 bit for perfectly correlated two-outcome tables. Outcomes of Eve
-    with zero probability contribute nothing.
+    ``table`` is a raw nonnegative 2x2 table of Bob's bit (rows) against
+    Eve's bit (columns) on error-free sift events; it is normalized here.
+    The information is the collision-entropy gain of conditioning on
+    Eve's outcome: 0 bits for independent tables and 1 bit for perfectly
+    correlated two-outcome tables. Outcomes of Eve with zero probability
+    contribute nothing.
     """
-    prior_term = -math.log2(float(np.sum(dist.prior_b**2)))
+    table = np.asarray(table, dtype=float).reshape(2, 2)
+    if np.any(table < 0.0) or not np.isfinite(table).all():
+        raise ValueError("joint table entries must be finite and nonnegative")
+    total = table.sum()
+    if total < 1e-15:
+        raise ValueError("joint table has no probability mass")
+    p = table / total
+    prior_b = p.sum(axis=1)
+    prior_e = p.sum(axis=0)
+    prior_term = -math.log2(float(np.sum(prior_b**2)))
     cond_term = 0.0
     for e in (0, 1):
-        pe = float(dist.prior_e[e])
+        pe = float(prior_e[e])
         if pe <= 0.0:
             continue
-        cond = dist.p[:, e] / pe
+        cond = p[:, e] / pe
         cond_term += pe * math.log2(float(np.sum(cond**2)))
     return prior_term + cond_term
 

@@ -76,7 +76,7 @@ def analytic_probs(state: Bb84State, basis: SiftBasis, pe: float) -> np.ndarray:
 def error_probability(alice: Bb84State, cfg: ProbeConfig) -> float:
     """Ideal-attack probability that Bob, measuring in Alice's basis, gets
     the wrong bit, summed from the forward model's detection cells."""
-    probs = predict_outcome_probs(ErrorModelParams(), alice, alice.basis, cfg).p
+    probs = predict_outcome_probs(ErrorModelParams(), alice, alice.basis, cfg)
     return sum(p for p, (b, _) in zip(probs, OUTCOME_ORDER) if b != alice.bit)
 
 

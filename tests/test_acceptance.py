@@ -12,13 +12,11 @@ from fpbsim import (
     Bb84State,
     CountsRecord,
     ErrorModelParams,
-    OutcomeProbs,
     ProbeConfig,
     SiftBasis,
     measured_renyi,
     model_renyi,
     model_sifted_error_rate,
-    nonideal_pcnot,
     output_state,
     predict_outcome_probs,
     reference_counts_path,
@@ -28,6 +26,7 @@ from fpbsim import (
     simulate_counts,
 )
 from fpbsim.cli import main
+from fpbsim.error_model import nonideal_pcnot
 
 from conftest import (
     IDEAL_EXPECTED,
@@ -124,7 +123,7 @@ def test_criterion_5_gate_unitarity_and_zero_reduction():
     for state in Bb84State:
         for basis in SiftBasis:
             for pe in np.linspace(0.0, 0.5, 11):
-                got = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe)).p
+                got = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe))
                 want = analytic_probs(state, basis, float(pe))
                 reduction_worst = max(reduction_worst, float(np.max(np.abs(got - want))))
     ok = unitary_worst < 1e-12 and reduction_worst < 1e-10
@@ -145,7 +144,7 @@ def test_criterion_6_monte_carlo_consistency():
         for pe in (0.0, 0.05, 0.1, 0.2, 1 / 3)
     ]
     model = {
-        cfg: predict_outcome_probs(ZERO, cfg[0], cfg[1], ProbeConfig(cfg[2])).p
+        cfg: predict_outcome_probs(ZERO, cfg[0], cfg[1], ProbeConfig(cfg[2]))
         for cfg in configs
     }
     seeds = np.random.SeedSequence(20240613).generate_state(1000, np.uint64)
@@ -154,7 +153,7 @@ def test_criterion_6_monte_carlo_consistency():
     for trial, seed in enumerate(seeds):
         cfg = configs[trial % len(configs)]
         p = model[cfg]
-        counts = simulate_counts(OutcomeProbs(p), n, int(seed))
+        counts = simulate_counts(p, n, int(seed))
         estimate = np.array(counts) / n
         bound = 3 * np.sqrt(p * (1 - p) / n)
         cells += 4

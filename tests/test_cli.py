@@ -82,6 +82,18 @@ class TestCurve:
         assert len(payload) == 3
         assert set(payload[0]) == {"pe", "renyi_hv", "renyi_da", "renyi_ideal"}
 
+    def test_points_above_one_third_warn_on_one_line(self, capsys):
+        code, out, err = run(capsys, "curve", "--pe-max", "0.5", "--steps", "7")
+        assert code == 0
+        assert err == (
+            "warning: 2 of 7 grid points lie above pe = 1/3, outside the "
+            "attack's useful operating range\n"
+        )
+        (_, rows), = parse_csv(out)
+        assert len(rows) == 7
+        code, _, err = run(capsys, "curve", "--steps", "7")
+        assert code == 0 and err == ""
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -179,7 +191,7 @@ class TestSimulate:
             estimated = np.array([float(v) for v in row[3:]])
             model = predict_outcome_probs(
                 ErrorModelParams(), Bb84State(alice), SiftBasis(basis), ProbeConfig(pe)
-            ).p
+            )
             np.testing.assert_allclose(estimated, model, atol=0.005)
 
 

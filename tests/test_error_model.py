@@ -12,20 +12,22 @@ from fpbsim import (
     FitOptions,
     ProbeConfig,
     SiftBasis,
-    bob_analyzer,
     fit_parameters,
     load_reference_counts,
     model_renyi,
     model_sifted_error_rate,
-    nonideal_alice_state,
-    nonideal_pcnot,
-    nonideal_probe_state,
     noise_free_counts,
     predict_outcome_probs,
     renyi_closed_form,
     simulate_counts,
 )
-from fpbsim.error_model import _make_objective
+from fpbsim.error_model import (
+    _make_objective,
+    bob_analyzer,
+    nonideal_alice_state,
+    nonideal_pcnot,
+    nonideal_probe_state,
+)
 
 from conftest import FRAME_DEG, analytic_probs, frame
 
@@ -196,7 +198,7 @@ class TestForwardModel:
             probs = predict_outcome_probs(
                 zero, Bb84State(alice), SiftBasis.DA, ProbeConfig(pe)
             )
-            np.testing.assert_allclose(probs.p, want, atol=5e-4)
+            np.testing.assert_allclose(probs, want, atol=5e-4)
 
     def test_zero_params_reduce_to_ideal_everywhere(self):
         zero = ErrorModelParams()
@@ -205,7 +207,7 @@ class TestForwardModel:
                 for pe in np.linspace(0.0, 0.5, 11):
                     got = predict_outcome_probs(
                         zero, state, basis, ProbeConfig(pe)
-                    ).p
+                    )
                     want = analytic_probs(state, basis, pe)
                     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -217,14 +219,14 @@ class TestForwardModel:
         pe=ANY_PE,
     )
     def test_probabilities_normalized_for_random_params(self, params, state, basis, pe):
-        probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe)).p
+        probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe))
         assert np.all(probs >= 0.0)
         assert abs(probs.sum() - 1.0) < 1e-10
 
     def test_reference_params_near_measured_row(self, ref_params):
         probs = predict_outcome_probs(
             ref_params, Bb84State.D, SiftBasis.DA, ProbeConfig(0.1)
-        ).p
+        )
         np.testing.assert_allclose(
             probs, [0.058, 0.086, 0.196, 0.661], atol=0.05
         )
@@ -238,8 +240,8 @@ class TestForwardModel:
     )
     def test_conjugation_symmetry(self, params, state, basis, pe):
         cfg = ProbeConfig(pe)
-        a = predict_outcome_probs(params, state, basis, cfg).p
-        b = predict_outcome_probs(mirror(params), state, basis, cfg).p
+        a = predict_outcome_probs(params, state, basis, cfg)
+        b = predict_outcome_probs(mirror(params), state, basis, cfg)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
     CountsFileError,
     CountsRecord,
     ErrorModelParams,
-    OutcomeProbs,
     ProbeConfig,
     SiftBasis,
     estimate_probabilities,
@@ -23,9 +24,43 @@ from fpbsim import (
     simulate_counts,
     write_counts_file,
 )
+from fpbsim.montecarlo import counts_file_text, parse_counts
 
 
-def ideal_probs(state, basis, pe) -> OutcomeProbs:
+#: One counts-file field: valid tokens, near misses and arbitrary text.
+ANY_FIELD = st.one_of(
+    st.sampled_from(
+        ["H", "V", "D", "A", "HV", "DA", "0", "0.1", "1/3", "-1", "nan", "inf",
+         "1e999", "True", "#", " "]
+    ),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+#: The seven fields of a well-formed counts line.
+VALID_FIELDS = (
+    st.sampled_from("HVDA"),
+    st.sampled_from(["HV", "DA"]),
+    st.floats(0.0, 0.5).map(repr),
+    *[st.integers(0, 10**9).map(str)] * 4,
+)
+#: A well-formed counts line, with or without a duration.
+VALID_LINE = st.one_of(
+    st.tuples(*VALID_FIELDS),
+    st.tuples(*VALID_FIELDS, st.floats(0.0, 1e6).map(repr)),
+).map(",".join)
+#: Well-formed lines, lines of six to nine arbitrary fields, and any text.
+ANY_LINE = st.one_of(
+    VALID_LINE, st.lists(ANY_FIELD, min_size=6, max_size=9).map(",".join), st.text()
+)
+#: A DA sift pair whose D record has no counts at all.
+ZERO_TOTAL_PAIR = [
+    CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (0, 0, 0, 0)),
+    CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (1, 2, 3, 4)),
+]
+
+
+def ideal_probs(state, basis, pe) -> np.ndarray:
     return predict_outcome_probs(ErrorModelParams(), state, basis, ProbeConfig(pe))
 
 
@@ -55,7 +90,7 @@ def noise_free_pair(pe, n_pairs) -> list[CountsRecord]:
 
 class TestSimulateCounts:
     def test_degenerate_distribution(self):
-        counts = simulate_counts(OutcomeProbs([1.0, 0.0, 0.0, 0.0]), 1000, 1)
+        counts = simulate_counts([1.0, 0.0, 0.0, 0.0], 1000, 1)
         assert counts == (1000, 0, 0, 0)
 
     def test_counts_sum_to_n(self):
@@ -72,7 +107,7 @@ class TestSimulateCounts:
         )
 
     def test_uniform_within_three_sigma(self):
-        counts = simulate_counts(OutcomeProbs([0.25] * 4), 40_000, 2024)
+        counts = simulate_counts([0.25] * 4, 40_000, 2024)
         sigma = math.sqrt(40_000 * 0.25 * 0.75)
         for c in counts:
             assert abs(c - 10_000) <= 3 * sigma
@@ -81,15 +116,26 @@ class TestSimulateCounts:
         n = 49_316
         probs = ideal_probs(Bb84State.D, SiftBasis.DA, 0.1)
         counts = simulate_counts(probs, n, 99)
-        for c, p in zip(counts, probs.p):
+        for c, p in zip(counts, probs):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(c - n * p) <= 3 * sigma
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n_pairs"):
-            simulate_counts(OutcomeProbs([0.25] * 4), 0, 1)
+            simulate_counts([0.25] * 4, 0, 1)
         with pytest.raises(ValueError, match="n_pairs"):
-            simulate_counts(OutcomeProbs([0.25] * 4), 2**63, 1)
+            simulate_counts([0.25] * 4, 2**63, 1)
+
+    def test_rejects_bad_probabilities(self):
+        with pytest.raises(ValueError, match="4 outcome probabilities"):
+            simulate_counts([0.5, 0.25, 0.25], 100, 1)
+        with pytest.raises(ValueError, match="4 outcome probabilities"):
+            simulate_counts(np.full((2, 2), 0.25), 100, 1)
+        # numpy's multinomial rejects NaN and negative entries.
+        with pytest.raises(ValueError):
+            simulate_counts([float("nan"), 0.5, 0.25, 0.25], 100, 1)
+        with pytest.raises(ValueError):
+            simulate_counts([-0.1, 0.6, 0.25, 0.25], 100, 1)
 
 
 class TestNoiseFreeCounts:
@@ -101,24 +147,35 @@ class TestNoiseFreeCounts:
     def test_rounding_rule(self):
         # 0.125 * 4 = 0.5 rounds to 0 (half to even); the largest cell
         # absorbs the remainder.
-        counts = noise_free_counts(OutcomeProbs([0.125, 0.125, 0.125, 0.625]), 4)
+        counts = noise_free_counts([0.125, 0.125, 0.125, 0.625], 4)
         assert counts == (0, 0, 0, 4)
 
     def test_matches_product_when_exact(self):
-        counts = noise_free_counts(OutcomeProbs([0.5, 0.25, 0.125, 0.125]), 8)
+        counts = noise_free_counts([0.5, 0.25, 0.125, 0.125], 8)
         assert counts == (4, 2, 1, 1)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="n_pairs"):
+            noise_free_counts([0.25] * 4, 0)
+        for probs in (
+            [0.5, 0.25, 0.25],
+            [float("nan"), 0.5, 0.25, 0.25],
+            [-0.1, 0.6, 0.25, 0.25],
+        ):
+            with pytest.raises(ValueError, match="outcome probabilities"):
+                noise_free_counts(probs, 100)
 
 
 class TestEstimateProbabilities:
     def test_uniform(self):
         record = CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, 1))
-        np.testing.assert_array_equal(estimate_probabilities(record).p, 0.25)
+        np.testing.assert_array_equal(estimate_probabilities(record), 0.25)
 
     def test_reference_rows(self, measured_estimated):
         for record in load_reference_counts():
             want = measured_estimated[(record.alice.value, record.pe_nominal)]
             np.testing.assert_allclose(
-                estimate_probabilities(record).p, want, atol=5e-4
+                estimate_probabilities(record), want, atol=5e-4
             )
 
     def test_zero_total_rejected(self):
@@ -137,9 +194,9 @@ class TestEstimateProbabilities:
                 n = 10_000
                 counts = simulate_counts(probs, n, next(seeds))
                 record = CountsRecord(state, SiftBasis.DA, pe, counts)
-                estimate = estimate_probabilities(record).p
-                bound = 4 * np.sqrt(probs.p * (1 - probs.p) / n)
-                assert np.all(np.abs(estimate - probs.p) <= bound)
+                estimate = estimate_probabilities(record)
+                bound = 4 * np.sqrt(probs * (1 - probs) / n)
+                assert np.all(np.abs(estimate - probs) <= bound)
 
 
 class TestSiftedErrorRate:
@@ -167,6 +224,8 @@ class TestSiftedErrorRate:
         mixed = [r for r in load_reference_counts() if r.alice is Bb84State.D]
         with pytest.raises(ValueError, match="share one basis"):
             sifted_error_rate(mixed)
+        with pytest.raises(ValueError, match="zero total counts"):
+            sifted_error_rate(ZERO_TOTAL_PAIR)
 
 
 class TestMeasuredRenyi:
@@ -219,6 +278,8 @@ class TestMeasuredRenyi:
         # Every error-free cell is zero for these records.
         with pytest.raises(ValueError, match="error-free"):
             measured_renyi(empty)
+        with pytest.raises(ValueError, match="zero total counts"):
+            measured_renyi(ZERO_TOTAL_PAIR)
 
 
 class TestCountsFiles:
@@ -258,6 +319,16 @@ class TestCountsFiles:
         with pytest.raises(CountsFileError, match=match) as excinfo:
             read_counts_file(path)
         assert ":3:" in str(excinfo.value)
+
+    @settings(derandomize=True, deadline=None)
+    @given(lines=st.lists(ANY_LINE, max_size=6))
+    def test_parser_returns_records_or_counts_file_error(self, lines):
+        try:
+            records = parse_counts("\n".join(lines).splitlines())
+        except CountsFileError:
+            return
+        assert all(isinstance(record, CountsRecord) for record in records)
+        assert parse_counts(counts_file_text(records).splitlines()) == records
 
     def test_reference_file_contents(self):
         records = load_reference_counts()

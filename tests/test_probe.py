@@ -7,17 +7,15 @@ import pytest
 from fpbsim import (
     Bb84State,
     ErrorModelParams,
-    JointDistribution,
     ProbeConfig,
     SiftBasis,
-    nonideal_alice_state,
-    nonideal_probe_state,
     output_state,
     predict_outcome_probs,
     renyi_closed_form,
     renyi_information,
     sift_joint_distribution,
 )
+from fpbsim.error_model import nonideal_alice_state, nonideal_probe_state
 
 from conftest import (
     analytic_output,
@@ -158,7 +156,7 @@ class TestAttackOutput:
     def test_outcome_probability_examples(self):
         probs = predict_outcome_probs(
             ZERO, Bb84State.D, SiftBasis.DA, ProbeConfig(1 / 3)
-        ).p
+        )
         # (b=0, e=0) cell sits last in outcome order.
         assert abs(probs[3] - 2 / 3) < 1e-12
 
@@ -166,7 +164,7 @@ class TestAttackOutput:
         for state in Bb84State:
             for basis in SiftBasis:
                 for pe in (0.0, 0.1, 1 / 3, 0.5):
-                    probs = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe)).p
+                    probs = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe))
                     assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -201,10 +199,12 @@ class TestStatesClose:
         assert states_close(a, b, tol=1e-5)
 
 
-class TestJointDistribution:
+class TestSiftTable:
+    """The error-free-sift Bob/Eve table, a (2, 2) array."""
+
     def test_uncorrelated_at_zero(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.0))
-        np.testing.assert_allclose(dist.p, 0.25, atol=1e-12)
+        np.testing.assert_allclose(dist, 0.25, atol=1e-12)
 
     def test_frozen_table(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
@@ -214,46 +214,62 @@ class TestJointDistribution:
                 [0.092865159736322772, 0.40713484026367723],
             ]
         )
-        np.testing.assert_allclose(dist.p, expected, atol=1e-12)
+        np.testing.assert_allclose(dist, expected, atol=1e-12)
 
     def test_perfect_correlation_at_one_third(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.DA, ProbeConfig(1 / 3))
-        np.testing.assert_allclose(dist.p, np.diag([0.5, 0.5]), atol=1e-12)
+        np.testing.assert_allclose(dist, np.diag([0.5, 0.5]), atol=1e-12)
         # Eve's projective readout is exact there.
-        assert dist.p[0, 1] + dist.p[1, 0] < 1e-12
+        assert dist[0, 1] + dist[1, 0] < 1e-12
 
     def test_invariants_on_grid(self):
         for basis in SiftBasis:
             for pe in PE_GRID:
                 dist = sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
-                assert np.all(dist.p >= 0.0)
-                assert abs(dist.p.sum() - 1.0) < 1e-10
-                np.testing.assert_allclose(
-                    dist.prior_b, dist.p.sum(axis=1), atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    dist.prior_e, dist.p.sum(axis=0), atol=1e-12
-                )
+                assert dist.shape == (2, 2)
+                assert np.all(dist >= 0.0)
+                assert abs(dist.sum() - 1.0) < 1e-10
+                # Both bits are equally likely for Bob and for Eve.
+                np.testing.assert_allclose(dist.sum(axis=1), 0.5, atol=1e-12)
+                np.testing.assert_allclose(dist.sum(axis=0), 0.5, atol=1e-12)
 
-    def test_from_raw_rejects_bad_tables(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            JointDistribution.from_raw([[0.5, -0.1], [0.3, 0.3]])
-        with pytest.raises(ValueError, match="mass"):
-            JointDistribution.from_raw(np.zeros((2, 2)))
+
+    def test_rejects_model_without_error_free_events(self):
+        # Wave plates and analyzer each turned 45 degrees; at pe = 0 the
+        # probe leaves the photon alone, so Bob reads the wrong bit for
+        # both HV inputs.
+        quarter = math.pi / 4
+        params = ErrorModelParams(
+            d_theta_a=(quarter, 0.0, quarter, 0.0), d_theta_b=(quarter, 0.0)
+        )
+        with pytest.raises(ValueError, match="no error-free sift events"):
+            sift_joint_distribution(params, SiftBasis.HV, ProbeConfig(0.0))
 
 
 class TestRenyiInformation:
     def test_independent_table(self):
-        dist = JointDistribution.from_raw(np.full((2, 2), 0.25))
-        assert renyi_information(dist) == 0.0
+        assert renyi_information(np.full((2, 2), 0.25)) == 0.0
 
     def test_correlated_table(self):
-        dist = JointDistribution.from_raw(np.diag([0.5, 0.5]))
-        assert abs(renyi_information(dist) - 1.0) < 1e-15
+        assert abs(renyi_information(np.diag([0.5, 0.5])) - 1.0) < 1e-15
 
     def test_zero_probability_outcome_convention(self):
-        dist = JointDistribution.from_raw([[0.5, 0.0], [0.5, 0.0]])
-        assert renyi_information(dist) == 0.0
+        assert renyi_information([[0.5, 0.0], [0.5, 0.0]]) == 0.0
+
+    def test_normalizes_raw_table(self):
+        raw = np.array([[30.0, 7.0], [5.0, 41.0]])
+        want = renyi_information(raw / raw.sum())
+        assert renyi_information(raw) == pytest.approx(want, abs=1e-15)
+        assert renyi_information(3 * np.diag([0.5, 0.5])) == 1.0
+
+    def test_rejects_bad_tables(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            renyi_information([[0.5, -0.1], [0.3, 0.3]])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                renyi_information([[0.5, bad], [0.3, 0.3]])
+        with pytest.raises(ValueError, match="mass"):
+            renyi_information(np.zeros((2, 2)))
 
     def test_matches_frozen_value(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
