@@ -9,10 +9,13 @@ Subcommands:
   information from a counts file.
 * ``fit``       Least-squares fit of the ten error-model parameters.
 
-Outputs are deterministic given the inputs and seed. Exit codes: 0 on
-success, 1 on usage or parse errors, 2 when a fit fails to converge.
-All user-facing angles are degrees; counts files and parameter
-documents are documented in the README.
+Outputs are deterministic given the inputs and seed. Tables are CSV
+blocks or JSON row objects with the same columns. Exit codes: 0 on
+success, 1 with one ``error:`` line on any rejected input (a bad flag,
+an unreadable or malformed file, parameters or counts the library
+rejects), 2 when a fit fails to converge. All user-facing angles are
+degrees; counts files and parameter documents are documented in the
+README.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams, FitOptions
-from .montecarlo import CountsFileError, CountsRecord
+from .montecarlo import CountsRecord
 from .probe import Bb84State, ProbeConfig, SiftBasis
 
 _BASES = (SiftBasis.HV, SiftBasis.DA)
@@ -88,7 +91,9 @@ def _parse_states(text: str) -> list[Bb84State]:
     return states
 
 
-def _load_params(path: str) -> ErrorModelParams:
+def _load_params(path: str | None) -> ErrorModelParams:
+    if not path:
+        return ErrorModelParams()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -99,21 +104,6 @@ def _load_params(path: str) -> ErrorModelParams:
         raise UsageError(f"bad parameter file {path}: {exc}") from exc
 
 
-def _resolve_model(args: argparse.Namespace) -> ErrorModelParams:
-    if getattr(args, "params", None):
-        return _load_params(args.params)
-    return ErrorModelParams()
-
-
-def _read_counts(path: str) -> list[CountsRecord]:
-    try:
-        return montecarlo.read_counts_file(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read counts file {path}: {exc}") from exc
-    except CountsFileError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -121,10 +111,32 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _emit_tables(
+    args: argparse.Namespace, tables: dict[str, tuple[Sequence[str], list[list]]]
+) -> None:
+    """Write named tables of strings and floats in ``args.format``.
+
+    CSV separates the tables by a blank line. JSON writes each table as
+    a list of row objects; several tables go in an object keyed by name.
+    """
+    fmt = _jsonable if args.format == "json" else _fmt
+
+    def cells(row: list) -> list:
+        return [value if isinstance(value, str) else fmt(value) for value in row]
+
+    if args.format == "json":
+        docs = {
+            name: [dict(zip(columns, cells(row))) for row in rows]
+            for name, (columns, rows) in tables.items()
+        }
+        payload = docs if len(docs) > 1 else next(iter(docs.values()))
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        blocks = []
+        for columns, rows in tables.values():
+            lines = [",".join(columns), *(",".join(cells(row)) for row in rows)]
+            blocks.append("\n".join(lines) + "\n")
+        _emit(args, "\n".join(blocks))
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -150,7 +162,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     pe_max = _parse_pe(args.pe_max)
     if pe_max < pe_min:
         raise UsageError("--pe-max must not be below --pe-min")
-    params = _resolve_model(args)
+    params = _load_params(args.params)
     grid = np.linspace(pe_min, pe_max, args.steps)
     rows = []
     # The closed form warns once per grid point above pe = 1/3; report
@@ -160,12 +172,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         for pe in grid:
             cfg = ProbeConfig(float(pe))
             rows.append(
-                {
-                    "pe": float(pe),
-                    "renyi_hv": error_model.model_renyi(params, SiftBasis.HV, cfg),
-                    "renyi_da": error_model.model_renyi(params, SiftBasis.DA, cfg),
-                    "renyi_ideal": probe.renyi_closed_form(float(pe)),
-                }
+                [
+                    float(pe),
+                    error_model.model_renyi(params, SiftBasis.HV, cfg),
+                    error_model.model_renyi(params, SiftBasis.DA, cfg),
+                    probe.renyi_closed_form(float(pe)),
+                ]
             )
     if caught:
         print(
@@ -173,61 +185,30 @@ def cmd_curve(args: argparse.Namespace) -> int:
             "pe = 1/3, outside the attack's useful operating range",
             file=sys.stderr,
         )
-    if args.format == "json":
-        payload = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        columns = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
-        _emit(
-            args,
-            _render_table(
-                columns, [[_fmt(row[c]) for c in columns] for row in rows]
-            ),
-        )
+    columns = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
+    _emit_tables(args, {"curve": (columns, rows)})
     return 0
-
-
-def _table_rows(
-    params: ErrorModelParams, states: Sequence[Bb84State], pes: Sequence[float]
-) -> list[dict]:
-    rows = []
-    for state in states:
-        for pe in pes:
-            probs = error_model.predict_outcome_probs(
-                params, state, state.basis, ProbeConfig(pe)
-            )
-            rows.append({"alice": state.value, "pe": pe, "probs": probs})
-    return rows
 
 
 _PROB_COLUMNS = ("p_10", "p_11", "p_01", "p_00")
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    params = _resolve_model(args)
+    params = _load_params(args.params)
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
-    rows = _table_rows(params, states, pes)
-    if args.format == "json":
-        payload = [
-            {
-                "alice": row["alice"],
-                "pe": _jsonable(row["pe"]),
-                **{
-                    col: _jsonable(p)
-                    for col, p in zip(_PROB_COLUMNS, row["probs"])
-                },
-            }
-            for row in rows
+    rows = [
+        [
+            state.value,
+            pe,
+            *error_model.predict_outcome_probs(
+                params, state, state.basis, ProbeConfig(pe)
+            ),
         ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        columns = ("alice", "pe", *_PROB_COLUMNS)
-        body = [
-            [row["alice"], _fmt(row["pe"]), *[_fmt(p) for p in row["probs"]]]
-            for row in rows
-        ]
-        _emit(args, _render_table(columns, body))
+        for state in states
+        for pe in pes
+    ]
+    _emit_tables(args, {"table": (("alice", "pe", *_PROB_COLUMNS), rows)})
     return 0
 
 
@@ -236,7 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"--pairs must be between 1 and {montecarlo.MAX_PAIRS}")
     if not 0 <= args.seed < 2**64:
         raise UsageError("--seed must be an unsigned 64-bit integer")
-    params = _resolve_model(args)
+    params = _load_params(args.params)
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
     combos = [
@@ -263,16 +244,12 @@ def _sift_groups(
             continue
         key = (record.bob_basis.value, record.pe_nominal)
         groups.setdefault(key, []).append(record)
-    ordered = sorted(
-        groups.items(), key=lambda item: (item[0][0] != "HV", item[0][1])
-    )
-    return [
-        (SiftBasis(basis), pe, members) for (basis, pe), members in ordered
-    ]
+    ordered = sorted(groups.items(), key=lambda item: (item[0][0] != "HV", item[0][1]))
+    return [(SiftBasis(basis), pe, members) for (basis, pe), members in ordered]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    records = _read_counts(args.counts)
+    records = montecarlo.read_counts_file(args.counts)
     if not records:
         raise UsageError(f"counts file {args.counts} contains no records")
     record_rows = []
@@ -284,18 +261,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 f"record ({record.alice.value}, {record.bob_basis.value}, "
                 f"{_fmt(record.pe_nominal)}): {exc}"
             ) from exc
-        record_rows.append(
-            {
-                "alice": record.alice.value,
-                "basis": record.bob_basis.value,
-                "pe": record.pe_nominal,
-                "probs": probs,
-            }
-        )
+        alice, basis = record.alice.value, record.bob_basis.value
+        record_rows.append([alice, basis, record.pe_nominal, *probs.tolist()])
     group_rows = []
     for basis, pe, members in _sift_groups(records):
-        states = [record.alice for record in members]
-        if set(states) != set(basis.states) or len(members) != 2:
+        states = {record.alice for record in members}
+        if states != set(basis.states) or len(members) != 2:
             print(
                 f"warning: basis {basis.value} at pe {_fmt(pe)} is missing a "
                 "paired input state; skipping its summary",
@@ -307,68 +278,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             error_rate = montecarlo.sifted_error_rate(members)
         except ValueError as exc:
             raise UsageError(f"basis {basis.value} at pe {_fmt(pe)}: {exc}") from exc
-        group_rows.append(
-            {
-                "basis": basis.value,
-                "pe": pe,
-                "measured_renyi": renyi,
-                "sifted_error_rate": error_rate,
-            }
-        )
-    if args.format == "json":
-        payload = {
-            "records": [
-                {
-                    "alice": row["alice"],
-                    "basis": row["basis"],
-                    "pe": _jsonable(row["pe"]),
-                    **{
-                        col: _jsonable(p)
-                        for col, p in zip(_PROB_COLUMNS, row["probs"])
-                    },
-                }
-                for row in record_rows
-            ],
-            "groups": [
-                {
-                    "basis": row["basis"],
-                    "pe": _jsonable(row["pe"]),
-                    "measured_renyi": _jsonable(row["measured_renyi"]),
-                    "sifted_error_rate": _jsonable(row["sifted_error_rate"]),
-                }
-                for row in group_rows
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        columns = ("alice", "basis", "pe", *_PROB_COLUMNS)
-        body = [
-            [
-                row["alice"],
-                row["basis"],
-                _fmt(row["pe"]),
-                *[_fmt(p) for p in row["probs"]],
-            ]
-            for row in record_rows
-        ]
-        text = _render_table(columns, body)
-        summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
-        summary_body = [
-            [
-                row["basis"],
-                _fmt(row["pe"]),
-                _fmt(row["measured_renyi"]),
-                _fmt(row["sifted_error_rate"]),
-            ]
-            for row in group_rows
-        ]
-        text += "\n" + _render_table(summary_columns, summary_body)
-        _emit(args, text)
+        group_rows.append([basis.value, pe, renyi, error_rate])
+    summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
+    _emit_tables(
+        args,
+        {
+            "records": (("alice", "basis", "pe", *_PROB_COLUMNS), record_rows),
+            "groups": (summary_columns, group_rows),
+        },
+    )
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    records = _read_counts(args.counts)
+    records = montecarlo.read_counts_file(args.counts)
     n_values = 4 * len(records)
     if n_values < 96:
         print(
@@ -377,12 +300,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "recommended",
             file=sys.stderr,
         )
-    init = _load_params(args.init) if args.init else ErrorModelParams()
-    try:
-        options = FitOptions(max_evals=args.max_evals, weighting=args.weighting)
-        result = error_model.fit_parameters(records, init=init, options=options)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    options = FitOptions(max_evals=args.max_evals, weighting=args.weighting)
+    init = _load_params(args.init)
+    result = error_model.fit_parameters(records, init=init, options=options)
     if result.held:
         print(
             f"warning: no record constrains {', '.join(result.held)}; held at "
@@ -468,10 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -231,13 +231,19 @@ def _error_free_table(
     """Unnormalized 2x2 Bob/Eve table of the error-free sift cells.
 
     Alice's two basis states are taken equiprobable, so each contributes
-    half of its cells where Bob's bit equals hers.
+    half of its cells where Bob's bit equals hers. Raises ValueError when
+    the model predicts no error-free sift events in ``basis``.
     """
     raw = np.zeros((2, 2))
     for state in basis.states:
         probs = predict_outcome_probs(params, state, basis, cfg)
         for e in (0, 1):
             raw[state.bit, e] = 0.5 * probs[OUTCOME_ORDER.index((state.bit, e))]
+    if raw.sum() < 1e-15:
+        raise ValueError(
+            f"model predicts no error-free sift events in basis {basis.value} "
+            f"at pe {cfg.pe:.6g}"
+        )
     return raw
 
 
@@ -252,12 +258,7 @@ def sift_joint_distribution(
     error-free sift events in ``basis``.
     """
     raw = _error_free_table(params, basis, cfg)
-    total = raw.sum()
-    if total < 1e-15:
-        raise ValueError(
-            f"model predicts no error-free sift events in basis {basis.value}"
-        )
-    return raw / total
+    return raw / raw.sum()
 
 
 def model_renyi(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig) -> float:

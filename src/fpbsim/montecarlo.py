@@ -153,27 +153,22 @@ def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
     return math.fsum(fractions) / len(fractions)
 
 
-def measured_renyi(
-    records: Sequence[CountsRecord], weighting: str = "equal"
-) -> float:
+def measured_renyi(records: Sequence[CountsRecord]) -> float:
     """Renyi information measured from the error-free sift counts.
 
     Expects exactly one record per input state of a single basis at one
     nominal error probability. The record for the bit-b state
-    contributes its (b, e) cells. With "equal" weighting each record is
-    first normalized by its own total, so scaling any record's counts by
-    a positive integer leaves the result unchanged; "counts" weighting
-    pools the raw counts instead.
+    contributes its (b, e) cells, normalized by its own total, so
+    scaling any record's counts by a positive integer leaves the result
+    unchanged.
     """
-    basis = _require_sift_group(records)
+    _require_sift_group(records)
     if len(records) != 2:
         raise ValueError("expected exactly one record per input state")
-    if weighting not in ("equal", "counts"):
-        raise ValueError(f"unknown weighting {weighting!r}")
     raw = np.zeros((2, 2))
     for record in records:
         b = record.alice.bit
-        scale = 1.0 / record.total if weighting == "equal" else 1.0
+        scale = 1.0 / record.total
         for e in (0, 1):
             raw[b, e] = record.counts[OUTCOME_ORDER.index((b, e))] * scale
     if raw.sum() <= 0.0:

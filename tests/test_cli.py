@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
@@ -25,6 +27,8 @@ import fpbsim
 from fpbsim.cli import main
 
 from conftest import IDEAL_EXPECTED, MEASURED_ESTIMATED
+
+EXAMPLE_PARAMS = str(reference_counts_path().parent / "example_params.json")
 
 
 def run(capsys, *args):
@@ -93,6 +97,19 @@ class TestCurve:
         assert len(rows) == 7
         code, _, err = run(capsys, "curve", "--steps", "7")
         assert code == 0 and err == ""
+
+    def test_params_without_error_free_events_rejected(self, capsys, tmp_path):
+        # Wave plates and the HV analyzer turned 45 degrees: at pe = 0 Bob
+        # reads the wrong bit for both HV inputs.
+        doc = ErrorModelParams().to_dict()
+        doc.update(d_theta_a_h=45.0, d_theta_a_v=45.0, d_theta_b_hv=45.0)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "curve", "--params", str(params_path))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: model predicts no error-free sift events in basis HV at pe 0\n"
+        )
 
     @pytest.mark.parametrize(
         "args",
@@ -260,9 +277,10 @@ class TestEstimate:
         assert ":1:" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "estimate", "--counts", str(tmp_path / "no.csv"))
+        path = tmp_path / "no.csv"
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
         assert code == 1
-        assert "error" in err
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "utf16.csv"
@@ -390,6 +408,59 @@ class TestParsing:
         np.testing.assert_allclose(
             [float(v) for v in rows[0][2:]], IDEAL_EXPECTED[("A", 1 / 3)], atol=5e-4
         )
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["curve", "--steps", "5", "--params", EXAMPLE_PARAMS], None),
+        (["table", "--states", "H,V,D,A", "--params", EXAMPLE_PARAMS], None),
+        (["estimate", "--counts", str(reference_counts_path())], "records"),
+        (["estimate", "--counts", str(reference_counts_path())], "groups"),
+    ],
+)
+def test_json_agrees_with_csv(capsys, argv, table):
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    csv_tables = dict(zip(("records", "groups"), parse_csv(csv_out)))
+    columns, rows = csv_tables[table or "records"]
+    payload = json.loads(json_out)
+    objects = payload[table] if table else payload
+    assert len(objects) == len(rows) > 0
+    for obj, row in zip(objects, rows):
+        assert list(obj) == columns
+        for value, cell in zip(obj.values(), row):
+            assert value == (cell if isinstance(value, str) else float(cell))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    pes=st.lists(
+        st.sampled_from(["0", "0.05", "0.1", "0.2", "1/4", "1/3"]),
+        min_size=2, max_size=3, unique=True,
+    ),
+)
+def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
+    work = tmp_path_factory.mktemp("round_trip")
+    counts, estimate, fitted = (work / n for n in ("sim.csv", "est.csv", "fit.json"))
+    assert main([
+        "simulate", "--params", EXAMPLE_PARAMS, "--pairs", "20000",
+        "--seed", str(seed), "--pe", ",".join(pes), "--out", str(counts),
+    ]) == 0
+    assert main(["estimate", "--counts", str(counts), "--out", str(estimate)]) == 0
+    records = read_counts_file(counts)
+    (_, rows), _ = parse_csv(estimate.read_text())
+    assert len(rows) == len(records) == 8 * len(pes)
+    for record, row in zip(records, rows):
+        assert row[3:] == [f"{c / record.total:.6g}" for c in record.counts]
+    code = main([
+        "fit", "--counts", str(counts), "--format", "json", "--out", str(fitted),
+    ])
+    assert code in (0, 2)
+    assert main(["table", "--params", str(fitted), "--out", str(work / "t.csv")]) == 0
 
 
 def test_only_fit_imports_scipy(tmp_path):

@@ -259,14 +259,6 @@ class TestMeasuredRenyi:
         ]
         assert measured_renyi(records) == measured_renyi(scaled)
 
-    def test_counts_weighting_pools_raw_counts(self):
-        records = [r for r in load_reference_counts() if r.pe_nominal == 0.1]
-        equal = measured_renyi(records, weighting="equal")
-        pooled = measured_renyi(records, weighting="counts")
-        assert equal != pooled
-        with pytest.raises(ValueError, match="weighting"):
-            measured_renyi(records, weighting="bogus")
-
     def test_rejects_missing_or_empty_pairs(self):
         d, a = (r for r in load_reference_counts() if r.pe_nominal == 0.1)
         with pytest.raises(ValueError, match="cover both"):

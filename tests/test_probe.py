@@ -9,6 +9,7 @@ from fpbsim import (
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
+    model_renyi,
     output_state,
     predict_outcome_probs,
     renyi_closed_form,
@@ -242,8 +243,11 @@ class TestSiftTable:
         params = ErrorModelParams(
             d_theta_a=(quarter, 0.0, quarter, 0.0), d_theta_b=(quarter, 0.0)
         )
-        with pytest.raises(ValueError, match="no error-free sift events"):
+        message = "no error-free sift events in basis HV at pe 0"
+        with pytest.raises(ValueError, match=message):
             sift_joint_distribution(params, SiftBasis.HV, ProbeConfig(0.0))
+        with pytest.raises(ValueError, match=message):
+            model_renyi(params, SiftBasis.HV, ProbeConfig(0.0))
 
 
 class TestRenyiInformation:
