@@ -190,7 +190,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-_PROB_COLUMNS = ("p_10", "p_11", "p_01", "p_00")
+_PROB_COLUMNS = tuple(f"p_{b}{e}" for b, e in probe.OUTCOME_ORDER)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -254,22 +254,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError(f"counts file {args.counts} contains no records")
     record_rows = []
     for record in records:
-        try:
-            probs = montecarlo.estimate_probabilities(record)
-        except ValueError as exc:
-            raise UsageError(
-                f"record ({record.alice.value}, {record.bob_basis.value}, "
-                f"{_fmt(record.pe_nominal)}): {exc}"
-            ) from exc
+        probs = montecarlo.estimate_probabilities(record)
         alice, basis = record.alice.value, record.bob_basis.value
         record_rows.append([alice, basis, record.pe_nominal, *probs.tolist()])
     group_rows = []
     for basis, pe, members in _sift_groups(records):
         states = {record.alice for record in members}
-        if states != set(basis.states) or len(members) != 2:
+        if len(states) < 2 or len(members) > 2:
             print(
-                f"warning: basis {basis.value} at pe {_fmt(pe)} is missing a "
-                "paired input state; skipping its summary",
+                f"warning: basis {basis.value} at pe {_fmt(pe)} "
+                + ("is missing a paired" if len(states) < 2
+                   else "needs exactly one record per")
+                + " input state; skipping its summary",
                 file=sys.stderr,
             )
             continue

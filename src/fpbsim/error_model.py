@@ -12,12 +12,12 @@ are ``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
 two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
 photon (control) bit ``c`` and probe (target) bit ``t``. The four joint
 detection probabilities of a configuration come back as a ``(4,)``
-array in ``OUTCOME_ORDER`` and the error-free-sift joint distribution
-as a ``(2, 2)`` array; the model is unitary by construction, so neither
-is re-validated. The fitter recovers the ten parameters from measured
-coincidence counts by bounded trust-region least squares on the
-weighted residual vector. Angles are radians; degrees appear only
-at I/O boundaries.
+array in ``OUTCOME_ORDER``; the model is unitary by construction, so
+they are not re-validated. The sift summaries reduce a basis's two rows
+with ``probe.sift_cells``, as the measured counts do. The fitter
+recovers the ten parameters from measured coincidence counts by bounded
+trust-region least squares on the weighted residual vector. Angles are
+radians; degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis, renyi_information
+from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis
+from .probe import renyi_information, sift_cells
 
 if TYPE_CHECKING:
     from .montecarlo import CountsRecord
@@ -225,20 +226,22 @@ def predict_outcome_probs(
     return (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
 
 
+def _sift(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig):
+    """``sift_cells`` of the model's predictions for both basis states."""
+    return sift_cells(
+        [predict_outcome_probs(params, state, basis, cfg) for state in basis.states]
+    )
+
+
 def _error_free_table(
     params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
 ) -> np.ndarray:
     """Unnormalized 2x2 Bob/Eve table of the error-free sift cells.
 
-    Alice's two basis states are taken equiprobable, so each contributes
-    half of its cells where Bob's bit equals hers. Raises ValueError when
-    the model predicts no error-free sift events in ``basis``.
+    Raises ValueError when the model predicts no error-free sift events
+    in ``basis``.
     """
-    raw = np.zeros((2, 2))
-    for state in basis.states:
-        probs = predict_outcome_probs(params, state, basis, cfg)
-        for e in (0, 1):
-            raw[state.bit, e] = 0.5 * probs[OUTCOME_ORDER.index((state.bit, e))]
+    raw, _ = _sift(params, basis, cfg)
     if raw.sum() < 1e-15:
         raise ValueError(
             f"model predicts no error-free sift events in basis {basis.value} "
@@ -270,14 +273,7 @@ def model_sifted_error_rate(
     params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
 ) -> float:
     """Predicted fraction of sift events where Bob's bit differs from Alice's."""
-    total = 0.0
-    for state in basis.states:
-        probs = predict_outcome_probs(params, state, basis, cfg)
-        total += 0.5 * sum(
-            float(probs[i]) for i, (b, _) in enumerate(OUTCOME_ORDER)
-            if b != state.bit
-        )
-    return total
+    return _sift(params, basis, cfg)[1]
 
 
 @dataclass(frozen=True)
@@ -325,20 +321,11 @@ def _record_design(
         records,
         key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
     )
-    totals = []
-    for record in records:
-        total = sum(record.counts)
-        if total <= 0:
-            raise ValueError(
-                f"record ({record.alice.value}, {record.bob_basis.value}, "
-                f"{record.pe_nominal}) has zero total counts"
-            )
-        totals.append(total)
-    mean_total = sum(totals) / len(totals)
+    mean_total = sum(record.total for record in records) / len(records)
     design = []
-    for record, total in zip(records, totals):
-        estimated = np.array(record.counts, dtype=float) / total
-        weight = 1.0 if weighting == "equal" else total / mean_total
+    for record in records:
+        estimated = np.array(record.counts, dtype=float) / record.total
+        weight = 1.0 if weighting == "equal" else record.total / mean_total
         design.append(
             (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal),
              estimated, math.sqrt(weight))
@@ -415,7 +402,7 @@ def fit_parameters(
     records:
         Measured configurations; at least 3 records (so the data values
         outnumber the 10 parameters) spanning at least 2 distinct
-        nominal error probabilities, none with all-zero counts.
+        nominal error probabilities.
     init:
         Starting point; all-zero parameters when omitted.
     options:

@@ -4,8 +4,11 @@ Generates multinomial coincidence counts from any outcome-probability
 vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
 explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
-information. A reference data set of measured counts for the D and A
-inputs at three nominal error probabilities ships with the package.
+information. Every record has a positive total. A sift summary takes
+one record per input state of a basis and reduces the two rows
+``counts / total`` with ``probe.sift_cells``, as the error model does
+with its predictions. A reference data set of measured counts for the D
+and A inputs at three nominal error probabilities ships with the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probe import OUTCOME_ORDER, Bb84State, SiftBasis, renyi_information
+from .probe import OUTCOME_ORDER, Bb84State, SiftBasis, renyi_information, sift_cells
 
 _REFERENCE_FILE = "reference_counts.csv"
 
@@ -35,7 +38,8 @@ class CountsRecord:
     """Measured coincidence counts for one configuration.
 
     ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``,
-    i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0).
+    i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0); their total is
+    positive.
     """
 
     alice: Bb84State
@@ -55,6 +59,8 @@ class CountsRecord:
             for c in self.counts
         ):
             raise ValueError("counts must be 4 nonnegative integers")
+        if self.total == 0:
+            raise ValueError("record has zero total counts")
         if self.duration_s is not None and not (
             math.isfinite(self.duration_s) and self.duration_s >= 0.0
         ):
@@ -106,16 +112,17 @@ def noise_free_counts(probs: np.ndarray, n_pairs: int) -> tuple[int, int, int, i
 def estimate_probabilities(record: CountsRecord) -> np.ndarray:
     """Per-record probabilities: each count over the record's total, as a
     ``(4,)`` array in ``OUTCOME_ORDER``."""
-    if record.total <= 0:
-        raise ValueError("cannot estimate probabilities from zero total counts")
     return np.array(record.counts, dtype=float) / record.total
 
 
-def _require_sift_group(records: Sequence[CountsRecord]) -> SiftBasis:
+def _sift_rows(records: Sequence[CountsRecord]) -> tuple[list, list]:
+    """The (bit-0, bit-1) rows ``counts / total`` of a sift group of
+    exactly one record per input state of one basis at one pe."""
     if not records:
         raise ValueError("no records given")
     basis = records[0].bob_basis
     pe = records[0].pe_nominal
+    rows = {}
     for record in records:
         if record.bob_basis is not basis or record.pe_nominal != pe:
             raise ValueError("records must share one basis and one nominal pe")
@@ -124,33 +131,22 @@ def _require_sift_group(records: Sequence[CountsRecord]) -> SiftBasis:
                 f"record with input {record.alice.value} is not a sift record "
                 f"for basis {basis.value}"
             )
-        if record.total <= 0:
-            raise ValueError("record with zero total counts")
-    present = {record.alice for record in records}
-    if present != set(basis.states):
+        rows[record.alice.bit] = [count / record.total for count in record.counts]
+    if len(records) != 2 or len(rows) != 2:
         raise ValueError(
-            f"records must cover both input states of basis {basis.value}"
+            f"records must cover both input states of basis {basis.value}, "
+            "one record each"
         )
-    return basis
+    return rows[0], rows[1]
 
 
 def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
     """Fraction of sift events where Bob's bit differs from Alice's.
 
-    The records must share one basis and one nominal error probability
-    and cover both of the basis's input states; each record enters with
-    equal weight.
+    Expects exactly one record per input state of a single basis at one
+    nominal error probability; the two states enter with equal weight.
     """
-    _require_sift_group(records)
-    fractions = []
-    for record in records:
-        wrong = sum(
-            count
-            for count, (b, _) in zip(record.counts, OUTCOME_ORDER)
-            if b != record.alice.bit
-        )
-        fractions.append(wrong / record.total)
-    return math.fsum(fractions) / len(fractions)
+    return sift_cells(_sift_rows(records))[1]
 
 
 def measured_renyi(records: Sequence[CountsRecord]) -> float:
@@ -162,15 +158,7 @@ def measured_renyi(records: Sequence[CountsRecord]) -> float:
     scaling any record's counts by a positive integer leaves the result
     unchanged.
     """
-    _require_sift_group(records)
-    if len(records) != 2:
-        raise ValueError("expected exactly one record per input state")
-    raw = np.zeros((2, 2))
-    for record in records:
-        b = record.alice.bit
-        scale = 1.0 / record.total
-        for e in (0, 1):
-            raw[b, e] = record.counts[OUTCOME_ORDER.index((b, e))] * scale
+    raw, _ = sift_cells(_sift_rows(records))
     if raw.sum() <= 0.0:
         raise ValueError("records contain no error-free sift counts")
     return renyi_information(raw)
@@ -235,9 +223,8 @@ def write_counts_file(path: str | Path, records: Sequence[CountsRecord]) -> None
 
 
 def counts_file_text(records: Sequence[CountsRecord]) -> str:
-    header = (
-        "# alice,basis,pe_nominal,n_b1e0,n_b1e1,n_b0e1,n_b0e0[,duration_s]\n"
-    )
+    cells = ",".join(f"n_b{b}e{e}" for b, e in OUTCOME_ORDER)
+    header = f"# alice,basis,pe_nominal,{cells}[,duration_s]\n"
     return header + "".join(format_record(record) + "\n" for record in records)
 
 

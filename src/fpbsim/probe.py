@@ -6,11 +6,13 @@ polarization basis, then reads the probe with a projective measurement
 in its computational basis. This module names the pieces of that
 setting: the four BB84 states, the two sift bases, the detector outcome
 order, and the probe preparation for a chosen induced error probability.
-It also holds the Renyi information of a 2x2 Bob/Eve bit table on
-error-free sift events, a plain numpy array, and its closed form for
-the ideal attack. The state vectors and probabilities of the attack are
-computed by the forward model in ``error_model``; the ideal attack is
-that model with all ten hardware angles at zero.
+It also holds the sift step that model predictions and measured counts
+share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
+array, and the sifted error rate), the Renyi information of that table,
+and its closed form for the ideal attack. The state vectors and
+probabilities of the attack are computed by the forward model in
+``error_model``; the ideal attack is that model with all ten hardware
+angles at zero.
 """
 
 from __future__ import annotations
@@ -27,6 +29,27 @@ _SQRT2 = math.sqrt(2.0)
 #: Detector outcome order used for all 4-entry probability/count tables:
 #: (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0).
 OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (0, 0))
+
+#: ``_BOB_CELLS[b][e]`` is the ``OUTCOME_ORDER`` index of the cell (b, e).
+_BOB_CELLS = [[OUTCOME_ORDER.index((b, e)) for e in (0, 1)] for b in (0, 1)]
+
+
+def sift_cells(rows) -> tuple[np.ndarray, float]:
+    """Sift one basis: error-free Bob/Eve table and sifted error rate.
+
+    ``rows`` holds the outcome probabilities in ``OUTCOME_ORDER`` of the
+    basis's (bit-0, bit-1) input states, which are taken equiprobable.
+    Returns the unnormalized ``(2, 2)`` table indexed ``[bob_bit,
+    eve_bit]`` of the cells where Bob's bit equals Alice's, each half of
+    its row's entry, and the fraction of sift events where it differs.
+    """
+    (b0e0, b0e1), (b1e0, b1e1) = _BOB_CELLS
+    zero, one = rows
+    table = np.array(
+        [[0.5 * zero[b0e0], 0.5 * zero[b0e1]], [0.5 * one[b1e0], 0.5 * one[b1e1]]]
+    )
+    error_rate = 0.5 * (zero[b1e0] + zero[b1e1]) + 0.5 * (one[b0e0] + one[b0e1])
+    return table, float(error_rate)
 
 
 class Bb84State(Enum):

@@ -269,6 +269,21 @@ class TestEstimate:
         _, groups_table = parse_csv(out)
         assert groups_table[1] == []
 
+    def test_duplicate_state_warns(self, capsys, tmp_path):
+        path = tmp_path / "duplicate.csv"
+        path.write_text(
+            "D,DA,0.1,10,20,30,40\nD,DA,0.1,11,21,31,41\nA,DA,0.1,40,30,20,10\n"
+        )
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert code == 0
+        assert err == (
+            "warning: basis DA at pe 0.1 needs exactly one record per input "
+            "state; skipping its summary\n"
+        )
+        records_table, groups_table = parse_csv(out)
+        assert len(records_table[1]) == 3
+        assert groups_table[1] == []
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("D,DA,not-a-number,1,2,3,4\n")
@@ -302,7 +317,7 @@ class TestEstimate:
         path.write_text("D,DA,0.1,0,0,0,0\n")
         code, _, err = run(capsys, "estimate", "--counts", str(path))
         assert code == 1
-        assert err.startswith("error: record (D, DA, 0.1):")
+        assert err.startswith(f"error: {path}:1:")
         assert "zero total counts" in err
 
 

@@ -53,11 +53,6 @@ VALID_LINE = st.one_of(
 ANY_LINE = st.one_of(
     VALID_LINE, st.lists(ANY_FIELD, min_size=6, max_size=9).map(",".join), st.text()
 )
-#: A DA sift pair whose D record has no counts at all.
-ZERO_TOTAL_PAIR = [
-    CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (0, 0, 0, 0)),
-    CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (1, 2, 3, 4)),
-]
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -179,9 +174,8 @@ class TestEstimateProbabilities:
             )
 
     def test_zero_total_rejected(self):
-        record = CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (0, 0, 0, 0))
         with pytest.raises(ValueError, match="zero total"):
-            estimate_probabilities(record)
+            CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (0, 0, 0, 0))
 
     def test_round_trip_statistics(self):
         # Estimated probabilities track the generator within 4 standard
@@ -224,8 +218,9 @@ class TestSiftedErrorRate:
         mixed = [r for r in load_reference_counts() if r.alice is Bb84State.D]
         with pytest.raises(ValueError, match="share one basis"):
             sifted_error_rate(mixed)
-        with pytest.raises(ValueError, match="zero total counts"):
-            sifted_error_rate(ZERO_TOTAL_PAIR)
+        d, a = records
+        with pytest.raises(ValueError, match="cover both input states"):
+            sifted_error_rate([d, a, d])
 
 
 class TestMeasuredRenyi:
@@ -270,8 +265,8 @@ class TestMeasuredRenyi:
         # Every error-free cell is zero for these records.
         with pytest.raises(ValueError, match="error-free"):
             measured_renyi(empty)
-        with pytest.raises(ValueError, match="zero total counts"):
-            measured_renyi(ZERO_TOTAL_PAIR)
+        with pytest.raises(ValueError, match="cover both input states"):
+            measured_renyi([d, a, d])
 
 
 class TestCountsFiles:
@@ -303,6 +298,7 @@ class TestCountsFiles:
             ("D,DA,0.1,1,2,3,4,-5", "duration"),
             ("D,DA,0.1,1,2,3,4,nan", "duration"),
             ("D,DA,0.1,1,2,3,4,inf", "duration"),
+            ("D,DA,0.1,0,0,0,0", "zero total"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, line, match):

@@ -10,6 +10,7 @@ from fpbsim import (
     ProbeConfig,
     SiftBasis,
     model_renyi,
+    model_sifted_error_rate,
     output_state,
     predict_outcome_probs,
     renyi_closed_form,
@@ -17,6 +18,7 @@ from fpbsim import (
     sift_joint_distribution,
 )
 from fpbsim.error_model import nonideal_alice_state, nonideal_probe_state
+from fpbsim.probe import sift_cells
 
 from conftest import (
     analytic_output,
@@ -203,6 +205,14 @@ class TestStatesClose:
 class TestSiftTable:
     """The error-free-sift Bob/Eve table, a (2, 2) array."""
 
+    def test_sift_cells_layout(self):
+        # Rows in OUTCOME_ORDER (1,0), (1,1), (0,1), (0,0) for the bit-0
+        # and bit-1 inputs; each input contributes half its cells.
+        rows = [[0.1, 0.2, 0.3, 0.4], [0.5, 0.25, 0.125, 0.125]]
+        table, error_rate = sift_cells(rows)
+        np.testing.assert_allclose(table, [[0.2, 0.15], [0.25, 0.125]], atol=1e-15)
+        assert abs(error_rate - (0.15 + 0.125)) < 1e-15
+
     def test_uncorrelated_at_zero(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.0))
         np.testing.assert_allclose(dist, 0.25, atol=1e-12)
@@ -248,6 +258,9 @@ class TestSiftTable:
             sift_joint_distribution(params, SiftBasis.HV, ProbeConfig(0.0))
         with pytest.raises(ValueError, match=message):
             model_renyi(params, SiftBasis.HV, ProbeConfig(0.0))
+        # The error rate is still defined: every sift event is wrong.
+        rate = model_sifted_error_rate(params, SiftBasis.HV, ProbeConfig(0.0))
+        assert abs(rate - 1.0) < 1e-12
 
 
 class TestRenyiInformation:
