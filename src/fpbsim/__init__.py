@@ -20,6 +20,7 @@ from .montecarlo import (
     noise_free_counts,
     read_counts_file,
     reference_counts_path,
+    sift_summaries,
     sifted_error_rate,
     simulate_counts,
     write_counts_file,
@@ -57,6 +58,7 @@ __all__ = [
     "renyi_closed_form",
     "renyi_information",
     "sift_joint_distribution",
+    "sift_summaries",
     "sifted_error_rate",
     "simulate_counts",
     "write_counts_file",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -248,33 +249,41 @@ def _sift_groups(
     return [(SiftBasis(basis), pe, members) for (basis, pe), members in ordered]
 
 
+def _skip_reason(members: Sequence[CountsRecord]) -> str | None:
+    """Why a sift group gets no summary; None for one record per input state."""
+    if len({record.alice for record in members}) < 2:
+        return "is missing a paired"
+    if len(members) > 2:
+        return "needs exactly one record per"
+    return None
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     records = montecarlo.read_counts_file(args.counts)
     if not records:
         raise UsageError(f"counts file {args.counts} contains no records")
-    record_rows = []
-    for record in records:
-        probs = montecarlo.estimate_probabilities(record)
-        alice, basis = record.alice.value, record.bob_basis.value
-        record_rows.append([alice, basis, record.pe_nominal, *probs.tolist()])
+    probs = montecarlo.estimate_probabilities(records).tolist()
+    record_rows = [
+        [record.alice.value, record.bob_basis.value, record.pe_nominal, *row]
+        for record, row in zip(records, probs)
+    ]
+    groups = _sift_groups(records)
+    skips = [_skip_reason(members) for _, _, members in groups]
+    renyi, error_rate = montecarlo.sift_summaries(
+        [members for (_, _, members), skip in zip(groups, skips) if skip is None]
+    )
+    summaries = zip(renyi.tolist(), error_rate.tolist())
     group_rows = []
-    for basis, pe, members in _sift_groups(records):
-        states = {record.alice for record in members}
-        if len(states) < 2 or len(members) > 2:
-            print(
-                f"warning: basis {basis.value} at pe {_fmt(pe)} "
-                + ("is missing a paired" if len(states) < 2
-                   else "needs exactly one record per")
-                + " input state; skipping its summary",
-                file=sys.stderr,
-            )
+    for (basis, pe, _), skip in zip(groups, skips):
+        where = f"basis {basis.value} at pe {_fmt(pe)}"
+        if skip is not None:
+            print(f"warning: {where} {skip} input state; skipping its summary",
+                  file=sys.stderr)
             continue
-        try:
-            renyi = montecarlo.measured_renyi(members)
-            error_rate = montecarlo.sifted_error_rate(members)
-        except ValueError as exc:
-            raise UsageError(f"basis {basis.value} at pe {_fmt(pe)}: {exc}") from exc
-        group_rows.append([basis.value, pe, renyi, error_rate])
+        measured, rate = next(summaries)
+        if math.isnan(measured):
+            raise UsageError(f"{where}: records contain no error-free sift counts")
+        group_rows.append([basis.value, pe, measured, rate])
     summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
     _emit_tables(
         args,

@@ -25,15 +25,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .montecarlo import CountsRecord, estimate_probabilities
 from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis
 from .probe import renyi_information, sift_cells
-
-if TYPE_CHECKING:
-    from .montecarlo import CountsRecord
 
 #: Fit box constraint on every parameter, radians.
 ANGLE_BOUND = math.pi / 2
@@ -313,7 +311,7 @@ class FitResult:
 
 
 def _record_design(
-    records: Sequence["CountsRecord"], weighting: str
+    records: Sequence[CountsRecord], weighting: str
 ) -> list[tuple[Bb84State, SiftBasis, ProbeConfig, np.ndarray, float]]:
     """Per record: state, basis, configuration, estimated probabilities
     and the square root of its weight, in canonical record order."""
@@ -323,8 +321,7 @@ def _record_design(
     )
     mean_total = sum(record.total for record in records) / len(records)
     design = []
-    for record in records:
-        estimated = np.array(record.counts, dtype=float) / record.total
+    for record, estimated in zip(records, estimate_probabilities(records)):
         weight = 1.0 if weighting == "equal" else record.total / mean_total
         design.append(
             (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal),
@@ -333,7 +330,7 @@ def _record_design(
     return design
 
 
-def _make_objective(records: Sequence["CountsRecord"], weighting: str):
+def _make_objective(records: Sequence[CountsRecord], weighting: str):
     """Weighted residual vector over all records and outcomes.
 
     Entries are ``sqrt(weight) * (estimated - predicted)``, four per
@@ -356,7 +353,7 @@ def _make_objective(records: Sequence["CountsRecord"], weighting: str):
     return residuals
 
 
-def _held_keys(records: Sequence["CountsRecord"]) -> tuple[str, ...]:
+def _held_keys(records: Sequence[CountsRecord]) -> tuple[str, ...]:
     """Parameters that no record's prediction depends on.
 
     A wave-plate offset only enters records prepared in its state and an
@@ -374,7 +371,7 @@ class _BudgetExhausted(Exception):
 
 
 def fit_parameters(
-    records: Sequence["CountsRecord"],
+    records: Sequence[CountsRecord],
     init: ErrorModelParams | None = None,
     options: FitOptions | None = None,
 ) -> FitResult:

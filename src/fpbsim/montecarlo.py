@@ -4,11 +4,15 @@ Generates multinomial coincidence counts from any outcome-probability
 vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
 explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
-information. Every record has a positive total. A sift summary takes
-one record per input state of a basis and reduces the two rows
-``counts / total`` with ``probe.sift_cells``, as the error model does
-with its predictions. A reference data set of measured counts for the D
-and A inputs at three nominal error probabilities ships with the package.
+information. Every record has a positive total. ``estimate_probabilities``
+divides the counts of many records at once into an ``(N, 4)`` array. A
+sift summary takes one record per input state of a basis and reduces
+the two rows ``counts / total`` with ``probe.sift_cells``, as the error
+model does with its predictions; ``sift_summaries`` does so for many
+groups in one stacked pass, and ``measured_renyi`` and
+``sifted_error_rate`` are its one-group forms. A reference data set of
+measured counts for the D and A inputs at three nominal error
+probabilities ships with the package.
 """
 
 from __future__ import annotations
@@ -109,20 +113,22 @@ def noise_free_counts(probs: np.ndarray, n_pairs: int) -> tuple[int, int, int, i
     return tuple(int(c) for c in cells)
 
 
-def estimate_probabilities(record: CountsRecord) -> np.ndarray:
-    """Per-record probabilities: each count over the record's total, as a
-    ``(4,)`` array in ``OUTCOME_ORDER``."""
-    return np.array(record.counts, dtype=float) / record.total
+def estimate_probabilities(records: Sequence[CountsRecord]) -> np.ndarray:
+    """Per-record probabilities: each count over its record's total, as an
+    ``(N, 4)`` array in ``OUTCOME_ORDER``, one row per record."""
+    counts = np.array([record.counts for record in records], dtype=float)
+    totals = np.array([record.total for record in records], dtype=float)
+    return counts.reshape(-1, 4) / totals[:, np.newaxis]
 
 
-def _sift_rows(records: Sequence[CountsRecord]) -> tuple[list, list]:
-    """The (bit-0, bit-1) rows ``counts / total`` of a sift group of
-    exactly one record per input state of one basis at one pe."""
+def _sift_pair(records: Sequence[CountsRecord]) -> tuple[CountsRecord, CountsRecord]:
+    """The (bit-0, bit-1) records of a sift group of exactly one record per
+    input state of one basis at one pe."""
     if not records:
         raise ValueError("no records given")
     basis = records[0].bob_basis
     pe = records[0].pe_nominal
-    rows = {}
+    by_bit = {}
     for record in records:
         if record.bob_basis is not basis or record.pe_nominal != pe:
             raise ValueError("records must share one basis and one nominal pe")
@@ -131,13 +137,34 @@ def _sift_rows(records: Sequence[CountsRecord]) -> tuple[list, list]:
                 f"record with input {record.alice.value} is not a sift record "
                 f"for basis {basis.value}"
             )
-        rows[record.alice.bit] = [count / record.total for count in record.counts]
-    if len(records) != 2 or len(rows) != 2:
+        by_bit[record.alice.bit] = record
+    if len(records) != 2 or len(by_bit) != 2:
         raise ValueError(
             f"records must cover both input states of basis {basis.value}, "
             "one record each"
         )
-    return rows[0], rows[1]
+    return by_bit[0], by_bit[1]
+
+
+def sift_summaries(
+    groups: Sequence[Sequence[CountsRecord]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured Renyi information and sifted error rate of each sift group.
+
+    Each group holds exactly one record per input state of a single
+    basis at one nominal error probability. Its two rows ``counts /
+    total`` are reduced by ``probe.sift_cells``, and the Renyi
+    information of the resulting tables by ``probe.renyi_information``,
+    one array pass for all groups. Returns two ``(len(groups),)`` arrays;
+    the Renyi information is NaN for a group with no error-free sift
+    counts.
+    """
+    members = [record for group in groups for record in _sift_pair(group)]
+    tables, error_rates = sift_cells(estimate_probabilities(members).reshape(-1, 2, 4))
+    renyi = np.full(len(groups), np.nan)
+    has_mass = tables.sum(axis=(-2, -1)) > 0.0
+    renyi[has_mass] = renyi_information(tables[has_mass])
+    return renyi, error_rates
 
 
 def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
@@ -146,7 +173,7 @@ def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
     Expects exactly one record per input state of a single basis at one
     nominal error probability; the two states enter with equal weight.
     """
-    return sift_cells(_sift_rows(records))[1]
+    return float(sift_summaries([records])[1][0])
 
 
 def measured_renyi(records: Sequence[CountsRecord]) -> float:
@@ -158,10 +185,10 @@ def measured_renyi(records: Sequence[CountsRecord]) -> float:
     scaling any record's counts by a positive integer leaves the result
     unchanged.
     """
-    raw, _ = sift_cells(_sift_rows(records))
-    if raw.sum() <= 0.0:
+    renyi = float(sift_summaries([records])[0][0])
+    if math.isnan(renyi):
         raise ValueError("records contain no error-free sift counts")
-    return renyi_information(raw)
+    return renyi
 
 
 def format_record(record: CountsRecord) -> str:
@@ -177,23 +204,22 @@ def format_record(record: CountsRecord) -> str:
     return ",".join(fields)
 
 
-def _parse_record(line: str, where: str) -> CountsRecord:
+#: Counts-file spellings of the states and bases.
+_STATES = {state.value: state for state in Bb84State}
+_BASES = {basis.value: basis for basis in SiftBasis}
+
+
+def _parse_record(line: str) -> CountsRecord:
     fields = [f.strip() for f in line.split(",")]
     if len(fields) not in (7, 8):
-        raise CountsFileError(
-            f"{where}: expected 7 or 8 comma-separated fields, got {len(fields)}"
-        )
-    try:
-        alice = Bb84State(fields[0])
-        basis = SiftBasis(fields[1])
-        pe = float(fields[2])
-        counts = tuple(int(f) for f in fields[3:7])
-        duration = float(fields[7]) if len(fields) == 8 else None
-        return CountsRecord(alice, basis, pe, counts, duration)
-    except CountsFileError:
-        raise
-    except ValueError as exc:
-        raise CountsFileError(f"{where}: {exc}") from exc
+        raise ValueError(f"expected 7 or 8 comma-separated fields, got {len(fields)}")
+    # The Enum calls only run to raise their error for an unknown name.
+    alice = _STATES[fields[0]] if fields[0] in _STATES else Bb84State(fields[0])
+    basis = _BASES[fields[1]] if fields[1] in _BASES else SiftBasis(fields[1])
+    pe = float(fields[2])
+    counts = tuple(map(int, fields[3:7]))
+    duration = float(fields[7]) if len(fields) == 8 else None
+    return CountsRecord(alice, basis, pe, counts, duration)
 
 
 def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsRecord]:
@@ -203,7 +229,10 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsR
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        records.append(_parse_record(stripped, f"{source}:{lineno}"))
+        try:
+            records.append(_parse_record(stripped))
+        except ValueError as exc:
+            raise CountsFileError(f"{source}:{lineno}: {exc}") from exc
     return records
 
 

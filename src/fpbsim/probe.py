@@ -9,7 +9,10 @@ order, and the probe preparation for a chosen induced error probability.
 It also holds the sift step that model predictions and measured counts
 share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
 array, and the sifted error rate), the Renyi information of that table,
-and its closed form for the ideal attack. The state vectors and
+and its closed form for the ideal attack. The sift step and the Renyi
+information take one table or a stack of them along leading axes, so
+many sift groups reduce in one array pass with the same arithmetic as
+one. The state vectors and
 probabilities of the attack are computed by the forward model in
 ``error_model``; the ideal attack is that model with all ten hardware
 angles at zero.
@@ -32,24 +35,31 @@ OUTCOME_ORDER: tuple[tuple[int, int], ...] = ((1, 0), (1, 1), (0, 1), (0, 0))
 
 #: ``_BOB_CELLS[b][e]`` is the ``OUTCOME_ORDER`` index of the cell (b, e).
 _BOB_CELLS = [[OUTCOME_ORDER.index((b, e)) for e in (0, 1)] for b in (0, 1)]
+#: Row (input bit) index paired with each ``_BOB_CELLS`` entry.
+_ROW_BITS = [[0, 0], [1, 1]]
 
 
-def sift_cells(rows) -> tuple[np.ndarray, float]:
+def sift_cells(rows) -> tuple[np.ndarray, np.ndarray | float]:
     """Sift one basis: error-free Bob/Eve table and sifted error rate.
 
     ``rows`` holds the outcome probabilities in ``OUTCOME_ORDER`` of the
-    basis's (bit-0, bit-1) input states, which are taken equiprobable.
-    Returns the unnormalized ``(2, 2)`` table indexed ``[bob_bit,
-    eve_bit]`` of the cells where Bob's bit equals Alice's, each half of
-    its row's entry, and the fraction of sift events where it differs.
+    basis's (bit-0, bit-1) input states, which are taken equiprobable,
+    as a ``(2, 4)`` array or a ``(..., 2, 4)`` stack of them. Returns the
+    unnormalized ``(..., 2, 2)`` tables indexed ``[bob_bit, eve_bit]``
+    of the cells where Bob's bit equals Alice's, each half of its row's
+    entry, and the ``(...)`` fractions of sift events where it differs;
+    a single pair gives its error rate as a float.
     """
-    (b0e0, b0e1), (b1e0, b1e1) = _BOB_CELLS
-    zero, one = rows
-    table = np.array(
-        [[0.5 * zero[b0e0], 0.5 * zero[b0e1]], [0.5 * one[b1e0], 0.5 * one[b1e1]]]
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-2:] != (2, 4):
+        raise ValueError(f"expected (..., 2, 4) outcome rows, got shape {rows.shape}")
+    table = 0.5 * rows[..., _ROW_BITS, _BOB_CELLS]
+    # Row b's error cells are the cells where Bob reads the other bit.
+    wrong = rows[..., _ROW_BITS, _BOB_CELLS[::-1]]
+    error_rate = 0.5 * (wrong[..., 0, 0] + wrong[..., 0, 1]) + 0.5 * (
+        wrong[..., 1, 0] + wrong[..., 1, 1]
     )
-    error_rate = 0.5 * (zero[b1e0] + zero[b1e1]) + 0.5 * (one[b0e0] + one[b0e1])
-    return table, float(error_rate)
+    return table, (float(error_rate) if rows.ndim == 2 else error_rate)
 
 
 class Bb84State(Enum):
@@ -130,34 +140,48 @@ class ProbeConfig:
         )
 
 
-def renyi_information(table) -> float:
+def _log2(values: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each entry of a 1-D array; numpy's vectorized log2
+    may differ from it in the last bit."""
+    return np.array([math.log2(v) for v in values.tolist()])
+
+
+def renyi_information(table) -> np.ndarray | float:
     """Order-2 (Renyi) information about Bob's bit carried by Eve's bit.
 
     ``table`` is a raw nonnegative 2x2 table of Bob's bit (rows) against
-    Eve's bit (columns) on error-free sift events; it is normalized here.
-    The information is the collision-entropy gain of conditioning on
-    Eve's outcome: 0 bits for independent tables and 1 bit for perfectly
-    correlated two-outcome tables. Outcomes of Eve with zero probability
-    contribute nothing.
+    Eve's bit (columns) on error-free sift events, or a ``(..., 2, 2)``
+    stack of them; each is normalized here. The information is the
+    collision-entropy gain of conditioning on Eve's outcome: 0 bits for
+    independent tables and 1 bit for perfectly correlated two-outcome
+    tables. Outcomes of Eve with zero probability contribute nothing.
+    Returns a float for one table and a ``(...)`` array for a stack.
+    Raises ValueError if any table has a negative or non-finite entry, or
+    a total that is not positive.
     """
-    table = np.asarray(table, dtype=float).reshape(2, 2)
+    table = np.asarray(table, dtype=float)
+    if table.shape[-2:] != (2, 2):
+        raise ValueError(f"expected (..., 2, 2) joint tables, got shape {table.shape}")
     if np.any(table < 0.0) or not np.isfinite(table).all():
         raise ValueError("joint table entries must be finite and nonnegative")
-    total = table.sum()
-    if total < 1e-15:
+    # 1-D columns even for one table: ``x ** 2`` is C pow() on a numpy
+    # scalar but x * x on an array, and the two can differ in the last bit.
+    t00, t01, t10, t11 = table.reshape(-1, 4).T
+    total = t00 + t01 + t10 + t11
+    if not np.all(total > 0.0):
         raise ValueError("joint table has no probability mass")
-    p = table / total
-    prior_b = p.sum(axis=1)
-    prior_e = p.sum(axis=0)
-    prior_term = -math.log2(float(np.sum(prior_b**2)))
+    p00, p01, p10, p11 = t00 / total, t01 / total, t10 / total, t11 / total
+    prior_term = -_log2((p00 + p01) ** 2 + (p10 + p11) ** 2)
     cond_term = 0.0
-    for e in (0, 1):
-        pe = float(prior_e[e])
-        if pe <= 0.0:
-            continue
-        cond = p[:, e] / pe
-        cond_term += pe * math.log2(float(np.sum(cond**2)))
-    return prior_term + cond_term
+    for top, bottom in ((p00, p10), (p01, p11)):
+        pe = top + bottom
+        seen = pe > 0.0
+        # An outcome Eve never sees adds 0 * log2(1), an exact zero.
+        safe = np.where(seen, pe, 1.0)
+        collision = np.where(seen, (top / safe) ** 2 + (bottom / safe) ** 2, 1.0)
+        cond_term = cond_term + pe * _log2(collision)
+    info = prior_term + cond_term
+    return float(info[0]) if table.ndim == 2 else info.reshape(table.shape[:-2])
 
 
 def renyi_closed_form(pe: float) -> float:

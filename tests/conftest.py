@@ -80,6 +80,52 @@ def error_probability(alice: Bb84State, cfg: ProbeConfig) -> float:
     return sum(p for p, (b, _) in zip(probs, OUTCOME_ORDER) if b != alice.bit)
 
 
+#: ``OUTCOME_ORDER`` index of each Bob/Eve cell (b, e), as ``[b][e]``.
+_BOB_CELLS = [[OUTCOME_ORDER.index((b, e)) for e in (0, 1)] for b in (0, 1)]
+
+
+def sift_cells_oracle(rows) -> tuple[np.ndarray, float]:
+    """Scalar sift of one (bit-0, bit-1) pair of outcome rows.
+
+    The one-pair implementation that ``probe.sift_cells`` replaced, kept
+    as the reference its stacked form must equal bit for bit.
+    """
+    (b0e0, b0e1), (b1e0, b1e1) = _BOB_CELLS
+    zero, one = rows
+    table = np.array(
+        [[0.5 * zero[b0e0], 0.5 * zero[b0e1]], [0.5 * one[b1e0], 0.5 * one[b1e1]]]
+    )
+    error_rate = 0.5 * (zero[b1e0] + zero[b1e1]) + 0.5 * (one[b0e0] + one[b0e1])
+    return table, float(error_rate)
+
+
+def renyi_information_oracle(table) -> float:
+    """Scalar Renyi information of one raw 2x2 Bob/Eve table.
+
+    The one-table loop that ``probe.renyi_information`` replaced, kept as
+    the reference its stacked form must equal bit for bit. Its mass check
+    follows the current rule: a total that is not positive has no mass.
+    """
+    table = np.asarray(table, dtype=float).reshape(2, 2)
+    if np.any(table < 0.0) or not np.isfinite(table).all():
+        raise ValueError("joint table entries must be finite and nonnegative")
+    total = table.sum()
+    if not total > 0.0:
+        raise ValueError("joint table has no probability mass")
+    p = table / total
+    prior_b = p.sum(axis=1)
+    prior_e = p.sum(axis=0)
+    prior_term = -math.log2(float(np.sum(prior_b**2)))
+    cond_term = 0.0
+    for e in (0, 1):
+        pe = float(prior_e[e])
+        if pe <= 0.0:
+            continue
+        cond = p[:, e] / pe
+        cond_term += pe * math.log2(float(np.sum(cond**2)))
+    return prior_term + cond_term
+
+
 def states_close(a, b, tol: float = 1e-9) -> bool:
     """Amplitude-wise equality of two state vectors up to a global phase.
 

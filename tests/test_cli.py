@@ -37,6 +37,22 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` at every fpbsim binding of it; the returned
+    list gets one entry per call."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(())
+        return original(*args, **kwargs)
+
+    for loaded in [m for key, m in sys.modules.items() if key.split(".")[0] == "fpbsim"]:
+        for key, value in list(vars(loaded).items()):
+            if value is original:
+                monkeypatch.setattr(loaded, key, counting)
+    return calls
+
+
 def parse_csv(text):
     """Split CSV output into tables: list of (columns, rows-of-strings)."""
     tables = []
@@ -319,6 +335,42 @@ class TestEstimate:
         assert code == 1
         assert err.startswith(f"error: {path}:1:")
         assert "zero total counts" in err
+
+    def test_tiny_error_free_fraction(self, capsys, tmp_path):
+        # One error-free count beside 10**18 errors per record: the sift
+        # table's total is ~1e-18, and normalizing it is exact.
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "D,DA,0.1,1000000000000000000,0,0,1\n"
+            "A,DA,0.1,0,1,1000000000000000000,0\n"
+        )
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, err) == (0, "")
+        _, groups_table = parse_csv(out)
+        assert groups_table[1] == [["DA", "0.1", "1", "1"]]
+
+    def test_one_stacked_pass_per_command(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "bulk.csv"
+        pes = ",".join(str(k / 100) for k in range(25))
+        assert main(
+            ["simulate", "--params", EXAMPLE_PARAMS, "--pe", pes, "--pairs", "1000",
+             "--out", str(path)]
+        ) == 0
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in (
+                (fpbsim.probe, "renyi_information"),
+                (fpbsim.probe, "sift_cells"),
+                (fpbsim.error_model, "predict_outcome_probs"),
+            )
+        }
+        code, out, _ = run(capsys, "estimate", "--counts", str(path))
+        assert code == 0
+        _, groups_table = parse_csv(out)
+        assert len(groups_table[1]) == 50
+        assert len(calls["renyi_information"]) <= 1
+        assert len(calls["sift_cells"]) <= 1
+        assert calls["predict_outcome_probs"] == []
 
 
 class TestFit:

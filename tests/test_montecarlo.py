@@ -20,11 +20,14 @@ from fpbsim import (
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
+    sift_summaries,
     sifted_error_rate,
     simulate_counts,
     write_counts_file,
 )
 from fpbsim.montecarlo import counts_file_text, parse_counts
+
+from conftest import renyi_information_oracle, sift_cells_oracle
 
 
 #: One counts-file field: valid tokens, near misses and arbitrary text.
@@ -164,13 +167,13 @@ class TestNoiseFreeCounts:
 class TestEstimateProbabilities:
     def test_uniform(self):
         record = CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, 1))
-        np.testing.assert_array_equal(estimate_probabilities(record), 0.25)
+        np.testing.assert_array_equal(estimate_probabilities([record])[0], 0.25)
 
     def test_reference_rows(self, measured_estimated):
         for record in load_reference_counts():
             want = measured_estimated[(record.alice.value, record.pe_nominal)]
             np.testing.assert_allclose(
-                estimate_probabilities(record), want, atol=5e-4
+                estimate_probabilities([record])[0], want, atol=5e-4
             )
 
     def test_zero_total_rejected(self):
@@ -188,7 +191,7 @@ class TestEstimateProbabilities:
                 n = 10_000
                 counts = simulate_counts(probs, n, next(seeds))
                 record = CountsRecord(state, SiftBasis.DA, pe, counts)
-                estimate = estimate_probabilities(record)
+                estimate = estimate_probabilities([record])[0]
                 bound = 4 * np.sqrt(probs * (1 - probs) / n)
                 assert np.all(np.abs(estimate - probs) <= bound)
 
@@ -267,6 +270,38 @@ class TestMeasuredRenyi:
             measured_renyi(empty)
         with pytest.raises(ValueError, match="cover both input states"):
             measured_renyi([d, a, d])
+
+
+class TestSiftSummaries:
+    def test_stack_matches_scalar_oracles(self):
+        groups = [sift_pair(pe, 20_000) for pe in (0.0, 0.1, 1 / 3)]
+        groups.append(list(reversed(noise_free_pair(0.2, 10_000))))
+        renyi, error_rates = sift_summaries(groups)
+        for group, got_renyi, got_rate in zip(groups, renyi, error_rates):
+            # Bit-0 record first, each row divided with Python integers.
+            zero, one = sorted(group, key=lambda r: r.alice.bit)
+            rows = [[c / r.total for c in r.counts] for r in (zero, one)]
+            table, rate = sift_cells_oracle(rows)
+            assert got_renyi == renyi_information_oracle(table)
+            assert got_rate == rate
+
+    def test_group_without_error_free_counts_reads_nan(self):
+        empty = [
+            CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
+            CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (0, 0, 5, 5)),
+        ]
+        renyi, error_rates = sift_summaries([noise_free_pair(0.1, 1000), empty])
+        assert not math.isnan(renyi[0]) and math.isnan(renyi[1])
+        assert error_rates[1] == 1.0
+
+    def test_no_groups(self):
+        renyi, error_rates = sift_summaries([])
+        assert renyi.shape == error_rates.shape == (0,)
+
+    def test_one_bad_group_rejects_the_stack(self):
+        d, a = noise_free_pair(0.1, 1000)
+        with pytest.raises(ValueError, match="cover both"):
+            sift_summaries([[d, a], [d]])
 
 
 class TestCountsFiles:

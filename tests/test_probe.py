@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
@@ -24,6 +26,8 @@ from conftest import (
     analytic_output,
     error_probability,
     frame,
+    renyi_information_oracle,
+    sift_cells_oracle,
     states_close,
     target_triple,
 )
@@ -45,6 +49,25 @@ PE_GRID = [i * 0.02 for i in range(17)] + [1 / 3]
 
 def norm_sq(vec) -> float:
     return float(np.sum(np.abs(vec) ** 2))
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def raw_tables(draw) -> np.ndarray:
+    """A nonnegative 2x2 table with positive total, perhaps with a zero
+    row or column, scaled by a power of ten."""
+    table = np.array(draw(st.lists(_UNIT, min_size=4, max_size=4))).reshape(2, 2)
+    zeroed = draw(st.sampled_from(["none", "row", "column"]))
+    index = draw(st.integers(0, 1))
+    if zeroed == "row":
+        table[index] = 0.0
+    elif zeroed == "column":
+        table[:, index] = 0.0
+    table = table * 10.0 ** draw(st.integers(-300, 300))
+    assume(table.sum() > 0.0)
+    return table
 
 
 class TestStatesAndConfig:
@@ -291,6 +314,50 @@ class TestRenyiInformation:
     def test_matches_frozen_value(self):
         dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
         assert abs(renyi_information(dist) - 0.48032895953056298) < 1e-10
+
+
+class TestStackedKernels:
+    """Stacks of tables or row pairs give, entry by entry, exactly what the
+    scalar oracles give for each one."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(raw_tables(), min_size=1, max_size=50))
+    def test_renyi_information_matches_oracle(self, tables):
+        got = renyi_information(np.array(tables))
+        assert got.shape == (len(tables),)
+        for value, table in zip(got.tolist(), tables):
+            assert value == renyi_information_oracle(table)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.lists(_UNIT, min_size=8, max_size=8), min_size=1, max_size=50))
+    def test_sift_cells_matches_oracle(self, pairs):
+        rows = np.array(pairs).reshape(-1, 2, 4)
+        tables, error_rates = sift_cells(rows)
+        assert tables.shape == (len(pairs), 2, 2)
+        for table, error_rate, pair in zip(tables, error_rates.tolist(), rows):
+            want_table, want_rate = sift_cells_oracle(pair)
+            assert np.array_equal(table, want_table)
+            assert error_rate == want_rate
+
+    def test_one_table_gives_a_float(self):
+        assert type(renyi_information(np.diag([0.5, 0.5]))) is float
+        _, error_rate = sift_cells(np.full((2, 4), 0.25))
+        assert type(error_rate) is float
+
+    def test_tiny_positive_mass_is_normalized(self):
+        raw = np.array([[30.0, 7.0], [5.0, 41.0]])
+        assert renyi_information(2.0**-70 * raw) == renyi_information(raw)
+
+    def test_one_bad_table_rejects_the_stack(self):
+        good = np.full((2, 2), 0.25)
+        bad_tables = (
+            ([[0.5, -0.1], [0.3, 0.3]], "nonnegative"),
+            ([[0.5, float("nan")], [0.3, 0.3]], "finite"),
+            (np.zeros((2, 2)), "mass"),
+        )
+        for bad, message in bad_tables:
+            with pytest.raises(ValueError, match=message):
+                renyi_information(np.array([good, bad, good]))
 
 
 class TestClosedForm:
