@@ -320,6 +320,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         payload["residual"] = float(f"{result.residual:.6e}")
         payload["evaluations"] = result.evaluations
         payload["converged"] = result.converged
+        payload["termination"] = result.termination
         payload["held"] = list(result.held)
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
@@ -328,6 +329,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         lines.append(f"residual,{result.residual:.6e}")
         lines.append(f"evaluations,{result.evaluations}")
         lines.append(f"converged,{str(result.converged).lower()}")
+        lines.append(f"termination,{result.termination}")
         _emit(args, "\n".join(lines) + "\n")
     if not result.converged:
         print("warning: fit did not converge", file=sys.stderr)

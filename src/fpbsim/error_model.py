@@ -15,9 +15,10 @@ detection probabilities of a configuration come back as a ``(4,)``
 array in ``OUTCOME_ORDER``; the model is unitary by construction, so
 they are not re-validated. The sift summaries reduce a basis's two rows
 with ``probe.sift_cells``, as the measured counts do. The fitter
-recovers the ten parameters from measured coincidence counts by bounded
-trust-region least squares on the weighted residual vector. Angles are
-radians; degrees appear only at I/O boundaries.
+recovers the ten parameters from measured coincidence counts with a
+bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
+residual vector, using forward-difference Jacobians. Angles are radians;
+degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -300,7 +301,10 @@ class FitResult:
     """Outcome of a parameter fit.
 
     ``held`` names the parameters no record can move (see
-    ``fit_parameters``); they keep their initial values.
+    ``fit_parameters``); they keep their initial values. ``termination``
+    says why the solver stopped: "ftol" (the cost stopped decreasing),
+    "xtol" (the step became negligible), "gtol" (the gradient vanished) or
+    "budget" (``max_evals`` ran out; ``converged`` is then false).
     """
 
     params: ErrorModelParams
@@ -308,26 +312,29 @@ class FitResult:
     evaluations: int
     converged: bool
     held: tuple[str, ...]
+    termination: str
 
 
 def _record_design(
     records: Sequence[CountsRecord], weighting: str
-) -> list[tuple[Bb84State, SiftBasis, ProbeConfig, np.ndarray, float]]:
-    """Per record: state, basis, configuration, estimated probabilities
-    and the square root of its weight, in canonical record order."""
+) -> tuple[list[tuple[Bb84State, SiftBasis, ProbeConfig]], np.ndarray, np.ndarray]:
+    """Per record, in canonical record order: the (state, basis,
+    configuration) to predict, the ``(N, 4)`` estimated probabilities and
+    the ``(N,)`` square roots of the record weights."""
     records = sorted(
         records,
         key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
     )
     mean_total = sum(record.total for record in records) / len(records)
-    design = []
-    for record, estimated in zip(records, estimate_probabilities(records)):
-        weight = 1.0 if weighting == "equal" else record.total / mean_total
-        design.append(
-            (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal),
-             estimated, math.sqrt(weight))
-        )
-    return design
+    weights = [
+        1.0 if weighting == "equal" else record.total / mean_total
+        for record in records
+    ]
+    configs = [
+        (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal))
+        for record in records
+    ]
+    return configs, estimate_probabilities(records), np.sqrt(weights)
 
 
 def _make_objective(records: Sequence[CountsRecord], weighting: str):
@@ -336,19 +343,16 @@ def _make_objective(records: Sequence[CountsRecord], weighting: str):
     Entries are ``sqrt(weight) * (estimated - predicted)``, four per
     record, with the records sorted by (alice, basis, pe_nominal,
     counts); the vector is therefore bit-identical under any reordering
-    of the records.
+    of the records. Each call predicts every record once.
     """
-    design = _record_design(records, weighting)
+    configs, estimated, root_weights = _record_design(records, weighting)
 
     def residuals(x: np.ndarray) -> np.ndarray:
         params = ErrorModelParams.from_vector(x)
-        return np.concatenate(
-            [
-                root_weight
-                * (estimated - predict_outcome_probs(params, alice, basis, cfg))
-                for alice, basis, cfg, estimated, root_weight in design
-            ]
+        predicted = np.stack(
+            [predict_outcome_probs(params, *config) for config in configs]
         )
+        return (root_weights[:, None] * (estimated - predicted)).ravel()
 
     return residuals
 
@@ -370,6 +374,136 @@ class _BudgetExhausted(Exception):
     """The residual function was asked for one call beyond ``max_evals``."""
 
 
+#: Relative tolerances on the cost decrease and the step, and the absolute
+#: one on the gradient's largest entry, as in scipy's least_squares.
+_TOL = 1e-8
+#: The largest float below the open box bound; every trial point, the
+#: finite-difference steps included, stays within it.
+_INNER_BOUND = math.nextafter(ANGLE_BOUND, 0.0)
+
+
+def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Two-point Jacobian of ``fun`` at ``z``, one call per column.
+
+    The step is ``sqrt(eps) * max(1, |z_i|)`` in the direction of
+    ``z_i``'s sign, reversed where it would leave the box.
+    """
+    h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
+    h = np.where(z >= 0.0, h, -h)
+    h = np.where(np.abs(z + h) > _INNER_BOUND, -h, h)
+    columns = []
+    for i in range(z.size):
+        shifted = z.copy()
+        shifted[i] += h[i]
+        columns.append((fun(shifted) - f) / (shifted[i] - z[i]))
+    return np.column_stack(columns)
+
+
+def _lm_step(
+    uf, s, vt, full_rank: bool, radius: float, lam: float
+) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt step of length at most ``radius``.
+
+    ``J = U diag(s) Vt`` is the Jacobian's SVD and ``uf = U^T f``. Returns
+    the Gauss-Newton step when ``J`` has full rank and that step is inside
+    the trust region. Otherwise returns ``-(J^T J + lam I)^-1 J^T f``,
+    scaled onto the trust-region boundary, with ``lam`` found by Moré's
+    safeguarded Newton iteration on ``||p(lam)|| = radius`` (Moré, "The
+    Levenberg-Marquardt algorithm: implementation and theory", 1978),
+    started from the previous ``lam``.
+    """
+    suf = s * uf
+    if full_rank:
+        step = -vt.T @ (uf / s)
+        if np.linalg.norm(step) <= radius:
+            return step, 0.0
+
+    def phi(lam):
+        denom = s * s + lam
+        norm = np.linalg.norm(suf / denom)
+        return norm - radius, -np.sum(suf**2 / denom**3) / norm
+
+    upper = np.linalg.norm(suf) / radius
+    lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        lower = -value / slope
+    if lam == 0.0 or not full_rank:
+        lam = max(1e-3 * upper, math.sqrt(lower * upper))
+    for _ in range(10):
+        if not lower <= lam <= upper:
+            lam = max(1e-3 * upper, math.sqrt(lower * upper))
+        value, slope = phi(lam)
+        if value < 0.0:
+            upper = lam
+        lower = max(lower, lam - value / slope)
+        lam -= (value + radius) / radius * value / slope
+        if abs(value) < 0.01 * radius:
+            break
+    step = -vt.T @ (suf / (s * s + lam))
+    return step * (radius / np.linalg.norm(step)), lam
+
+
+def _trust_region_lm(fun, z: np.ndarray) -> str:
+    """Minimize ``||fun(z)||^2`` inside ``|z_i| < pi/2``; returns why it stopped.
+
+    Each iteration takes one forward-difference Jacobian and its SVD, then
+    tries Levenberg-Marquardt steps until one lowers the cost. The ratio of
+    actual to predicted decrease sets the trust radius (1 at the start): a
+    quarter of the step below 0.25, doubled above 0.75 for a step on the
+    boundary. A step that would cross the box is shortened along its
+    direction to a fraction ``theta`` of the distance to the bound, with
+    ``theta`` approaching 1 as the gradient vanishes, so the iterate can
+    close in on a bound without reaching it. The termination rules are
+    those of scipy's trust-region reflective solver: "gtol" when the
+    gradient's largest entry is below ``_TOL``, "ftol" when a trial lowers
+    the cost by less than ``_TOL`` relative with a ratio above 0.25, and
+    "xtol" when a trial step is shorter than ``_TOL`` relative to ``z``.
+    The caller keeps the best point seen.
+    """
+    f = fun(z)
+    cost = f @ f
+    radius, lam = 1.0, 0.0
+    while True:
+        jac = _forward_jacobian(fun, z, f)
+        grad = jac.T @ f
+        grad_norm = np.linalg.norm(grad, np.inf)
+        if grad_norm < _TOL:
+            return "gtol"
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        uf = u.T @ f
+        full_rank = s[-1] > np.finfo(float).eps * f.size * s[0]
+        theta = max(0.995, 1.0 - grad_norm)
+        while True:
+            p, lam = _lm_step(uf, s, vt, full_rank, radius, lam)
+            moving = p != 0.0
+            to_bound = (_INNER_BOUND - np.sign(p) * z)[moving] / np.abs(p[moving])
+            p *= min(1.0, theta * to_bound.min(initial=np.inf))
+            z_new = np.clip(z + p, -_INNER_BOUND, _INNER_BOUND)
+            step = z_new - z
+            f_new = fun(z_new)
+            cost_new = f_new @ f_new
+            actual = cost - cost_new
+            jstep = jac @ step
+            predicted = -(jstep @ jstep + 2.0 * grad @ step)
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            step_norm = np.linalg.norm(step)
+            if actual < _TOL * cost and ratio > 0.25:
+                return "ftol"
+            if step_norm < _TOL * (_TOL + np.linalg.norm(z)):
+                return "xtol"
+            new_radius = radius
+            if ratio < 0.25:
+                new_radius = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * radius:
+                new_radius = 2.0 * radius
+            lam *= radius / new_radius
+            radius = new_radius
+            if actual > 0.0:
+                break
+        z, f, cost = z_new, f_new, cost_new
+
+
 def fit_parameters(
     records: Sequence[CountsRecord],
     init: ErrorModelParams | None = None,
@@ -378,11 +512,11 @@ def fit_parameters(
     """Fit the ten error-model parameters to measured counts.
 
     Minimizes the summed squared differences between each record's
-    normalized probabilities and the forward-model prediction with
-    bounded trust-region reflective least squares (Branch, Coleman & Li,
-    SIAM J. Sci. Comput. 21, 1999) inside |angle| < pi/2, using a
-    two-point finite-difference Jacobian. Deterministic given identical
-    records (in any order), init, and options.
+    normalized probabilities and the forward-model prediction inside
+    |angle| < pi/2 with a bounded trust-region Levenberg-Marquardt solver
+    (``_trust_region_lm``) on a two-point finite-difference Jacobian.
+    Deterministic given identical records (in any order), init, and
+    options.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis
@@ -409,12 +543,9 @@ def fit_parameters(
     -------
     FitResult
         Best parameters seen, the summed squared residuals there, the
-        number of residual evaluations (never above ``max_evals``), and
-        whether the solver met its tolerances within the budget.
+        number of residual evaluations (never above ``max_evals``), whether
+        the solver met a tolerance within the budget, and which one.
     """
-    # Imported here so that commands which never fit do not load scipy.
-    from scipy.optimize import least_squares
-
     options = options or FitOptions()
     init = init or ErrorModelParams()
     if len(records) * 4 < 10:
@@ -445,20 +576,10 @@ def fit_parameters(
             best_x, best_residual = x, value
         return r
 
-    # The largest float below the open bound keeps every trial point,
-    # finite-difference steps included, a valid parameter vector.
-    bound = math.nextafter(ANGLE_BOUND, 0.0)
     try:
-        result = least_squares(
-            free_residuals,
-            x0[free],
-            bounds=(-bound, bound),
-            method="trf",
-            max_nfev=options.max_evals,
-        )
-        converged = bool(result.status > 0)
+        termination = _trust_region_lm(free_residuals, x0[free])
     except _BudgetExhausted:
-        converged = False
+        termination = "budget"
     x = best_x
     if x[6] < 0.0:
         # Pick the conjugation-symmetric representative with alpha >= 0;
@@ -469,6 +590,7 @@ def fit_parameters(
         params=ErrorModelParams.from_vector(x),
         residual=best_residual,
         evaluations=evaluations,
-        converged=converged,
+        converged=termination != "budget",
         held=held,
+        termination=termination,
     )

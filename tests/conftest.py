@@ -9,8 +9,10 @@ from fpbsim import (
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
+    estimate_probabilities,
     predict_outcome_probs,
 )
+from fpbsim.error_model import _PARAM_KEYS, _held_keys, _make_objective
 
 RT2 = math.sqrt(2.0)
 
@@ -124,6 +126,60 @@ def renyi_information_oracle(table) -> float:
         cond = p[:, e] / pe
         cond_term += pe * math.log2(float(np.sum(cond**2)))
     return prior_term + cond_term
+
+
+def residuals_oracle(records, weighting: str, x) -> np.ndarray:
+    """Weighted residual vector built record by record.
+
+    The per-record ``np.concatenate`` form that the fit objective's one
+    array operation replaced, kept as the reference it must equal bit for
+    bit.
+    """
+    records = sorted(
+        records,
+        key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
+    )
+    mean_total = sum(record.total for record in records) / len(records)
+    params = ErrorModelParams.from_vector(x)
+    parts = []
+    for record, estimated in zip(records, estimate_probabilities(records)):
+        weight = 1.0 if weighting == "equal" else record.total / mean_total
+        predicted = predict_outcome_probs(
+            params, record.alice, record.bob_basis, ProbeConfig(record.pe_nominal)
+        )
+        parts.append(math.sqrt(weight) * (estimated - predicted))
+    return np.concatenate(parts)
+
+
+def trf_fit_oracle(records) -> tuple[np.ndarray, float]:
+    """Fit from zero with scipy's trust-region reflective least squares.
+
+    The solver the numpy fit replaced, kept as the reference it must
+    match: the same objective over the same free angles and box. Returns
+    the fitted 10-vector (its alpha >= 0 representative) and the summed
+    squared residuals there.
+    """
+    from scipy.optimize import least_squares
+
+    objective = _make_objective(records, "equal")
+    held = _held_keys(records)
+    free = np.array([key not in held for key in _PARAM_KEYS])
+    bound = math.nextafter(math.pi / 2, 0.0)
+
+    def free_residuals(z):
+        x = np.zeros(10)
+        x[free] = z
+        return objective(x)
+
+    result = least_squares(
+        free_residuals, np.zeros(int(free.sum())), bounds=(-bound, bound),
+        method="trf",
+    )
+    x = np.zeros(10)
+    x[free] = result.x
+    if x[6] < 0.0:
+        x[[0, 1, 6, 7]] *= -1.0
+    return x, math.fsum(result.fun**2)
 
 
 def states_close(a, b, tol: float = 1e-9) -> bool:

@@ -393,6 +393,7 @@ class TestFit:
         payload = json.loads(out)
         held = ["d_theta_a_h", "d_theta_a_v", "d_theta_b_hv"]
         assert payload["held"] == held
+        assert payload["termination"] in ("ftol", "xtol", "gtol")
         assert all(payload[key] == 0.0 for key in held)
         assert "no record constrains d_theta_a_h, d_theta_a_v, d_theta_b_hv" in err
         init = tmp_path / "fit.json"
@@ -415,7 +416,7 @@ class TestFit:
         )
         assert code == 2
         assert "did not converge" in err
-        assert "converged,false" in out
+        assert "converged,false\ntermination,budget\n" in out
 
     def test_single_pe_rejected(self, capsys, tmp_path):
         sim = tmp_path / "sim.csv"
@@ -530,7 +531,7 @@ def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
     assert main(["table", "--params", str(fitted), "--out", str(work / "t.csv")]) == 0
 
 
-def test_only_fit_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     script = (
         "import json, sys\n"
         "from fpbsim.cli import main\n"
@@ -544,6 +545,7 @@ def test_only_fit_imports_scipy(tmp_path):
         ["table"],
         ["simulate", "--pairs", "100", "--out", counts],
         ["estimate", "--counts", counts],
+        ["fit", "--counts", str(reference_counts_path())],
     ]
     src = str(Path(fpbsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from fpbsim import (
     model_sifted_error_rate,
     noise_free_counts,
     predict_outcome_probs,
+    read_counts_file,
+    reference_counts_path,
     renyi_closed_form,
     sifted_error_rate,
     simulate_counts,
@@ -31,9 +34,18 @@ from fpbsim.error_model import (
     nonideal_probe_state,
 )
 
-from conftest import FRAME_DEG, analytic_probs, frame
+from fpbsim.cli import main
+
+from conftest import (
+    FRAME_DEG,
+    analytic_probs,
+    frame,
+    residuals_oracle,
+    trf_fit_oracle,
+)
 
 PE_POINTS = (0.0, 0.1, 1 / 3)
+EXAMPLE_PARAMS = str(reference_counts_path().parent / "example_params.json")
 
 #: CNOT in the control-major amplitude ordering (flips target iff control=1).
 CNOT = np.array(
@@ -69,6 +81,23 @@ def synth_records(params, n_pairs, seed=None):
                     counts = simulate_counts(probs, n_pairs, int(next(seeds)))
                 records.append(CountsRecord(state, basis, pe, counts))
     return records
+
+
+def seeded_truth(tag: str, span_deg: float) -> ErrorModelParams:
+    """Ten angles drawn uniform in +-``span_deg`` from ``random.Random(tag)``."""
+    rng = random.Random(tag)
+    return ErrorModelParams.from_vector(
+        [math.radians(rng.uniform(-span_deg, span_deg)) for _ in range(10)]
+    )
+
+
+def recovered(x: np.ndarray, residual: float, truth: ErrorModelParams) -> bool:
+    """A fit found ``truth``: residual <= 1e-12 and every angle within
+    1e-3 deg of the truth's alpha >= 0 representative."""
+    if truth.alpha < 0.0:
+        truth = mirror(truth)
+    err_deg = np.degrees(np.abs(x - truth.as_vector()))
+    return residual <= 1e-12 and bool(np.max(err_deg) <= 1e-3)
 
 
 def mirror(params: ErrorModelParams) -> ErrorModelParams:
@@ -326,6 +355,35 @@ class TestFit:
             np.testing.assert_array_equal(backward(x), want)
             np.testing.assert_array_equal(shuffled(x), want)
 
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        params=ANY_PARAMS,
+        weighting=st.sampled_from(["equal", "counts"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_objective_equals_per_record_oracle(
+        self, ref_params, params, weighting, seed
+    ):
+        rng = np.random.default_rng(seed)
+        records = [
+            CountsRecord(
+                state, basis, pe,
+                simulate_counts(
+                    predict_outcome_probs(ref_params, state, basis, ProbeConfig(pe)),
+                    int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
+                ),
+            )
+            for state in Bb84State
+            for basis in SiftBasis
+            for pe in PE_POINTS
+            if rng.random() < 0.7
+        ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
+        x = params.as_vector()
+        got = _make_objective(records, weighting)(x)
+        want = residuals_oracle(records, weighting, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_short_fit_residual_invariant_under_record_order(self, ref_params):
         records = synth_records(ref_params, 50_000, seed=314)
         options = FitOptions(max_evals=400)
@@ -350,6 +408,7 @@ class TestFit:
         records = synth_records(ErrorModelParams(), 100_000_000)
         result = fit_parameters(records)
         assert result.converged
+        assert result.termination == "gtol"
         assert result.residual < 1e-12
         assert np.max(np.abs(result.params.as_vector())) < math.radians(0.1)
 
@@ -395,6 +454,7 @@ class TestFit:
         records = synth_records(ref_params, 10_000, seed=8)
         result = fit_parameters(records, options=FitOptions(max_evals=40))
         assert not result.converged
+        assert result.termination == "budget"
         assert result.evaluations <= 40
 
     def test_budget_is_hard_and_keeps_best_point(self, ref_params):
@@ -420,3 +480,40 @@ class TestFit:
                 assert fitted[key] == value
             else:
                 assert fitted[key] != value
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_matches_scipy_trust_region_reflective(self, tmp_path, seed):
+        if seed is None:
+            records = load_reference_counts()
+        else:
+            path = tmp_path / "sim.csv"
+            assert main([
+                "simulate", "--params", EXAMPLE_PARAMS, "--pairs", "50000",
+                "--seed", str(seed), "--out", str(path),
+            ]) == 0
+            records = read_counts_file(path)
+        _, want = trf_fit_oracle(records)
+        result = fit_parameters(records)
+        assert result.converged
+        assert abs(result.residual - want) <= 1e-9 * want
+
+    def test_recovers_seeded_truths_as_often_as_scipy(self):
+        found = trf_found = 0
+        for k in range(12):
+            truth = seeded_truth(f"recovery:{k}", 30.0)
+            records = synth_records(truth, 10**9)
+            result = fit_parameters(records)
+            found += recovered(result.params.as_vector(), result.residual, truth)
+            trf_found += recovered(*trf_fit_oracle(records), truth)
+        assert found >= trf_found
+
+    def test_fit_into_the_box_bound_stops_early(self):
+        # From zero, this truth's fit runs d_theta_a_d into the +90 deg bound
+        # at a local minimum. A solver that clips each trial point to the box,
+        # instead of shortening the step, grinds there until the budget runs out.
+        truth = seeded_truth("map:60:2", 60.0)
+        result = fit_parameters(
+            synth_records(truth, 10**9), options=FitOptions(max_evals=1_000)
+        )
+        assert result.termination in ("ftol", "xtol", "gtol")
+        assert result.evaluations <= 300
