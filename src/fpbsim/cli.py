@@ -6,8 +6,11 @@ Subcommands:
 * ``table``     Model detection probabilities in the reference layout.
 * ``simulate``  Seeded synthetic coincidence-count files.
 * ``estimate``  Probabilities, error rates, and measured Renyi
-  information from a counts file.
-* ``fit``       Least-squares fit of the ten error-model parameters.
+  information from a counts file. The per-(basis, pe) rows are
+  ``montecarlo.sift_summaries`` of the whole file; the command only
+  formats them, warning about each incomplete group.
+* ``fit``       Least-squares fit of the ten error-model parameters, as
+  one JSON document or ``key,value`` CSV rows with the same keys.
 
 Outputs are deterministic given the inputs and seed. Tables are CSV
 blocks or JSON row objects with the same columns. Exit codes: 0 on
@@ -236,28 +239,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sift_groups(
-    records: Sequence[CountsRecord],
-) -> list[tuple[SiftBasis, float, list[CountsRecord]]]:
-    groups: dict[tuple[str, float], list[CountsRecord]] = {}
-    for record in records:
-        if record.alice.basis is not record.bob_basis:
-            continue
-        key = (record.bob_basis.value, record.pe_nominal)
-        groups.setdefault(key, []).append(record)
-    ordered = sorted(groups.items(), key=lambda item: (item[0][0] != "HV", item[0][1]))
-    return [(SiftBasis(basis), pe, members) for (basis, pe), members in ordered]
-
-
-def _skip_reason(members: Sequence[CountsRecord]) -> str | None:
-    """Why a sift group gets no summary; None for one record per input state."""
-    if len({record.alice for record in members}) < 2:
-        return "is missing a paired"
-    if len(members) > 2:
-        return "needs exactly one record per"
-    return None
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     records = montecarlo.read_counts_file(args.counts)
     if not records:
@@ -267,23 +248,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         [record.alice.value, record.bob_basis.value, record.pe_nominal, *row]
         for record, row in zip(records, probs)
     ]
-    groups = _sift_groups(records)
-    skips = [_skip_reason(members) for _, _, members in groups]
-    renyi, error_rate = montecarlo.sift_summaries(
-        [members for (_, _, members), skip in zip(groups, skips) if skip is None]
-    )
-    summaries = zip(renyi.tolist(), error_rate.tolist())
     group_rows = []
-    for (basis, pe, _), skip in zip(groups, skips):
+    for basis, pe, measured, rate, problem in montecarlo.sift_summaries(records):
         where = f"basis {basis.value} at pe {_fmt(pe)}"
-        if skip is not None:
-            print(f"warning: {where} {skip} input state; skipping its summary",
-                  file=sys.stderr)
-            continue
-        measured, rate = next(summaries)
-        if math.isnan(measured):
+        if problem is not None:
+            print(f"warning: {where} {problem}; skipping its summary", file=sys.stderr)
+        elif math.isnan(measured):
             raise UsageError(f"{where}: records contain no error-free sift counts")
-        group_rows.append([basis.value, pe, measured, rate])
+        else:
+            group_rows.append([basis.value, pe, measured, rate])
     summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
     _emit_tables(
         args,
@@ -297,6 +270,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     records = montecarlo.read_counts_file(args.counts)
+    options = FitOptions(max_evals=args.max_evals, weighting=args.weighting)
+    init = _load_params(args.init)
+    result = error_model.fit_parameters(records, init=init, options=options)
     n_values = 4 * len(records)
     if n_values < 96:
         print(
@@ -305,9 +281,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "recommended",
             file=sys.stderr,
         )
-    options = FitOptions(max_evals=args.max_evals, weighting=args.weighting)
-    init = _load_params(args.init)
-    result = error_model.fit_parameters(records, init=init, options=options)
     if result.held:
         print(
             f"warning: no record constrains {', '.join(result.held)}; held at "
@@ -330,6 +303,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         lines.append(f"evaluations,{result.evaluations}")
         lines.append(f"converged,{str(result.converged).lower()}")
         lines.append(f"termination,{result.termination}")
+        lines.append(f"held,{';'.join(result.held)}")
         _emit(args, "\n".join(lines) + "\n")
     if not result.converged:
         print("warning: fit did not converge", file=sys.stderr)

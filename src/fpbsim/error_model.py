@@ -123,13 +123,22 @@ class ErrorModelParams:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, float]) -> "ErrorModelParams":
-        """Parse the flat degree-valued form; unknown keys are ignored."""
+        """Parse the flat degree-valued form; unknown keys are ignored.
+
+        Each value must convert with ``float()``; a boolean is rejected.
+        """
         missing = [key for key in _PARAM_KEYS if key not in doc]
         if missing:
             raise ValueError(f"parameter document missing keys: {missing}")
-        return cls.from_vector(
-            [math.radians(float(doc[key])) for key in _PARAM_KEYS]
-        )
+        values = []
+        for key in _PARAM_KEYS:
+            if isinstance(doc[key], bool):
+                raise ValueError(f"parameter {key}: a boolean is not an angle")
+            try:
+                values.append(math.radians(float(doc[key])))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"parameter {key}: {exc}") from exc
+        return cls.from_vector(values)
 
 
 def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:

@@ -4,20 +4,21 @@ Generates multinomial coincidence counts from any outcome-probability
 vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
 explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
-information. Every record has a positive total. ``estimate_probabilities``
-divides the counts of many records at once into an ``(N, 4)`` array. A
-sift summary takes one record per input state of a basis and reduces
-the two rows ``counts / total`` with ``probe.sift_cells``, as the error
-model does with its predictions; ``sift_summaries`` does so for many
-groups in one stacked pass, and ``measured_renyi`` and
-``sifted_error_rate`` are its one-group forms. A reference data set of
-measured counts for the D and A inputs at three nominal error
-probabilities ships with the package.
+information. Every record has a positive total that fits in a float.
+``estimate_probabilities`` divides the counts of many records at once
+into an ``(N, 4)`` array. ``sift_summaries`` groups any records, such
+as a whole file, by sift basis and nominal pe, and reduces the two rows
+``counts / total`` of every group of one record per input state with
+``probe.sift_cells`` in one stacked pass, as the error model does with
+its predictions; ``measured_renyi`` and ``sifted_error_rate`` are its
+one-group forms. A reference data set of measured counts for the D and
+A inputs at three nominal error probabilities ships with the package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -43,7 +44,7 @@ class CountsRecord:
 
     ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``,
     i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0); their total is
-    positive.
+    positive and at most the largest float, so every count converts to one.
     """
 
     alice: Bb84State
@@ -65,6 +66,8 @@ class CountsRecord:
             raise ValueError("counts must be 4 nonnegative integers")
         if self.total == 0:
             raise ValueError("record has zero total counts")
+        if self.total > sys.float_info.max:
+            raise ValueError("record total counts exceed the largest float")
         if self.duration_s is not None and not (
             math.isfinite(self.duration_s) and self.duration_s >= 0.0
         ):
@@ -121,14 +124,59 @@ def estimate_probabilities(records: Sequence[CountsRecord]) -> np.ndarray:
     return counts.reshape(-1, 4) / totals[:, np.newaxis]
 
 
-def _sift_pair(records: Sequence[CountsRecord]) -> tuple[CountsRecord, CountsRecord]:
-    """The (bit-0, bit-1) records of a sift group of exactly one record per
-    input state of one basis at one pe."""
+def _pairing_problem(members: Sequence[CountsRecord]) -> str | None:
+    """Why a sift group gets no summary; None for one record per input state."""
+    if len({record.alice for record in members}) < 2:
+        return "is missing a paired input state"
+    if len(members) > 2:
+        return "needs exactly one record per input state"
+    return None
+
+
+def sift_summaries(
+    records: Iterable[CountsRecord],
+) -> list[tuple[SiftBasis, float, float, float, str | None]]:
+    """Measured Renyi information and sifted error rate of each sift group.
+
+    The sift records (input state in Bob's basis) are grouped by basis
+    and nominal pe; one ``(basis, pe, renyi, error_rate, problem)`` row
+    per group comes back, HV first, then DA, each by increasing pe.
+    ``problem`` is None for exactly one record per input state, else
+    "is missing a paired input state" or "needs exactly one record per
+    input state", with both values NaN. Complete groups go through one
+    stacked ``probe.sift_cells`` and ``probe.renyi_information`` pass;
+    the Renyi information is NaN for a group without error-free counts.
+    """
+    groups: dict[tuple[SiftBasis, float], list[CountsRecord]] = {}
+    for record in records:
+        if record.alice.basis is record.bob_basis:
+            groups.setdefault((record.bob_basis, record.pe_nominal), []).append(record)
+    keys = sorted(groups, key=lambda key: (key[0] is not SiftBasis.HV, key[1]))
+    problems = [_pairing_problem(groups[key]) for key in keys]
+    members = [
+        record
+        for key, problem in zip(keys, problems)
+        if problem is None
+        for record in sorted(groups[key], key=lambda r: r.alice.bit)
+    ]
+    tables, error_rates = sift_cells(estimate_probabilities(members).reshape(-1, 2, 4))
+    renyi = np.full(len(tables), np.nan)
+    has_mass = tables.sum(axis=(-2, -1)) > 0.0
+    renyi[has_mass] = renyi_information(tables[has_mass])
+    values = np.full((len(keys), 2), np.nan)
+    values[[problem is None for problem in problems]] = np.c_[renyi, error_rates]
+    return [
+        (basis, pe, *summary, problem)
+        for (basis, pe), summary, problem in zip(keys, values.tolist(), problems)
+    ]
+
+
+def _one_group(records: Sequence[CountsRecord]) -> tuple[float, float]:
+    """The (renyi, error_rate) of records that form one complete sift group."""
     if not records:
         raise ValueError("no records given")
     basis = records[0].bob_basis
     pe = records[0].pe_nominal
-    by_bit = {}
     for record in records:
         if record.bob_basis is not basis or record.pe_nominal != pe:
             raise ValueError("records must share one basis and one nominal pe")
@@ -137,34 +185,13 @@ def _sift_pair(records: Sequence[CountsRecord]) -> tuple[CountsRecord, CountsRec
                 f"record with input {record.alice.value} is not a sift record "
                 f"for basis {basis.value}"
             )
-        by_bit[record.alice.bit] = record
-    if len(records) != 2 or len(by_bit) != 2:
+    ((_, _, renyi, error_rate, problem),) = sift_summaries(records)
+    if problem is not None:
         raise ValueError(
             f"records must cover both input states of basis {basis.value}, "
             "one record each"
         )
-    return by_bit[0], by_bit[1]
-
-
-def sift_summaries(
-    groups: Sequence[Sequence[CountsRecord]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measured Renyi information and sifted error rate of each sift group.
-
-    Each group holds exactly one record per input state of a single
-    basis at one nominal error probability. Its two rows ``counts /
-    total`` are reduced by ``probe.sift_cells``, and the Renyi
-    information of the resulting tables by ``probe.renyi_information``,
-    one array pass for all groups. Returns two ``(len(groups),)`` arrays;
-    the Renyi information is NaN for a group with no error-free sift
-    counts.
-    """
-    members = [record for group in groups for record in _sift_pair(group)]
-    tables, error_rates = sift_cells(estimate_probabilities(members).reshape(-1, 2, 4))
-    renyi = np.full(len(groups), np.nan)
-    has_mass = tables.sum(axis=(-2, -1)) > 0.0
-    renyi[has_mass] = renyi_information(tables[has_mass])
-    return renyi, error_rates
+    return renyi, error_rate
 
 
 def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
@@ -173,7 +200,7 @@ def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
     Expects exactly one record per input state of a single basis at one
     nominal error probability; the two states enter with equal weight.
     """
-    return float(sift_summaries([records])[1][0])
+    return _one_group(records)[1]
 
 
 def measured_renyi(records: Sequence[CountsRecord]) -> float:
@@ -185,7 +212,7 @@ def measured_renyi(records: Sequence[CountsRecord]) -> float:
     scaling any record's counts by a positive integer leaves the result
     unchanged.
     """
-    renyi = float(sift_summaries([records])[0][0])
+    renyi = _one_group(records)[0]
     if math.isnan(renyi):
         raise ValueError("records contain no error-free sift counts")
     return renyi

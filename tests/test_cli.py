@@ -163,6 +163,30 @@ class TestTable:
         assert code == 1
         assert "unknown input state" in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1" + "0" * 400, "parameter d_chi: int too large to convert to float"),
+            ("true", "parameter d_chi: a boolean is not an angle"),
+        ],
+        ids=["oversized", "bool"],
+    )
+    def test_unconvertible_parameter_rejected(self, capsys, tmp_path, value, message):
+        doc = json.loads(Path(EXAMPLE_PARAMS).read_text())
+        text = json.dumps({**doc, "d_chi": "VALUE"}).replace('"VALUE"', value)
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "table", "--params", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad parameter file {path}: {message}\n"
+
+    def test_missing_params_file(self, capsys, tmp_path):
+        path = tmp_path / "none.json"
+        code, _, err = run(capsys, "table", "--params", str(path))
+        assert code == 1
+        assert err.startswith(f"error: cannot read parameter file {path}: ")
+        assert err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, out, _ = run(capsys, "table", "--out", str(out_path))
@@ -185,6 +209,12 @@ class TestSimulate:
         )
         assert code == 0
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, capsys, seed):
+        code, out, err = run(capsys, "simulate", f"--seed={seed}")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be an unsigned 64-bit integer\n"
 
     def test_layout_and_error_free_cells(self, capsys, tmp_path):
         path = tmp_path / "sim.csv"
@@ -336,6 +366,22 @@ class TestEstimate:
         assert err.startswith(f"error: {path}:1:")
         assert "zero total counts" in err
 
+    def test_oversized_count(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("D,DA,0.1,1" + "0" * 400 + ",0,0,0\n")
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}:1: record total counts exceed the largest float\n"
+        )
+
+    def test_comment_only_file(self, capsys, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_text("# alice,basis,pe_nominal\n\n# nothing else\n")
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: counts file {path} contains no records\n"
+
     def test_tiny_error_free_fraction(self, capsys, tmp_path):
         # One error-free count beside 10**18 errors per record: the sift
         # table's total is ~1e-18, and normalizing it is exact.
@@ -404,6 +450,22 @@ class TestFit:
         )
         assert code == 0
         assert json.loads(out)["residual"] <= payload["residual"]
+
+    def test_csv_lists_held_angles_last(self, capsys):
+        code, out, _ = run(capsys, "fit", "--counts", str(reference_counts_path()))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2].startswith("termination,")
+        assert lines[-1] == "held,d_theta_a_h;d_theta_a_v;d_theta_b_hv"
+
+    def test_empty_counts_file_only_errors(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# no records\n")
+        code, out, err = run(capsys, "fit", "--counts", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: need at least 10 data values to fit 10 parameters, got 0\n"
+        )
 
     def test_nonconvergence_exit_code(self, capsys, tmp_path):
         sim = tmp_path / "sim.csv"

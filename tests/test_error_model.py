@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpbsim import (
@@ -112,6 +112,34 @@ def mirror(params: ErrorModelParams) -> ErrorModelParams:
     )
 
 
+def reflect(params: ErrorModelParams) -> ErrorModelParams | None:
+    """Reflection twin: every state and analyzer angle mirrored in the
+    control frame, each offset wrapped into (-pi/2, pi/2); None when one
+    lands on the bound."""
+
+    def wrap(angle: float) -> float:
+        return (angle + math.pi / 2) % math.pi - math.pi / 2
+
+    d_theta_a = [
+        wrap(-2 * state.theta - params.theta_a_offset(state))
+        for state in (Bb84State.H, Bb84State.D, Bb84State.V, Bb84State.A)
+    ]
+    d_theta_b = [
+        wrap(-math.pi / 4 - params.d_theta_b[0]),
+        wrap(math.pi / 4 - params.d_theta_b[1]),
+    ]
+    if any(abs(angle) >= math.pi / 2 for angle in d_theta_a + d_theta_b):
+        return None
+    return ErrorModelParams(
+        d_xi=params.d_xi,
+        d_chi=params.d_chi,
+        d_theta_a=tuple(d_theta_a),
+        alpha=params.alpha,
+        delta=params.delta,
+        d_theta_b=tuple(d_theta_b),
+    )
+
+
 class TestParams:
     def test_serialization_round_trip(self, ref_params):
         doc = ref_params.to_dict()
@@ -129,6 +157,10 @@ class TestParams:
         del doc["alpha"]
         with pytest.raises(ValueError, match="missing keys"):
             ErrorModelParams.from_dict(doc)
+
+    def test_from_vector_needs_ten_values(self):
+        with pytest.raises(ValueError, match="expected 10 parameters, got 9"):
+            ErrorModelParams.from_vector([0.0] * 9)
 
     def test_box_constraint(self):
         with pytest.raises(ValueError, match="pi/2"):
@@ -273,6 +305,21 @@ class TestForwardModel:
         cfg = ProbeConfig(pe)
         a = predict_outcome_probs(params, state, basis, cfg)
         b = predict_outcome_probs(mirror(params), state, basis, cfg)
+        np.testing.assert_allclose(a, b, atol=1e-14)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=ANY_PARAMS,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+    )
+    def test_reflection_symmetry(self, params, state, basis, pe):
+        twin = reflect(params)
+        assume(twin is not None)
+        cfg = ProbeConfig(pe)
+        a = predict_outcome_probs(params, state, basis, cfg)
+        b = predict_outcome_probs(twin, state, basis, cfg)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -440,6 +487,12 @@ class TestFit:
             records, options=FitOptions(max_evals=400, weighting="counts")
         )
         assert result.residual >= 0.0
+
+    def test_options_rejected(self):
+        with pytest.raises(ValueError, match="unknown weighting 'median'"):
+            FitOptions(weighting="median")
+        with pytest.raises(ValueError, match="max_evals must be positive"):
+            FitOptions(max_evals=0)
 
     def test_rejects_degenerate_inputs(self):
         zero = ErrorModelParams()

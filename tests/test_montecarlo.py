@@ -226,6 +226,18 @@ class TestSiftedErrorRate:
             sifted_error_rate([d, a, d])
 
 
+def test_one_group_forms_reject_cross_basis_records():
+    records = [
+        CountsRecord(state, SiftBasis.HV, 0.1, (5, 1, 1, 5))
+        for state in (Bb84State.D, Bb84State.A)
+    ]
+    for one_group_form in (sifted_error_rate, measured_renyi):
+        with pytest.raises(
+            ValueError, match="record with input D is not a sift record for basis HV"
+        ):
+            one_group_form(records)
+
+
 class TestMeasuredRenyi:
     def test_perfect_correlation_noise_free(self):
         assert abs(measured_renyi(noise_free_pair(1 / 3, 48_000)) - 1.0) < 1e-12
@@ -276,12 +288,17 @@ class TestSiftSummaries:
     def test_stack_matches_scalar_oracles(self):
         groups = [sift_pair(pe, 20_000) for pe in (0.0, 0.1, 1 / 3)]
         groups.append(list(reversed(noise_free_pair(0.2, 10_000))))
-        renyi, error_rates = sift_summaries(groups)
-        for group, got_renyi, got_rate in zip(groups, renyi, error_rates):
+        rows = sift_summaries([record for group in groups for record in group])
+        assert [(basis, pe) for basis, pe, *_ in rows] == [
+            (SiftBasis.DA, pe) for pe in (0.0, 0.1, 0.2, 1 / 3)
+        ]
+        by_pe = {group[0].pe_nominal: group for group in groups}
+        for _, pe, got_renyi, got_rate, problem in rows:
+            assert problem is None
             # Bit-0 record first, each row divided with Python integers.
-            zero, one = sorted(group, key=lambda r: r.alice.bit)
-            rows = [[c / r.total for c in r.counts] for r in (zero, one)]
-            table, rate = sift_cells_oracle(rows)
+            zero, one = sorted(by_pe[pe], key=lambda r: r.alice.bit)
+            probs = [[c / r.total for c in r.counts] for r in (zero, one)]
+            table, rate = sift_cells_oracle(probs)
             assert got_renyi == renyi_information_oracle(table)
             assert got_rate == rate
 
@@ -290,18 +307,34 @@ class TestSiftSummaries:
             CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
             CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (0, 0, 5, 5)),
         ]
-        renyi, error_rates = sift_summaries([noise_free_pair(0.1, 1000), empty])
-        assert not math.isnan(renyi[0]) and math.isnan(renyi[1])
-        assert error_rates[1] == 1.0
+        (*_, renyi_0, rate_0, _), (*_, renyi_1, _, _) = sift_summaries(
+            empty + noise_free_pair(0.2, 1000)
+        )
+        assert math.isnan(renyi_0) and not math.isnan(renyi_1)
+        assert rate_0 == 1.0
 
     def test_no_groups(self):
-        renyi, error_rates = sift_summaries([])
-        assert renyi.shape == error_rates.shape == (0,)
+        assert sift_summaries([]) == []
+        cross = CountsRecord(Bb84State.D, SiftBasis.HV, 0.1, (1, 2, 3, 4))
+        assert sift_summaries([cross]) == []
 
-    def test_one_bad_group_rejects_the_stack(self):
+    def test_incomplete_groups_report_their_problem(self):
         d, a = noise_free_pair(0.1, 1000)
-        with pytest.raises(ValueError, match="cover both"):
-            sift_summaries([[d, a], [d]])
+        lone = CountsRecord(Bb84State.H, SiftBasis.HV, 0.3, (1, 2, 3, 4))
+        duplicate = [
+            CountsRecord(d.alice, d.bob_basis, 0.2, d.counts),
+            CountsRecord(a.alice, a.bob_basis, 0.2, a.counts),
+            CountsRecord(d.alice, d.bob_basis, 0.2, d.counts),
+        ]
+        rows = sift_summaries([d, *duplicate, lone, a])
+        assert [(basis, pe, problem) for basis, pe, *_, problem in rows] == [
+            (SiftBasis.HV, 0.3, "is missing a paired input state"),
+            (SiftBasis.DA, 0.1, None),
+            (SiftBasis.DA, 0.2, "needs exactly one record per input state"),
+        ]
+        for _, _, renyi, rate, problem in rows:
+            assert math.isnan(renyi) == math.isnan(rate) == (problem is not None)
+        assert rows[1][2:4] == (measured_renyi([d, a]), sifted_error_rate([d, a]))
 
 
 class TestCountsFiles:
@@ -334,6 +367,9 @@ class TestCountsFiles:
             ("D,DA,0.1,1,2,3,4,nan", "duration"),
             ("D,DA,0.1,1,2,3,4,inf", "duration"),
             ("D,DA,0.1,0,0,0,0", "zero total"),
+            pytest.param(
+                "D,DA,0.1,1" + "0" * 400 + ",0,0,0", "largest float", id="oversized"
+            ),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, line, match):
