@@ -5,23 +5,19 @@ from .error_model import (
     FitOptions,
     FitResult,
     fit_parameters,
-    model_renyi,
-    model_sifted_error_rate,
+    model_sift_summaries,
     output_state,
     predict_outcome_probs,
-    sift_joint_distribution,
 )
 from .montecarlo import (
     CountsFileError,
     CountsRecord,
     estimate_probabilities,
     load_reference_counts,
-    measured_renyi,
     noise_free_counts,
     read_counts_file,
     reference_counts_path,
     sift_summaries,
-    sifted_error_rate,
     simulate_counts,
     write_counts_file,
 )
@@ -47,9 +43,7 @@ __all__ = [
     "estimate_probabilities",
     "fit_parameters",
     "load_reference_counts",
-    "measured_renyi",
-    "model_renyi",
-    "model_sifted_error_rate",
+    "model_sift_summaries",
     "noise_free_counts",
     "output_state",
     "predict_outcome_probs",
@@ -57,9 +51,7 @@ __all__ = [
     "reference_counts_path",
     "renyi_closed_form",
     "renyi_information",
-    "sift_joint_distribution",
     "sift_summaries",
-    "sifted_error_rate",
     "simulate_counts",
     "write_counts_file",
 ]

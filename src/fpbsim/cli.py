@@ -3,6 +3,9 @@
 Subcommands:
 
 * ``curve``     Renyi-information curves over an error-probability grid.
+  The model columns are ``error_model.model_sift_summaries`` of the
+  whole grid, one stacked pass; a grid point without error-free sift
+  events is an error.
 * ``table``     Model detection probabilities in the reference layout.
 * ``simulate``  Seeded synthetic coincidence-count files.
 * ``estimate``  Probabilities, error rates, and measured Renyi
@@ -167,22 +170,23 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if pe_max < pe_min:
         raise UsageError("--pe-max must not be below --pe-min")
     params = _load_params(args.params)
-    grid = np.linspace(pe_min, pe_max, args.steps)
-    rows = []
+    grid = np.linspace(pe_min, pe_max, args.steps).tolist()
+    renyi, _ = error_model.model_sift_summaries(params, grid)
+    missing = np.argwhere(np.isnan(renyi))
+    if missing.size:
+        point, basis = missing[0]
+        raise UsageError(
+            f"model predicts no error-free sift events in basis "
+            f"{_BASES[basis].value} at pe {_fmt(grid[point])}"
+        )
     # The closed form warns once per grid point above pe = 1/3; report
     # those points on one line instead.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for pe in grid:
-            cfg = ProbeConfig(float(pe))
-            rows.append(
-                [
-                    float(pe),
-                    error_model.model_renyi(params, SiftBasis.HV, cfg),
-                    error_model.model_renyi(params, SiftBasis.DA, cfg),
-                    probe.renyi_closed_form(float(pe)),
-                ]
-            )
+        rows = [
+            [pe, *values, probe.renyi_closed_form(pe)]
+            for pe, values in zip(grid, renyi.tolist())
+        ]
     if caught:
         print(
             f"warning: {len(caught)} of {len(grid)} grid points lie above "

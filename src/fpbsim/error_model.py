@@ -13,8 +13,10 @@ two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
 photon (control) bit ``c`` and probe (target) bit ``t``. The four joint
 detection probabilities of a configuration come back as a ``(4,)``
 array in ``OUTCOME_ORDER``; the model is unitary by construction, so
-they are not re-validated. The sift summaries reduce a basis's two rows
-with ``probe.sift_cells``, as the measured counts do. The fitter
+they are not re-validated. ``model_sift_summaries`` is the model's one
+sift path: it predicts a whole pe grid and reduces it with one stacked
+``probe.sift_cells`` and ``probe.renyi_information`` pass, as
+``montecarlo.sift_summaries`` does for measured counts. The fitter
 recovers the ten parameters from measured coincidence counts with a
 bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
 residual vector, using forward-difference Jacobians. Angles are radians;
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -125,18 +128,22 @@ class ErrorModelParams:
     def from_dict(cls, doc: Mapping[str, float]) -> "ErrorModelParams":
         """Parse the flat degree-valued form; unknown keys are ignored.
 
-        Each value must convert with ``float()``; a boolean is rejected.
+        Each value must be a real number (a JSON number); a string or a
+        boolean is rejected.
         """
         missing = [key for key in _PARAM_KEYS if key not in doc]
         if missing:
             raise ValueError(f"parameter document missing keys: {missing}")
         values = []
         for key in _PARAM_KEYS:
-            if isinstance(doc[key], bool):
+            value = doc[key]
+            if isinstance(value, bool):
                 raise ValueError(f"parameter {key}: a boolean is not an angle")
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"parameter {key}: {value!r} is not a number")
             try:
-                values.append(math.radians(float(doc[key])))
-            except (TypeError, ValueError, OverflowError) as exc:
+                values.append(math.radians(float(value)))
+            except OverflowError as exc:
                 raise ValueError(f"parameter {key}: {exc}") from exc
         return cls.from_vector(values)
 
@@ -234,54 +241,32 @@ def predict_outcome_probs(
     return (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
 
 
-def _sift(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig):
-    """``sift_cells`` of the model's predictions for both basis states."""
-    return sift_cells(
-        [predict_outcome_probs(params, state, basis, cfg) for state in basis.states]
-    )
+def model_sift_summaries(
+    params: ErrorModelParams, pes: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted Renyi information and sifted error rate over a pe grid.
 
-
-def _error_free_table(
-    params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
-) -> np.ndarray:
-    """Unnormalized 2x2 Bob/Eve table of the error-free sift cells.
-
-    Raises ValueError when the model predicts no error-free sift events
-    in ``basis``.
+    Returns two ``(len(pes), 2)`` float arrays, columns in ``SiftBasis``
+    order (HV, DA). Each (pe, basis, state) is predicted with
+    ``predict_outcome_probs``; the whole stack reduces with one
+    ``sift_cells`` and one ``renyi_information`` call, as measured counts
+    do in ``montecarlo.sift_summaries``. The Renyi information is NaN
+    where the model predicts no error-free sift events: an error-free
+    mass below 1e-15, since predictions carry rounding noise.
     """
-    raw, _ = _sift(params, basis, cfg)
-    if raw.sum() < 1e-15:
-        raise ValueError(
-            f"model predicts no error-free sift events in basis {basis.value} "
-            f"at pe {cfg.pe:.6g}"
-        )
-    return raw
-
-
-def sift_joint_distribution(
-    params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
-) -> np.ndarray:
-    """Joint Bob/Eve bit distribution on error-free sift events.
-
-    A ``(2, 2)`` array indexed ``[bob_bit, eve_bit]``: the error-free
-    cells of both equiprobable basis states, renormalized over the
-    error-free subspace. Raises ValueError when the model predicts no
-    error-free sift events in ``basis``.
-    """
-    raw = _error_free_table(params, basis, cfg)
-    return raw / raw.sum()
-
-
-def model_renyi(params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig) -> float:
-    """Renyi information predicted by the error model for one basis."""
-    return renyi_information(_error_free_table(params, basis, cfg))
-
-
-def model_sifted_error_rate(
-    params: ErrorModelParams, basis: SiftBasis, cfg: ProbeConfig
-) -> float:
-    """Predicted fraction of sift events where Bob's bit differs from Alice's."""
-    return _sift(params, basis, cfg)[1]
+    rows = np.array(
+        [
+            predict_outcome_probs(params, state, basis, cfg)
+            for cfg in map(ProbeConfig, pes)
+            for basis in SiftBasis
+            for state in basis.states
+        ]
+    ).reshape(-1, 2, 2, 4)
+    tables, error_rates = sift_cells(rows)
+    renyi = np.full(error_rates.shape, np.nan)
+    has_mass = tables.sum(axis=(-2, -1)) >= 1e-15
+    renyi[has_mass] = renyi_information(tables[has_mass])
+    return renyi, error_rates
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
 information. Every record has a positive total that fits in a float.
 ``estimate_probabilities`` divides the counts of many records at once
-into an ``(N, 4)`` array. ``sift_summaries`` groups any records, such
-as a whole file, by sift basis and nominal pe, and reduces the two rows
-``counts / total`` of every group of one record per input state with
-``probe.sift_cells`` in one stacked pass, as the error model does with
-its predictions; ``measured_renyi`` and ``sifted_error_rate`` are its
-one-group forms. A reference data set of measured counts for the D and
-A inputs at three nominal error probabilities ships with the package.
+into an ``(N, 4)`` array. ``sift_summaries`` is the counts' one sift
+path: it groups any records, such as a whole file, by sift basis and
+nominal pe, and reduces the two rows ``counts / total`` of every group
+of one record per input state with one stacked ``probe.sift_cells`` and
+``probe.renyi_information`` pass, as ``error_model.model_sift_summaries``
+does with the model's predictions. Counts files are strict ASCII: a
+count is decimal digits only, and a pe or duration has no ``_``. A
+reference data set of measured counts for the D and A inputs at three
+nominal error probabilities ships with the package.
 """
 
 from __future__ import annotations
@@ -171,53 +173,6 @@ def sift_summaries(
     ]
 
 
-def _one_group(records: Sequence[CountsRecord]) -> tuple[float, float]:
-    """The (renyi, error_rate) of records that form one complete sift group."""
-    if not records:
-        raise ValueError("no records given")
-    basis = records[0].bob_basis
-    pe = records[0].pe_nominal
-    for record in records:
-        if record.bob_basis is not basis or record.pe_nominal != pe:
-            raise ValueError("records must share one basis and one nominal pe")
-        if record.alice.basis is not basis:
-            raise ValueError(
-                f"record with input {record.alice.value} is not a sift record "
-                f"for basis {basis.value}"
-            )
-    ((_, _, renyi, error_rate, problem),) = sift_summaries(records)
-    if problem is not None:
-        raise ValueError(
-            f"records must cover both input states of basis {basis.value}, "
-            "one record each"
-        )
-    return renyi, error_rate
-
-
-def sifted_error_rate(records: Sequence[CountsRecord]) -> float:
-    """Fraction of sift events where Bob's bit differs from Alice's.
-
-    Expects exactly one record per input state of a single basis at one
-    nominal error probability; the two states enter with equal weight.
-    """
-    return _one_group(records)[1]
-
-
-def measured_renyi(records: Sequence[CountsRecord]) -> float:
-    """Renyi information measured from the error-free sift counts.
-
-    Expects exactly one record per input state of a single basis at one
-    nominal error probability. The record for the bit-b state
-    contributes its (b, e) cells, normalized by its own total, so
-    scaling any record's counts by a positive integer leaves the result
-    unchanged.
-    """
-    renyi = _one_group(records)[0]
-    if math.isnan(renyi):
-        raise ValueError("records contain no error-free sift counts")
-    return renyi
-
-
 def format_record(record: CountsRecord) -> str:
     """One counts-file line for a record."""
     fields = [
@@ -243,8 +198,21 @@ def _parse_record(line: str) -> CountsRecord:
     # The Enum calls only run to raise their error for an unknown name.
     alice = _STATES[fields[0]] if fields[0] in _STATES else Bb84State(fields[0])
     basis = _BASES[fields[1]] if fields[1] in _BASES else SiftBasis(fields[1])
+    # int() and float() also read digit-group underscores and non-ASCII
+    # digits: counts must be ASCII digits, the pe and duration ASCII
+    # without '_'. Testing each group as one joined string keeps the
+    # per-line cost to a few C-level calls.
+    count_fields, real_fields = fields[3:7], fields[2:3] + fields[7:]
+    digits = "".join(count_fields)
+    if not (digits.isascii() and digits.isdigit()):
+        bad = next(f for f in count_fields if not (f.isascii() and f.isdigit()))
+        raise ValueError(f"count {bad!r} is not a nonnegative decimal integer")
+    text = "".join(real_fields)
+    if not text.isascii() or "_" in text:
+        bad = next(f for f in real_fields if not f.isascii() or "_" in f)
+        raise ValueError(f"{bad!r} is not an ASCII number")
     pe = float(fields[2])
-    counts = tuple(map(int, fields[3:7]))
+    counts = tuple(map(int, count_fields))
     duration = float(fields[7]) if len(fields) == 8 else None
     return CountsRecord(alice, basis, pe, counts, duration)
 

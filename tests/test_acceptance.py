@@ -14,15 +14,12 @@ from fpbsim import (
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    measured_renyi,
-    model_renyi,
-    model_sifted_error_rate,
+    model_sift_summaries,
     output_state,
     predict_outcome_probs,
     reference_counts_path,
     renyi_closed_form,
-    renyi_information,
-    sift_joint_distribution,
+    sift_summaries,
     simulate_counts,
 )
 from fpbsim.cli import main
@@ -79,13 +76,11 @@ def test_criterion_2_expected_table(capsys):
 
 def test_criterion_3_definition_matches_closed_form():
     grid = [i * 0.01 for i in range(34)] + [1 / 3]
+    renyi, _ = model_sift_summaries(ZERO, grid)
     worst = 0.0
-    for basis in SiftBasis:
-        for pe in grid:
-            via_def = renyi_information(
-                sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
-            )
-            worst = max(worst, abs(via_def - renyi_closed_form(pe)))
+    for pe, via_def in zip(grid, renyi.tolist()):
+        for value in via_def:
+            worst = max(worst, abs(value - renyi_closed_form(pe)))
     ok = worst < 1e-10
     report(3, ok, f"both bases over {len(grid)}-point grid, worst gap = {worst:.2e}")
 
@@ -174,7 +169,7 @@ def test_criterion_6_monte_carlo_consistency():
         )
         for state, seed in zip(SiftBasis.DA.states, pair_seeds)
     ]
-    renyi = measured_renyi(records)
+    ((_, _, renyi, _, _),) = sift_summaries(records)
     ok = coverage >= 0.99 and abs(renyi - 0.480) <= 0.02
     report(
         6,
@@ -228,13 +223,10 @@ def test_criterion_7_fit_round_trip(capsys, tmp_path, ref_params):
 
 
 def test_criterion_8_consistency_soft_checks(capsys, ref_params):
-    renyi_mean = sum(
-        model_renyi(ref_params, basis, ProbeConfig(1 / 3)) for basis in SiftBasis
-    ) / 2
-    error_mean = sum(
-        model_sifted_error_rate(ref_params, basis, ProbeConfig(0.0))
-        for basis in SiftBasis
-    ) / 2
+    renyi, _ = model_sift_summaries(ref_params, [1 / 3])
+    _, rates = model_sift_summaries(ref_params, [0.0])
+    renyi_mean = sum(renyi[0].tolist()) / 2
+    error_mean = sum(rates[0].tolist()) / 2
 
     code, out, _ = run_cli(
         capsys, "estimate", "--counts", str(reference_counts_path())

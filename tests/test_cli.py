@@ -24,9 +24,14 @@ from fpbsim import (
     write_counts_file,
 )
 import fpbsim
-from fpbsim.cli import main
+from fpbsim.cli import _fmt, main
 
-from conftest import IDEAL_EXPECTED, MEASURED_ESTIMATED
+from conftest import (
+    IDEAL_EXPECTED,
+    MEASURED_ESTIMATED,
+    renyi_information_oracle,
+    sift_cells_oracle,
+)
 
 EXAMPLE_PARAMS = str(reference_counts_path().parent / "example_params.json")
 
@@ -127,6 +132,40 @@ class TestCurve:
             "error: model predicts no error-free sift events in basis HV at pe 0\n"
         )
 
+    def test_stacked_grid_equals_per_point_oracles(self, capsys):
+        doc = json.loads(Path(EXAMPLE_PARAMS).read_text())
+        params = ErrorModelParams.from_dict(doc)
+        columns = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
+        rows = []
+        for pe in np.linspace(0.0, 1 / 3, 200).tolist():
+            cfg = ProbeConfig(pe)
+            renyi = []
+            for basis in SiftBasis:
+                table, _ = sift_cells_oracle(
+                    [predict_outcome_probs(params, s, basis, cfg) for s in basis.states]
+                )
+                renyi.append(renyi_information_oracle(table))
+            rows.append([_fmt(value) for value in (pe, *renyi, renyi_closed_form(pe))])
+        argv = ("curve", "--params", EXAMPLE_PARAMS, "--steps", "200")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(",".join(row) + "\n" for row in [columns, *rows])
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = [dict(zip(columns, map(float, row))) for row in rows]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("params", [None, EXAMPLE_PARAMS], ids=["ideal", "example"])
+    def test_one_stacked_pass_per_command(self, capsys, monkeypatch, params):
+        calls = [
+            count_calls(monkeypatch, fpbsim.error_model, name)
+            for name in ("sift_cells", "renyi_information")
+        ]
+        argv = ["curve", "--steps", "100"] + (["--params", params] if params else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(parse_csv(out)[0][1]) == 100
+        assert [len(made) for made in calls] == [1, 1]
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -168,8 +207,9 @@ class TestTable:
         [
             ("1" + "0" * 400, "parameter d_chi: int too large to convert to float"),
             ("true", "parameter d_chi: a boolean is not an angle"),
+            ('"3"', "parameter d_chi: '3' is not a number"),
         ],
-        ids=["oversized", "bool"],
+        ids=["oversized", "bool", "string"],
     )
     def test_unconvertible_parameter_rejected(self, capsys, tmp_path, value, message):
         doc = json.loads(Path(EXAMPLE_PARAMS).read_text())

@@ -15,15 +15,13 @@ from fpbsim import (
     SiftBasis,
     fit_parameters,
     load_reference_counts,
-    measured_renyi,
-    model_renyi,
-    model_sifted_error_rate,
+    model_sift_summaries,
     noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    sifted_error_rate,
+    sift_summaries,
     simulate_counts,
 )
 from fpbsim.error_model import (
@@ -40,7 +38,9 @@ from conftest import (
     FRAME_DEG,
     analytic_probs,
     frame,
+    renyi_information_oracle,
     residuals_oracle,
+    sift_cells_oracle,
     trf_fit_oracle,
 )
 
@@ -137,6 +137,52 @@ def reflect(params: ErrorModelParams) -> ErrorModelParams | None:
         alpha=params.alpha,
         delta=params.delta,
         d_theta_b=tuple(d_theta_b),
+    )
+
+
+def inset(low_deg: float, high_deg: float):
+    """Angles in (low_deg, high_deg) degrees, inset by 1e-9 rad so that
+    rounding puts neither an angle nor its ``quarter_twin`` image on the
+    box bound."""
+    return st.floats(math.radians(low_deg) + 1e-9, math.radians(high_deg) - 1e-9)
+
+
+#: Parameters whose wave-plate and analyzer offsets and gate imbalance
+#: have their ``quarter_twin`` images inside the box; only d_xi's may leave.
+QUARTER_TWIN_DOMAIN = st.builds(
+    ErrorModelParams,
+    d_xi=inset(-90, 90),
+    d_chi=inset(-90, 90),
+    d_theta_a=st.tuples(
+        inset(-90, 45), inset(-45, 90), inset(-90, 45), inset(-45, 90)
+    ),
+    alpha=inset(0, 90),
+    delta=inset(-90, 90),
+    d_theta_b=st.tuples(inset(-45, 90), inset(-90, 45)),
+)
+
+
+def quarter_twin(params: ErrorModelParams) -> ErrorModelParams | None:
+    """The alpha -> 90 deg - alpha twin; None when its d_xi leaves the box.
+
+    The H and V wave-plate offsets and the DA analyzer offset map to
+    -45 deg - d, the D and A offsets and the HV analyzer offset to
+    45 deg - d, and d_xi to 2*delta - 180 deg - d_xi wrapped into
+    [-180, 180) deg; d_chi and delta stay.
+    """
+    quarter = math.pi / 4
+    h, d, v, a = params.d_theta_a
+    hv, da = params.d_theta_b
+    d_xi = (2 * params.delta - params.d_xi) % (2 * math.pi) - math.pi
+    if abs(d_xi) >= math.pi / 2:
+        return None
+    return ErrorModelParams(
+        d_xi=d_xi,
+        d_chi=params.d_chi,
+        d_theta_a=(-quarter - h, quarter - d, -quarter - v, quarter - a),
+        alpha=math.pi / 2 - params.alpha,
+        delta=params.delta,
+        d_theta_b=(quarter - hv, -quarter - da),
     )
 
 
@@ -322,30 +368,57 @@ class TestForwardModel:
         b = predict_outcome_probs(twin, state, basis, cfg)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=QUARTER_TWIN_DOMAIN,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+    )
+    def test_quarter_twin_symmetry(self, params, state, basis, pe):
+        twin = quarter_twin(params)
+        assume(twin is not None)
+        cfg = ProbeConfig(pe)
+        a = predict_outcome_probs(params, state, basis, cfg)
+        b = predict_outcome_probs(twin, state, basis, cfg)
+        np.testing.assert_allclose(a, b, atol=1e-14)
+
 
 class TestModelSummaries:
+    def test_shapes_and_basis_columns(self, ref_params):
+        pes = [0.0, 0.1, 0.2]
+        renyi, rates = model_sift_summaries(ref_params, pes)
+        assert renyi.shape == rates.shape == (3, 2)
+        for i, pe in enumerate(pes):
+            cfg = ProbeConfig(pe)
+            for j, basis in enumerate(SiftBasis):
+                rows = [
+                    predict_outcome_probs(ref_params, state, basis, cfg)
+                    for state in basis.states
+                ]
+                table, rate = sift_cells_oracle(rows)
+                assert renyi[i, j] == renyi_information_oracle(table)
+                assert rates[i, j] == rate
+
     def test_zero_params_renyi_matches_closed_form(self):
-        zero = ErrorModelParams()
-        for basis in SiftBasis:
-            for pe in np.linspace(0.0, 1 / 3, 18):
-                got = model_renyi(zero, basis, ProbeConfig(float(pe)))
-                assert abs(got - renyi_closed_form(float(pe))) < 1e-10
+        grid = np.linspace(0.0, 1 / 3, 18).tolist()
+        renyi, _ = model_sift_summaries(ErrorModelParams(), grid)
+        for pe, values in zip(grid, renyi):
+            for got in values:
+                assert abs(got - renyi_closed_form(pe)) < 1e-10
 
     def test_reference_params_renyi_near_limit(self, ref_params):
-        values = [
-            model_renyi(ref_params, basis, ProbeConfig(1 / 3)) for basis in SiftBasis
-        ]
-        assert abs(sum(values) / 2 - 0.90) < 0.07
+        renyi, _ = model_sift_summaries(ref_params, [1 / 3])
+        assert abs(sum(renyi[0]) / 2 - 0.90) < 0.07
 
     def test_imperfect_gate_leaks_at_zero(self, ref_params):
-        for basis in SiftBasis:
-            assert model_renyi(ref_params, basis, ProbeConfig(0.0)) > 0.0
+        renyi, _ = model_sift_summaries(ref_params, [0.0])
+        assert np.all(renyi[0] > 0.0)
 
     def test_zero_params_error_rate_equals_pe(self):
-        zero = ErrorModelParams()
-        for basis in SiftBasis:
-            for pe in PE_POINTS:
-                got = model_sifted_error_rate(zero, basis, ProbeConfig(pe))
+        _, rates = model_sift_summaries(ErrorModelParams(), PE_POINTS)
+        for pe, values in zip(PE_POINTS, rates):
+            for got in values:
                 assert abs(got - pe) < 1e-12
 
     @settings(derandomize=True, deadline=None)
@@ -358,10 +431,10 @@ class TestModelSummaries:
         # Counts and model go through the same sift reduction, so counts
         # rounded at 10**12 pairs reproduce the model's summaries.
         cfg = ProbeConfig(pe)
-        try:
-            want_renyi = model_renyi(params, basis, cfg)
-        except ValueError as exc:
-            assert "no error-free sift events" in str(exc)
+        column = list(SiftBasis).index(basis)
+        renyi, rates = model_sift_summaries(params, [pe])
+        want_renyi, want_rate = renyi[0, column], rates[0, column]
+        if math.isnan(want_renyi):
             return
         pair = [
             CountsRecord(
@@ -374,16 +447,13 @@ class TestModelSummaries:
             )
             for state in basis.states
         ]
-        assert abs(measured_renyi(pair) - want_renyi) < 1e-9
-        want_rate = model_sifted_error_rate(params, basis, cfg)
-        assert abs(sifted_error_rate(pair) - want_rate) < 1e-9
+        ((_, _, got_renyi, got_rate, _),) = sift_summaries(pair)
+        assert abs(got_renyi - want_renyi) < 1e-9
+        assert abs(got_rate - want_rate) < 1e-9
 
     def test_reference_params_error_rate_at_zero(self, ref_params):
-        mean = sum(
-            model_sifted_error_rate(ref_params, basis, ProbeConfig(0.0))
-            for basis in SiftBasis
-        ) / 2
-        assert 0.02 < mean < 0.08
+        _, rates = model_sift_summaries(ref_params, [0.0])
+        assert 0.02 < sum(rates[0]) / 2 < 0.08
 
 
 class TestFit:

@@ -14,14 +14,12 @@ from fpbsim import (
     SiftBasis,
     estimate_probabilities,
     load_reference_counts,
-    measured_renyi,
     noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
     sift_summaries,
-    sifted_error_rate,
     simulate_counts,
     write_counts_file,
 )
@@ -196,64 +194,58 @@ class TestEstimateProbabilities:
                 assert np.all(np.abs(estimate - probs) <= bound)
 
 
+def one_group(records) -> tuple[float, float, str | None]:
+    """The (renyi, error_rate, problem) of records forming one sift group."""
+    ((_, _, renyi, error_rate, problem),) = sift_summaries(records)
+    return renyi, error_rate, problem
+
+
 class TestSiftedErrorRate:
     def test_reference_counts_at_zero(self):
         records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
-        got = sifted_error_rate(records)
+        _, got, _ = one_group(records)
         # Equal-weight mean of the two per-record error fractions.
         want = ((1356 + 1836) / 49_956 + (1140 + 1112) / 48_304) / 2
         assert abs(got - want) < 1e-12
         assert 0.04 < got < 0.07
 
     def test_ideal_counts_at_zero(self):
-        assert sifted_error_rate(noise_free_pair(0.0, 40_000)) == 0.0
+        assert one_group(noise_free_pair(0.0, 40_000))[1] == 0.0
 
     def test_ideal_counts_at_one_third(self):
         n = 50_000
-        got = sifted_error_rate(sift_pair(1 / 3, n))
+        _, got, _ = one_group(sift_pair(1 / 3, n))
         sigma = math.sqrt((1 / 3) * (2 / 3) / n)
         assert abs(got - 1 / 3) <= 3 * sigma
 
     def test_requires_matching_pair(self):
         records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
-        with pytest.raises(ValueError, match="cover both"):
-            sifted_error_rate(records[:1])
-        mixed = [r for r in load_reference_counts() if r.alice is Bb84State.D]
-        with pytest.raises(ValueError, match="share one basis"):
-            sifted_error_rate(mixed)
+        missing = "is missing a paired input state"
+        assert one_group(records[:1])[2] == missing
+        d_only = [r for r in load_reference_counts() if r.alice is Bb84State.D]
+        rows = sift_summaries(d_only)
+        assert [problem for *_, problem in rows] == [missing] * 3
         d, a = records
-        with pytest.raises(ValueError, match="cover both input states"):
-            sifted_error_rate([d, a, d])
-
-
-def test_one_group_forms_reject_cross_basis_records():
-    records = [
-        CountsRecord(state, SiftBasis.HV, 0.1, (5, 1, 1, 5))
-        for state in (Bb84State.D, Bb84State.A)
-    ]
-    for one_group_form in (sifted_error_rate, measured_renyi):
-        with pytest.raises(
-            ValueError, match="record with input D is not a sift record for basis HV"
-        ):
-            one_group_form(records)
+        assert one_group([d, a, d])[2] == "needs exactly one record per input state"
 
 
 class TestMeasuredRenyi:
     def test_perfect_correlation_noise_free(self):
-        assert abs(measured_renyi(noise_free_pair(1 / 3, 48_000)) - 1.0) < 1e-12
+        got, _, _ = one_group(noise_free_pair(1 / 3, 48_000))
+        assert abs(got - 1.0) < 1e-12
 
     def test_seeded_counts_near_closed_form(self):
-        got = measured_renyi(sift_pair(0.1, 50_000))
+        got, _, _ = one_group(sift_pair(0.1, 50_000))
         assert abs(got - 0.480) < 0.02
 
     def test_reference_counts_at_zero_small_but_positive(self):
         records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
-        got = measured_renyi(records)
+        got, _, _ = one_group(records)
         assert 0.0 < got < 0.01
 
     def test_noise_free_matches_model(self):
         for pe in (0.05, 0.1, 0.2, 1 / 3):
-            got = measured_renyi(noise_free_pair(pe, 100_000))
+            got, _, _ = one_group(noise_free_pair(pe, 100_000))
             assert abs(got - renyi_closed_form(pe)) < 2e-3
 
     def test_scaling_a_record_changes_nothing(self):
@@ -267,21 +259,20 @@ class TestMeasuredRenyi:
             ),
             records[1],
         ]
-        assert measured_renyi(records) == measured_renyi(scaled)
+        assert one_group(records)[0] == one_group(scaled)[0]
 
     def test_rejects_missing_or_empty_pairs(self):
         d, a = (r for r in load_reference_counts() if r.pe_nominal == 0.1)
-        with pytest.raises(ValueError, match="cover both"):
-            measured_renyi([d, d])
+        assert one_group([d, d])[2] == "is missing a paired input state"
         empty = [
             CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
             CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (0, 0, 5, 5)),
         ]
         # Every error-free cell is zero for these records.
-        with pytest.raises(ValueError, match="error-free"):
-            measured_renyi(empty)
-        with pytest.raises(ValueError, match="cover both input states"):
-            measured_renyi([d, a, d])
+        renyi, _, problem = one_group(empty)
+        assert math.isnan(renyi) and problem is None
+        problem = one_group([d, a, d])[2]
+        assert problem == "needs exactly one record per input state"
 
 
 class TestSiftSummaries:
@@ -334,7 +325,7 @@ class TestSiftSummaries:
         ]
         for _, _, renyi, rate, problem in rows:
             assert math.isnan(renyi) == math.isnan(rate) == (problem is not None)
-        assert rows[1][2:4] == (measured_renyi([d, a]), sifted_error_rate([d, a]))
+        assert tuple(rows[1][2:4]) == one_group([d, a])[:2]
 
 
 class TestCountsFiles:
@@ -366,6 +357,12 @@ class TestCountsFiles:
             ("D,DA,0.1,1,2,3,4,-5", "duration"),
             ("D,DA,0.1,1,2,3,4,nan", "duration"),
             ("D,DA,0.1,1,2,3,4,inf", "duration"),
+            ("D,DA,0.1,1_000,2,3,4", "'1_000'"),
+            pytest.param("D,DA,0.1,\u0663,2,3,4", "'\u0663'", id="arabic-indic-count"),
+            ("D,DA,0_1,1,2,3,4", "'0_1'"),
+            pytest.param(
+                "D,DA,0.1,1,2,3,4,4\u0660", "'4\u0660'", id="arabic-indic-duration"
+            ),
             ("D,DA,0.1,0,0,0,0", "zero total"),
             pytest.param(
                 "D,DA,0.1,1" + "0" * 400 + ",0,0,0", "largest float", id="oversized"

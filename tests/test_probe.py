@@ -11,13 +11,11 @@ from fpbsim import (
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    model_renyi,
-    model_sifted_error_rate,
+    model_sift_summaries,
     output_state,
     predict_outcome_probs,
     renyi_closed_form,
     renyi_information,
-    sift_joint_distribution,
 )
 from fpbsim.error_model import nonideal_alice_state, nonideal_probe_state
 from fpbsim.probe import sift_cells
@@ -225,6 +223,15 @@ class TestStatesClose:
         assert states_close(a, b, tol=1e-5)
 
 
+def model_table(params: ErrorModelParams, basis: SiftBasis, pe: float) -> np.ndarray:
+    """The model's error-free-sift Bob/Eve table in ``basis``, normalized."""
+    cfg = ProbeConfig(pe)
+    raw, _ = sift_cells(
+        [predict_outcome_probs(params, state, basis, cfg) for state in basis.states]
+    )
+    return raw / raw.sum()
+
+
 class TestSiftTable:
     """The error-free-sift Bob/Eve table, a (2, 2) array."""
 
@@ -237,11 +244,11 @@ class TestSiftTable:
         assert abs(error_rate - (0.15 + 0.125)) < 1e-15
 
     def test_uncorrelated_at_zero(self):
-        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.0))
+        dist = model_table(ZERO, SiftBasis.HV, 0.0)
         np.testing.assert_allclose(dist, 0.25, atol=1e-12)
 
     def test_frozen_table(self):
-        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
+        dist = model_table(ZERO, SiftBasis.HV, 0.1)
         expected = np.array(
             [
                 [0.40713484026367723, 0.092865159736322772],
@@ -251,7 +258,7 @@ class TestSiftTable:
         np.testing.assert_allclose(dist, expected, atol=1e-12)
 
     def test_perfect_correlation_at_one_third(self):
-        dist = sift_joint_distribution(ZERO, SiftBasis.DA, ProbeConfig(1 / 3))
+        dist = model_table(ZERO, SiftBasis.DA, 1 / 3)
         np.testing.assert_allclose(dist, np.diag([0.5, 0.5]), atol=1e-12)
         # Eve's projective readout is exact there.
         assert dist[0, 1] + dist[1, 0] < 1e-12
@@ -259,7 +266,7 @@ class TestSiftTable:
     def test_invariants_on_grid(self):
         for basis in SiftBasis:
             for pe in PE_GRID:
-                dist = sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
+                dist = model_table(ZERO, basis, pe)
                 assert dist.shape == (2, 2)
                 assert np.all(dist >= 0.0)
                 assert abs(dist.sum() - 1.0) < 1e-10
@@ -267,8 +274,7 @@ class TestSiftTable:
                 np.testing.assert_allclose(dist.sum(axis=1), 0.5, atol=1e-12)
                 np.testing.assert_allclose(dist.sum(axis=0), 0.5, atol=1e-12)
 
-
-    def test_rejects_model_without_error_free_events(self):
+    def test_model_without_error_free_events_reads_nan(self):
         # Wave plates and analyzer each turned 45 degrees; at pe = 0 the
         # probe leaves the photon alone, so Bob reads the wrong bit for
         # both HV inputs.
@@ -276,14 +282,11 @@ class TestSiftTable:
         params = ErrorModelParams(
             d_theta_a=(quarter, 0.0, quarter, 0.0), d_theta_b=(quarter, 0.0)
         )
-        message = "no error-free sift events in basis HV at pe 0"
-        with pytest.raises(ValueError, match=message):
-            sift_joint_distribution(params, SiftBasis.HV, ProbeConfig(0.0))
-        with pytest.raises(ValueError, match=message):
-            model_renyi(params, SiftBasis.HV, ProbeConfig(0.0))
+        renyi, rates = model_sift_summaries(params, [0.0, 0.1])
+        assert math.isnan(renyi[0, 0])
+        assert not np.isnan(renyi[0, 1]) and not np.isnan(renyi[1]).any()
         # The error rate is still defined: every sift event is wrong.
-        rate = model_sifted_error_rate(params, SiftBasis.HV, ProbeConfig(0.0))
-        assert abs(rate - 1.0) < 1e-12
+        assert abs(rates[0, 0] - 1.0) < 1e-12
 
 
 class TestRenyiInformation:
@@ -312,7 +315,7 @@ class TestRenyiInformation:
             renyi_information(np.zeros((2, 2)))
 
     def test_matches_frozen_value(self):
-        dist = sift_joint_distribution(ZERO, SiftBasis.HV, ProbeConfig(0.1))
+        dist = model_table(ZERO, SiftBasis.HV, 0.1)
         assert abs(renyi_information(dist) - 0.48032895953056298) < 1e-10
 
 
@@ -370,12 +373,9 @@ class TestClosedForm:
         assert abs(renyi_closed_form(pe) - expected) < 1e-12
 
     def test_matches_definition_on_grid(self):
-        for basis in SiftBasis:
-            for pe in PE_GRID:
-                via_def = renyi_information(
-                    sift_joint_distribution(ZERO, basis, ProbeConfig(pe))
-                )
-                assert abs(via_def - renyi_closed_form(pe)) < 1e-10
+        renyi, _ = model_sift_summaries(ZERO, PE_GRID)
+        for pe, via_def in zip(PE_GRID, renyi):
+            assert np.all(np.abs(via_def - renyi_closed_form(pe)) < 1e-10)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
