@@ -2,7 +2,6 @@
 
 from .error_model import (
     ErrorModelParams,
-    FitOptions,
     FitResult,
     fit_parameters,
     model_sift_summaries,
@@ -13,13 +12,11 @@ from .montecarlo import (
     CountsFileError,
     CountsRecord,
     estimate_probabilities,
-    load_reference_counts,
     noise_free_counts,
     read_counts_file,
     reference_counts_path,
     sift_summaries,
     simulate_counts,
-    write_counts_file,
 )
 from .probe import (
     OUTCOME_ORDER,
@@ -35,14 +32,12 @@ __all__ = [
     "CountsFileError",
     "CountsRecord",
     "ErrorModelParams",
-    "FitOptions",
     "FitResult",
     "OUTCOME_ORDER",
     "ProbeConfig",
     "SiftBasis",
     "estimate_probabilities",
     "fit_parameters",
-    "load_reference_counts",
     "model_sift_summaries",
     "noise_free_counts",
     "output_state",
@@ -53,7 +48,6 @@ __all__ = [
     "renyi_information",
     "sift_summaries",
     "simulate_counts",
-    "write_counts_file",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ Outputs are deterministic given the inputs and seed. Tables are CSV
 blocks or JSON row objects with the same columns. Exit codes: 0 on
 success, 1 with one ``error:`` line on any rejected input (a bad flag,
 an unreadable or malformed file, parameters or counts the library
-rejects), 2 when a fit fails to converge. All user-facing angles are
+rejects), 2 when a fit fails to converge. Numbers in flags and pe lists
+are ASCII without ``_``, as in counts files. All user-facing angles are
 degrees; counts files and parameter documents are documented in the
 README.
 """
@@ -37,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import error_model, montecarlo, probe
-from .error_model import ErrorModelParams, FitOptions
-from .montecarlo import CountsRecord
+from .error_model import ErrorModelParams
+from .montecarlo import ASCII_SPACE, CountsRecord
 from .probe import Bb84State, ProbeConfig, SiftBasis
 
 _BASES = (SiftBasis.HV, SiftBasis.DA)
@@ -61,9 +62,23 @@ def _jsonable(value: float) -> float:
     return float(_fmt(value))
 
 
+def _ascii_int(token: str) -> int:
+    """argparse type of the integer flags: ASCII, no ``_``, as ``int()`` reads it."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+
+
 def _parse_pe(token: str) -> float:
-    token = token.strip()
+    # float() also reads '_' digit groups and non-ASCII digits and padding;
+    # counts files reject them, and so do pe flags.
+    token = token.strip(ASCII_SPACE)
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
         if "/" in token:
             num, den = token.split("/")
             pe = float(num) / float(den)
@@ -77,7 +92,7 @@ def _parse_pe(token: str) -> float:
 
 
 def _parse_pe_list(text: str) -> list[float]:
-    values = [_parse_pe(token) for token in text.split(",") if token.strip()]
+    values = [_parse_pe(token) for token in text.split(",") if token.strip(ASCII_SPACE)]
     if not values:
         raise UsageError("empty error-probability list")
     return values
@@ -86,7 +101,7 @@ def _parse_pe_list(text: str) -> list[float]:
 def _parse_states(text: str) -> list[Bb84State]:
     states = []
     for token in text.split(","):
-        token = token.strip()
+        token = token.strip(ASCII_SPACE)
         if not token:
             continue
         try:
@@ -274,9 +289,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     records = montecarlo.read_counts_file(args.counts)
-    options = FitOptions(max_evals=args.max_evals, weighting=args.weighting)
     init = _load_params(args.init)
-    result = error_model.fit_parameters(records, init=init, options=options)
+    result = error_model.fit_parameters(
+        records, init=init, max_evals=args.max_evals, weighting=args.weighting
+    )
     n_values = 4 * len(records)
     if n_values < 96:
         print(
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(curve)
     curve.add_argument("--pe-min", default="0", help="grid start (default 0)")
     curve.add_argument("--pe-max", default="1/3", help="grid end (default 1/3)")
-    curve.add_argument("--steps", type=int, default=35, help="grid points")
+    curve.add_argument("--steps", type=_ascii_int, default=35, help="grid points")
     _add_output_flags(curve)
     curve.set_defaults(func=cmd_curve)
 
@@ -344,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--states", default="H,V,D,A", help="comma list of input states"
     )
-    simulate.add_argument("--pairs", type=int, default=50_000, help="events per record")
-    simulate.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    simulate.add_argument(
+        "--pairs", type=_ascii_int, default=50_000, help="events per record"
+    )
+    simulate.add_argument("--seed", type=_ascii_int, default=0, help="64-bit RNG seed")
     _add_output_flags(simulate, formats=False)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -358,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--counts", required=True, metavar="PATH")
     fit.add_argument("--init", metavar="PATH", help="initial parameter file")
     fit.add_argument(
-        "--max-evals", type=int, default=50_000,
+        "--max-evals", type=_ascii_int, default=50_000,
         help="hard budget on residual evaluations, Jacobian columns included",
     )
     fit.add_argument("--weighting", choices=("equal", "counts"), default="equal")

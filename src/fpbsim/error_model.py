@@ -19,8 +19,10 @@ sift path: it predicts a whole pe grid and reduces it with one stacked
 ``montecarlo.sift_summaries`` does for measured counts. The fitter
 recovers the ten parameters from measured coincidence counts with a
 bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
-residual vector, using forward-difference Jacobians. Angles are radians;
-degrees appear only at I/O boundaries.
+residual vector, using forward-difference Jacobians; ``fit_parameters``
+takes its evaluation budget and record weighting as the keywords
+``max_evals`` and ``weighting``. Angles are radians; degrees appear only
+at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -270,27 +272,6 @@ def model_sift_summaries(
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Knobs of the least-squares fit.
-
-    ``max_evals`` is a hard budget on calls of the residual function,
-    finite-difference Jacobian columns included. ``weighting`` selects
-    how records enter the objective: "equal" weights every record's
-    normalized probabilities the same, "counts" scales each record by
-    its total counts relative to the mean total.
-    """
-
-    max_evals: int = 50_000
-    weighting: str = "equal"
-
-    def __post_init__(self) -> None:
-        if self.weighting not in ("equal", "counts"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be positive")
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Outcome of a parameter fit.
 
@@ -501,7 +482,9 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
 def fit_parameters(
     records: Sequence[CountsRecord],
     init: ErrorModelParams | None = None,
-    options: FitOptions | None = None,
+    *,
+    max_evals: int = 50_000,
+    weighting: str = "equal",
 ) -> FitResult:
     """Fit the ten error-model parameters to measured counts.
 
@@ -509,8 +492,8 @@ def fit_parameters(
     normalized probabilities and the forward-model prediction inside
     |angle| < pi/2 with a bounded trust-region Levenberg-Marquardt solver
     (``_trust_region_lm``) on a two-point finite-difference Jacobian.
-    Deterministic given identical records (in any order), init, and
-    options.
+    Deterministic given identical records (in any order), init,
+    ``max_evals`` and ``weighting``.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis
@@ -530,8 +513,13 @@ def fit_parameters(
         nominal error probabilities.
     init:
         Starting point; all-zero parameters when omitted.
-    options:
-        Evaluation budget and weighting.
+    max_evals:
+        Hard budget on calls of the residual function, finite-difference
+        Jacobian columns included; positive.
+    weighting:
+        How records enter the objective: "equal" weights every record's
+        normalized probabilities the same, "counts" scales each record by
+        its total counts relative to the mean total.
 
     Returns
     -------
@@ -540,7 +528,10 @@ def fit_parameters(
         number of residual evaluations (never above ``max_evals``), whether
         the solver met a tolerance within the budget, and which one.
     """
-    options = options or FitOptions()
+    if weighting not in ("equal", "counts"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    if max_evals < 1:
+        raise ValueError("max_evals must be positive")
     init = init or ErrorModelParams()
     if len(records) * 4 < 10:
         raise ValueError(
@@ -550,7 +541,7 @@ def fit_parameters(
     if len({record.pe_nominal for record in records}) < 2:
         raise ValueError("records must span at least 2 distinct error probabilities")
 
-    objective = _make_objective(records, options.weighting)
+    objective = _make_objective(records, weighting)
     held = _held_keys(records)
     free = np.array([key not in held for key in _PARAM_KEYS])
     x0 = init.as_vector()
@@ -559,7 +550,7 @@ def fit_parameters(
 
     def free_residuals(z: np.ndarray) -> np.ndarray:
         nonlocal best_x, best_residual, evaluations
-        if evaluations >= options.max_evals:
+        if evaluations >= max_evals:
             raise _BudgetExhausted
         x = x0.copy()
         x[free] = z

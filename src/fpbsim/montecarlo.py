@@ -11,10 +11,13 @@ path: it groups any records, such as a whole file, by sift basis and
 nominal pe, and reduces the two rows ``counts / total`` of every group
 of one record per input state with one stacked ``probe.sift_cells`` and
 ``probe.renyi_information`` pass, as ``error_model.model_sift_summaries``
-does with the model's predictions. Counts files are strict ASCII: a
-count is decimal digits only, and a pe or duration has no ``_``. A
-reference data set of measured counts for the D and A inputs at three
-nominal error probabilities ships with the package.
+does with the model's predictions. ``counts_file_text`` writes records
+as counts-file text and ``read_counts_file`` reads a file back. Counts
+files are strict ASCII: a count is decimal digits only, a pe or
+duration has no ``_``, and only ASCII whitespace pads a line or field.
+A reference data set of measured counts for the D and A inputs at three
+nominal error probabilities ships with the package;
+``read_counts_file(reference_counts_path())`` reads it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ _REFERENCE_FILE = "reference_counts.csv"
 
 #: Largest number of pairs one multinomial draw accepts (numpy's int64 limit).
 MAX_PAIRS = 2**63 - 1
+
+#: The only characters that may pad a counts-file line or field: the ASCII
+#: whitespace of ``string.whitespace``. ``str.strip()`` with no argument
+#: would also drop non-ASCII spaces.
+ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 
 class CountsFileError(ValueError):
@@ -173,26 +181,13 @@ def sift_summaries(
     ]
 
 
-def format_record(record: CountsRecord) -> str:
-    """One counts-file line for a record."""
-    fields = [
-        record.alice.value,
-        record.bob_basis.value,
-        repr(record.pe_nominal),
-        *[str(c) for c in record.counts],
-    ]
-    if record.duration_s is not None:
-        fields.append(repr(record.duration_s))
-    return ",".join(fields)
-
-
 #: Counts-file spellings of the states and bases.
 _STATES = {state.value: state for state in Bb84State}
 _BASES = {basis.value: basis for basis in SiftBasis}
 
 
 def _parse_record(line: str) -> CountsRecord:
-    fields = [f.strip() for f in line.split(",")]
+    fields = [f.strip(ASCII_SPACE) for f in line.split(",")]
     if len(fields) not in (7, 8):
         raise ValueError(f"expected 7 or 8 comma-separated fields, got {len(fields)}")
     # The Enum calls only run to raise their error for an unknown name.
@@ -221,7 +216,7 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsR
     """Parse counts-file lines; '#' comments and blank lines are skipped."""
     records = []
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+        stripped = line.strip(ASCII_SPACE)
         if not stripped or stripped.startswith("#"):
             continue
         try:
@@ -241,23 +236,19 @@ def read_counts_file(path: str | Path) -> list[CountsRecord]:
         raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def write_counts_file(path: str | Path, records: Sequence[CountsRecord]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(counts_file_text(records))
-
-
 def counts_file_text(records: Sequence[CountsRecord]) -> str:
+    """Counts-file text: a header comment, then one line per record."""
     cells = ",".join(f"n_b{b}e{e}" for b, e in OUTCOME_ORDER)
-    header = f"# alice,basis,pe_nominal,{cells}[,duration_s]\n"
-    return header + "".join(format_record(record) + "\n" for record in records)
+    lines = [f"# alice,basis,pe_nominal,{cells}[,duration_s]"]
+    for record in records:
+        line = f"{record.alice.value},{record.bob_basis.value},{record.pe_nominal!r},"
+        line += ",".join(map(str, record.counts))
+        if record.duration_s is not None:
+            line += f",{record.duration_s!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def reference_counts_path() -> Path:
     """Filesystem path of the bundled reference counts data set."""
     return Path(str(resources.files("fpbsim").joinpath("data", _REFERENCE_FILE)))
-
-
-def load_reference_counts() -> list[CountsRecord]:
-    """The bundled measured coincidence counts (D and A inputs, DA basis)."""
-    source = resources.files("fpbsim").joinpath("data", _REFERENCE_FILE)
-    return parse_counts(source.read_text(encoding="utf-8").splitlines(), source=_REFERENCE_FILE)

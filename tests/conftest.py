@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,39 @@ def states_close(a, b, tol: float = 1e-9) -> bool:
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
     return bool(np.max(np.abs(a / phase - b)) <= tol)
+
+
+#: Only ASCII whitespace may pad a counts-file line or field.
+_PAD = "[ \t\n\r\x0b\x0c]*"
+_REAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+#: Reference grammar of a counts-file line, one pattern per comma-separated
+#: field to ``fullmatch`` it raw, padding included: the input state, Bob's
+#: basis, the pe, four counts of ASCII decimal digits, and an optional
+#: duration. The pe and duration are ASCII decimal reals without '_'; the
+#: spellings of inf and nan that ``float`` also reads are out of range for
+#: both, so leaving them out changes no verdict.
+COUNTS_LINE_GRAMMAR = tuple(
+    re.compile(_PAD + core + _PAD)
+    for core in ("[HVDA]", "(?:HV|DA)", _REAL, *["[0-9]+"] * 4, _REAL)
+)
+
+
+def counts_line_accepted(fields) -> bool:
+    """Whether a counts file should accept the line ``",".join(fields)``.
+
+    Every field must match ``COUNTS_LINE_GRAMMAR`` and the values must pass
+    the record checks: pe in [0, 0.5], a positive total, and a finite,
+    nonnegative duration.
+    """
+    if len(fields) not in (7, 8) or not all(
+        pattern.fullmatch(field) for pattern, field in zip(COUNTS_LINE_GRAMMAR, fields)
+    ):
+        return False
+    pe = float(fields[2])
+    total = sum(int(field) for field in fields[3:7])
+    duration = float(fields[7]) if len(fields) == 8 else 0.0
+    finite_duration = math.isfinite(duration) and duration >= 0.0
+    return 0.0 <= pe <= 0.5 and total > 0 and finite_duration
 
 
 @pytest.fixture(scope="session")

@@ -21,10 +21,10 @@ from fpbsim import (
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    write_counts_file,
 )
 import fpbsim
 from fpbsim.cli import _fmt, main
+from fpbsim.montecarlo import counts_file_text
 
 from conftest import (
     IDEAL_EXPECTED,
@@ -339,7 +339,7 @@ class TestEstimate:
                 )
             )
         path = tmp_path / "ideal.csv"
-        write_counts_file(path, records)
+        path.write_text(counts_file_text(records))
         code, out, _ = run(capsys, "estimate", "--counts", str(path))
         assert code == 0
         _, groups_table = parse_csv(out)
@@ -569,6 +569,50 @@ class TestParsing:
         code, _, err = run(capsys, "transmogrify")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("table", "--pe", "0.1_0,\u0660.\u0662"), "bad error probability '0.1_0'"),
+            (
+                ("table", "--pe", "0.1,\u0660.\u0662"),
+                "bad error probability '\u0660.\u0662'",
+            ),
+            (("table", "--pe", "1/\u0663"), "bad error probability '1/\u0663'"),
+            (("table", "--pe", "\u20030.1"), "bad error probability '\\u20030.1'"),
+            (("curve", "--pe-min", "0_0"), "bad error probability '0_0'"),
+            (("curve", "--pe-max", "0.2\u00a0"), "bad error probability '0.2\\xa0'"),
+            (("table", "--states", "D,\u2003A"), "unknown input state '\\u2003A'"),
+        ],
+        ids=[
+            "underscore", "arabic-indic", "arabic-indic-fraction", "em-space-pe",
+            "underscore-pe-min", "no-break-space-pe-max", "em-space-state",
+        ],
+    )
+    def test_pe_and_state_tokens_are_ascii(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "--steps", "\u0663"),
+            ("simulate", "--pairs", "1_0"),
+            ("simulate", "--seed", "\u0667"),
+            ("fit", "--counts", str(reference_counts_path()), "--max-evals", "4_0"),
+            ("curve", "--steps", "abc"),
+        ],
+        ids=["steps", "pairs", "seed", "max-evals", "not-a-number"],
+    )
+    def test_integer_flags_are_ascii(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        flag, token = argv[-2:]
+        assert err == (
+            f"error: fpbsim {argv[0]}: argument {flag}: invalid int value: "
+            f"{token!r}\n"
+        )
 
     def test_fraction_pe_tokens(self, capsys):
         code, out, _ = run(capsys, "table", "--pe", "1/3", "--states", "A")

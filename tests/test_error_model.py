@@ -10,11 +10,9 @@ from fpbsim import (
     Bb84State,
     CountsRecord,
     ErrorModelParams,
-    FitOptions,
     ProbeConfig,
     SiftBasis,
     fit_parameters,
-    load_reference_counts,
     model_sift_summaries,
     noise_free_counts,
     predict_outcome_probs,
@@ -503,9 +501,8 @@ class TestFit:
 
     def test_short_fit_residual_invariant_under_record_order(self, ref_params):
         records = synth_records(ref_params, 50_000, seed=314)
-        options = FitOptions(max_evals=400)
-        a = fit_parameters(records, options=options)
-        b = fit_parameters(records[::-1], options=options)
+        a = fit_parameters(records, max_evals=400)
+        b = fit_parameters(records[::-1], max_evals=400)
         assert a.residual == b.residual
         assert a.evaluations == b.evaluations
         np.testing.assert_array_equal(
@@ -514,9 +511,8 @@ class TestFit:
 
     def test_fit_is_deterministic(self, ref_params):
         records = synth_records(ref_params, 50_000, seed=11)
-        options = FitOptions(max_evals=1_500)
-        a = fit_parameters(records, options=options)
-        b = fit_parameters(records, options=options)
+        a = fit_parameters(records, max_evals=1_500)
+        b = fit_parameters(records, max_evals=1_500)
         np.testing.assert_array_equal(a.params.as_vector(), b.params.as_vector())
         assert a.residual == b.residual
         assert a.evaluations == b.evaluations
@@ -553,16 +549,14 @@ class TestFit:
 
     def test_counts_weighting_runs(self, ref_params):
         records = synth_records(ref_params, 20_000, seed=3)
-        result = fit_parameters(
-            records, options=FitOptions(max_evals=400, weighting="counts")
-        )
+        result = fit_parameters(records, max_evals=400, weighting="counts")
         assert result.residual >= 0.0
 
     def test_options_rejected(self):
         with pytest.raises(ValueError, match="unknown weighting 'median'"):
-            FitOptions(weighting="median")
+            fit_parameters([], weighting="median")
         with pytest.raises(ValueError, match="max_evals must be positive"):
-            FitOptions(max_evals=0)
+            fit_parameters([], max_evals=0)
 
     def test_rejects_degenerate_inputs(self):
         zero = ErrorModelParams()
@@ -575,7 +569,7 @@ class TestFit:
 
     def test_nonconvergence_reported(self, ref_params):
         records = synth_records(ref_params, 10_000, seed=8)
-        result = fit_parameters(records, options=FitOptions(max_evals=40))
+        result = fit_parameters(records, max_evals=40)
         assert not result.converged
         assert result.termination == "budget"
         assert result.evaluations <= 40
@@ -585,7 +579,7 @@ class TestFit:
         objective = _make_objective(records, "equal")
         start = math.fsum(objective(np.zeros(10)) ** 2)
         for budget in (1, 2, 11, 12, 25, 60):
-            result = fit_parameters(records, options=FitOptions(max_evals=budget))
+            result = fit_parameters(records, max_evals=budget)
             assert result.evaluations == budget
             assert not result.converged
             assert result.held == ()
@@ -594,7 +588,9 @@ class TestFit:
             assert fitted == pytest.approx(result.residual, rel=1e-12)
 
     def test_unconstrained_angles_held_at_init(self, ref_params):
-        result = fit_parameters(load_reference_counts(), init=ref_params)
+        result = fit_parameters(
+            read_counts_file(reference_counts_path()), init=ref_params
+        )
         assert result.converged
         assert result.held == ("d_theta_a_h", "d_theta_a_v", "d_theta_b_hv")
         fitted = result.params.to_dict()
@@ -607,7 +603,7 @@ class TestFit:
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
     def test_matches_scipy_trust_region_reflective(self, tmp_path, seed):
         if seed is None:
-            records = load_reference_counts()
+            records = read_counts_file(reference_counts_path())
         else:
             path = tmp_path / "sim.csv"
             assert main([
@@ -635,8 +631,6 @@ class TestFit:
         # at a local minimum. A solver that clips each trial point to the box,
         # instead of shortening the step, grinds there until the budget runs out.
         truth = seeded_truth("map:60:2", 60.0)
-        result = fit_parameters(
-            synth_records(truth, 10**9), options=FitOptions(max_evals=1_000)
-        )
+        result = fit_parameters(synth_records(truth, 10**9), max_evals=1_000)
         assert result.termination in ("ftol", "xtol", "gtol")
         assert result.evaluations <= 300

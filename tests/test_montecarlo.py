@@ -13,7 +13,6 @@ from fpbsim import (
     ProbeConfig,
     SiftBasis,
     estimate_probabilities,
-    load_reference_counts,
     noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
@@ -21,11 +20,14 @@ from fpbsim import (
     renyi_closed_form,
     sift_summaries,
     simulate_counts,
-    write_counts_file,
 )
 from fpbsim.montecarlo import counts_file_text, parse_counts
 
-from conftest import renyi_information_oracle, sift_cells_oracle
+from conftest import (
+    counts_line_accepted,
+    renyi_information_oracle,
+    sift_cells_oracle,
+)
 
 
 #: One counts-file field: valid tokens, near misses and arbitrary text.
@@ -54,6 +56,37 @@ VALID_LINE = st.one_of(
 ANY_LINE = st.one_of(
     VALID_LINE, st.lists(ANY_FIELD, min_size=6, max_size=9).map(",".join), st.text()
 )
+
+#: Characters of the numeric fields in the grammar test: ASCII digits and
+#: number signs, '_', ASCII and non-ASCII spaces, and Arabic-Indic digits.
+NUMBER_ALPHABET = "0123456789_+-.e \t\x0b\u2003\u00a0" + "".join(
+    chr(0x0660 + i) for i in range(10)
+)
+_ASCII_PAD = st.sampled_from(["", "", " ", "\t"])
+_ANY_PAD = st.sampled_from(["", " ", "\u2003", "\u00a0"])
+#: A field that replaces one numeric field of a well-formed line: any short
+#: text over NUMBER_ALPHABET, or a number padded with any spaces.
+JUNK_FIELD = st.one_of(
+    st.text(NUMBER_ALPHABET, max_size=6),
+    st.tuples(
+        _ANY_PAD, st.one_of(st.integers(-9, 99).map(str), st.floats(-1, 1).map(repr)),
+        _ANY_PAD,
+    ).map("".join),
+)
+
+
+@st.composite
+def grammar_fields(draw) -> list[str]:
+    """A well-formed line's fields, ASCII-padded, with up to two numeric
+    fields replaced by JUNK_FIELD."""
+    fields = [
+        draw(_ASCII_PAD) + field + draw(_ASCII_PAD)
+        for field in draw(VALID_LINE).split(",")
+    ]
+    numeric = st.integers(2, len(fields) - 1)
+    for index, junk in draw(st.dictionaries(numeric, JUNK_FIELD, max_size=2)).items():
+        fields[index] = junk
+    return fields
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -168,7 +201,7 @@ class TestEstimateProbabilities:
         np.testing.assert_array_equal(estimate_probabilities([record])[0], 0.25)
 
     def test_reference_rows(self, measured_estimated):
-        for record in load_reference_counts():
+        for record in read_counts_file(reference_counts_path()):
             want = measured_estimated[(record.alice.value, record.pe_nominal)]
             np.testing.assert_allclose(
                 estimate_probabilities([record])[0], want, atol=5e-4
@@ -202,7 +235,9 @@ def one_group(records) -> tuple[float, float, str | None]:
 
 class TestSiftedErrorRate:
     def test_reference_counts_at_zero(self):
-        records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
+        records = [
+            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.0
+        ]
         _, got, _ = one_group(records)
         # Equal-weight mean of the two per-record error fractions.
         want = ((1356 + 1836) / 49_956 + (1140 + 1112) / 48_304) / 2
@@ -219,10 +254,11 @@ class TestSiftedErrorRate:
         assert abs(got - 1 / 3) <= 3 * sigma
 
     def test_requires_matching_pair(self):
-        records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
+        reference = read_counts_file(reference_counts_path())
+        records = [r for r in reference if r.pe_nominal == 0.0]
         missing = "is missing a paired input state"
         assert one_group(records[:1])[2] == missing
-        d_only = [r for r in load_reference_counts() if r.alice is Bb84State.D]
+        d_only = [r for r in reference if r.alice is Bb84State.D]
         rows = sift_summaries(d_only)
         assert [problem for *_, problem in rows] == [missing] * 3
         d, a = records
@@ -239,7 +275,9 @@ class TestMeasuredRenyi:
         assert abs(got - 0.480) < 0.02
 
     def test_reference_counts_at_zero_small_but_positive(self):
-        records = [r for r in load_reference_counts() if r.pe_nominal == 0.0]
+        records = [
+            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.0
+        ]
         got, _, _ = one_group(records)
         assert 0.0 < got < 0.01
 
@@ -249,7 +287,9 @@ class TestMeasuredRenyi:
             assert abs(got - renyi_closed_form(pe)) < 2e-3
 
     def test_scaling_a_record_changes_nothing(self):
-        records = [r for r in load_reference_counts() if r.pe_nominal == 0.1]
+        records = [
+            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.1
+        ]
         scaled = [
             CountsRecord(
                 records[0].alice,
@@ -262,7 +302,8 @@ class TestMeasuredRenyi:
         assert one_group(records)[0] == one_group(scaled)[0]
 
     def test_rejects_missing_or_empty_pairs(self):
-        d, a = (r for r in load_reference_counts() if r.pe_nominal == 0.1)
+        reference = read_counts_file(reference_counts_path())
+        d, a = (r for r in reference if r.pe_nominal == 0.1)
         assert one_group([d, d])[2] == "is missing a paired input state"
         empty = [
             CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
@@ -335,7 +376,7 @@ class TestCountsFiles:
             CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (10, 0, 0, 7)),
         ]
         path = tmp_path / "counts.csv"
-        write_counts_file(path, records)
+        path.write_text(counts_file_text(records))
         assert read_counts_file(path) == records
 
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -363,6 +404,13 @@ class TestCountsFiles:
             pytest.param(
                 "D,DA,0.1,1,2,3,4,4\u0660", "'4\u0660'", id="arabic-indic-duration"
             ),
+            pytest.param(
+                "D,DA,\u20030.1,1,2,3,4", "is not an ASCII number", id="em-space-pe"
+            ),
+            pytest.param(
+                "D,DA,0.1,1,2,3,4\u00a0", "is not a nonnegative decimal integer",
+                id="no-break-space-end",
+            ),
             ("D,DA,0.1,0,0,0,0", "zero total"),
             pytest.param(
                 "D,DA,0.1,1" + "0" * 400 + ",0,0,0", "largest float", id="oversized"
@@ -386,8 +434,18 @@ class TestCountsFiles:
         assert all(isinstance(record, CountsRecord) for record in records)
         assert parse_counts(counts_file_text(records).splitlines()) == records
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(fields=grammar_fields())
+    def test_parser_accepts_exactly_the_reference_grammar(self, fields):
+        line = ",".join(fields)
+        if counts_line_accepted(fields):
+            assert len(parse_counts([line])) == 1
+        else:
+            with pytest.raises(CountsFileError, match="^<counts>:1: "):
+                parse_counts([line])
+
     def test_reference_file_contents(self):
-        records = load_reference_counts()
+        records = read_counts_file(reference_counts_path())
         assert len(records) == 6
         assert {r.pe_nominal for r in records} == {0.0, 0.1, 0.33}
         assert all(r.bob_basis is SiftBasis.DA for r in records)
