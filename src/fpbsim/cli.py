@@ -88,7 +88,7 @@ def _parse_pe(token: str) -> float:
         raise UsageError(f"bad error probability {token!r}") from exc
     if not 0.0 <= pe <= 0.5:
         raise UsageError(f"error probability {token!r} outside [0, 0.5]")
-    return pe
+    return pe + 0.0  # a negative zero reads as zero; no other value changes
 
 
 def _parse_pe_list(text: str) -> list[float]:

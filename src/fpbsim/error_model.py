@@ -5,7 +5,8 @@ parameters describe the deviations of a real setup from the ideal
 attack: a residual phase on the probe preparation, a residual phase and
 four per-state wave-plate offsets on Alice's qubit, an imbalance and
 phase of the entangling gate, and one analyzer offset per measurement
-basis. With all ten at zero the model is the ideal attack.
+basis. With all ten at zero the model is the ideal attack. They are the
+fields of ``ErrorModelParams``, named and ordered as the parameter file.
 
 The model works on plain numpy arrays throughout. Single-qubit states
 are ``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
@@ -30,8 +31,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,24 +43,13 @@ from .probe import renyi_information, sift_cells
 #: Fit box constraint on every parameter, radians.
 ANGLE_BOUND = math.pi / 2
 
-_STATE_ORDER = (Bb84State.H, Bb84State.D, Bb84State.V, Bb84State.A)
-_PARAM_KEYS = (
-    "d_xi",
-    "d_chi",
-    "d_theta_a_h",
-    "d_theta_a_d",
-    "d_theta_a_v",
-    "d_theta_a_a",
-    "alpha",
-    "delta",
-    "d_theta_b_hv",
-    "d_theta_b_da",
-)
-
 
 @dataclass(frozen=True)
 class ErrorModelParams:
     """The ten hardware error parameters, all angles in radians.
+
+    The fields carry the parameter-file key names, in the order of the
+    file, of ``as_vector`` and of the fit vector.
 
     Attributes
     ----------
@@ -68,20 +58,25 @@ class ErrorModelParams:
         compensation.
     d_chi:
         Residual phase on Alice's qubit after its nominal compensation.
-    d_theta_a:
-        Wave-plate offsets of Alice's state angle, indexed (H, D, V, A).
+    d_theta_a_h, d_theta_a_d, d_theta_a_v, d_theta_a_a:
+        Wave-plate offsets of Alice's state angle for the H, D, V and A
+        inputs.
     alpha, delta:
         Imbalance and phase of the entangling gate; zero for an ideal gate.
-    d_theta_b:
-        Analyzer angle offsets, indexed (HV, DA).
+    d_theta_b_hv, d_theta_b_da:
+        Analyzer angle offsets of the HV and DA bases.
     """
 
     d_xi: float = 0.0
     d_chi: float = 0.0
-    d_theta_a: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    d_theta_a_h: float = 0.0
+    d_theta_a_d: float = 0.0
+    d_theta_a_v: float = 0.0
+    d_theta_a_a: float = 0.0
     alpha: float = 0.0
     delta: float = 0.0
-    d_theta_b: tuple[float, float] = (0.0, 0.0)
+    d_theta_b_hv: float = 0.0
+    d_theta_b_da: float = 0.0
 
     def __post_init__(self) -> None:
         values = self.as_vector()
@@ -92,47 +87,30 @@ class ErrorModelParams:
                 "error-model angles must satisfy |angle| < pi/2 radians"
             )
 
-    def theta_a_offset(self, state: Bb84State) -> float:
-        return self.d_theta_a[_STATE_ORDER.index(state)]
-
-    def theta_b_offset(self, basis: SiftBasis) -> float:
-        return self.d_theta_b[0] if basis is SiftBasis.HV else self.d_theta_b[1]
-
     def as_vector(self) -> np.ndarray:
-        """Flat parameter vector in the serialization key order, radians."""
-        return np.array(
-            [self.d_xi, self.d_chi, *self.d_theta_a, self.alpha, self.delta,
-             *self.d_theta_b]
-        )
+        """Flat parameter vector in field order, radians."""
+        return np.array([getattr(self, key) for key in _PARAM_KEYS])
 
     @classmethod
     def from_vector(cls, x: Sequence[float]) -> "ErrorModelParams":
         x = [float(v) for v in x]
         if len(x) != 10:
             raise ValueError(f"expected 10 parameters, got {len(x)}")
-        return cls(
-            d_xi=x[0],
-            d_chi=x[1],
-            d_theta_a=(x[2], x[3], x[4], x[5]),
-            alpha=x[6],
-            delta=x[7],
-            d_theta_b=(x[8], x[9]),
-        )
+        return cls(*x)
 
     def to_dict(self) -> dict[str, float]:
         """Flat key/value form with angles in degrees."""
-        return {
-            key: math.degrees(value)
-            for key, value in zip(_PARAM_KEYS, self.as_vector())
-        }
+        return {key: math.degrees(getattr(self, key)) for key in _PARAM_KEYS}
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, float]) -> "ErrorModelParams":
         """Parse the flat degree-valued form; unknown keys are ignored.
 
-        Each value must be a real number (a JSON number); a string or a
-        boolean is rejected.
+        ``doc`` must be a mapping (a JSON object), and each value a real
+        number (a JSON number); a string or a boolean is rejected.
         """
+        if not isinstance(doc, Mapping):
+            raise ValueError("parameter document must be a JSON object")
         missing = [key for key in _PARAM_KEYS if key not in doc]
         if missing:
             raise ValueError(f"parameter document missing keys: {missing}")
@@ -148,6 +126,14 @@ class ErrorModelParams:
             except OverflowError as exc:
                 raise ValueError(f"parameter {key}: {exc}") from exc
         return cls.from_vector(values)
+
+
+#: Parameter-file keys in vector order: the field names.
+_PARAM_KEYS = tuple(f.name for f in fields(ErrorModelParams))
+#: The field holding each input state's wave-plate offset.
+_THETA_A_KEY = {state: f"d_theta_a_{state.value.lower()}" for state in Bb84State}
+#: The field holding each basis's analyzer offset.
+_THETA_B_KEY = {basis: f"d_theta_b_{basis.value.lower()}" for basis in SiftBasis}
 
 
 def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
@@ -216,7 +202,8 @@ def output_state(
     for photon (control) bit ``c`` and probe (target) bit ``t``. At zero
     parameters this is the ideal attack output.
     """
-    photon = nonideal_alice_state(alice, params.theta_a_offset(alice), params.d_chi)
+    d_theta = getattr(params, _THETA_A_KEY[alice])
+    photon = nonideal_alice_state(alice, d_theta, params.d_chi)
     probe = nonideal_probe_state(cfg, params.d_xi)
     return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
 
@@ -238,7 +225,7 @@ def predict_outcome_probs(
     array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
     (0,1), (0,0); the entries sum to one by unitarity.
     """
-    analyzer = bob_analyzer(bob_basis, params.theta_b_offset(bob_basis))
+    analyzer = bob_analyzer(bob_basis, getattr(params, _THETA_B_KEY[bob_basis]))
     amplitudes = analyzer.conj() @ output_state(params, alice, cfg).reshape(2, 2)
     return (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
 
@@ -340,8 +327,8 @@ def _held_keys(records: Sequence[CountsRecord]) -> tuple[str, ...]:
     """
     states = {record.alice for record in records}
     bases = {record.bob_basis for record in records}
-    held = {f"d_theta_a_{s.value.lower()}" for s in Bb84State if s not in states}
-    held |= {f"d_theta_b_{b.value.lower()}" for b in SiftBasis if b not in bases}
+    held = {key for state, key in _THETA_A_KEY.items() if state not in states}
+    held |= {key for basis, key in _THETA_B_KEY.items() if basis not in bases}
     return tuple(key for key in _PARAM_KEYS if key in held)
 
 
@@ -565,14 +552,16 @@ def fit_parameters(
         termination = _trust_region_lm(free_residuals, x0[free])
     except _BudgetExhausted:
         termination = "budget"
-    x = best_x
-    if x[6] < 0.0:
+    params = ErrorModelParams.from_vector(best_x)
+    if params.alpha < 0.0:
         # Pick the conjugation-symmetric representative with alpha >= 0;
         # it predicts the same probabilities, so the residual stands.
-        x = x.copy()
-        x[[0, 1, 6, 7]] *= -1.0
+        params = replace(
+            params, d_xi=-params.d_xi, d_chi=-params.d_chi, alpha=-params.alpha,
+            delta=-params.delta,
+        )
     return FitResult(
-        params=ErrorModelParams.from_vector(x),
+        params=params,
         residual=best_residual,
         evaluations=evaluations,
         converged=termination != "budget",

@@ -206,7 +206,7 @@ def _parse_record(line: str) -> CountsRecord:
     if not text.isascii() or "_" in text:
         bad = next(f for f in real_fields if not f.isascii() or "_" in f)
         raise ValueError(f"{bad!r} is not an ASCII number")
-    pe = float(fields[2])
+    pe = float(fields[2]) + 0.0  # a negative zero reads as zero
     counts = tuple(map(int, count_fields))
     duration = float(fields[7]) if len(fields) == 8 else None
     return CountsRecord(alice, basis, pe, counts, duration)

@@ -239,10 +239,14 @@ def ref_params() -> ErrorModelParams:
     return ErrorModelParams(
         d_xi=deg(3.0),
         d_chi=deg(-11.0),
-        d_theta_a=(deg(3.2), deg(0.9), deg(-0.7), deg(-2.3)),
+        d_theta_a_h=deg(3.2),
+        d_theta_a_d=deg(0.9),
+        d_theta_a_v=deg(-0.7),
+        d_theta_a_a=deg(-2.3),
         alpha=deg(12.3),
         delta=deg(3.6),
-        d_theta_b=(deg(-1.8), 0.0),
+        d_theta_b_hv=deg(-1.8),
+        d_theta_b_da=0.0,
     )
 
 

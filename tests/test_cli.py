@@ -36,6 +36,12 @@ from conftest import (
 EXAMPLE_PARAMS = str(reference_counts_path().parent / "example_params.json")
 
 
+def example_with_d_chi(value: str) -> str:
+    """The example parameter file's text with ``value`` as d_chi's JSON."""
+    doc = json.loads(Path(EXAMPLE_PARAMS).read_text())
+    return json.dumps({**doc, "d_chi": "VALUE"}).replace('"VALUE"', value)
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -203,17 +209,19 @@ class TestTable:
         assert "unknown input state" in err
 
     @pytest.mark.parametrize(
-        "value, message",
+        "text, message",
         [
-            ("1" + "0" * 400, "parameter d_chi: int too large to convert to float"),
-            ("true", "parameter d_chi: a boolean is not an angle"),
-            ('"3"', "parameter d_chi: '3' is not a number"),
+            (example_with_d_chi("1" + "0" * 400),
+             "parameter d_chi: int too large to convert to float"),
+            (example_with_d_chi("true"), "parameter d_chi: a boolean is not an angle"),
+            (example_with_d_chi('"3"'), "parameter d_chi: '3' is not a number"),
+            ("[1, 2]", "parameter document must be a JSON object"),
+            (json.dumps(" ".join(json.loads(Path(EXAMPLE_PARAMS).read_text()))),
+             "parameter document must be a JSON object"),
         ],
-        ids=["oversized", "bool", "string"],
+        ids=["oversized", "bool", "string", "list-document", "string-document"],
     )
-    def test_unconvertible_parameter_rejected(self, capsys, tmp_path, value, message):
-        doc = json.loads(Path(EXAMPLE_PARAMS).read_text())
-        text = json.dumps({**doc, "d_chi": "VALUE"}).replace('"VALUE"', value)
+    def test_unconvertible_parameter_rejected(self, capsys, tmp_path, text, message):
         path = tmp_path / "params.json"
         path.write_text(text)
         code, out, err = run(capsys, "table", "--params", str(path))
@@ -623,6 +631,32 @@ class TestParsing:
             [float(v) for v in rows[0][2:]], IDEAL_EXPECTED[("A", 1 / 3)], atol=5e-4
         )
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["A,DA,0,4,3,2,1", "D,DA,-0.0,1,2,3,4"],
+            ["D,DA,-0.0,1,2,3,4", "A,DA,0,4,3,2,1"],
+        ],
+        ids=["zero-first", "negative-zero-first"],
+    )
+    def test_negative_zero_pe_in_counts_reads_as_zero(self, capsys, tmp_path, lines):
+        path = tmp_path / "counts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, err) == (0, "")
+        (_, records), (_, groups) = parse_csv(out)
+        assert [row[2] for row in records] == ["0", "0"]
+        assert [row[:2] for row in groups] == [["DA", "0"]]
+
+    def test_negative_zero_pe_flag_reads_as_zero(self, capsys):
+        code, out, _ = run(capsys, "table", "--pe", "-0")
+        assert code == 0
+        (_, rows), = parse_csv(out)
+        assert [row[:2] for row in rows] == [["D", "0"], ["A", "0"]]
+        code, out, _ = run(capsys, "simulate", "--pe=-0", "--pairs", "10")
+        assert code == 0
+        assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"0.0"}
+
 
 @pytest.mark.parametrize(
     "argv, table",
@@ -647,6 +681,29 @@ def test_json_agrees_with_csv(capsys, argv, table):
         assert list(obj) == columns
         for value, cell in zip(obj.values(), row):
             assert value == (cell if isinstance(value, str) else float(cell))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("curve.csv", ["curve"]),
+        ("curve_example.json", ["curve", "--format", "json", "--params", EXAMPLE_PARAMS]),
+        ("table_example.csv", ["table", "--params", EXAMPLE_PARAMS, "--states", "H,V,D,A"]),
+        ("simulate_example_seed42.csv",
+         ["simulate", "--params", EXAMPLE_PARAMS, "--seed", "42"]),
+        ("estimate_reference.csv", ["estimate", "--counts", str(reference_counts_path())]),
+        ("estimate_reference.json",
+         ["estimate", "--counts", str(reference_counts_path()), "--format", "json"]),
+    ],
+)
+def test_stdout_matches_golden_file(capsys, name, argv):
+    """The files under tests/golden hold these commands' stdout, byte for byte."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)

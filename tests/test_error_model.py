@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,13 +103,12 @@ def recovered(x: np.ndarray, residual: float, truth: ErrorModelParams) -> bool:
 
 def mirror(params: ErrorModelParams) -> ErrorModelParams:
     """Conjugation-symmetric twin: negate both phases, alpha, and delta."""
-    return ErrorModelParams(
+    return dataclasses.replace(
+        params,
         d_xi=-params.d_xi,
         d_chi=-params.d_chi,
-        d_theta_a=params.d_theta_a,
         alpha=-params.alpha,
         delta=-params.delta,
-        d_theta_b=params.d_theta_b,
     )
 
 
@@ -118,24 +120,17 @@ def reflect(params: ErrorModelParams) -> ErrorModelParams | None:
     def wrap(angle: float) -> float:
         return (angle + math.pi / 2) % math.pi - math.pi / 2
 
-    d_theta_a = [
-        wrap(-2 * state.theta - params.theta_a_offset(state))
-        for state in (Bb84State.H, Bb84State.D, Bb84State.V, Bb84State.A)
-    ]
-    d_theta_b = [
-        wrap(-math.pi / 4 - params.d_theta_b[0]),
-        wrap(math.pi / 4 - params.d_theta_b[1]),
-    ]
-    if any(abs(angle) >= math.pi / 2 for angle in d_theta_a + d_theta_b):
+    offsets = {
+        "d_theta_a_h": wrap(-2 * Bb84State.H.theta - params.d_theta_a_h),
+        "d_theta_a_d": wrap(-2 * Bb84State.D.theta - params.d_theta_a_d),
+        "d_theta_a_v": wrap(-2 * Bb84State.V.theta - params.d_theta_a_v),
+        "d_theta_a_a": wrap(-2 * Bb84State.A.theta - params.d_theta_a_a),
+        "d_theta_b_hv": wrap(-math.pi / 4 - params.d_theta_b_hv),
+        "d_theta_b_da": wrap(math.pi / 4 - params.d_theta_b_da),
+    }
+    if any(abs(angle) >= math.pi / 2 for angle in offsets.values()):
         return None
-    return ErrorModelParams(
-        d_xi=params.d_xi,
-        d_chi=params.d_chi,
-        d_theta_a=tuple(d_theta_a),
-        alpha=params.alpha,
-        delta=params.delta,
-        d_theta_b=tuple(d_theta_b),
-    )
+    return dataclasses.replace(params, **offsets)
 
 
 def inset(low_deg: float, high_deg: float):
@@ -151,12 +146,14 @@ QUARTER_TWIN_DOMAIN = st.builds(
     ErrorModelParams,
     d_xi=inset(-90, 90),
     d_chi=inset(-90, 90),
-    d_theta_a=st.tuples(
-        inset(-90, 45), inset(-45, 90), inset(-90, 45), inset(-45, 90)
-    ),
+    d_theta_a_h=inset(-90, 45),
+    d_theta_a_d=inset(-45, 90),
+    d_theta_a_v=inset(-90, 45),
+    d_theta_a_a=inset(-45, 90),
     alpha=inset(0, 90),
     delta=inset(-90, 90),
-    d_theta_b=st.tuples(inset(-45, 90), inset(-90, 45)),
+    d_theta_b_hv=inset(-45, 90),
+    d_theta_b_da=inset(-90, 45),
 )
 
 
@@ -169,18 +166,20 @@ def quarter_twin(params: ErrorModelParams) -> ErrorModelParams | None:
     [-180, 180) deg; d_chi and delta stay.
     """
     quarter = math.pi / 4
-    h, d, v, a = params.d_theta_a
-    hv, da = params.d_theta_b
     d_xi = (2 * params.delta - params.d_xi) % (2 * math.pi) - math.pi
     if abs(d_xi) >= math.pi / 2:
         return None
     return ErrorModelParams(
         d_xi=d_xi,
         d_chi=params.d_chi,
-        d_theta_a=(-quarter - h, quarter - d, -quarter - v, quarter - a),
+        d_theta_a_h=-quarter - params.d_theta_a_h,
+        d_theta_a_d=quarter - params.d_theta_a_d,
+        d_theta_a_v=-quarter - params.d_theta_a_v,
+        d_theta_a_a=quarter - params.d_theta_a_a,
         alpha=math.pi / 2 - params.alpha,
         delta=params.delta,
-        d_theta_b=(quarter - hv, -quarter - da),
+        d_theta_b_hv=quarter - params.d_theta_b_hv,
+        d_theta_b_da=-quarter - params.d_theta_b_da,
     )
 
 
@@ -212,10 +211,46 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             ErrorModelParams(d_xi=float("nan"))
 
-    def test_offset_lookup(self, ref_params):
-        assert ref_params.theta_a_offset(Bb84State.H) == math.radians(3.2)
-        assert ref_params.theta_a_offset(Bb84State.A) == math.radians(-2.3)
-        assert ref_params.theta_b_offset(SiftBasis.DA) == 0.0
+    def test_field_order_is_the_file_and_vector_layout(self):
+        names = [field.name for field in dataclasses.fields(ErrorModelParams)]
+        assert list(json.loads(Path(EXAMPLE_PARAMS).read_text())) == names
+        params = ErrorModelParams(**{name: i / 100 for i, name in enumerate(names)})
+        assert list(params.to_dict()) == names
+        assert params.as_vector().tolist() == [i / 100 for i in range(10)]
+        assert ErrorModelParams.from_vector(params.as_vector()) == params
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        params=ANY_PARAMS,
+        key=st.sampled_from(
+            ["d_theta_a_h", "d_theta_a_d", "d_theta_a_v", "d_theta_a_a",
+             "d_theta_b_hv", "d_theta_b_da"]
+        ),
+        value=IN_BOX,
+    )
+    def test_offset_moves_only_its_own_predictions(self, params, key, value):
+        """The premise of ``FitResult.held``: a wave-plate offset enters only
+        its state's predictions, an analyzer offset only its basis's."""
+        assume(abs(value - getattr(params, key)) > 1e-3)
+        moved = dataclasses.replace(params, **{key: value})
+        changed = set()
+        for state in Bb84State:
+            for basis in SiftBasis:
+                for pe in PE_POINTS:
+                    cfg = ProbeConfig(pe)
+                    before = predict_outcome_probs(params, state, basis, cfg)
+                    after = predict_outcome_probs(moved, state, basis, cfg)
+                    if not np.array_equal(before, after):
+                        changed.add((state, basis))
+        owner = key.rsplit("_", 1)[1].upper()
+        touched = {
+            (state, basis)
+            for state in Bb84State
+            for basis in SiftBasis
+            if owner in (state.value, basis.value)
+        }
+        assert changed <= touched
+        assert changed
 
 
 class TestNonidealStates:

@@ -280,7 +280,7 @@ class TestSiftTable:
         # both HV inputs.
         quarter = math.pi / 4
         params = ErrorModelParams(
-            d_theta_a=(quarter, 0.0, quarter, 0.0), d_theta_b=(quarter, 0.0)
+            d_theta_a_h=quarter, d_theta_a_v=quarter, d_theta_b_hv=quarter
         )
         renyi, rates = model_sift_summaries(params, [0.0, 0.1])
         assert math.isnan(renyi[0, 0])
