@@ -4,7 +4,9 @@ Generates multinomial coincidence counts from any outcome-probability
 vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
 explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
-information. Every record has a positive total that fits in a float.
+information. Every record has a positive total that fits in a float,
+and its nominal pe passes ``probe.checked_pe`` however the record is
+built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
 ``estimate_probabilities`` divides the counts of many records at once
 into an ``(N, 4)`` array. ``sift_summaries`` is the counts' one sift
 path: it groups any records, such as a whole file, by sift basis and
@@ -31,7 +33,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probe import OUTCOME_ORDER, Bb84State, SiftBasis, renyi_information, sift_cells
+from .probe import (
+    OUTCOME_ORDER, Bb84State, SiftBasis, checked_pe, renyi_information, sift_cells
+)
 
 _REFERENCE_FILE = "reference_counts.csv"
 
@@ -64,11 +68,7 @@ class CountsRecord:
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.pe_nominal <= 0.5):
-            raise ValueError(
-                f"nominal error probability must be in [0, 0.5], got "
-                f"{self.pe_nominal}"
-            )
+        object.__setattr__(self, "pe_nominal", checked_pe(self.pe_nominal))
         if len(self.counts) != 4 or any(
             not isinstance(c, int) or isinstance(c, bool) or c < 0
             for c in self.counts
@@ -206,7 +206,7 @@ def _parse_record(line: str) -> CountsRecord:
     if not text.isascii() or "_" in text:
         bad = next(f for f in real_fields if not f.isascii() or "_" in f)
         raise ValueError(f"{bad!r} is not an ASCII number")
-    pe = float(fields[2]) + 0.0  # a negative zero reads as zero
+    pe = float(fields[2])
     counts = tuple(map(int, count_fields))
     duration = float(fields[7]) if len(fields) == 8 else None
     return CountsRecord(alice, basis, pe, counts, duration)

@@ -6,6 +6,9 @@ polarization basis, then reads the probe with a projective measurement
 in its computational basis. This module names the pieces of that
 setting: the four BB84 states, the two sift bases, the detector outcome
 order, and the probe preparation for a chosen induced error probability.
+``checked_pe`` is the one rule for that probability: it lies in
+[0, 0.5], and -0.0 reads as 0.0. ``ProbeConfig``, ``renyi_closed_form``,
+``montecarlo.CountsRecord`` and the CLI's pe flags all go through it.
 It also holds the sift step that model predictions and measured counts
 share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
 array, and the sifted error rate), the Renyi information of that table,
@@ -22,7 +25,6 @@ that model with all ten hardware angles at zero.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -61,6 +63,15 @@ def sift_cells(rows) -> tuple[np.ndarray, np.ndarray | float]:
         wrong[..., 1, 0] + wrong[..., 1, 1]
     )
     return table, (float(error_rate) if rows.ndim == 2 else error_rate)
+
+
+def checked_pe(pe: float) -> float:
+    """``pe`` if it lies in [0, 0.5], else ValueError; NaN and infinities
+    fail, and a negative zero comes back as 0.0, so it prints and groups
+    as zero."""
+    if not 0.0 <= pe <= 0.5:
+        raise ValueError(f"error probability must be in [0, 0.5], got {pe}")
+    return pe + 0.0
 
 
 class Bb84State(Enum):
@@ -117,7 +128,8 @@ class ProbeConfig:
     Attributes
     ----------
     pe:
-        Error probability the attack induces on sifted bits, in [0, 0.5].
+        Error probability the attack induces on sifted bits, in [0, 0.5];
+        ``checked_pe`` rejects any other value and stores -0.0 as 0.0.
     c, s:
         Derived amplitudes ``sqrt(1 - 2*pe)`` and ``sqrt(2*pe)``.
     theta_in:
@@ -130,8 +142,7 @@ class ProbeConfig:
     theta_in: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.pe <= 0.5) or not math.isfinite(self.pe):
-            raise ValueError(f"error probability must be in [0, 0.5], got {self.pe}")
+        object.__setattr__(self, "pe", checked_pe(self.pe))
         c = math.sqrt(1.0 - 2.0 * self.pe)
         s = math.sqrt(2.0 * self.pe)
         object.__setattr__(self, "c", c)
@@ -189,15 +200,9 @@ def renyi_closed_form(pe: float) -> float:
     """Closed-form Renyi information of the ideal attack at error rate pe.
 
     ``log2(1 + 4*pe*(1 - 2*pe) / (1 - pe)^2)``: 0 bits at pe = 0 and a
-    full bit at pe = 1/3. Values above 1/3 are allowed up to 0.5 but are
-    outside the attack's useful operating range, so a warning is issued.
+    full bit at pe = 1/3. ``pe`` is any value ``checked_pe`` accepts; the
+    attack's useful operating range ends at 1/3, where the probe learns
+    the whole bit, and the information falls again above it.
     """
-    if not (0.0 <= pe <= 0.5) or not math.isfinite(pe):
-        raise ValueError(f"error probability must be in [0, 0.5], got {pe}")
-    if pe > 1.0 / 3.0 + 1e-12:
-        warnings.warn(
-            f"error probability {pe} exceeds 1/3; the probe gains less "
-            "information there",
-            stacklevel=2,
-        )
+    pe = checked_pe(pe)
     return math.log2(1.0 + 4.0 * pe * (1.0 - 2.0 * pe) / (1.0 - pe) ** 2)

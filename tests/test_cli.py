@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,8 @@ from fpbsim import (
     renyi_closed_form,
 )
 import fpbsim
-from fpbsim.cli import _fmt, main
-from fpbsim.montecarlo import counts_file_text
+from fpbsim.cli import MAX_STEPS, _fmt, main
+from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
     IDEAL_EXPECTED,
@@ -34,6 +36,13 @@ from conftest import (
 )
 
 EXAMPLE_PARAMS = str(reference_counts_path().parent / "example_params.json")
+
+#: Floats at the edges of [0, 0.5]: signed zeros, the smallest subnormals,
+#: 0.5 and its neighbours, NaN and the infinities.
+EDGE_PES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.nextafter(0.5, 0.0), 0.5,
+     math.nextafter(0.5, 1.0), float("nan"), float("inf"), float("-inf")]
+)
 
 
 def example_with_d_chi(value: str) -> str:
@@ -181,6 +190,8 @@ class TestCurve:
             ("curve", "--pe-min", "oops"),
             ("curve", "--ideal"),
             ("simulate", "--pairs", str(2**63)),
+            ("curve", "--steps", str(MAX_STEPS + 1)),
+            ("curve", "--steps", str(2**63 - 1)),
         ],
     )
     def test_usage_errors(self, capsys, args):
@@ -218,15 +229,27 @@ class TestTable:
             ("[1, 2]", "parameter document must be a JSON object"),
             (json.dumps(" ".join(json.loads(Path(EXAMPLE_PARAMS).read_text()))),
              "parameter document must be a JSON object"),
+            # The interpreter's recursion message differs between versions.
+            ("[" * 100_000 + "]" * 100_000, None),
         ],
-        ids=["oversized", "bool", "string", "list-document", "string-document"],
+        ids=[
+            "oversized", "bool", "string", "list-document", "string-document",
+            "deeply-nested",
+        ],
     )
     def test_unconvertible_parameter_rejected(self, capsys, tmp_path, text, message):
         path = tmp_path / "params.json"
         path.write_text(text)
-        code, out, err = run(capsys, "table", "--params", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: bad parameter file {path}: {message}\n"
+        for argv in (
+            ("table", "--params", str(path)),
+            ("fit", "--counts", str(reference_counts_path()), "--init", str(path)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: bad parameter file {path}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            if message is not None:
+                assert err == f"error: bad parameter file {path}: {message}\n"
 
     def test_missing_params_file(self, capsys, tmp_path):
         path = tmp_path / "none.json"
@@ -591,10 +614,13 @@ class TestParsing:
             (("curve", "--pe-min", "0_0"), "bad error probability '0_0'"),
             (("curve", "--pe-max", "0.2\u00a0"), "bad error probability '0.2\\xa0'"),
             (("table", "--states", "D,\u2003A"), "unknown input state '\\u2003A'"),
+            (("table", "--pe", ","), "empty error-probability list"),
+            (("table", "--states", " , "), "empty state list"),
         ],
         ids=[
             "underscore", "arabic-indic", "arabic-indic-fraction", "em-space-pe",
             "underscore-pe-min", "no-break-space-pe-max", "em-space-state",
+            "empty-pe-list", "blank-state-list",
         ],
     )
     def test_pe_and_state_tokens_are_ascii(self, capsys, argv, message):
@@ -656,6 +682,38 @@ class TestParsing:
         code, out, _ = run(capsys, "simulate", "--pe=-0", "--pairs", "10")
         assert code == 0
         assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"0.0"}
+
+    @settings(derandomize=True, deadline=None)
+    @given(pe=st.one_of(EDGE_PES, st.floats()))
+    def test_every_pe_entry_point_accepts_the_same_set(self, pe):
+        def table_pe() -> float:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["table", f"--pe={pe!r}", "--states", "D"])
+            if code:
+                raise ValueError(err.getvalue())
+            (_, rows), = parse_csv(out.getvalue())
+            return float(rows[0][1])
+
+        entry_points = {
+            "ProbeConfig": lambda: ProbeConfig(pe).pe,
+            "CountsRecord": lambda: CountsRecord(
+                Bb84State.D, SiftBasis.DA, pe, (1, 2, 3, 4)
+            ).pe_nominal,
+            "counts line": lambda: parse_counts([f"D,DA,{pe!r},1,2,3,4"])[0].pe_nominal,
+            "table --pe": table_pe,
+            "renyi_closed_form": lambda: renyi_closed_form(pe),
+        }
+        want_accepted = 0.0 <= pe <= 0.5
+        for name, entry_point in entry_points.items():
+            try:
+                value = entry_point()
+            except ValueError:
+                assert not want_accepted, name
+                continue
+            assert want_accepted, name
+            if pe == 0.0:  # either zero comes back as +0.0
+                assert math.copysign(1.0, value) == 1.0, name
 
 
 @pytest.mark.parametrize(

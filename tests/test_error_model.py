@@ -27,6 +27,7 @@ from fpbsim import (
 )
 from fpbsim.error_model import (
     _make_objective,
+    _trust_region_lm,
     bob_analyzer,
     nonideal_alice_state,
     nonideal_pcnot,
@@ -660,6 +661,19 @@ class TestFit:
             found += recovered(result.params.as_vector(), result.residual, truth)
             trf_found += recovered(*trf_fit_oracle(records), truth)
         assert found >= trf_found
+
+    def test_solver_stops_when_steps_become_negligible(self):
+        # Every trial step raises the cost (1 + |z|)^2, so z stays at 0 and
+        # the trust radius shrinks until a step is below 1e-8 * (1e-8 + |z|).
+        calls = []
+
+        def residual(z):
+            calls.append(z.copy())
+            return np.array([1.0 + abs(z[0])])
+
+        assert _trust_region_lm(residual, np.zeros(1)) == "xtol"
+        assert len(calls) == 30
+        assert 0.0 < abs(calls[-1][0]) < 1e-16
 
     def test_fit_into_the_box_bound_stops_early(self):
         # From zero, this truth's fit runs d_theta_a_d into the +90 deg bound

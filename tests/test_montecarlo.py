@@ -350,6 +350,13 @@ class TestSiftSummaries:
         cross = CountsRecord(Bb84State.D, SiftBasis.HV, 0.1, (1, 2, 3, 4))
         assert sift_summaries([cross]) == []
 
+    def test_negative_zero_pe_summary_independent_of_order(self):
+        a = CountsRecord(Bb84State.A, SiftBasis.DA, 0.0, (4, 3, 2, 1))
+        d = CountsRecord(Bb84State.D, SiftBasis.DA, -0.0, (1, 2, 3, 4))
+        rows = sift_summaries([a, d])
+        assert repr(rows) == repr(sift_summaries([d, a]))
+        assert [repr(pe) for _, pe, *_ in rows] == ["0.0"]
+
     def test_incomplete_groups_report_their_problem(self):
         d, a = noise_free_pair(0.1, 1000)
         lone = CountsRecord(Bb84State.H, SiftBasis.HV, 0.3, (1, 2, 3, 4))
@@ -378,6 +385,10 @@ class TestCountsFiles:
         path = tmp_path / "counts.csv"
         path.write_text(counts_file_text(records))
         assert read_counts_file(path) == records
+
+    def test_negative_zero_pe_written_as_zero(self):
+        record = CountsRecord(Bb84State.D, SiftBasis.DA, -0.0, (1, 2, 3, 4))
+        assert counts_file_text([record]).splitlines()[1] == "D,DA,0.0,1,2,3,4"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -351,6 +352,19 @@ class TestStackedKernels:
         raw = np.array([[30.0, 7.0], [5.0, 41.0]])
         assert renyi_information(2.0**-70 * raw) == renyi_information(raw)
 
+    @pytest.mark.parametrize(
+        "kernel, shape, message",
+        [
+            (sift_cells, (2, 3), "expected (..., 2, 4) outcome rows, got shape (2, 3)"),
+            (renyi_information, (3, 3),
+             "expected (..., 2, 2) joint tables, got shape (3, 3)"),
+        ],
+        ids=["sift-cells", "renyi-information"],
+    )
+    def test_wrong_shape_rejected(self, kernel, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernel(np.full(shape, 0.25))
+
     def test_one_bad_table_rejects_the_stack(self):
         good = np.full((2, 2), 0.25)
         bad_tables = (
@@ -383,9 +397,9 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             renyi_closed_form(0.6)
 
-    def test_warns_above_operating_range(self):
-        with pytest.warns(UserWarning, match="exceeds 1/3"):
-            renyi_closed_form(0.4)
+    def test_silent_above_operating_range(self):
+        # Only ``fpbsim curve`` reports grid points above 1/3.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            renyi_closed_form(1 / 3)
+            for pe in (1 / 3, 0.4, 0.5):
+                renyi_closed_form(pe)
