@@ -9,14 +9,18 @@ Subcommands:
 * ``table``     Model detection probabilities in the reference layout.
 * ``simulate``  Seeded synthetic coincidence-count files.
 * ``estimate``  Probabilities, error rates, and measured Renyi
-  information from a counts file. The per-(basis, pe) rows are
-  ``montecarlo.sift_summaries`` of the whole file; the command only
-  formats them, warning about each incomplete group.
+  information from a counts file. It reads the file as
+  ``montecarlo.CountsColumns`` and never builds a record; the
+  per-(basis, pe) rows are the columns' ``sift_summaries``, and the
+  command only formats them, warning about each incomplete group.
 * ``fit``       Least-squares fit of the ten error-model parameters, as
   one JSON document or ``key,value`` CSV rows with the same keys.
 
 Outputs are deterministic given the inputs and seed. Tables are CSV
-blocks or JSON row objects with the same columns. Exit codes: 0 on
+blocks or JSON row objects with the same columns, each table written
+from one ``%`` row template: CSV floats are ``"%.6g"``, and the JSON is
+byte for byte ``json.dumps(payload, indent=2)`` without running its
+pure-Python encoder. Exit codes: 0 on
 success, 1 with one ``error:`` line on any rejected input (a bad flag,
 an unreadable or malformed file, parameters or counts the library
 rejects), 2 when a fit fails to converge. Numbers in flags and pe lists
@@ -31,6 +35,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -134,32 +140,78 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+#: JSON spellings of the floats that ``repr`` writes as nan and inf.
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values: Sequence[float]) -> list[str]:
+    """Each ``_jsonable(value)`` as ``json.dumps`` writes it."""
+    texts = ("%.6g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    # "%.6g" is float.__repr__ of its own value except for integers (repr
+    # adds ".0"), exponents 6 to 15 (repr writes them out), subnormals
+    # (repr may need fewer digits), nan and inf. This mask holds all of
+    # them; the other values keep their "%.6g" text.
+    x = abs(np.array(values, dtype=float))
+    with np.errstate(invalid="ignore"):
+        odd = ~(abs(x - np.rint(x)) > 1e-5 * x)
+    odd |= (x >= 999_999.0) | (x < sys.float_info.min)
+    for k in np.flatnonzero(odd).tolist():
+        texts[k] = _JSON_SPECIAL.get(texts[k]) or repr(float(texts[k]))
+    return texts
+
+
+def _json_table(columns: Sequence[str], rows: Sequence[Sequence], level: int) -> str:
+    """``json.dumps(indent=2)`` text of the rows as a list of row objects,
+    for a list nested ``level`` deep."""
+    if not rows:
+        return "[]"
+    outer, inner, field = ("  " * n for n in (level, level + 1, level + 2))
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in columns]
+    members = ",\n".join(f"{field}{key}: %s" for key in keys)
+    row = f"{inner}{{\n{members}\n{inner}}}" if keys else f"{inner}{{}}"
+    cells = list(chain.from_iterable(rows))
+    for k, value in enumerate(rows[0]):
+        column = cells[k :: len(columns)]
+        cells[k :: len(columns)] = (
+            list(map(encode_basestring_ascii, column))
+            if isinstance(value, str)
+            else _json_numbers(column)
+        )
+    body = ",\n".join([row] * len(rows)) % tuple(cells)
+    return f"[\n{body}\n{outer}]"
+
+
+def _csv_table(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
+    text = ",".join(columns) + "\n"
+    if rows:
+        row = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
+        text += "\n".join([row] * len(rows)) % tuple(chain.from_iterable(rows)) + "\n"
+    return text
+
+
 def _emit_tables(
-    args: argparse.Namespace, tables: dict[str, tuple[Sequence[str], list[list]]]
+    args: argparse.Namespace,
+    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
 ) -> None:
     """Write named tables of strings and floats in ``args.format``.
 
-    CSV separates the tables by a blank line. JSON writes each table as
-    a list of row objects; several tables go in an object keyed by name.
+    A column holds strings or floats throughout, as in its first row, and
+    a table's rows fill one ``%`` template. CSV writes floats with
+    ``_fmt`` and separates the tables by a blank line. JSON is
+    ``json.dumps(payload, indent=2)`` byte for byte, where the payload is
+    each table as a list of row objects with floats through
+    ``_jsonable``, and several tables go in an object keyed by name.
     """
-    fmt = _jsonable if args.format == "json" else _fmt
-
-    def cells(row: list) -> list:
-        return [value if isinstance(value, str) else fmt(value) for value in row]
-
-    if args.format == "json":
-        docs = {
-            name: [dict(zip(columns, cells(row))) for row in rows]
-            for name, (columns, rows) in tables.items()
-        }
-        payload = docs if len(docs) > 1 else next(iter(docs.values()))
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+    if args.format == "csv":
+        _emit(args, "\n".join(_csv_table(*table) for table in tables.values()))
+    elif len(tables) == 1:
+        _emit(args, _json_table(*next(iter(tables.values())), 0) + "\n")
     else:
-        blocks = []
-        for columns, rows in tables.values():
-            lines = [",".join(columns), *(",".join(cells(row)) for row in rows)]
-            blocks.append("\n".join(lines) + "\n")
-        _emit(args, "\n".join(blocks))
+        members = ",\n".join(
+            f"  {encode_basestring_ascii(name)}: {_json_table(*table, 1)}"
+            for name, table in tables.items()
+        )
+        _emit(args, f"{{\n{members}\n}}\n")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -213,6 +265,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 _PROB_COLUMNS = tuple(f"p_{b}{e}" for b, e in probe.OUTCOME_ORDER)
+#: Spellings of the state and basis indices of ``montecarlo.CountsColumns``.
+_STATE_NAMES = [state.value for state in Bb84State]
+_BASIS_NAMES = [basis.value for basis in SiftBasis]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -258,16 +313,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    records = montecarlo.read_counts_file(args.counts)
-    if not records:
+    counts = montecarlo.read_counts_columns(args.counts)
+    if not len(counts.pe):
         raise UsageError(f"counts file {args.counts} contains no records")
-    probs = montecarlo.estimate_probabilities(records).tolist()
-    record_rows = [
-        [record.alice.value, record.bob_basis.value, record.pe_nominal, *row]
-        for record, row in zip(records, probs)
-    ]
+    record_rows = list(zip(
+        map(_STATE_NAMES.__getitem__, counts.state.tolist()),
+        map(_BASIS_NAMES.__getitem__, counts.basis.tolist()),
+        counts.pe.tolist(),
+        *counts.probabilities().T.tolist(),
+    ))
     group_rows = []
-    for basis, pe, measured, rate, problem in montecarlo.sift_summaries(records):
+    for basis, pe, measured, rate, problem in counts.sift_summaries():
         where = f"basis {basis.value} at pe {_fmt(pe)}"
         if problem is not None:
             print(f"warning: {where} {problem}; skipping its summary", file=sys.stderr)

@@ -7,16 +7,25 @@ normalized probabilities, sifted error rates, and the measured Renyi
 information. Every record has a positive total that fits in a float,
 and its nominal pe passes ``probe.checked_pe`` however the record is
 built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
-``estimate_probabilities`` divides the counts of many records at once
-into an ``(N, 4)`` array. ``sift_summaries`` is the counts' one sift
-path: it groups any records, such as a whole file, by sift basis and
-nominal pe, and reduces the two rows ``counts / total`` of every group
-of one record per input state with one stacked ``probe.sift_cells`` and
+
+The read side is columnar. ``CountsColumns`` holds records as state and
+basis index arrays, pe, the exact ``(N, 4)`` counts, float totals and
+durations. One parser turns counts-file lines into columns and checks
+every field rule over a whole column; on a bad file it reports the
+first bad line with the message of that line's first failed check.
+``read_counts_columns`` reads a file as columns, and ``read_counts_file``
+and ``parse_counts`` build ``CountsRecord``s from them.
+``CountsColumns.probabilities`` divides every row ``counts / total`` in
+one array operation, and ``CountsColumns.sift_summaries`` is the counts'
+one sift path: it groups the sift rows by sift basis and nominal pe with
+one sort, and reduces the two rows ``counts / total`` of every group of
+one record per input state with one stacked ``probe.sift_cells`` and
 ``probe.renyi_information`` pass, as ``error_model.model_sift_summaries``
-does with the model's predictions. ``counts_file_text`` writes records
-as counts-file text and ``read_counts_file`` reads a file back. Counts
-files are strict ASCII: a count is decimal digits only, a pe or
-duration has no ``_``, and only ASCII whitespace pads a line or field.
+does with the model's predictions. ``estimate_probabilities`` and
+``sift_summaries`` do the same for records. ``counts_file_text`` writes
+records as counts-file text. Counts files are strict ASCII: a count is
+decimal digits only, a pe or duration has no ``_``, and only ASCII
+whitespace pads a line or field.
 A reference data set of measured counts for the D and A inputs at three
 nominal error probabilities ships with the package;
 ``read_counts_file(reference_counts_path())`` reads it.
@@ -28,8 +37,9 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -126,21 +136,108 @@ def noise_free_counts(probs: np.ndarray, n_pairs: int) -> tuple[int, int, int, i
     return tuple(int(c) for c in cells)
 
 
+#: The states and bases in the order the index columns count them.
+_STATES = tuple(Bb84State)
+_BASES = tuple(SiftBasis)
+#: Counts-file spellings of the states and bases, mapped to those indices.
+_STATE_INDEX = {state.value: i for i, state in enumerate(_STATES)}
+_BASIS_INDEX = {basis.value: i for i, basis in enumerate(_BASES)}
+#: Sift basis index and key bit of each state index.
+_STATE_BASIS = np.array([_BASES.index(state.basis) for state in _STATES])
+_STATE_BIT = np.array([state.bit for state in _STATES])
+#: Longest count field read as int64: a sum of four such counts still fits.
+_INT64_DIGITS = 18
+
+_MISSING_PAIR = "is missing a paired input state"
+_EXTRA_RECORDS = "needs exactly one record per input state"
+
+
+class CountsColumns(NamedTuple):
+    """Records as columns, one row per record.
+
+    ``state`` and ``basis`` index ``tuple(Bb84State)`` and
+    ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
+    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64, or
+    Python ints in an object array once a count has more than 18 digits.
+    ``totals`` is each row's exact integer sum rounded once to a float,
+    as ``float(record.total)``; ``durations`` is NaN where a row has none.
+    """
+
+    state: np.ndarray
+    basis: np.ndarray
+    pe: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    durations: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[CountsRecord]) -> CountsColumns:
+        records = list(records)
+        return cls(
+            np.array([_STATES.index(r.alice) for r in records], dtype=np.intp),
+            np.array([_BASES.index(r.bob_basis) for r in records], dtype=np.intp),
+            np.array([r.pe_nominal for r in records], dtype=float),
+            np.array([r.counts for r in records], dtype=object).reshape(-1, 4),
+            np.array([r.total for r in records], dtype=float),
+            np.array(
+                [math.nan if r.duration_s is None else r.duration_s for r in records],
+                dtype=float,
+            ),
+        )
+
+    def records(self) -> list[CountsRecord]:
+        return [
+            CountsRecord(
+                _STATES[state], _BASES[basis], pe, tuple(counts),
+                None if math.isnan(duration) else duration,
+            )
+            for state, basis, pe, counts, duration in zip(
+                self.state.tolist(), self.basis.tolist(), self.pe.tolist(),
+                self.counts.tolist(), self.durations.tolist(),
+            )
+        ]
+
+    def probabilities(self) -> np.ndarray:
+        """Each count over its row's total, an ``(N, 4)`` array."""
+        return self.counts.astype(float) / self.totals[:, np.newaxis]
+
+    def sift_summaries(self) -> list[tuple[SiftBasis, float, float, float, str | None]]:
+        """``sift_summaries`` of these rows (see there), grouped by one sort."""
+        rows = np.flatnonzero(_STATE_BASIS[self.state] == self.basis)
+        bits = _STATE_BIT[self.state[rows]]
+        order = np.lexsort((bits, self.pe[rows], self.basis[rows]))
+        rows, bits = rows[order], bits[order]
+        basis, pe = self.basis[rows], self.pe[rows]
+        opens = np.ones(len(rows), dtype=bool)
+        opens[1:] = (basis[1:] != basis[:-1]) | (pe[1:] != pe[:-1])
+        starts = np.flatnonzero(opens)
+        sizes = np.diff(np.r_[starts, len(rows)])
+        # A group's rows run by bit, so it holds both input states exactly
+        # when its first and last rows differ in bit.
+        paired = bits[starts] != bits[starts + sizes - 1]
+        complete = paired & (sizes == 2)
+        members = rows[starts[complete][:, np.newaxis] + [0, 1]]
+        probs = self.probabilities()[members]
+        tables, error_rates = sift_cells(probs.reshape(-1, 2, 4))
+        renyi = np.full(len(tables), np.nan)
+        has_mass = tables.sum(axis=(-2, -1)) > 0.0
+        renyi[has_mass] = renyi_information(tables[has_mass])
+        values = np.full((len(starts), 2), np.nan)
+        values[complete] = np.c_[renyi, error_rates]
+        return [
+            (_BASES[b], p, *summary,
+             None if done else _EXTRA_RECORDS if both else _MISSING_PAIR)
+            for b, p, summary, done, both in zip(
+                basis[starts].tolist(), pe[starts].tolist(), values.tolist(),
+                complete.tolist(), paired.tolist(),
+            )
+        ]
+
+
 def estimate_probabilities(records: Sequence[CountsRecord]) -> np.ndarray:
     """Per-record probabilities: each count over its record's total, as an
     ``(N, 4)`` array in ``OUTCOME_ORDER``, one row per record."""
-    counts = np.array([record.counts for record in records], dtype=float)
-    totals = np.array([record.total for record in records], dtype=float)
-    return counts.reshape(-1, 4) / totals[:, np.newaxis]
-
-
-def _pairing_problem(members: Sequence[CountsRecord]) -> str | None:
-    """Why a sift group gets no summary; None for one record per input state."""
-    if len({record.alice for record in members}) < 2:
-        return "is missing a paired input state"
-    if len(members) > 2:
-        return "needs exactly one record per input state"
-    return None
+    return CountsColumns.from_records(records).probabilities()
 
 
 def sift_summaries(
@@ -157,83 +254,167 @@ def sift_summaries(
     stacked ``probe.sift_cells`` and ``probe.renyi_information`` pass;
     the Renyi information is NaN for a group without error-free counts.
     """
-    groups: dict[tuple[SiftBasis, float], list[CountsRecord]] = {}
-    for record in records:
-        if record.alice.basis is record.bob_basis:
-            groups.setdefault((record.bob_basis, record.pe_nominal), []).append(record)
-    keys = sorted(groups, key=lambda key: (key[0] is not SiftBasis.HV, key[1]))
-    problems = [_pairing_problem(groups[key]) for key in keys]
-    members = [
-        record
-        for key, problem in zip(keys, problems)
-        if problem is None
-        for record in sorted(groups[key], key=lambda r: r.alice.bit)
-    ]
-    tables, error_rates = sift_cells(estimate_probabilities(members).reshape(-1, 2, 4))
-    renyi = np.full(len(tables), np.nan)
-    has_mass = tables.sum(axis=(-2, -1)) > 0.0
-    renyi[has_mass] = renyi_information(tables[has_mass])
-    values = np.full((len(keys), 2), np.nan)
-    values[[problem is None for problem in problems]] = np.c_[renyi, error_rates]
-    return [
-        (basis, pe, *summary, problem)
-        for (basis, pe), summary, problem in zip(keys, values.tolist(), problems)
-    ]
+    return CountsColumns.from_records(records).sift_summaries()
 
 
-#: Counts-file spellings of the states and bases.
-_STATES = {state.value: state for state in Bb84State}
-_BASES = {basis.value: basis for basis in SiftBasis}
+def _first(flags: np.ndarray) -> int | None:
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
 
 
-def _parse_record(line: str) -> CountsRecord:
-    fields = [f.strip(ASCII_SPACE) for f in line.split(",")]
-    if len(fields) not in (7, 8):
-        raise ValueError(f"expected 7 or 8 comma-separated fields, got {len(fields)}")
-    # The Enum calls only run to raise their error for an unknown name.
-    alice = _STATES[fields[0]] if fields[0] in _STATES else Bb84State(fields[0])
-    basis = _BASES[fields[1]] if fields[1] in _BASES else SiftBasis(fields[1])
+def _error_text(convert: Callable[..., object], *args: object) -> str:
+    """The message of the ValueError that ``convert(*args)`` raises."""
+    try:
+        convert(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{convert!r}{args!r} raised no ValueError")
+
+
+def _number_error(name: str, text: str) -> str:
+    """Why a pe or duration field is no number; an empty one is named."""
+    return _error_text(float, text) if text else f"{name} '' is not a number"
+
+
+def _floats(texts: Sequence[str]) -> tuple[list[float], int | None]:
+    """``float`` of every text, or the index of the first one it rejects."""
+    values = []
+    for text in texts:
+        try:
+            values.append(float(text))
+        except ValueError:
+            return values, len(values)
+    return values, None
+
+
+def _digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _checked_columns(
+    rows: list[list[str]], linenos: list[int], source: str
+) -> CountsColumns:
+    """Columns of the split and stripped record lines ``rows``.
+
+    Each check runs over a whole column. When one fails, the rows before
+    its first bad row are checked again from the start, because such a row
+    may fail a later check and comes first in the file; so the error names
+    the first bad line with the message of its first failed check.
+    """
+
+    def fail(k: int, message: str) -> NoReturn:
+        _checked_columns(rows[:k], linenos, source)
+        raise CountsFileError(f"{source}:{linenos[k]}: {message}")
+
+    if not rows:
+        index, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
+        counts = np.zeros((0, 4), dtype=np.int64)
+        return CountsColumns(index, index, empty, counts, empty, empty)
+    widths = np.array([len(row) for row in rows])
+    k = _first((widths != 7) & (widths != 8))
+    if k is not None:
+        fail(k, f"expected 7 or 8 comma-separated fields, got {widths[k]}")
+    alice, basis, pe_text, *count_text = list(zip(*rows))[:7]
+    timed = np.flatnonzero(widths == 8)
+    duration_text = [rows[k][7] for k in timed.tolist()]
+
+    state = list(map(_STATE_INDEX.get, alice))
+    if None in state:
+        k = state.index(None)
+        fail(k, _error_text(Bb84State, alice[k]))
+    bases = list(map(_BASIS_INDEX.get, basis))
+    if None in bases:
+        k = bases.index(None)
+        fail(k, _error_text(SiftBasis, basis[k]))
     # int() and float() also read digit-group underscores and non-ASCII
     # digits: counts must be ASCII digits, the pe and duration ASCII
-    # without '_'. Testing each group as one joined string keeps the
-    # per-line cost to a few C-level calls.
-    count_fields, real_fields = fields[3:7], fields[2:3] + fields[7:]
-    digits = "".join(count_fields)
-    if not (digits.isascii() and digits.isdigit()):
-        bad = next(f for f in count_fields if not (f.isascii() and f.isdigit()))
-        raise ValueError(f"count {bad!r} is not a nonnegative decimal integer")
-    text = "".join(real_fields)
-    if not text.isascii() or "_" in text:
-        bad = next(f for f in real_fields if not f.isascii() or "_" in f)
-        raise ValueError(f"{bad!r} is not an ASCII number")
-    pe = float(fields[2])
-    counts = tuple(map(int, count_fields))
-    duration = float(fields[7]) if len(fields) == 8 else None
-    return CountsRecord(alice, basis, pe, counts, duration)
+    # without '_'. A column passes as one joined string.
+    if not all(all(column) and _digits("".join(column)) for column in count_text):
+        k, text = next(
+            (k, text)
+            for k, texts in enumerate(zip(*count_text))
+            for text in texts
+            if not _digits(text)
+        )
+        fail(k, f"count {text!r} is not a nonnegative decimal integer")
+    reals = "".join(pe_text) + "".join(duration_text)
+    if not reals.isascii() or "_" in reals:
+        k, text = next(
+            (k, text)
+            for k, row in enumerate(rows)
+            for text in (row[2], *row[7:])
+            if not text.isascii() or "_" in text
+        )
+        fail(k, f"{text!r} is not an ASCII number")
+    pe, k = _floats(pe_text)
+    if k is not None:
+        fail(k, _number_error("pe", pe_text[k]))
+    digits = list(chain.from_iterable(count_text))
+    if max(map(len, digits)) <= _INT64_DIGITS:
+        counts = np.fromstring(",".join(digits), dtype=np.int64, sep=",")
+    else:
+        counts = np.array(list(map(int, digits)), dtype=object)
+    counts = counts.reshape(4, -1).T
+    totals = counts.sum(axis=1)
+    duration_values, k = _floats(duration_text)
+    if k is not None:
+        fail(int(timed[k]), _number_error("duration", duration_text[k]))
+    durations = np.full(len(rows), np.nan)
+    durations[timed] = duration_values
+
+    # The record rules of CountsRecord, whose message a bad row reports.
+    pe_column = np.array(pe)
+    bad = ~((pe_column >= 0.0) & (pe_column <= 0.5))
+    bad |= np.asarray(totals == 0, dtype=bool)
+    bad |= np.asarray(totals > sys.float_info.max, dtype=bool)
+    bad[timed] |= ~(np.isfinite(durations[timed]) & (durations[timed] >= 0.0))
+    k = _first(bad)
+    if k is not None:
+        fail(k, _error_text(
+            CountsRecord, _STATES[state[k]], _BASES[bases[k]], pe[k],
+            tuple(counts[k].tolist()), durations[k].item() if widths[k] == 8 else None,
+        ))
+    return CountsColumns(
+        np.array(state, dtype=np.intp), np.array(bases, dtype=np.intp),
+        pe_column + 0.0, counts, totals.astype(float), durations,
+    )
+
+
+def _parse_columns(lines: Iterable[str], source: str) -> CountsColumns:
+    """Counts-file lines as columns; '#' comments and blank lines are skipped."""
+    stripped = [line.strip(ASCII_SPACE) for line in lines]
+    linenos = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
+    kept = [stripped[n - 1] for n in linenos]
+    rows = [line.split(",") for line in kept]
+    # Fields need stripping only when padding sits inside some line.
+    body = ",".join(kept)
+    if any(space in body for space in ASCII_SPACE):
+        rows = [[field.strip(ASCII_SPACE) for field in row] for row in rows]
+    return _checked_columns(rows, linenos, source)
 
 
 def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsRecord]:
     """Parse counts-file lines; '#' comments and blank lines are skipped."""
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip(ASCII_SPACE)
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            records.append(_parse_record(stripped))
-        except ValueError as exc:
-            raise CountsFileError(f"{source}:{lineno}: {exc}") from exc
-    return records
+    return _parse_columns(lines, source).records()
+
+
+def read_counts_columns(path: str | Path) -> CountsColumns:
+    """Read a UTF-8 counts file as columns; raises CountsFileError with
+    line context."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    # Split as iterating the file splits it: str.splitlines() would also
+    # break lines at \x0b, \x0c and U+2028.
+    return _parse_columns(text.split("\n"), str(path))
 
 
 def read_counts_file(path: str | Path) -> list[CountsRecord]:
     """Read a UTF-8 counts file; raises CountsFileError with line context."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            return parse_counts(handle, source=str(path))
-    except UnicodeDecodeError as exc:
-        raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    return read_counts_columns(path).records()
 
 
 def counts_file_text(records: Sequence[CountsRecord]) -> str:

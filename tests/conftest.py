@@ -7,6 +7,8 @@ import pytest
 from fpbsim import (
     OUTCOME_ORDER,
     Bb84State,
+    CountsFileError,
+    CountsRecord,
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
@@ -14,6 +16,7 @@ from fpbsim import (
     predict_outcome_probs,
 )
 from fpbsim.error_model import _PARAM_KEYS, _held_keys, _make_objective
+from fpbsim.montecarlo import ASCII_SPACE
 
 RT2 = math.sqrt(2.0)
 
@@ -227,6 +230,81 @@ def counts_line_accepted(fields) -> bool:
     duration = float(fields[7]) if len(fields) == 8 else 0.0
     finite_duration = math.isfinite(duration) and duration >= 0.0
     return 0.0 <= pe <= 0.5 and total > 0 and finite_duration
+
+
+def _float_field_oracle(name: str, text: str) -> float:
+    if not text:
+        raise ValueError(f"{name} '' is not a number")
+    return float(text)
+
+
+def _parse_record_oracle(line: str) -> CountsRecord:
+    fields = [f.strip(ASCII_SPACE) for f in line.split(",")]
+    if len(fields) not in (7, 8):
+        raise ValueError(f"expected 7 or 8 comma-separated fields, got {len(fields)}")
+    alice = Bb84State(fields[0])
+    basis = SiftBasis(fields[1])
+    for text in fields[3:7]:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"count {text!r} is not a nonnegative decimal integer")
+    for text in fields[2:3] + fields[7:]:
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not an ASCII number")
+    pe = _float_field_oracle("pe", fields[2])
+    counts = tuple(int(text) for text in fields[3:7])
+    duration = _float_field_oracle("duration", fields[7]) if len(fields) == 8 else None
+    return CountsRecord(alice, basis, pe, counts, duration)
+
+
+def parse_counts_oracle(lines, source: str = "<counts>") -> list[CountsRecord]:
+    """Counts-file lines parsed one line and one field at a time.
+
+    The per-line parser that the columnar ``montecarlo`` reader replaced,
+    with each count field checked on its own and an empty pe or duration
+    named, kept as the reference whose records, or whose CountsFileError
+    text, the reader must equal.
+    """
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip(ASCII_SPACE)
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            records.append(_parse_record_oracle(stripped))
+        except ValueError as exc:
+            raise CountsFileError(f"{source}:{lineno}: {exc}") from exc
+    return records
+
+
+def sift_summaries_oracle(records) -> list[tuple]:
+    """Sift groups collected in a dict, one record at a time.
+
+    The grouping that ``montecarlo.sift_summaries``'s one sort replaced,
+    kept as the reference it must equal (NaN where it has NaN): groups by
+    (basis, pe), HV first, each by increasing pe, complete groups reduced
+    by the scalar sift and Renyi oracles.
+    """
+    groups = {}
+    for record in records:
+        if record.alice.basis is record.bob_basis:
+            groups.setdefault((record.bob_basis, record.pe_nominal), []).append(record)
+    rows = []
+    for key in sorted(groups, key=lambda key: (key[0] is not SiftBasis.HV, key[1])):
+        members = groups[key]
+        if len({record.alice for record in members}) < 2:
+            rows.append((*key, math.nan, math.nan, "is missing a paired input state"))
+        elif len(members) > 2:
+            rows.append(
+                (*key, math.nan, math.nan, "needs exactly one record per input state")
+            )
+        else:
+            members = sorted(members, key=lambda record: record.alice.bit)
+            table, error_rate = sift_cells_oracle(
+                [[c / float(r.total) for c in map(float, r.counts)] for r in members]
+            )
+            renyi = renyi_information_oracle(table) if table.sum() > 0.0 else math.nan
+            rows.append((*key, renyi, error_rate, None))
+    return rows
 
 
 @pytest.fixture(scope="session")

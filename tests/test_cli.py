@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from fpbsim import (
     renyi_closed_form,
 )
 import fpbsim
-from fpbsim.cli import MAX_STEPS, _fmt, main
+from fpbsim.cli import MAX_STEPS, _emit_tables, _fmt, _jsonable, main
 from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
@@ -755,13 +756,97 @@ GOLDEN = Path(__file__).parent / "golden"
         ("estimate_reference.csv", ["estimate", "--counts", str(reference_counts_path())]),
         ("estimate_reference.json",
          ["estimate", "--counts", str(reference_counts_path()), "--format", "json"]),
+        # 25 pe values of seeded simulate output, shuffled, one record
+        # removed and one duplicated, a few with a duration.
+        ("estimate_seed7_edited.csv",
+         ["estimate", "--counts", str(GOLDEN / "counts_seed7_edited.csv")]),
+        ("estimate_seed7_edited.json",
+         ["estimate", "--counts", str(GOLDEN / "counts_seed7_edited.csv"),
+          "--format", "json"]),
     ],
 )
 def test_stdout_matches_golden_file(capsys, name, argv):
-    """The files under tests/golden hold these commands' stdout, byte for byte."""
+    """The files under tests/golden hold these commands' stdout, byte for
+    byte, and their stderr where a ``.stderr`` file of the same stem exists."""
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    stderr = GOLDEN / f"{Path(name).stem}.stderr"
+    assert code == 0
+    assert err == (stderr.read_text(encoding="utf-8") if stderr.exists() else "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+#: Table cells the JSON encoder escapes: quotes, backslashes, control and
+#: non-ASCII characters, and '%', which the row templates must not read.
+TEXT_CELLS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\u2028", "\u00e9", "\U0001f600", "%", "%s"]),
+)
+#: Floats, those json.dumps spells specially, and values near the edges
+#: where "%.6g" turns to an integer or an exponent.
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324, 1.0,
+         0.9999995, 1e-4, 1e-5, 99999.95, 999999.4, 999999.5, 1e15, 1e16]
+    ),
+    st.tuples(
+        st.integers(-(10**7), 10**7), st.sampled_from([0.0, 4e-6, -4.9e-6, 5e-6, 6e-6, 1e-5])
+    ).map(lambda t: t[0] * (1.0 + t[1])),
+)
+
+
+@st.composite
+def table_sets(draw) -> dict:
+    """One to three named tables, each column all strings or all floats."""
+    tables = {}
+    for name in draw(st.lists(TEXT_CELLS, min_size=1, max_size=3, unique=True)):
+        columns = draw(st.lists(TEXT_CELLS, max_size=4, unique=True))
+        kinds = [draw(st.sampled_from([TEXT_CELLS, FLOAT_CELLS])) for _ in columns]
+        tables[name] = (columns, draw(st.lists(st.tuples(*kinds), max_size=4)))
+    return tables
+
+
+def emitted(tables: dict, fmt: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit_tables(argparse.Namespace(format=fmt, out=None), tables)
+    return out.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(tables=table_sets())
+def test_table_writer_matches_json_dumps_and_csv_join(tables):
+    def cells(row, fmt):
+        return [value if isinstance(value, str) else fmt(value) for value in row]
+
+    docs = {
+        name: [dict(zip(columns, cells(row, _jsonable))) for row in rows]
+        for name, (columns, rows) in tables.items()
+    }
+    payload = docs if len(docs) > 1 else next(iter(docs.values()))
+    assert emitted(tables, "json") == json.dumps(payload, indent=2) + "\n"
+    blocks = [
+        "\n".join([",".join(columns), *(",".join(cells(row, _fmt)) for row in rows)])
+        + "\n"
+        for columns, rows in tables.values()
+    ]
+    assert emitted(tables, "csv") == "\n".join(blocks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--params", EXAMPLE_PARAMS],
+        ["curve", "--steps", "200", "--pe-max", "0.5"],
+        ["table", "--params", EXAMPLE_PARAMS, "--states", "H,V,D,A", "--pe", "0,1/3,0.5"],
+        ["estimate", "--counts", str(reference_counts_path())],
+        ["estimate", "--counts", str(GOLDEN / "counts_seed7_edited.csv")],
+    ],
+)
+def test_json_tables_are_json_dumps_indent_2(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)

@@ -21,12 +21,19 @@ from fpbsim import (
     sift_summaries,
     simulate_counts,
 )
-from fpbsim.montecarlo import counts_file_text, parse_counts
+from fpbsim.montecarlo import (
+    CountsColumns,
+    counts_file_text,
+    parse_counts,
+    read_counts_columns,
+)
 
 from conftest import (
     counts_line_accepted,
+    parse_counts_oracle,
     renyi_information_oracle,
     sift_cells_oracle,
+    sift_summaries_oracle,
 )
 
 
@@ -87,6 +94,42 @@ def grammar_fields(draw) -> list[str]:
     for index, junk in draw(st.dictionaries(numeric, JUNK_FIELD, max_size=2)).items():
         fields[index] = junk
     return fields
+
+
+#: A counts-file line for the oracle test: well-formed lines of 7 or 8
+#: fields, lines with junk fields, huge counts, comments and blanks.
+ORACLE_LINE = st.one_of(
+    VALID_LINE,
+    VALID_LINE,
+    grammar_fields().map(",".join),
+    st.lists(ANY_FIELD, min_size=6, max_size=9).map(",".join),
+    st.tuples(
+        st.sampled_from(["D,DA,0.1", "A,DA,0.1", "H,HV,0"]),
+        st.lists(
+            st.one_of(st.integers(0, 10**25), st.integers(0, 10**400)).map(str),
+            min_size=4, max_size=4,
+        ),
+    ).map(lambda parts: ",".join([parts[0], *parts[1]])),
+    st.sampled_from(["", " ", "# alice,basis", "  # x,1,2", "#", "\t"]),
+)
+#: Line breaks, and characters that str.splitlines() would break at but
+#: a file's lines do not.
+LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\n\n"])
+NOT_A_BREAK = st.sampled_from(["\x0b", "\x0c", "\u2028", "\x1c", "\x85"])
+
+
+@st.composite
+def counts_texts(draw) -> str:
+    """Counts-file text: lines ended by any line break, some holding a
+    character that only str.splitlines() breaks at, and maybe a last
+    line without a break."""
+    text = ""
+    for line in draw(st.lists(ORACLE_LINE, max_size=8)):
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(NOT_A_BREAK) + line[at:]
+        text += line + draw(LINE_BREAK)
+    return text + draw(st.one_of(st.just(""), ORACLE_LINE))
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -316,7 +359,28 @@ class TestMeasuredRenyi:
         assert problem == "needs exactly one record per input state"
 
 
+#: Records for the grouping test: few states, bases and pe values, so
+#: groups are often complete, duplicated, or missing a state.
+SOME_RECORDS = st.lists(
+    st.builds(
+        CountsRecord,
+        st.sampled_from(list(Bb84State)),
+        st.sampled_from(list(SiftBasis)),
+        st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5]),
+        st.tuples(*[st.integers(0, 10**20)] * 4).filter(any),
+    ),
+    max_size=12,
+)
+
+
 class TestSiftSummaries:
+    @settings(derandomize=True, deadline=None)
+    @given(records=SOME_RECORDS)
+    def test_one_sort_matches_dict_grouping_oracle(self, records):
+        assert repr(sift_summaries(records)) == repr(sift_summaries_oracle(records))
+        columns = CountsColumns.from_records(records)
+        assert columns.records() == records
+
     def test_stack_matches_scalar_oracles(self):
         groups = [sift_pair(pe, 20_000) for pe in (0.0, 0.1, 1 / 3)]
         groups.append(list(reversed(noise_free_pair(0.2, 10_000))))
@@ -377,6 +441,67 @@ class TestSiftSummaries:
 
 
 class TestCountsFiles:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(text=counts_texts())
+    def test_columnar_reader_matches_per_line_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("oracle") / "counts.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                want = parse_counts_oracle(handle, source=str(path))
+        except CountsFileError as exc:
+            with pytest.raises(CountsFileError) as excinfo:
+                read_counts_file(path)
+            assert str(excinfo.value) == str(exc)
+            return
+        assert read_counts_file(path) == want
+        columns = read_counts_columns(path)
+        # Each count and total converted once from its exact integer.
+        probs = np.array([r.counts for r in want], dtype=float).reshape(-1, 4)
+        totals = np.array([r.total for r in want], dtype=float)
+        assert columns.probabilities().tobytes() == (probs / totals[:, None]).tobytes()
+        assert repr(columns.sift_summaries()) == repr(sift_summaries_oracle(want))
+
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            (2, "pe '' is not a number"),
+            (3, "count '' is not a nonnegative decimal integer"),
+            (4, "count '' is not a nonnegative decimal integer"),
+            (5, "count '' is not a nonnegative decimal integer"),
+            (6, "count '' is not a nonnegative decimal integer"),
+            (7, "duration '' is not a number"),
+        ],
+    )
+    def test_empty_numeric_field_is_named(self, tmp_path, position, message):
+        fields = "D,DA,0.1,1,2,3,4,40.0".split(",")
+        fields[position] = " "
+        path = tmp_path / "empty.csv"
+        path.write_text("# comment\nD,DA,0.1,1,2,3,4\n" + ",".join(fields) + "\n")
+        with pytest.raises(CountsFileError) as excinfo:
+            read_counts_file(path)
+        assert str(excinfo.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("big", [2**53 + 1, 10**18 - 1, 10**18, 2**64 + 1, 10**300])
+    def test_counts_beyond_float_precision_read_exactly(self, tmp_path, big):
+        lines = [f"D,DA,0.1,{big},1,0,{big}", f"A,DA,0.1,3,{big},{big + 2},1"]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        records = read_counts_file(path)
+        assert records == parse_counts_oracle(lines)
+        assert [r.total for r in records] == [2 * big + 1, 2 * big + 6]
+        probs = np.array([r.counts for r in records], dtype=float)
+        totals = np.array([r.total for r in records], dtype=float)
+        got = read_counts_columns(path).probabilities()
+        assert got.tobytes() == (probs / totals[:, None]).tobytes()
+
+    def test_first_bad_line_wins_over_later_checks(self):
+        # Line 2 fails a late check (pe range) and line 3 an early one
+        # (field count): the file's first bad line is reported.
+        lines = ["D,DA,0.1,1,2,3,4", "D,DA,0.9,1,2,3,4", "D,DA,0.1"]
+        with pytest.raises(CountsFileError, match="^<counts>:2: error probability"):
+            parse_counts(lines)
+
     def test_round_trip(self, tmp_path):
         records = [
             CountsRecord(Bb84State.H, SiftBasis.HV, 1 / 3, (1, 2, 3, 4), 40.0),
