@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--init", metavar="PATH", help="initial parameter file")
     fit.add_argument(
         "--max-evals", type=_ascii_int, default=50_000,
-        help="hard budget on residual evaluations, Jacobian columns included",
+        help="hard budget on evaluations (residual plus analytic Jacobian), "
+        "forward-difference columns at the start included",
     )
     fit.add_argument("--weighting", choices=("equal", "counts"), default="equal")
     _add_output_flags(fit)

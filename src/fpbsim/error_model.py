@@ -14,14 +14,17 @@ two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
 photon (control) bit ``c`` and probe (target) bit ``t``. The four joint
 detection probabilities of a configuration come back as a ``(4,)``
 array in ``OUTCOME_ORDER``; the model is unitary by construction, so
-they are not re-validated. ``model_sift_summaries`` is the model's one
-sift path: it predicts a whole pe grid and reduces it with one stacked
+they are not re-validated. On request they come with their analytic
+derivatives along the ten parameters. ``model_sift_summaries`` is the
+model's one sift path: it predicts a whole pe grid and reduces it with one stacked
 ``probe.sift_cells`` and ``probe.renyi_information`` pass, as
 ``montecarlo.sift_summaries`` does for measured counts. The fitter
 recovers the ten parameters from measured coincidence counts with a
 bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
-residual vector, using forward-difference Jacobians; ``fit_parameters``
-takes its evaluation budget and record weighting as the keywords
+residual vector. Each evaluation returns the residual and its analytic
+Jacobian; forward differences fill only the columns whose slope is exactly
+zero at the start point. ``fit_parameters`` takes its evaluation budget
+and record weighting as the keywords
 ``max_evals`` and ``weighting``. Angles are radians; degrees appear only
 at I/O boundaries.
 """
@@ -210,6 +213,83 @@ def output_state(
 
 #: Flat index ``2*bob_bit + eve_bit`` of each entry of ``OUTCOME_ORDER``.
 _OUTCOME_INDEX = np.array([2 * b + e for b, e in OUTCOME_ORDER])
+#: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` from
+#: ``_amplitude_derivatives`` goes in the flattened ``(4, 10)`` Jacobian: row
+#: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
+#: the k-th of d_xi, d_chi, the state's wave-plate offset, alpha, delta and
+#: the basis's analyzer offset, the six parameters that move the prediction.
+_JACOBIAN_SLOTS = {
+    (state, basis): np.array(
+        [
+            10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
+            for b in (0, 1)
+            for key in ("d_xi", "d_chi", _THETA_A_KEY[state], "alpha", "delta",
+                        _THETA_B_KEY[basis])
+            for e in (0, 1)
+        ]
+    )
+    for state in Bb84State
+    for basis in SiftBasis
+}
+
+
+def _amplitude_derivatives(
+    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+) -> np.ndarray:
+    """What Bob's analyzer projects into each parameter's amplitude derivative.
+
+    A ``(2, 12)`` complex array: row ``c``, column ``2*k + e`` is entry
+    ``(c, e)`` of the derivative of ``output_state(params, alice,
+    cfg).reshape(2, 2)`` along the ``k``-th of d_xi, d_chi, the state's
+    wave-plate offset, alpha and delta, and for ``k = 5`` the rotation
+    generator ``[[0, -1], [1, 0]]`` applied to that state: the analyzer is
+    a rotation ``R``, whose derivative along its offset is
+    ``R @ [[0, -1], [1, 0]]``.
+
+    The output state's control-0 row is ``p0 * u`` and its control-1 row
+    ``p1 * w``, with photon ``(p0, p1)``, probe ``(q0, q1)`` and the gate
+    blocks acting as ``u = (c q0 + a, b + c q1)`` and
+    ``w = (c q1 - b, c q0 - a)``, where ``c, s = cos(alpha), sin(alpha)``,
+    ``a = i exp(-i delta) s q1`` and ``b = i exp(i delta) s q0``.
+    """
+    theta = alice.theta + getattr(params, _THETA_A_KEY[alice])
+    p0, sin_a = math.cos(theta), math.sin(theta)
+    chi_phase = cmath.exp(1j * params.d_chi)
+    p1 = chi_phase * sin_a
+    q0 = math.cos(cfg.theta_in)
+    q1 = cmath.exp(1j * params.d_xi) * math.sin(cfg.theta_in)
+    c, s = math.cos(params.alpha), math.sin(params.alpha)
+    ep = cmath.exp(1j * params.delta)
+    em = ep.conjugate()
+    a, b = 1j * em * s * q1, 1j * ep * s * q0
+    u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
+    icq1 = 1j * c * q1
+    # Along alpha, c turns into -s and s into c, so a into ta and b into tb.
+    ta, tb = 1j * em * c * q1, 1j * ep * c * q0
+    # Along the wave-plate offset, the photon (p0, p1) turns into
+    # (-sin_a, dp1).
+    dp1 = chi_phase * p0
+    # Column pairs: d_xi, d_chi, wave-plate offset, alpha, delta, analyzer.
+    return np.array(
+        [
+            [
+                1j * p0 * a, p0 * icq1,
+                0.0, 0.0,
+                -sin_a * u0, -sin_a * u1,
+                p0 * (ta - s * q0), p0 * (tb - s * q1),
+                -1j * p0 * a, 1j * p0 * b,
+                -p1 * w0, -p1 * w1,
+            ],
+            [
+                p1 * icq1, -1j * p1 * a,
+                1j * p1 * w0, 1j * p1 * w1,
+                dp1 * w0, dp1 * w1,
+                -p1 * (tb + s * q1), -p1 * (s * q0 + ta),
+                -1j * p1 * b, 1j * p1 * a,
+                p0 * u0, p0 * u1,
+            ],
+        ]
+    )
 
 
 def predict_outcome_probs(
@@ -217,17 +297,34 @@ def predict_outcome_probs(
     alice: Bb84State,
     bob_basis: SiftBasis,
     cfg: ProbeConfig,
-) -> np.ndarray:
+    *,
+    jacobian: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Forward-model the four joint detection probabilities.
 
     Projects the output state onto Bob's analyzed-bit states (photon)
     and Eve's computational states (probe). Returns a ``(4,)`` float
     array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
     (0,1), (0,0); the entries sum to one by unitarity.
+
+    With ``jacobian=True`` returns ``(probs, jac)``: the same probabilities
+    and their ``(4, 10)`` derivatives along the parameters in field order,
+    ``2 Re(conj(a) da)`` for each projected amplitude ``a``. Six columns
+    can be nonzero: d_xi, d_chi, alpha, delta and the offsets of ``alice``
+    and ``bob_basis``. The other four are exact zeros, and so are the
+    d_xi, d_chi, alpha and delta columns wherever those four angles are
+    all zero, where the conjugation symmetry makes the model even in them.
     """
     analyzer = bob_analyzer(bob_basis, getattr(params, _THETA_B_KEY[bob_basis]))
     amplitudes = analyzer.conj() @ output_state(params, alice, cfg).reshape(2, 2)
-    return (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
+    probs = (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
+    if not jacobian:
+        return probs
+    d_amplitudes = analyzer @ _amplitude_derivatives(params, alice, cfg)
+    products = amplitudes.conj()[:, None, :] * d_amplitudes.reshape(2, 6, 2)
+    jac = np.zeros(40)
+    jac[_JACOBIAN_SLOTS[alice, bob_basis]] = 2.0 * products.real.ravel()
+    return probs, jac.reshape(4, 10)
 
 
 def model_sift_summaries(
@@ -300,21 +397,28 @@ def _record_design(
 
 
 def _make_objective(records: Sequence[CountsRecord], weighting: str):
-    """Weighted residual vector over all records and outcomes.
+    """Weighted residual vector over all records and outcomes, with its Jacobian.
 
-    Entries are ``sqrt(weight) * (estimated - predicted)``, four per
-    record, with the records sorted by (alice, basis, pe_nominal,
-    counts); the vector is therefore bit-identical under any reordering
-    of the records. Each call predicts every record once.
+    Returns ``x -> (r, J)``. Entries of ``r`` are ``sqrt(weight) *
+    (estimated - predicted)``, four per record, with the records sorted by
+    (alice, basis, pe_nominal, counts); ``J`` is the ``(r.size, 10)``
+    analytic derivative of ``r`` in field order. Both are therefore
+    bit-identical under any reordering of the records. Each call predicts
+    every record once, with its derivatives.
     """
     configs, estimated, root_weights = _record_design(records, weighting)
 
-    def residuals(x: np.ndarray) -> np.ndarray:
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         params = ErrorModelParams.from_vector(x)
-        predicted = np.stack(
-            [predict_outcome_probs(params, *config) for config in configs]
+        predicted, jacobians = zip(
+            *[
+                predict_outcome_probs(params, *config, jacobian=True)
+                for config in configs
+            ]
         )
-        return (root_weights[:, None] * (estimated - predicted)).ravel()
+        r = (root_weights[:, None] * (estimated - np.stack(predicted))).ravel()
+        jac = -root_weights[:, None, None] * np.stack(jacobians)
+        return r, jac.reshape(r.size, 10)
 
     return residuals
 
@@ -344,21 +448,21 @@ _TOL = 1e-8
 _INNER_BOUND = math.nextafter(ANGLE_BOUND, 0.0)
 
 
-def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Two-point Jacobian of ``fun`` at ``z``, one call per column.
+def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray, columns) -> np.ndarray:
+    """Two-point derivatives of ``fun``'s residual at ``z``, one call per column.
 
-    The step is ``sqrt(eps) * max(1, |z_i|)`` in the direction of
-    ``z_i``'s sign, reversed where it would leave the box.
+    ``columns`` indexes ``z``; the step is ``sqrt(eps) * max(1, |z_i|)`` in
+    the direction of ``z_i``'s sign, reversed where it would leave the box.
     """
     h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
     h = np.where(z >= 0.0, h, -h)
     h = np.where(np.abs(z + h) > _INNER_BOUND, -h, h)
-    columns = []
-    for i in range(z.size):
+    derivatives = []
+    for i in columns:
         shifted = z.copy()
         shifted[i] += h[i]
-        columns.append((fun(shifted) - f) / (shifted[i] - z[i]))
-    return np.column_stack(columns)
+        derivatives.append((fun(shifted)[0] - f) / (shifted[i] - z[i]))
+    return np.column_stack(derivatives)
 
 
 def _lm_step(
@@ -407,10 +511,15 @@ def _lm_step(
 
 
 def _trust_region_lm(fun, z: np.ndarray) -> str:
-    """Minimize ``||fun(z)||^2`` inside ``|z_i| < pi/2``; returns why it stopped.
+    """Minimize ``||f(z)||^2`` inside ``|z_i| < pi/2``; returns why it stopped.
 
-    Each iteration takes one forward-difference Jacobian and its SVD, then
-    tries Levenberg-Marquardt steps until one lowers the cost. The ratio of
+    ``fun(z)`` returns the residual ``f`` and its Jacobian, so the point a
+    trial step reaches comes with the Jacobian the next iteration needs.
+    Only at the start, a column whose derivative is exactly zero is taken
+    from forward differences instead: at a saddle such as the all-zero
+    parameters, their rounding-level slope is what moves the fit off it.
+    Each iteration takes the Jacobian's SVD, then tries
+    Levenberg-Marquardt steps until one lowers the cost. The ratio of
     actual to predicted decrease sets the trust radius (1 at the start): a
     quarter of the step below 0.25, doubled above 0.75 for a step on the
     boundary. A step that would cross the box is shortened along its
@@ -423,11 +532,13 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
     "xtol" when a trial step is shorter than ``_TOL`` relative to ``z``.
     The caller keeps the best point seen.
     """
-    f = fun(z)
+    f, jac = fun(z)
+    flat = np.flatnonzero(~jac.any(axis=0))
+    if flat.size:
+        jac[:, flat] = _forward_jacobian(fun, z, f, flat)
     cost = f @ f
     radius, lam = 1.0, 0.0
     while True:
-        jac = _forward_jacobian(fun, z, f)
         grad = jac.T @ f
         grad_norm = np.linalg.norm(grad, np.inf)
         if grad_norm < _TOL:
@@ -443,7 +554,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             p *= min(1.0, theta * to_bound.min(initial=np.inf))
             z_new = np.clip(z + p, -_INNER_BOUND, _INNER_BOUND)
             step = z_new - z
-            f_new = fun(z_new)
+            f_new, jac_new = fun(z_new)
             cost_new = f_new @ f_new
             actual = cost - cost_new
             jstep = jac @ step
@@ -463,7 +574,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             radius = new_radius
             if actual > 0.0:
                 break
-        z, f, cost = z_new, f_new, cost_new
+        z, f, jac, cost = z_new, f_new, jac_new, cost_new
 
 
 def fit_parameters(
@@ -478,9 +589,13 @@ def fit_parameters(
     Minimizes the summed squared differences between each record's
     normalized probabilities and the forward-model prediction inside
     |angle| < pi/2 with a bounded trust-region Levenberg-Marquardt solver
-    (``_trust_region_lm``) on a two-point finite-difference Jacobian.
-    Deterministic given identical records (in any order), init,
-    ``max_evals`` and ``weighting``.
+    (``_trust_region_lm``). An evaluation is one call that returns the
+    residual vector with its analytic Jacobian. At the start point only, a
+    free parameter whose slope is exactly zero gets a two-point
+    forward-difference column instead, one evaluation each: from the
+    all-zero start these are d_xi, d_chi, alpha and delta, whose slopes the
+    conjugation symmetry below cancels. Deterministic given identical
+    records (in any order), init, ``max_evals`` and ``weighting``.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis
@@ -501,8 +616,8 @@ def fit_parameters(
     init:
         Starting point; all-zero parameters when omitted.
     max_evals:
-        Hard budget on calls of the residual function, finite-difference
-        Jacobian columns included; positive.
+        Hard budget on evaluations, the start's forward-difference columns
+        included; positive.
     weighting:
         How records enter the objective: "equal" weights every record's
         normalized probabilities the same, "counts" scales each record by
@@ -512,7 +627,7 @@ def fit_parameters(
     -------
     FitResult
         Best parameters seen, the summed squared residuals there, the
-        number of residual evaluations (never above ``max_evals``), whether
+        number of evaluations (never above ``max_evals``), whether
         the solver met a tolerance within the budget, and which one.
     """
     if weighting not in ("equal", "counts"):
@@ -535,18 +650,18 @@ def fit_parameters(
     best_x, best_residual = x0, math.inf
     evaluations = 0
 
-    def free_residuals(z: np.ndarray) -> np.ndarray:
+    def free_residuals(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal best_x, best_residual, evaluations
         if evaluations >= max_evals:
             raise _BudgetExhausted
         x = x0.copy()
         x[free] = z
-        r = objective(x)
+        r, jac = objective(x)
         evaluations += 1
         value = math.fsum(r * r)
         if value < best_residual:
             best_x, best_residual = x, value
-        return r
+        return r, jac[:, free]
 
     try:
         termination = _trust_region_lm(free_residuals, x0[free])

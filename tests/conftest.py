@@ -173,7 +173,7 @@ def trf_fit_oracle(records) -> tuple[np.ndarray, float]:
     def free_residuals(z):
         x = np.zeros(10)
         x[free] = z
-        return objective(x)
+        return objective(x)[0]
 
     result = least_squares(
         free_residuals, np.zeros(int(free.sum())), bounds=(-bound, bound),

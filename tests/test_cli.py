@@ -546,7 +546,7 @@ class TestFit:
         )
         assert code == 0
         code, out, err = run(
-            capsys, "fit", "--counts", str(sim), "--max-evals", "40"
+            capsys, "fit", "--counts", str(sim), "--max-evals", "10"
         )
         assert code == 2
         assert "did not converge" in err

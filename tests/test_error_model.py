@@ -26,6 +26,7 @@ from fpbsim import (
     simulate_counts,
 )
 from fpbsim.error_model import (
+    _PARAM_KEYS,
     _make_objective,
     _trust_region_lm,
     bob_analyzer,
@@ -67,6 +68,10 @@ ANY_PARAMS = st.lists(IN_BOX, min_size=10, max_size=10).map(
     ErrorModelParams.from_vector
 )
 ANY_PE = st.floats(0.0, 0.5)
+#: Parameters whose central-difference neighbours, 1e-6 away, stay in the box.
+INSET_PARAMS = st.lists(
+    st.floats(-math.pi / 2 + 1e-5, math.pi / 2 - 1e-5), min_size=10, max_size=10
+).map(ErrorModelParams.from_vector)
 
 
 def synth_records(params, n_pairs, seed=None):
@@ -83,6 +88,20 @@ def synth_records(params, n_pairs, seed=None):
                     counts = simulate_counts(probs, n_pairs, int(next(seeds)))
                 records.append(CountsRecord(state, basis, pe, counts))
     return records
+
+
+def design_records(tmp_path, seed):
+    """The bundled reference counts for ``seed`` None, else the 96-value
+    design that ``simulate --params example_params.json --seed SEED``
+    writes."""
+    if seed is None:
+        return read_counts_file(reference_counts_path())
+    path = tmp_path / "sim.csv"
+    assert main([
+        "simulate", "--params", EXAMPLE_PARAMS, "--pairs", "50000",
+        "--seed", str(seed), "--out", str(path),
+    ]) == 0
+    return read_counts_file(path)
 
 
 def seeded_truth(tag: str, span_deg: float) -> ErrorModelParams:
@@ -417,6 +436,51 @@ class TestForwardModel:
         b = predict_outcome_probs(twin, state, basis, cfg)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=INSET_PARAMS,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+        symmetric=st.booleans(),
+    )
+    def test_jacobian_matches_central_differences(
+        self, params, state, basis, pe, symmetric
+    ):
+        if symmetric:
+            params = dataclasses.replace(
+                params, d_xi=0.0, d_chi=0.0, alpha=0.0, delta=0.0
+            )
+        cfg = ProbeConfig(pe)
+
+        def predict(x):
+            return predict_outcome_probs(
+                ErrorModelParams.from_vector(x), state, basis, cfg
+            )
+
+        probs, jac = predict_outcome_probs(params, state, basis, cfg, jacobian=True)
+        x, h = params.as_vector(), 1e-6
+        assert probs.tobytes() == predict(x).tobytes()
+        assert jac.shape == (4, 10)
+        for i in range(10):
+            up, down = x.copy(), x.copy()
+            up[i] += h
+            down[i] -= h
+            central = (predict(up) - predict(down)) / (2 * h)
+            assert np.max(np.abs(jac[:, i] - central)) <= 1e-8
+        moving = {
+            "d_xi", "d_chi", f"d_theta_a_{state.value.lower()}", "alpha", "delta",
+            f"d_theta_b_{basis.value.lower()}",
+        }
+        untouched = [i for i, key in enumerate(_PARAM_KEYS) if key not in moving]
+        assert len(untouched) == 4
+        assert not jac[:, untouched].any()
+        if symmetric:
+            # The model is even in (d_xi, d_chi, alpha, delta) jointly, so
+            # their slopes vanish exactly: the zero start is a saddle.
+            even = ["d_xi", "d_chi", "alpha", "delta"]
+            assert not jac[:, [_PARAM_KEYS.index(key) for key in even]].any()
+
 
 class TestModelSummaries:
     def test_shapes_and_basis_columns(self, ref_params):
@@ -501,10 +565,12 @@ class TestFit:
         shuffled = _make_objective(shuffled_records, "equal")
         for _ in range(5):
             x = rng.uniform(-0.3, 0.3, size=10)
-            want = forward(x)
+            want, want_jac = forward(x)
             assert want.shape == (4 * len(records),)
-            np.testing.assert_array_equal(backward(x), want)
-            np.testing.assert_array_equal(shuffled(x), want)
+            assert want_jac.shape == (4 * len(records), 10)
+            for r, jac in (backward(x), shuffled(x)):
+                assert r.tobytes() == want.tobytes()
+                assert jac.tobytes() == want_jac.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -530,7 +596,7 @@ class TestFit:
             if rng.random() < 0.7
         ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
         x = params.as_vector()
-        got = _make_objective(records, weighting)(x)
+        got = _make_objective(records, weighting)(x)[0]
         want = residuals_oracle(records, weighting, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -605,22 +671,22 @@ class TestFit:
 
     def test_nonconvergence_reported(self, ref_params):
         records = synth_records(ref_params, 10_000, seed=8)
-        result = fit_parameters(records, max_evals=40)
+        result = fit_parameters(records, max_evals=8)
         assert not result.converged
         assert result.termination == "budget"
-        assert result.evaluations <= 40
+        assert result.evaluations <= 8
 
     def test_budget_is_hard_and_keeps_best_point(self, ref_params):
         records = synth_records(ref_params, 10_000, seed=8)
         objective = _make_objective(records, "equal")
-        start = math.fsum(objective(np.zeros(10)) ** 2)
-        for budget in (1, 2, 11, 12, 25, 60):
+        start = math.fsum(objective(np.zeros(10))[0] ** 2)
+        for budget in (1, 2, 5, 6, 8, 11):
             result = fit_parameters(records, max_evals=budget)
             assert result.evaluations == budget
             assert not result.converged
             assert result.held == ()
             assert result.residual <= start
-            fitted = math.fsum(objective(result.params.as_vector()) ** 2)
+            fitted = math.fsum(objective(result.params.as_vector())[0] ** 2)
             assert fitted == pytest.approx(result.residual, rel=1e-12)
 
     def test_unconstrained_angles_held_at_init(self, ref_params):
@@ -638,19 +704,22 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
     def test_matches_scipy_trust_region_reflective(self, tmp_path, seed):
-        if seed is None:
-            records = read_counts_file(reference_counts_path())
-        else:
-            path = tmp_path / "sim.csv"
-            assert main([
-                "simulate", "--params", EXAMPLE_PARAMS, "--pairs", "50000",
-                "--seed", str(seed), "--out", str(path),
-            ]) == 0
-            records = read_counts_file(path)
+        records = design_records(tmp_path, seed)
         _, want = trf_fit_oracle(records)
         result = fit_parameters(records)
         assert result.converged
         assert abs(result.residual - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_converges_from_zero_in_few_evaluations(self, tmp_path, seed):
+        # Each evaluation carries the analytic Jacobian; only the four columns
+        # that vanish at the zero start cost forward-difference calls.
+        records = design_records(tmp_path, seed)
+        result = fit_parameters(records)
+        assert result.converged
+        assert result.evaluations <= 15
+        if seed is None:
+            assert f"{result.residual:.6e}" == "1.714613e-03"
 
     def test_recovers_seeded_truths_as_often_as_scipy(self):
         found = trf_found = 0
@@ -669,10 +738,11 @@ class TestFit:
 
         def residual(z):
             calls.append(z.copy())
-            return np.array([1.0 + abs(z[0])])
+            slope = 1.0 if z[0] >= 0.0 else -1.0
+            return np.array([1.0 + abs(z[0])]), np.array([[slope]])
 
         assert _trust_region_lm(residual, np.zeros(1)) == "xtol"
-        assert len(calls) == 30
+        assert len(calls) == 29
         assert 0.0 < abs(calls[-1][0]) < 1e-16
 
     def test_fit_into_the_box_bound_stops_early(self):
