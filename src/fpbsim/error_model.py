@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -181,6 +181,10 @@ def nonideal_pcnot(alpha: float, delta: float) -> np.ndarray:
     )
 
 
+#: Nominal analyzer angle of each basis, radians.
+_ANALYZER_NOMINAL = {SiftBasis.HV: math.pi / 8, SiftBasis.DA: -math.pi / 8}
+
+
 def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
     """Bob's two analyzed-bit states in the control frame.
 
@@ -189,8 +193,7 @@ def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
     (bit-0, bit-1) states; with a zero offset these coincide with the
     basis states themselves.
     """
-    nominal = math.pi / 8 if basis is SiftBasis.HV else -math.pi / 8
-    theta = nominal + d_theta_b
+    theta = _ANALYZER_NOMINAL[basis] + d_theta_b
     return np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
@@ -213,8 +216,8 @@ def output_state(
 
 #: Flat index ``2*bob_bit + eve_bit`` of each entry of ``OUTCOME_ORDER``.
 _OUTCOME_INDEX = np.array([2 * b + e for b, e in OUTCOME_ORDER])
-#: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` from
-#: ``_amplitude_derivatives`` goes in the flattened ``(4, 10)`` Jacobian: row
+#: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` of
+#: ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
 #: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
 #: the k-th of d_xi, d_chi, the state's wave-plate offset, alpha, delta and
 #: the basis's analyzer offset, the six parameters that move the prediction.
@@ -231,65 +234,105 @@ _JACOBIAN_SLOTS = {
     for state in Bb84State
     for basis in SiftBasis
 }
+#: Field-order columns of the four angles every prediction depends on.
+_SHARED_COLUMNS = [
+    _PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")
+]
 
 
-def _amplitude_derivatives(
-    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
-) -> np.ndarray:
-    """What Bob's analyzer projects into each parameter's amplitude derivative.
+def _jacobian_kernel(
+    configs: Sequence[tuple[Bb84State, SiftBasis, ProbeConfig]],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Derivatives of ``predict_outcome_probs`` for many predictions at once.
 
-    A ``(2, 12)`` complex array: row ``c``, column ``2*k + e`` is entry
-    ``(c, e)`` of the derivative of ``output_state(params, alice,
-    cfg).reshape(2, 2)`` along the ``k``-th of d_xi, d_chi, the state's
-    wave-plate offset, alpha and delta, and for ``k = 5`` the rotation
-    generator ``[[0, -1], [1, 0]]`` applied to that state: the analyzer is
-    a rotation ``R``, whose derivative along its offset is
-    ``R @ [[0, -1], [1, 0]]``.
+    Returns ``x -> (N, 4, 10)``: for each of the N (state, basis,
+    configuration) triples, the derivatives of its four probabilities
+    along the parameter vector ``x`` in field order, ``2 Re(conj(a) da)``
+    for each projected amplitude ``a``, from one pass of array arithmetic
+    over all N.
 
     The output state's control-0 row is ``p0 * u`` and its control-1 row
     ``p1 * w``, with photon ``(p0, p1)``, probe ``(q0, q1)`` and the gate
     blocks acting as ``u = (c q0 + a, b + c q1)`` and
     ``w = (c q1 - b, c q0 - a)``, where ``c, s = cos(alpha), sin(alpha)``,
-    ``a = i exp(-i delta) s q1`` and ``b = i exp(i delta) s q0``.
+    ``a = i exp(-i delta) s q1`` and ``b = i exp(i delta) s q0``. Bob's
+    analyzer is a rotation ``R``, whose derivative along its offset is
+    ``R @ [[0, -1], [1, 0]]``.
     """
-    theta = alice.theta + getattr(params, _THETA_A_KEY[alice])
-    p0, sin_a = math.cos(theta), math.sin(theta)
-    chi_phase = cmath.exp(1j * params.d_chi)
-    p1 = chi_phase * sin_a
-    q0 = math.cos(cfg.theta_in)
-    q1 = cmath.exp(1j * params.d_xi) * math.sin(cfg.theta_in)
-    c, s = math.cos(params.alpha), math.sin(params.alpha)
-    ep = cmath.exp(1j * params.delta)
-    em = ep.conjugate()
-    a, b = 1j * em * s * q1, 1j * ep * s * q0
-    u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
-    icq1 = 1j * c * q1
-    # Along alpha, c turns into -s and s into c, so a into ta and b into tb.
-    ta, tb = 1j * em * c * q1, 1j * ep * c * q0
-    # Along the wave-plate offset, the photon (p0, p1) turns into
-    # (-sin_a, dp1).
-    dp1 = chi_phase * p0
-    # Column pairs: d_xi, d_chi, wave-plate offset, alpha, delta, analyzer.
-    return np.array(
-        [
-            [
-                1j * p0 * a, p0 * icq1,
-                0.0, 0.0,
-                -sin_a * u0, -sin_a * u1,
-                p0 * (ta - s * q0), p0 * (tb - s * q1),
-                -1j * p0 * a, 1j * p0 * b,
-                -p1 * w0, -p1 * w1,
-            ],
-            [
-                p1 * icq1, -1j * p1 * a,
-                1j * p1 * w0, 1j * p1 * w1,
-                dp1 * w0, dp1 * w1,
-                -p1 * (tb + s * q1), -p1 * (s * q0 + ta),
-                -1j * p1 * b, 1j * p1 * a,
-                p0 * u0, p0 * u1,
-            ],
-        ]
+    n = len(configs)
+    theta_a = np.array([state.theta for state, _, _ in configs])
+    a_columns = [_PARAM_KEYS.index(_THETA_A_KEY[state]) for state, _, _ in configs]
+    nominal = np.array([_ANALYZER_NOMINAL[basis] for _, basis, _ in configs])
+    b_columns = [_PARAM_KEYS.index(_THETA_B_KEY[basis]) for _, basis, _ in configs]
+    theta_in = np.array([cfg.theta_in for _, _, cfg in configs])
+    q0, sin_in = np.cos(theta_in), np.sin(theta_in)
+    slots = np.concatenate(
+        [_JACOBIAN_SLOTS[state, basis] + 40 * k
+         for k, (state, basis, _) in enumerate(configs)]
     )
+    zero = np.zeros(n)
+
+    def jacobians(x: np.ndarray) -> np.ndarray:
+        d_xi, d_chi, alpha, delta = x[_SHARED_COLUMNS].tolist()
+        theta = theta_a + x[a_columns]
+        p0, sin_a = np.cos(theta), np.sin(theta)
+        chi_phase = cmath.exp(1j * d_chi)
+        p1 = chi_phase * sin_a
+        q1 = cmath.exp(1j * d_xi) * sin_in
+        c, s = math.cos(alpha), math.sin(alpha)
+        ep = cmath.exp(1j * delta)
+        em = ep.conjugate()
+        a, b = 1j * em * s * q1, 1j * ep * s * q0
+        u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
+        icq1 = 1j * c * q1
+        # Along alpha, c turns into -s and s into c, so a into ta and b into tb.
+        ta, tb = 1j * em * c * q1, 1j * ep * c * q0
+        # Along the wave-plate offset, the photon (p0, p1) turns into
+        # (-sin_a, dp1).
+        dp1 = chi_phase * p0
+        # (2, 12, N): control bit, then the eve-bit pairs of d_xi, d_chi,
+        # wave-plate offset, alpha, delta and, for the analyzer, the
+        # rotation generator applied to the output state.
+        derivatives = np.array(
+            [
+                [
+                    1j * p0 * a, p0 * icq1,
+                    zero, zero,
+                    -sin_a * u0, -sin_a * u1,
+                    p0 * (ta - s * q0), p0 * (tb - s * q1),
+                    -1j * p0 * a, 1j * p0 * b,
+                    -p1 * w0, -p1 * w1,
+                ],
+                [
+                    p1 * icq1, -1j * p1 * a,
+                    1j * p1 * w0, 1j * p1 * w1,
+                    dp1 * w0, dp1 * w1,
+                    -p1 * (tb + s * q1), -p1 * (s * q0 + ta),
+                    -1j * p1 * b, 1j * p1 * a,
+                    p0 * u0, p0 * u1,
+                ],
+            ]
+        )
+        phi = nominal + x[b_columns]
+        cos_b, sin_b = np.cos(phi), np.sin(phi)
+        # Rows of R, the bit-0 and bit-1 analyzer states, applied to the
+        # output state and to its derivatives; R is real.
+        out0 = p0 * np.array([u0, u1])
+        out1 = p1 * np.array([w0, w1])
+        amplitudes = np.array(
+            [cos_b * out0 - sin_b * out1, sin_b * out0 + cos_b * out1]
+        )
+        d_amplitudes = np.array(
+            [cos_b * derivatives[0] - sin_b * derivatives[1],
+             sin_b * derivatives[0] + cos_b * derivatives[1]]
+        )
+        # (bob_bit, k, eve_bit, N) -> (N, bob_bit, k, eve_bit)
+        products = amplitudes.conj()[:, None] * d_amplitudes.reshape(2, 6, 2, n)
+        jac = np.zeros(40 * n)
+        jac[slots] = 2.0 * products.real.transpose(3, 0, 1, 2).ravel()
+        return jac.reshape(n, 4, 10)
+
+    return jacobians
 
 
 def predict_outcome_probs(
@@ -320,11 +363,7 @@ def predict_outcome_probs(
     probs = (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
     if not jacobian:
         return probs
-    d_amplitudes = analyzer @ _amplitude_derivatives(params, alice, cfg)
-    products = amplitudes.conj()[:, None, :] * d_amplitudes.reshape(2, 6, 2)
-    jac = np.zeros(40)
-    jac[_JACOBIAN_SLOTS[alice, bob_basis]] = 2.0 * products.real.ravel()
-    return probs, jac.reshape(4, 10)
+    return probs, _jacobian_kernel([(alice, bob_basis, cfg)])(params.as_vector())[0]
 
 
 def model_sift_summaries(
@@ -404,20 +443,19 @@ def _make_objective(records: Sequence[CountsRecord], weighting: str):
     (alice, basis, pe_nominal, counts); ``J`` is the ``(r.size, 10)``
     analytic derivative of ``r`` in field order. Both are therefore
     bit-identical under any reordering of the records. Each call predicts
-    every record once, with its derivatives.
+    every record once with ``predict_outcome_probs`` and takes the
+    derivatives of all records from one ``_jacobian_kernel`` pass.
     """
     configs, estimated, root_weights = _record_design(records, weighting)
+    jacobians = _jacobian_kernel(configs)
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         params = ErrorModelParams.from_vector(x)
-        predicted, jacobians = zip(
-            *[
-                predict_outcome_probs(params, *config, jacobian=True)
-                for config in configs
-            ]
+        predicted = np.stack(
+            [predict_outcome_probs(params, *config) for config in configs]
         )
-        r = (root_weights[:, None] * (estimated - np.stack(predicted))).ravel()
-        jac = -root_weights[:, None, None] * np.stack(jacobians)
+        r = (root_weights[:, None] * (estimated - predicted)).ravel()
+        jac = -root_weights[:, None, None] * jacobians(params.as_vector())
         return r, jac.reshape(r.size, 10)
 
     return residuals

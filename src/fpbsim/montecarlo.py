@@ -42,6 +42,9 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
+# Imported with the package: numpy loads numpy.random lazily, on first use,
+# which would put ~20 ms of imports into the first simulation.
+from numpy.random import default_rng
 
 from .probe import (
     OUTCOME_ORDER, Bb84State, SiftBasis, checked_pe, renyi_information, sift_cells
@@ -115,7 +118,7 @@ def simulate_counts(
     if probs.shape != (4,):
         raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
     p = probs / probs.sum()
-    draw = np.random.default_rng(seed).multinomial(n_pairs, p)
+    draw = default_rng(seed).multinomial(n_pairs, p)
     return tuple(int(c) for c in draw)
 
 
