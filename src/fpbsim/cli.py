@@ -32,6 +32,7 @@ README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -445,10 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The process's one parser: parsing keeps no state in it, and building it
+#: costs some twenty times what parsing does.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

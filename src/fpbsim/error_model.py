@@ -8,10 +8,12 @@ phase of the entangling gate, and one analyzer offset per measurement
 basis. With all ten at zero the model is the ideal attack. They are the
 fields of ``ErrorModelParams``, named and ordered as the parameter file.
 
-The model works on plain numpy arrays throughout. Single-qubit states
-are ``(2,)`` complex amplitudes, the gate is a ``(4, 4)`` matrix, and
-two-qubit amplitudes are ordered control-major, index ``2*c + t`` for
-photon (control) bit ``c`` and probe (target) bit ``t``. The four joint
+The model is one closed form, ``_amplitudes``: the amplitudes of the
+state after the entangling gate and of its projection onto Bob's
+analyzer, in arithmetic operators only, so one prediction evaluates it on
+Python numbers and the fit's derivative pass on numpy arrays. Two-qubit
+amplitudes are ordered control-major, index ``2*c + t`` for photon
+(control) bit ``c`` and probe (target) bit ``t``. The four joint
 detection probabilities of a configuration come back as a ``(4,)``
 array in ``OUTCOME_ORDER``; the model is unitary by construction, so
 they are not re-validated. On request they come with their analytic
@@ -139,64 +141,50 @@ _THETA_A_KEY = {state: f"d_theta_a_{state.value.lower()}" for state in Bb84State
 _THETA_B_KEY = {basis: f"d_theta_b_{basis.value.lower()}" for basis in SiftBasis}
 
 
-def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
-    """Probe preparation with a residual phase ``d_xi`` on the upper state.
-
-    Returns the normalized ``(2,)`` complex amplitudes.
-    """
-    return np.array(
-        [math.cos(cfg.theta_in), cmath.exp(1j * d_xi) * math.sin(cfg.theta_in)]
-    )
-
-
-def nonideal_alice_state(alice: Bb84State, d_theta: float, d_chi: float) -> np.ndarray:
-    """Alice's qubit with a wave-plate angle offset and residual phase.
-
-    Returns the normalized ``(2,)`` complex amplitudes in the control
-    frame; with zero offset and phase this is ``(cos theta, sin theta)``
-    at the state's polar angle.
-    """
-    theta = alice.theta + d_theta
-    return np.array([math.cos(theta), cmath.exp(1j * d_chi) * math.sin(theta)])
-
-
-def nonideal_pcnot(alpha: float, delta: float) -> np.ndarray:
-    """Entangling gate with imbalance ``alpha`` and phase ``delta``.
-
-    A ``(4, 4)`` complex matrix, block diagonal in the control bit; it
-    reduces to the ideal CNOT at ``alpha = delta = 0`` and is unitary by
-    construction for every real argument.
-    """
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    ep = cmath.exp(1j * delta)
-    em = cmath.exp(-1j * delta)
-    return np.array(
-        [
-            [c, 1j * em * s, 0.0, 0.0],
-            [1j * ep * s, c, 0.0, 0.0],
-            [0.0, 0.0, -1j * ep * s, c],
-            [0.0, 0.0, c, -1j * em * s],
-        ]
-    )
-
-
-#: Nominal analyzer angle of each basis, radians.
+#: Nominal analyzer angle of each basis, radians: +22.5 deg for HV and
+#: -22.5 deg for DA, where Bob's analyzed-bit states are the basis states.
 _ANALYZER_NOMINAL = {SiftBasis.HV: math.pi / 8, SiftBasis.DA: -math.pi / 8}
 
 
-def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
-    """Bob's two analyzed-bit states in the control frame.
+def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
+    """Closed-form amplitudes of the forward model.
 
-    The analyzer angle is the basis nominal (+22.5 deg for HV, -22.5 deg
-    for DA) plus the offset. Returns a ``(2, 2)`` array whose rows are the
-    (bit-0, bit-1) states; with a zero offset these coincide with the
-    basis states themselves.
+    The photon enters as ``(p0, p1)`` and the probe as ``(q0, q1)``; ``c,
+    s`` are the cosine and sine of the gate imbalance alpha, ``ep, em`` are
+    ``exp(+-i delta)`` of its phase, and ``cos_b, sin_b`` those of Bob's
+    analyzer angle. Only arithmetic operators are used, so the arguments
+    are Python numbers for one prediction or numpy arrays for many.
+
+    Returns ``(a, b, u, w, analyzed)``. The gate is block diagonal in the
+    control bit: it takes the probe to ``u = (c q0 + a, b + c q1)`` on
+    control 0 and to ``w = (c q1 - b, c q0 - a)`` on control 1, with ``a =
+    i em s q1`` and ``b = i ep s q0``, so the output state is ``(p0 u0, p0
+    u1, p1 w0, p1 w1)``. ``analyzed`` is that state with the photon rotated
+    onto the analyzer's bit-0 and bit-1 states, ordered ``2*bob_bit +
+    eve_bit``; at a zero analyzer angle it is the output state itself.
     """
-    theta = _ANALYZER_NOMINAL[basis] + d_theta_b
-    return np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    a, b = 1j * em * s * q1, 1j * ep * s * q0
+    u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
+    out0, out1, out2, out3 = p0 * u0, p0 * u1, p1 * w0, p1 * w1
+    analyzed = (
+        cos_b * out0 - sin_b * out2, cos_b * out1 - sin_b * out3,
+        sin_b * out0 + cos_b * out2, sin_b * out1 + cos_b * out3,
     )
+    return a, b, (u0, u1), (w0, w1), analyzed
+
+
+def _analyzed(
+    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig, phi: float
+) -> tuple[complex, complex, complex, complex]:
+    """One configuration's ``_amplitudes`` at analyzer angle ``phi``."""
+    theta = alice.theta + getattr(params, _THETA_A_KEY[alice])
+    ep = cmath.exp(1j * params.delta)
+    return _amplitudes(
+        math.cos(theta), cmath.exp(1j * params.d_chi) * math.sin(theta),
+        math.cos(cfg.theta_in), cmath.exp(1j * params.d_xi) * math.sin(cfg.theta_in),
+        math.cos(params.alpha), math.sin(params.alpha), ep, ep.conjugate(),
+        math.cos(phi), math.sin(phi),
+    )[-1]
 
 
 def output_state(
@@ -208,14 +196,11 @@ def output_state(
     for photon (control) bit ``c`` and probe (target) bit ``t``. At zero
     parameters this is the ideal attack output.
     """
-    d_theta = getattr(params, _THETA_A_KEY[alice])
-    photon = nonideal_alice_state(alice, d_theta, params.d_chi)
-    probe = nonideal_probe_state(cfg, params.d_xi)
-    return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
+    return np.array(_analyzed(params, alice, cfg, 0.0))
 
 
 #: Flat index ``2*bob_bit + eve_bit`` of each entry of ``OUTCOME_ORDER``.
-_OUTCOME_INDEX = np.array([2 * b + e for b, e in OUTCOME_ORDER])
+_OUTCOME_INDEX = tuple(2 * b + e for b, e in OUTCOME_ORDER)
 #: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` of
 #: ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
 #: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
@@ -251,13 +236,10 @@ def _jacobian_kernel(
     for each projected amplitude ``a``, from one pass of array arithmetic
     over all N.
 
-    The output state's control-0 row is ``p0 * u`` and its control-1 row
-    ``p1 * w``, with photon ``(p0, p1)``, probe ``(q0, q1)`` and the gate
-    blocks acting as ``u = (c q0 + a, b + c q1)`` and
-    ``w = (c q1 - b, c q0 - a)``, where ``c, s = cos(alpha), sin(alpha)``,
-    ``a = i exp(-i delta) s q1`` and ``b = i exp(i delta) s q0``. Bob's
-    analyzer is a rotation ``R``, whose derivative along its offset is
-    ``R @ [[0, -1], [1, 0]]``.
+    The amplitudes and their terms ``a, b, u, w`` are ``_amplitudes``'s,
+    with each argument an ``(N,)`` array or a scalar shared by all N.
+    Bob's analyzer is a rotation ``R``, whose derivative along its offset
+    is ``R @ [[0, -1], [1, 0]]``.
     """
     n = len(configs)
     theta_a = np.array([state.theta for state, _, _ in configs])
@@ -282,8 +264,11 @@ def _jacobian_kernel(
         c, s = math.cos(alpha), math.sin(alpha)
         ep = cmath.exp(1j * delta)
         em = ep.conjugate()
-        a, b = 1j * em * s * q1, 1j * ep * s * q0
-        u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
+        phi = nominal + x[b_columns]
+        cos_b, sin_b = np.cos(phi), np.sin(phi)
+        a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
+            p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b
+        )
         icq1 = 1j * c * q1
         # Along alpha, c turns into -s and s into c, so a into ta and b into tb.
         ta, tb = 1j * em * c * q1, 1j * ep * c * q0
@@ -313,15 +298,9 @@ def _jacobian_kernel(
                 ],
             ]
         )
-        phi = nominal + x[b_columns]
-        cos_b, sin_b = np.cos(phi), np.sin(phi)
         # Rows of R, the bit-0 and bit-1 analyzer states, applied to the
-        # output state and to its derivatives; R is real.
-        out0 = p0 * np.array([u0, u1])
-        out1 = p1 * np.array([w0, w1])
-        amplitudes = np.array(
-            [cos_b * out0 - sin_b * out1, sin_b * out0 + cos_b * out1]
-        )
+        # derivatives as ``_amplitudes`` applies them to the state; R is real.
+        amplitudes = np.array(analyzed).reshape(2, 2, n)
         d_amplitudes = np.array(
             [cos_b * derivatives[0] - sin_b * derivatives[1],
              sin_b * derivatives[0] + cos_b * derivatives[1]]
@@ -358,9 +337,10 @@ def predict_outcome_probs(
     d_xi, d_chi, alpha and delta columns wherever those four angles are
     all zero, where the conjugation symmetry makes the model even in them.
     """
-    analyzer = bob_analyzer(bob_basis, getattr(params, _THETA_B_KEY[bob_basis]))
-    amplitudes = analyzer.conj() @ output_state(params, alice, cfg).reshape(2, 2)
-    probs = (np.abs(amplitudes) ** 2).ravel()[_OUTCOME_INDEX]
+    phi = _ANALYZER_NOMINAL[bob_basis] + getattr(params, _THETA_B_KEY[bob_basis])
+    analyzed = _analyzed(params, alice, cfg, phi)
+    outcomes = [analyzed[i] for i in _OUTCOME_INDEX]
+    probs = np.array([z.real * z.real + z.imag * z.imag for z in outcomes])
     if not jacobian:
         return probs
     return probs, _jacobian_kernel([(alice, bob_basis, cfg)])(params.as_vector())[0]

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -184,6 +185,94 @@ def trf_fit_oracle(records) -> tuple[np.ndarray, float]:
     if x[6] < 0.0:
         x[[0, 1, 6, 7]] *= -1.0
     return x, math.fsum(result.fun**2)
+
+
+#: Nominal analyzer angle of each basis, radians.
+ANALYZER_NOMINAL = {SiftBasis.HV: math.pi / 8, SiftBasis.DA: -math.pi / 8}
+
+
+def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
+    """Probe preparation with a residual phase ``d_xi`` on the upper state.
+
+    Returns the normalized ``(2,)`` complex amplitudes.
+    """
+    return np.array(
+        [math.cos(cfg.theta_in), cmath.exp(1j * d_xi) * math.sin(cfg.theta_in)]
+    )
+
+
+def nonideal_alice_state(alice: Bb84State, d_theta: float, d_chi: float) -> np.ndarray:
+    """Alice's qubit with a wave-plate angle offset and residual phase.
+
+    Returns the normalized ``(2,)`` complex amplitudes in the control
+    frame; with zero offset and phase this is ``(cos theta, sin theta)``
+    at the state's polar angle.
+    """
+    theta = alice.theta + d_theta
+    return np.array([math.cos(theta), cmath.exp(1j * d_chi) * math.sin(theta)])
+
+
+def nonideal_pcnot(alpha: float, delta: float) -> np.ndarray:
+    """Entangling gate with imbalance ``alpha`` and phase ``delta``.
+
+    A ``(4, 4)`` complex matrix, block diagonal in the control bit; it
+    reduces to the ideal CNOT at ``alpha = delta = 0`` and is unitary by
+    construction for every real argument.
+    """
+    c = math.cos(alpha)
+    s = math.sin(alpha)
+    ep = cmath.exp(1j * delta)
+    em = cmath.exp(-1j * delta)
+    return np.array(
+        [
+            [c, 1j * em * s, 0.0, 0.0],
+            [1j * ep * s, c, 0.0, 0.0],
+            [0.0, 0.0, -1j * ep * s, c],
+            [0.0, 0.0, c, -1j * em * s],
+        ]
+    )
+
+
+def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
+    """Bob's two analyzed-bit states in the control frame.
+
+    The analyzer angle is the basis nominal (+22.5 deg for HV, -22.5 deg
+    for DA) plus the offset. Returns a ``(2, 2)`` array whose rows are the
+    (bit-0, bit-1) states; with a zero offset these coincide with the
+    basis states themselves.
+    """
+    theta = ANALYZER_NOMINAL[basis] + d_theta_b
+    return np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+
+
+def output_state_oracle(
+    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+) -> np.ndarray:
+    """Output state built from the four building blocks above.
+
+    The object pipeline that ``error_model.output_state`` replaced with its
+    closed form: Alice's and the probe's states, their product, then the
+    ``(4, 4)`` gate. Kept as the reference the closed form must match.
+    """
+    d_theta = getattr(params, f"d_theta_a_{alice.value.lower()}")
+    photon = nonideal_alice_state(alice, d_theta, params.d_chi)
+    probe = nonideal_probe_state(cfg, params.d_xi)
+    return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
+
+
+def predict_oracle(
+    params: ErrorModelParams, alice: Bb84State, basis: SiftBasis, cfg: ProbeConfig
+) -> np.ndarray:
+    """Detection probabilities in ``OUTCOME_ORDER`` from the object pipeline.
+
+    ``output_state_oracle`` projected by the ``bob_analyzer`` matrix, as
+    ``predict_outcome_probs`` computed them before its closed form.
+    """
+    analyzer = bob_analyzer(basis, getattr(params, f"d_theta_b_{basis.value.lower()}"))
+    amplitudes = analyzer.conj() @ output_state_oracle(params, alice, cfg).reshape(2, 2)
+    return np.array([abs(amplitudes[b, e]) ** 2 for b, e in OUTCOME_ORDER])
 
 
 def states_close(a, b, tol: float = 1e-9) -> bool:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report.
 """
 
+import cmath
 import json
 import math
 
@@ -23,7 +24,7 @@ from fpbsim import (
     simulate_counts,
 )
 from fpbsim.cli import main
-from fpbsim.error_model import nonideal_pcnot
+from fpbsim.error_model import _amplitudes
 
 from conftest import (
     IDEAL_EXPECTED,
@@ -105,12 +106,30 @@ def test_criterion_4_state_vector_vs_analytic():
     )
 
 
+def shipped_gate(alpha: float, delta: float) -> np.ndarray:
+    """The model's ``(4, 4)`` entangling gate, one column per basis input.
+
+    Feeds the shipped amplitude helper the photon and probe basis states,
+    control-major, with the analyzer at zero angle, so each output is the
+    gate's column for that input.
+    """
+    ep = cmath.exp(1j * delta)
+    gate_terms = (math.cos(alpha), math.sin(alpha), ep, ep.conjugate())
+    basis = ((1.0, 0.0), (0.0, 1.0))
+    columns = [
+        _amplitudes(*photon, *probe, *gate_terms, 1.0, 0.0)[-1]
+        for photon in basis
+        for probe in basis
+    ]
+    return np.array(columns).T
+
+
 def test_criterion_5_gate_unitarity_and_zero_reduction():
     rng = np.random.default_rng(424242)
     unitary_worst = 0.0
     for _ in range(100):
         alpha, delta = rng.uniform(-math.pi, math.pi, size=2)
-        gate = nonideal_pcnot(alpha, delta)
+        gate = shipped_gate(alpha, delta)
         unitary_worst = max(
             unitary_worst, float(np.max(np.abs(gate.conj().T @ gate - np.eye(4))))
         )

@@ -592,6 +592,19 @@ class TestFit:
 
 
 class TestParsing:
+    def test_usage_error_leaves_parser_as_fresh(self, capsys, monkeypatch):
+        argv = ["table", "--params", EXAMPLE_PARAMS, "--states", "H,V,D,A"]
+        src = str(Path(fpbsim.__file__).resolve().parent.parent)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fpbsim.cli", *argv], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        builds = count_calls(monkeypatch, fpbsim.cli, "build_parser")
+        assert run(capsys, "table", "--states", "H,X")[0] == 1
+        assert run(capsys, "table", "--bogus")[0] == 1
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert len(builds) <= 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "curve", "--bogus")
         assert code == 1

@@ -18,6 +18,7 @@ from fpbsim import (
     fit_parameters,
     model_sift_summaries,
     noise_free_counts,
+    output_state,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
@@ -25,22 +26,20 @@ from fpbsim import (
     sift_summaries,
     simulate_counts,
 )
-from fpbsim.error_model import (
-    _PARAM_KEYS,
-    _make_objective,
-    _trust_region_lm,
-    bob_analyzer,
-    nonideal_alice_state,
-    nonideal_pcnot,
-    nonideal_probe_state,
-)
+from fpbsim.error_model import _PARAM_KEYS, _make_objective, _trust_region_lm
 
 from fpbsim.cli import main
 
 from conftest import (
     FRAME_DEG,
     analytic_probs,
+    bob_analyzer,
     frame,
+    nonideal_alice_state,
+    nonideal_pcnot,
+    nonideal_probe_state,
+    output_state_oracle,
+    predict_oracle,
     renyi_information_oracle,
     residuals_oracle,
     sift_cells_oracle,
@@ -384,6 +383,25 @@ class TestForwardModel:
         probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe))
         assert np.all(probs >= 0.0)
         assert abs(probs.sum() - 1.0) < 1e-10
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        params=ANY_PARAMS,
+        state=st.sampled_from(Bb84State),
+        basis=st.sampled_from(SiftBasis),
+        pe=ANY_PE,
+    )
+    def test_closed_form_matches_object_pipeline(self, params, state, basis, pe):
+        cfg = ProbeConfig(pe)
+        np.testing.assert_allclose(
+            predict_outcome_probs(params, state, basis, cfg),
+            predict_oracle(params, state, basis, cfg),
+            rtol=0.0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            output_state(params, state, cfg), output_state_oracle(params, state, cfg),
+            rtol=0.0, atol=1e-15,
+        )
 
     def test_reference_params_near_measured_row(self, ref_params):
         probs = predict_outcome_probs(

@@ -18,13 +18,14 @@ from fpbsim import (
     renyi_closed_form,
     renyi_information,
 )
-from fpbsim.error_model import nonideal_alice_state, nonideal_probe_state
 from fpbsim.probe import sift_cells
 
 from conftest import (
     analytic_output,
     error_probability,
     frame,
+    nonideal_alice_state,
+    nonideal_probe_state,
     renyi_information_oracle,
     sift_cells_oracle,
     states_close,
