@@ -23,8 +23,9 @@ model's one sift path: it predicts a whole pe grid and reduces it with one stack
 ``montecarlo.sift_summaries`` does for measured counts. The fitter
 recovers the ten parameters from measured coincidence counts with a
 bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
-residual vector. Each evaluation returns the residual and its analytic
-Jacobian; forward differences fill only the columns whose slope is exactly
+residual vector. An evaluation is one call of the residual function; the
+analytic Jacobian is taken only at the start point and at each accepted
+step, and forward differences fill only the columns whose slope is exactly
 zero at the start point. ``fit_parameters`` takes its evaluation budget
 and record weighting as the keywords
 ``max_evals`` and ``weighting``. Angles are radians; degrees appear only
@@ -135,15 +136,15 @@ class ErrorModelParams:
 
 #: Parameter-file keys in vector order: the field names.
 _PARAM_KEYS = tuple(f.name for f in fields(ErrorModelParams))
-#: The field holding each input state's wave-plate offset.
-_THETA_A_KEY = {state: f"d_theta_a_{state.value.lower()}" for state in Bb84State}
-#: The field holding each basis's analyzer offset.
-_THETA_B_KEY = {basis: f"d_theta_b_{basis.value.lower()}" for basis in SiftBasis}
-
-
-#: Nominal analyzer angle of each basis, radians: +22.5 deg for HV and
+#: Per input state, its nominal angle and the field of its wave-plate
+#: offset; per basis, its nominal analyzer angle and the field of its
+#: analyzer offset. Radians: the analyzer sits at +22.5 deg for HV and
 #: -22.5 deg for DA, where Bob's analyzed-bit states are the basis states.
-_ANALYZER_NOMINAL = {SiftBasis.HV: math.pi / 8, SiftBasis.DA: -math.pi / 8}
+_ANGLE_TERMS = {
+    **{state: (state.theta, f"d_theta_a_{state.value.lower()}") for state in Bb84State},
+    SiftBasis.HV: (math.pi / 8, "d_theta_b_hv"),
+    SiftBasis.DA: (-math.pi / 8, "d_theta_b_da"),
+}
 
 
 def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
@@ -177,7 +178,8 @@ def _analyzed(
     params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig, phi: float
 ) -> tuple[complex, complex, complex, complex]:
     """One configuration's ``_amplitudes`` at analyzer angle ``phi``."""
-    theta = alice.theta + getattr(params, _THETA_A_KEY[alice])
+    theta, key = _ANGLE_TERMS[alice]
+    theta += getattr(params, key)
     ep = cmath.exp(1j * params.delta)
     return _amplitudes(
         math.cos(theta), cmath.exp(1j * params.d_chi) * math.sin(theta),
@@ -199,8 +201,6 @@ def output_state(
     return np.array(_analyzed(params, alice, cfg, 0.0))
 
 
-#: Flat index ``2*bob_bit + eve_bit`` of each entry of ``OUTCOME_ORDER``.
-_OUTCOME_INDEX = tuple(2 * b + e for b, e in OUTCOME_ORDER)
 #: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` of
 #: ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
 #: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
@@ -211,8 +211,8 @@ _JACOBIAN_SLOTS = {
         [
             10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
             for b in (0, 1)
-            for key in ("d_xi", "d_chi", _THETA_A_KEY[state], "alpha", "delta",
-                        _THETA_B_KEY[basis])
+            for key in ("d_xi", "d_chi", _ANGLE_TERMS[state][1], "alpha", "delta",
+                        _ANGLE_TERMS[basis][1])
             for e in (0, 1)
         ]
     )
@@ -220,9 +220,9 @@ _JACOBIAN_SLOTS = {
     for basis in SiftBasis
 }
 #: Field-order columns of the four angles every prediction depends on.
-_SHARED_COLUMNS = [
-    _PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")
-]
+_SHARED_COLUMNS = np.array(
+    [_PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")]
+)
 
 
 def _jacobian_kernel(
@@ -242,10 +242,14 @@ def _jacobian_kernel(
     is ``R @ [[0, -1], [1, 0]]``.
     """
     n = len(configs)
-    theta_a = np.array([state.theta for state, _, _ in configs])
-    a_columns = [_PARAM_KEYS.index(_THETA_A_KEY[state]) for state, _, _ in configs]
-    nominal = np.array([_ANALYZER_NOMINAL[basis] for _, basis, _ in configs])
-    b_columns = [_PARAM_KEYS.index(_THETA_B_KEY[basis]) for _, basis, _ in configs]
+
+    def angle_terms(members) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's nominal angle and its offset's field-order column."""
+        nominal, keys = zip(*(_ANGLE_TERMS[member] for member in members))
+        return np.array(nominal), np.array([_PARAM_KEYS.index(key) for key in keys])
+
+    theta_a, a_columns = angle_terms(state for state, _, _ in configs)
+    nominal, b_columns = angle_terms(basis for _, basis, _ in configs)
     theta_in = np.array([cfg.theta_in for _, _, cfg in configs])
     q0, sin_in = np.cos(theta_in), np.sin(theta_in)
     slots = np.concatenate(
@@ -337,10 +341,16 @@ def predict_outcome_probs(
     d_xi, d_chi, alpha and delta columns wherever those four angles are
     all zero, where the conjugation symmetry makes the model even in them.
     """
-    phi = _ANALYZER_NOMINAL[bob_basis] + getattr(params, _THETA_B_KEY[bob_basis])
-    analyzed = _analyzed(params, alice, cfg, phi)
-    outcomes = [analyzed[i] for i in _OUTCOME_INDEX]
-    probs = np.array([z.real * z.real + z.imag * z.imag for z in outcomes])
+    phi, key = _ANGLE_TERMS[bob_basis]
+    # Indexed 2*bob_bit + eve_bit, unpacked here in OUTCOME_ORDER.
+    phi += getattr(params, key)
+    b0e0, b0e1, b1e0, b1e1 = _analyzed(params, alice, cfg, phi)
+    probs = np.array([
+        b1e0.real * b1e0.real + b1e0.imag * b1e0.imag,
+        b1e1.real * b1e1.real + b1e1.imag * b1e1.imag,
+        b0e1.real * b0e1.real + b0e1.imag * b0e1.imag,
+        b0e0.real * b0e0.real + b0e0.imag * b0e0.imag,
+    ])
     if not jacobian:
         return probs
     return probs, _jacobian_kernel([(alice, bob_basis, cfg)])(params.as_vector())[0]
@@ -353,20 +363,23 @@ def model_sift_summaries(
 
     Returns two ``(len(pes), 2)`` float arrays, columns in ``SiftBasis``
     order (HV, DA). Each (pe, basis, state) is predicted with
-    ``predict_outcome_probs``; the whole stack reduces with one
-    ``sift_cells`` and one ``renyi_information`` call, as measured counts
-    do in ``montecarlo.sift_summaries``. The Renyi information is NaN
-    where the model predicts no error-free sift events: an error-free
-    mass below 1e-15, since predictions carry rounding noise.
+    ``predict_outcome_probs`` into one preallocated ``(len(pes), 2, 2, 4)``
+    array; the whole stack reduces with one ``sift_cells`` and one
+    ``renyi_information`` call, as measured counts do in
+    ``montecarlo.sift_summaries``. The Renyi information is NaN where the
+    model predicts no error-free sift events: an error-free mass below
+    1e-15, since predictions carry rounding noise.
     """
-    rows = np.array(
-        [
-            predict_outcome_probs(params, state, basis, cfg)
-            for cfg in map(ProbeConfig, pes)
-            for basis in SiftBasis
-            for state in basis.states
-        ]
-    ).reshape(-1, 2, 2, 4)
+    rows = np.empty((len(pes), 2, 2, 4))
+    flat_rows = rows.reshape(-1, 4)
+    configs = (
+        (state, basis, cfg)
+        for cfg in map(ProbeConfig, pes)
+        for basis in SiftBasis
+        for state in basis.states
+    )
+    for i, config in enumerate(configs):
+        flat_rows[i] = predict_outcome_probs(params, *config)
     tables, error_rates = sift_cells(rows)
     renyi = np.full(error_rates.shape, np.nan)
     has_mass = tables.sum(axis=(-2, -1)) >= 1e-15
@@ -418,25 +431,30 @@ def _record_design(
 def _make_objective(records: Sequence[CountsRecord], weighting: str):
     """Weighted residual vector over all records and outcomes, with its Jacobian.
 
-    Returns ``x -> (r, J)``. Entries of ``r`` are ``sqrt(weight) *
+    Returns ``x -> (r, jacobian)``. Entries of ``r`` are ``sqrt(weight) *
     (estimated - predicted)``, four per record, with the records sorted by
-    (alice, basis, pe_nominal, counts); ``J`` is the ``(r.size, 10)``
-    analytic derivative of ``r`` in field order. Both are therefore
-    bit-identical under any reordering of the records. Each call predicts
-    every record once with ``predict_outcome_probs`` and takes the
-    derivatives of all records from one ``_jacobian_kernel`` pass.
+    (alice, basis, pe_nominal, counts). ``jacobian()`` returns the ``(r.size,
+    10)`` analytic derivative of ``r`` at ``x`` in field order. Both are
+    therefore bit-identical under any reordering of the records. Each call
+    predicts every record once with ``predict_outcome_probs``; the
+    derivatives of all records come from one ``_jacobian_kernel`` pass, run
+    only when ``jacobian`` is called.
     """
     configs, estimated, root_weights = _record_design(records, weighting)
     jacobians = _jacobian_kernel(configs)
 
-    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         params = ErrorModelParams.from_vector(x)
-        predicted = np.stack(
+        predicted = np.array(
             [predict_outcome_probs(params, *config) for config in configs]
         )
         r = (root_weights[:, None] * (estimated - predicted)).ravel()
-        jac = -root_weights[:, None, None] * jacobians(params.as_vector())
-        return r, jac.reshape(r.size, 10)
+
+        def jacobian() -> np.ndarray:
+            jac = -root_weights[:, None, None] * jacobians(params.as_vector())
+            return jac.reshape(r.size, 10)
+
+        return r, jacobian
 
     return residuals
 
@@ -447,10 +465,8 @@ def _held_keys(records: Sequence[CountsRecord]) -> tuple[str, ...]:
     A wave-plate offset only enters records prepared in its state and an
     analyzer offset only records measured in its basis.
     """
-    states = {record.alice for record in records}
-    bases = {record.bob_basis for record in records}
-    held = {key for state, key in _THETA_A_KEY.items() if state not in states}
-    held |= {key for basis, key in _THETA_B_KEY.items() if basis not in bases}
+    seen = {member for record in records for member in (record.alice, record.bob_basis)}
+    held = {key for member, (_, key) in _ANGLE_TERMS.items() if member not in seen}
     return tuple(key for key in _PARAM_KEYS if key in held)
 
 
@@ -531,11 +547,13 @@ def _lm_step(
 def _trust_region_lm(fun, z: np.ndarray) -> str:
     """Minimize ``||f(z)||^2`` inside ``|z_i| < pi/2``; returns why it stopped.
 
-    ``fun(z)`` returns the residual ``f`` and its Jacobian, so the point a
-    trial step reaches comes with the Jacobian the next iteration needs.
-    Only at the start, a column whose derivative is exactly zero is taken
-    from forward differences instead: at a saddle such as the all-zero
-    parameters, their rounding-level slope is what moves the fit off it.
+    ``fun(z)`` returns the residual ``f`` and a zero-argument callable
+    that computes its Jacobian. The solver calls it only where it needs
+    the Jacobian: at the start point and at each accepted step, never at a
+    rejected or final trial point. Only at the start, a column whose
+    derivative is exactly zero is taken from forward differences instead:
+    at a saddle such as the all-zero parameters, their rounding-level
+    slope is what moves the fit off it.
     Each iteration takes the Jacobian's SVD, then tries
     Levenberg-Marquardt steps until one lowers the cost. The ratio of
     actual to predicted decrease sets the trust radius (1 at the start): a
@@ -550,7 +568,8 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
     "xtol" when a trial step is shorter than ``_TOL`` relative to ``z``.
     The caller keeps the best point seen.
     """
-    f, jac = fun(z)
+    f, jacobian = fun(z)
+    jac = jacobian()
     flat = np.flatnonzero(~jac.any(axis=0))
     if flat.size:
         jac[:, flat] = _forward_jacobian(fun, z, f, flat)
@@ -572,7 +591,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             p *= min(1.0, theta * to_bound.min(initial=np.inf))
             z_new = np.clip(z + p, -_INNER_BOUND, _INNER_BOUND)
             step = z_new - z
-            f_new, jac_new = fun(z_new)
+            f_new, jacobian = fun(z_new)
             cost_new = f_new @ f_new
             actual = cost - cost_new
             jstep = jac @ step
@@ -592,7 +611,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             radius = new_radius
             if actual > 0.0:
                 break
-        z, f, jac, cost = z_new, f_new, jac_new, cost_new
+        z, f, jac, cost = z_new, f_new, jacobian(), cost_new
 
 
 def fit_parameters(
@@ -607,8 +626,10 @@ def fit_parameters(
     Minimizes the summed squared differences between each record's
     normalized probabilities and the forward-model prediction inside
     |angle| < pi/2 with a bounded trust-region Levenberg-Marquardt solver
-    (``_trust_region_lm``). An evaluation is one call that returns the
-    residual vector with its analytic Jacobian. At the start point only, a
+    (``_trust_region_lm``). An evaluation is one call of the residual
+    function, which predicts every record once. The analytic Jacobian is
+    taken only at the start point and at each accepted step, never at a
+    rejected or final trial point. At the start point only, a
     free parameter whose slope is exactly zero gets a two-point
     forward-difference column instead, one evaluation each: from the
     all-zero start these are d_xi, d_chi, alpha and delta, whose slopes the
@@ -668,18 +689,18 @@ def fit_parameters(
     best_x, best_residual = x0, math.inf
     evaluations = 0
 
-    def free_residuals(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def free_residuals(z: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         nonlocal best_x, best_residual, evaluations
         if evaluations >= max_evals:
             raise _BudgetExhausted
         x = x0.copy()
         x[free] = z
-        r, jac = objective(x)
+        r, jacobian = objective(x)
         evaluations += 1
         value = math.fsum(r * r)
         if value < best_residual:
             best_x, best_residual = x, value
-        return r, jac[:, free]
+        return r, lambda: jacobian()[:, free]
 
     try:
         termination = _trust_region_lm(free_residuals, x0[free])

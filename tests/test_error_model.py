@@ -26,6 +26,7 @@ from fpbsim import (
     sift_summaries,
     simulate_counts,
 )
+from fpbsim import error_model
 from fpbsim.error_model import _PARAM_KEYS, _make_objective, _trust_region_lm
 
 from fpbsim.cli import main
@@ -583,12 +584,13 @@ class TestFit:
         shuffled = _make_objective(shuffled_records, "equal")
         for _ in range(5):
             x = rng.uniform(-0.3, 0.3, size=10)
-            want, want_jac = forward(x)
+            want, want_jacobian = forward(x)
+            want_jac = want_jacobian()
             assert want.shape == (4 * len(records),)
             assert want_jac.shape == (4 * len(records), 10)
-            for r, jac in (backward(x), shuffled(x)):
+            for r, jacobian in (backward(x), shuffled(x)):
                 assert r.tobytes() == want.tobytes()
-                assert jac.tobytes() == want_jac.tobytes()
+                assert jacobian().tobytes() == want_jac.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -730,14 +732,61 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
     def test_converges_from_zero_in_few_evaluations(self, tmp_path, seed):
-        # Each evaluation carries the analytic Jacobian; only the four columns
-        # that vanish at the zero start cost forward-difference calls.
+        # The Jacobian is analytic; only the four columns that vanish at the
+        # zero start cost forward-difference calls.
         records = design_records(tmp_path, seed)
         result = fit_parameters(records)
         assert result.converged
         assert result.evaluations <= 15
         if seed is None:
             assert f"{result.residual:.6e}" == "1.714613e-03"
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_jacobian_taken_at_start_and_accepted_steps_only(
+        self, tmp_path, monkeypatch, seed
+    ):
+        # Spy on the residual function the solver gets: per call, its point,
+        # its cost and how often its Jacobian was asked for.
+        calls = []
+        solve = error_model._trust_region_lm
+
+        def spied_solver(fun, z):
+            def spied(z):
+                r, jacobian = fun(z)
+                call = {"z": z.copy(), "cost": r @ r, "jacobians": 0}
+                calls.append(call)
+
+                def counted():
+                    call["jacobians"] += 1
+                    return jacobian()
+
+                return r, counted
+
+            return solve(spied, z)
+
+        monkeypatch.setattr(error_model, "_trust_region_lm", spied_solver)
+        result = fit_parameters(design_records(tmp_path, seed))
+        assert result.converged
+        assert result.evaluations == len(calls)
+        start, probes, trials = calls[0], calls[1:5], calls[5:]
+        assert not start["z"].any()
+        assert start["jacobians"] == 1
+        # The four forward-difference probes of the zero start.
+        for shifted in probes:
+            assert np.count_nonzero(shifted["z"]) == 1
+            assert shifted["jacobians"] == 0
+        assert trials
+        # A trial is accepted when it lowers the cost and the solver goes on
+        # from it. The last trial ends the fit by "ftol" or "xtol" without
+        # being accepted; "gtol" ends it at the start of the next iteration.
+        cost = start["cost"]
+        for k, trial in enumerate(trials):
+            accepted = trial["cost"] < cost and (
+                k < len(trials) - 1 or result.termination == "gtol"
+            )
+            assert trial["jacobians"] == int(accepted)
+            if accepted:
+                cost = trial["cost"]
 
     def test_recovers_seeded_truths_as_often_as_scipy(self):
         found = trf_found = 0
@@ -757,7 +806,7 @@ class TestFit:
         def residual(z):
             calls.append(z.copy())
             slope = 1.0 if z[0] >= 0.0 else -1.0
-            return np.array([1.0 + abs(z[0])]), np.array([[slope]])
+            return np.array([1.0 + abs(z[0])]), lambda: np.array([[slope]])
 
         assert _trust_region_lm(residual, np.zeros(1)) == "xtol"
         assert len(calls) == 29
