@@ -9,13 +9,12 @@ from .error_model import (
     predict_outcome_probs,
 )
 from .montecarlo import (
+    CountsColumns,
     CountsFileError,
     CountsRecord,
-    estimate_probabilities,
     noise_free_counts,
     read_counts_file,
     reference_counts_path,
-    sift_summaries,
     simulate_counts,
 )
 from .probe import (
@@ -29,6 +28,7 @@ from .probe import (
 
 __all__ = [
     "Bb84State",
+    "CountsColumns",
     "CountsFileError",
     "CountsRecord",
     "ErrorModelParams",
@@ -36,7 +36,6 @@ __all__ = [
     "OUTCOME_ORDER",
     "ProbeConfig",
     "SiftBasis",
-    "estimate_probabilities",
     "fit_parameters",
     "model_sift_summaries",
     "noise_free_counts",
@@ -46,7 +45,6 @@ __all__ = [
     "reference_counts_path",
     "renyi_closed_form",
     "renyi_information",
-    "sift_summaries",
     "simulate_counts",
 ]
 

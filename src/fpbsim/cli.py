@@ -7,14 +7,18 @@ Subcommands:
   whole grid, one stacked pass; a grid point without error-free sift
   events is an error.
 * ``table``     Model detection probabilities in the reference layout.
-* ``simulate``  Seeded synthetic coincidence-count files.
+* ``simulate``  Seeded synthetic coincidence-count files, written from
+  ``montecarlo.CountsColumns`` built with ``CountsColumns.from_records``.
 * ``estimate``  Probabilities, error rates, and measured Renyi
-  information from a counts file. It reads the file as
-  ``montecarlo.CountsColumns`` and never builds a record; the
-  per-(basis, pe) rows are the columns' ``sift_summaries``, and the
-  command only formats them, warning about each incomplete group.
+  information from a counts file. The per-(basis, pe) rows are the
+  columns' ``sift_summaries``, and the command only formats them, warning
+  about each incomplete group.
 * ``fit``       Least-squares fit of the ten error-model parameters, as
   one JSON document or ``key,value`` CSV rows with the same keys.
+
+The read side is columnar for every command: ``estimate`` and ``fit`` both
+read their counts file with ``montecarlo.read_counts_file`` into
+``montecarlo.CountsColumns`` and never build a record.
 
 Outputs are deterministic given the inputs and seed. Tables are CSV
 blocks or JSON row objects with the same columns, each table written
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams
-from .montecarlo import ASCII_SPACE, CountsRecord
+from .montecarlo import ASCII_SPACE, CountsColumns, CountsRecord
 from .probe import Bb84State, ProbeConfig, SiftBasis
 
 _BASES = (SiftBasis.HV, SiftBasis.DA)
@@ -310,12 +314,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         counts = montecarlo.simulate_counts(probs, args.pairs, int(seed))
         records.append(CountsRecord(state, basis, pe, counts))
-    _emit(args, montecarlo.counts_file_text(records))
+    _emit(args, montecarlo.counts_file_text(CountsColumns.from_records(records)))
     return 0
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    counts = montecarlo.read_counts_columns(args.counts)
+    counts = montecarlo.read_counts_file(args.counts)
     if not len(counts.pe):
         raise UsageError(f"counts file {args.counts} contains no records")
     record_rows = list(zip(
@@ -345,12 +349,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    records = montecarlo.read_counts_file(args.counts)
+    counts = montecarlo.read_counts_file(args.counts)
     init = _load_params(args.init)
     result = error_model.fit_parameters(
-        records, init=init, max_evals=args.max_evals, weighting=args.weighting
+        counts, init=init, max_evals=args.max_evals, weighting=args.weighting
     )
-    n_values = 4 * len(records)
+    n_values = counts.counts.size
     if n_values < 96:
         print(
             f"warning: {n_values} data values constrain a 10-parameter fit "

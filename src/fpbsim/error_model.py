@@ -16,20 +16,19 @@ amplitudes are ordered control-major, index ``2*c + t`` for photon
 (control) bit ``c`` and probe (target) bit ``t``. The four joint
 detection probabilities of a configuration come back as a ``(4,)``
 array in ``OUTCOME_ORDER``; the model is unitary by construction, so
-they are not re-validated. On request they come with their analytic
-derivatives along the ten parameters. ``model_sift_summaries`` is the
-model's one sift path: it predicts a whole pe grid and reduces it with one stacked
+they are not re-validated. ``model_sift_summaries`` is the model's one
+sift path: it predicts a whole pe grid and reduces it with one stacked
 ``probe.sift_cells`` and ``probe.renyi_information`` pass, as
-``montecarlo.sift_summaries`` does for measured counts. The fitter
-recovers the ten parameters from measured coincidence counts with a
-bounded trust-region Levenberg-Marquardt solver in numpy on the weighted
-residual vector. An evaluation is one call of the residual function; the
-analytic Jacobian is taken only at the start point and at each accepted
-step, and forward differences fill only the columns whose slope is exactly
-zero at the start point. ``fit_parameters`` takes its evaluation budget
-and record weighting as the keywords
-``max_evals`` and ``weighting``. Angles are radians; degrees appear only
-at I/O boundaries.
+``montecarlo.CountsColumns.sift_summaries`` does for measured counts. The
+fitter recovers the ten parameters from measured coincidence counts, given
+as ``montecarlo.CountsColumns``, with a bounded trust-region
+Levenberg-Marquardt solver in numpy on the weighted residual vector. An
+evaluation is one call of the residual function; the analytic Jacobian,
+one array pass over all records, is taken only at the start point and at
+each accepted step, and forward differences fill only the columns whose
+slope is exactly zero at the start point. ``fit_parameters`` takes its
+evaluation budget and record weighting as the keywords ``max_evals`` and
+``weighting``. Angles are radians; degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .montecarlo import CountsRecord, estimate_probabilities
+from .montecarlo import _BASES, _STATES, CountsColumns
 from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis
 from .probe import renyi_information, sift_cells
 
@@ -234,7 +233,11 @@ def _jacobian_kernel(
     configuration) triples, the derivatives of its four probabilities
     along the parameter vector ``x`` in field order, ``2 Re(conj(a) da)``
     for each projected amplitude ``a``, from one pass of array arithmetic
-    over all N.
+    over all N. Six columns can be nonzero: d_xi, d_chi, alpha, delta and
+    the offsets of the state and the basis. The other four are exact zeros,
+    and so are the d_xi, d_chi, alpha and delta columns wherever those four
+    angles are all zero, where the conjugation symmetry makes the model
+    even in them.
 
     The amplitudes and their terms ``a, b, u, w`` are ``_amplitudes``'s,
     with each argument an ``(N,)`` array or a scalar shared by all N.
@@ -323,37 +326,24 @@ def predict_outcome_probs(
     alice: Bb84State,
     bob_basis: SiftBasis,
     cfg: ProbeConfig,
-    *,
-    jacobian: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Forward-model the four joint detection probabilities.
 
     Projects the output state onto Bob's analyzed-bit states (photon)
     and Eve's computational states (probe). Returns a ``(4,)`` float
     array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
     (0,1), (0,0); the entries sum to one by unitarity.
-
-    With ``jacobian=True`` returns ``(probs, jac)``: the same probabilities
-    and their ``(4, 10)`` derivatives along the parameters in field order,
-    ``2 Re(conj(a) da)`` for each projected amplitude ``a``. Six columns
-    can be nonzero: d_xi, d_chi, alpha, delta and the offsets of ``alice``
-    and ``bob_basis``. The other four are exact zeros, and so are the
-    d_xi, d_chi, alpha and delta columns wherever those four angles are
-    all zero, where the conjugation symmetry makes the model even in them.
     """
     phi, key = _ANGLE_TERMS[bob_basis]
     # Indexed 2*bob_bit + eve_bit, unpacked here in OUTCOME_ORDER.
     phi += getattr(params, key)
     b0e0, b0e1, b1e0, b1e1 = _analyzed(params, alice, cfg, phi)
-    probs = np.array([
+    return np.array([
         b1e0.real * b1e0.real + b1e0.imag * b1e0.imag,
         b1e1.real * b1e1.real + b1e1.imag * b1e1.imag,
         b0e1.real * b0e1.real + b0e1.imag * b0e1.imag,
         b0e0.real * b0e0.real + b0e0.imag * b0e0.imag,
     ])
-    if not jacobian:
-        return probs
-    return probs, _jacobian_kernel([(alice, bob_basis, cfg)])(params.as_vector())[0]
 
 
 def model_sift_summaries(
@@ -366,9 +356,9 @@ def model_sift_summaries(
     ``predict_outcome_probs`` into one preallocated ``(len(pes), 2, 2, 4)``
     array; the whole stack reduces with one ``sift_cells`` and one
     ``renyi_information`` call, as measured counts do in
-    ``montecarlo.sift_summaries``. The Renyi information is NaN where the
-    model predicts no error-free sift events: an error-free mass below
-    1e-15, since predictions carry rounding noise.
+    ``montecarlo.CountsColumns.sift_summaries``. The Renyi information is
+    NaN where the model predicts no error-free sift events: an error-free
+    mass below 1e-15, since predictions carry rounding noise.
     """
     rows = np.empty((len(pes), 2, 2, 4))
     flat_rows = rows.reshape(-1, 4)
@@ -407,40 +397,43 @@ class FitResult:
 
 
 def _record_design(
-    records: Sequence[CountsRecord], weighting: str
+    counts: CountsColumns, weighting: str
 ) -> tuple[list[tuple[Bb84State, SiftBasis, ProbeConfig]], np.ndarray, np.ndarray]:
     """Per record, in canonical record order: the (state, basis,
     configuration) to predict, the ``(N, 4)`` estimated probabilities and
-    the ``(N,)`` square roots of the record weights."""
-    records = sorted(
-        records,
-        key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
-    )
-    mean_total = sum(record.total for record in records) / len(records)
-    weights = [
-        1.0 if weighting == "equal" else record.total / mean_total
-        for record in records
+    the ``(N,)`` square roots of the record weights.
+
+    The canonical order sorts by the state's and the basis's spelling, then
+    pe, then the exact counts. The mean total is taken over the exact
+    integer totals, so counts of any size order and weight exactly.
+    """
+    state, basis, pe = counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist()
+    exact = counts.counts.tolist()
+    keys = [
+        (_STATES[s].value, _BASES[b].value, p, row)
+        for s, b, p, row in zip(state, basis, pe, exact)
     ]
-    configs = [
-        (record.alice, record.bob_basis, ProbeConfig(record.pe_nominal))
-        for record in records
-    ]
-    return configs, estimate_probabilities(records), np.sqrt(weights)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    configs = [(_STATES[state[k]], _BASES[basis[k]], ProbeConfig(pe[k])) for k in order]
+    weights = np.ones(len(order))
+    if weighting == "counts":
+        weights = counts.totals[order] / (sum(map(sum, exact)) / len(exact))
+    return configs, counts.probabilities()[order], np.sqrt(weights)
 
 
-def _make_objective(records: Sequence[CountsRecord], weighting: str):
+def _make_objective(counts: CountsColumns, weighting: str):
     """Weighted residual vector over all records and outcomes, with its Jacobian.
 
     Returns ``x -> (r, jacobian)``. Entries of ``r`` are ``sqrt(weight) *
-    (estimated - predicted)``, four per record, with the records sorted by
-    (alice, basis, pe_nominal, counts). ``jacobian()`` returns the ``(r.size,
-    10)`` analytic derivative of ``r`` at ``x`` in field order. Both are
-    therefore bit-identical under any reordering of the records. Each call
-    predicts every record once with ``predict_outcome_probs``; the
-    derivatives of all records come from one ``_jacobian_kernel`` pass, run
-    only when ``jacobian`` is called.
+    (estimated - predicted)``, four per record, with the records in the
+    canonical order of ``_record_design``. ``jacobian()`` returns the
+    ``(r.size, 10)`` analytic derivative of ``r`` at ``x`` in field order.
+    Both are therefore bit-identical under any reordering of the records.
+    Each call predicts every record once with ``predict_outcome_probs``;
+    the derivatives of all records come from one ``_jacobian_kernel``
+    pass, run only when ``jacobian`` is called.
     """
-    configs, estimated, root_weights = _record_design(records, weighting)
+    configs, estimated, root_weights = _record_design(counts, weighting)
     jacobians = _jacobian_kernel(configs)
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
@@ -459,13 +452,14 @@ def _make_objective(records: Sequence[CountsRecord], weighting: str):
     return residuals
 
 
-def _held_keys(records: Sequence[CountsRecord]) -> tuple[str, ...]:
+def _held_keys(counts: CountsColumns) -> tuple[str, ...]:
     """Parameters that no record's prediction depends on.
 
     A wave-plate offset only enters records prepared in its state and an
     analyzer offset only records measured in its basis.
     """
-    seen = {member for record in records for member in (record.alice, record.bob_basis)}
+    seen = {*map(_STATES.__getitem__, counts.state.tolist()),
+            *map(_BASES.__getitem__, counts.basis.tolist())}
     held = {key for member, (_, key) in _ANGLE_TERMS.items() if member not in seen}
     return tuple(key for key in _PARAM_KEYS if key in held)
 
@@ -615,7 +609,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
 
 
 def fit_parameters(
-    records: Sequence[CountsRecord],
+    counts: CountsColumns,
     init: ErrorModelParams | None = None,
     *,
     max_evals: int = 50_000,
@@ -634,7 +628,8 @@ def fit_parameters(
     forward-difference column instead, one evaluation each: from the
     all-zero start these are d_xi, d_chi, alpha and delta, whose slopes the
     conjugation symmetry below cancels. Deterministic given identical
-    records (in any order), init, ``max_evals`` and ``weighting``.
+    records (the rows of ``counts``, in any order), init, ``max_evals``
+    and ``weighting``.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis
@@ -648,10 +643,12 @@ def fit_parameters(
 
     Parameters
     ----------
-    records:
-        Measured configurations; at least 3 records (so the data values
-        outnumber the 10 parameters) spanning at least 2 distinct
-        nominal error probabilities.
+    counts:
+        Measured configurations as columns, one row per record, as
+        ``montecarlo.read_counts_file`` returns them or
+        ``CountsColumns.from_records`` builds them; at least 3 records (so
+        the data values outnumber the 10 parameters) spanning at least 2
+        distinct nominal error probabilities.
     init:
         Starting point; all-zero parameters when omitted.
     max_evals:
@@ -674,16 +671,16 @@ def fit_parameters(
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
     init = init or ErrorModelParams()
-    if len(records) * 4 < 10:
+    if counts.counts.size < 10:
         raise ValueError(
             f"need at least 10 data values to fit 10 parameters, got "
-            f"{len(records) * 4}"
+            f"{counts.counts.size}"
         )
-    if len({record.pe_nominal for record in records}) < 2:
+    if len(set(counts.pe.tolist())) < 2:
         raise ValueError("records must span at least 2 distinct error probabilities")
 
-    objective = _make_objective(records, weighting)
-    held = _held_keys(records)
+    objective = _make_objective(counts, weighting)
+    held = _held_keys(counts)
     free = np.array([key not in held for key in _PARAM_KEYS])
     x0 = init.as_vector()
     best_x, best_residual = x0, math.inf

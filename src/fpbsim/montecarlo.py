@@ -8,24 +8,24 @@ information. Every record has a positive total that fits in a float,
 and its nominal pe passes ``probe.checked_pe`` however the record is
 built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
 
-The read side is columnar. ``CountsColumns`` holds records as state and
-basis index arrays, pe, the exact ``(N, 4)`` counts, float totals and
-durations. One parser turns counts-file lines into columns and checks
-every field rule over a whole column; on a bad file it reports the
-first bad line with the message of that line's first failed check.
-``read_counts_columns`` reads a file as columns, and ``read_counts_file``
-and ``parse_counts`` build ``CountsRecord``s from them.
-``CountsColumns.probabilities`` divides every row ``counts / total`` in
-one array operation, and ``CountsColumns.sift_summaries`` is the counts'
-one sift path: it groups the sift rows by sift basis and nominal pe with
-one sort, and reduces the two rows ``counts / total`` of every group of
-one record per input state with one stacked ``probe.sift_cells`` and
-``probe.renyi_information`` pass, as ``error_model.model_sift_summaries``
-does with the model's predictions. ``estimate_probabilities`` and
-``sift_summaries`` do the same for records. ``counts_file_text`` writes
-records as counts-file text. Counts files are strict ASCII: a count is
-decimal digits only, a pe or duration has no ``_``, and only ASCII
-whitespace pads a line or field.
+The read side is columnar for every command. ``CountsColumns`` holds
+records as state and basis index arrays, pe, the exact ``(N, 4)``
+counts, float totals and durations. ``parse_counts`` turns counts-file
+lines into columns and checks every field rule over a whole column; on a
+bad file it reports the first bad line with the message of that line's
+first failed check, the message ``CountsRecord`` gives for it.
+``read_counts_file`` reads a file with it. ``CountsColumns.from_records``
+turns records made in code into columns, and ``counts_file_text`` writes
+columns as counts-file text. ``CountsColumns.probabilities`` divides every
+row ``counts / total`` in one array operation, and
+``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
+the sift rows by sift basis and nominal pe with one sort, and reduces the
+two rows ``counts / total`` of every group of one record per input state
+with one stacked ``probe.sift_cells`` and ``probe.renyi_information``
+pass, as ``error_model.model_sift_summaries`` does with the model's
+predictions. Counts files are strict ASCII: a count is decimal digits
+only, a pe or duration has no ``_``, and only ASCII whitespace pads a
+line or field.
 A reference data set of measured counts for the D and A inputs at three
 nominal error probabilities ships with the package;
 ``read_counts_file(reference_counts_path())`` reads it.
@@ -156,12 +156,14 @@ _EXTRA_RECORDS = "needs exactly one record per input state"
 
 
 class CountsColumns(NamedTuple):
-    """Records as columns, one row per record.
+    """Records as columns, one row per record: the library's one type for
+    many records, from the file reader to the fit.
 
     ``state`` and ``basis`` index ``tuple(Bb84State)`` and
     ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
-    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64, or
-    Python ints in an object array once a count has more than 18 digits.
+    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64 as
+    parsed, or Python ints in an object array once a count has more than
+    18 digits and always from ``from_records``.
     ``totals`` is each row's exact integer sum rounded once to a float,
     as ``float(record.total)``; ``durations`` is NaN where a row has none.
     """
@@ -188,24 +190,24 @@ class CountsColumns(NamedTuple):
             ),
         )
 
-    def records(self) -> list[CountsRecord]:
-        return [
-            CountsRecord(
-                _STATES[state], _BASES[basis], pe, tuple(counts),
-                None if math.isnan(duration) else duration,
-            )
-            for state, basis, pe, counts, duration in zip(
-                self.state.tolist(), self.basis.tolist(), self.pe.tolist(),
-                self.counts.tolist(), self.durations.tolist(),
-            )
-        ]
-
     def probabilities(self) -> np.ndarray:
-        """Each count over its row's total, an ``(N, 4)`` array."""
+        """Per-row probabilities: each count over its row's total, as an
+        ``(N, 4)`` array in ``OUTCOME_ORDER``, one row per record."""
         return self.counts.astype(float) / self.totals[:, np.newaxis]
 
     def sift_summaries(self) -> list[tuple[SiftBasis, float, float, float, str | None]]:
-        """``sift_summaries`` of these rows (see there), grouped by one sort."""
+        """Measured Renyi information and sifted error rate of each sift group.
+
+        The sift rows (input state in Bob's basis) are grouped by basis and
+        nominal pe with one sort; one ``(basis, pe, renyi, error_rate,
+        problem)`` row per group comes back, HV first, then DA, each by
+        increasing pe. ``problem`` is None for exactly one record per input
+        state, else "is missing a paired input state" or "needs exactly one
+        record per input state", with both values NaN. Complete groups go
+        through one stacked ``probe.sift_cells`` and
+        ``probe.renyi_information`` pass; the Renyi information is NaN for a
+        group without error-free counts.
+        """
         rows = np.flatnonzero(_STATE_BASIS[self.state] == self.basis)
         bits = _STATE_BIT[self.state[rows]]
         order = np.lexsort((bits, self.pe[rows], self.basis[rows]))
@@ -235,29 +237,6 @@ class CountsColumns(NamedTuple):
                 complete.tolist(), paired.tolist(),
             )
         ]
-
-
-def estimate_probabilities(records: Sequence[CountsRecord]) -> np.ndarray:
-    """Per-record probabilities: each count over its record's total, as an
-    ``(N, 4)`` array in ``OUTCOME_ORDER``, one row per record."""
-    return CountsColumns.from_records(records).probabilities()
-
-
-def sift_summaries(
-    records: Iterable[CountsRecord],
-) -> list[tuple[SiftBasis, float, float, float, str | None]]:
-    """Measured Renyi information and sifted error rate of each sift group.
-
-    The sift records (input state in Bob's basis) are grouped by basis
-    and nominal pe; one ``(basis, pe, renyi, error_rate, problem)`` row
-    per group comes back, HV first, then DA, each by increasing pe.
-    ``problem`` is None for exactly one record per input state, else
-    "is missing a paired input state" or "needs exactly one record per
-    input state", with both values NaN. Complete groups go through one
-    stacked ``probe.sift_cells`` and ``probe.renyi_information`` pass;
-    the Renyi information is NaN for a group without error-free counts.
-    """
-    return CountsColumns.from_records(records).sift_summaries()
 
 
 def _first(flags: np.ndarray) -> int | None:
@@ -383,7 +362,7 @@ def _checked_columns(
     )
 
 
-def _parse_columns(lines: Iterable[str], source: str) -> CountsColumns:
+def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
     """Counts-file lines as columns; '#' comments and blank lines are skipped."""
     stripped = [line.strip(ASCII_SPACE) for line in lines]
     linenos = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
@@ -396,12 +375,7 @@ def _parse_columns(lines: Iterable[str], source: str) -> CountsColumns:
     return _checked_columns(rows, linenos, source)
 
 
-def parse_counts(lines: Iterable[str], source: str = "<counts>") -> list[CountsRecord]:
-    """Parse counts-file lines; '#' comments and blank lines are skipped."""
-    return _parse_columns(lines, source).records()
-
-
-def read_counts_columns(path: str | Path) -> CountsColumns:
+def read_counts_file(path: str | Path) -> CountsColumns:
     """Read a UTF-8 counts file as columns; raises CountsFileError with
     line context."""
     path = Path(path)
@@ -412,23 +386,21 @@ def read_counts_columns(path: str | Path) -> CountsColumns:
         raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     # Split as iterating the file splits it: str.splitlines() would also
     # break lines at \x0b, \x0c and U+2028.
-    return _parse_columns(text.split("\n"), str(path))
+    return parse_counts(text.split("\n"), str(path))
 
 
-def read_counts_file(path: str | Path) -> list[CountsRecord]:
-    """Read a UTF-8 counts file; raises CountsFileError with line context."""
-    return read_counts_columns(path).records()
-
-
-def counts_file_text(records: Sequence[CountsRecord]) -> str:
-    """Counts-file text: a header comment, then one line per record."""
+def counts_file_text(counts: CountsColumns) -> str:
+    """Counts-file text: a header comment, then one line per row."""
     cells = ",".join(f"n_b{b}e{e}" for b, e in OUTCOME_ORDER)
     lines = [f"# alice,basis,pe_nominal,{cells}[,duration_s]"]
-    for record in records:
-        line = f"{record.alice.value},{record.bob_basis.value},{record.pe_nominal!r},"
-        line += ",".join(map(str, record.counts))
-        if record.duration_s is not None:
-            line += f",{record.duration_s!r}"
+    for state, basis, pe, row, duration in zip(
+        counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist(),
+        counts.counts.tolist(), counts.durations.tolist(),
+    ):
+        line = f"{_STATES[state].value},{_BASES[basis].value},{pe!r},"
+        line += ",".join(map(str, row))
+        if not math.isnan(duration):
+            line += f",{duration!r}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -8,12 +8,12 @@ import pytest
 from fpbsim import (
     OUTCOME_ORDER,
     Bb84State,
+    CountsColumns,
     CountsFileError,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    estimate_probabilities,
     predict_outcome_probs,
 )
 from fpbsim.error_model import _PARAM_KEYS, _held_keys, _make_objective
@@ -134,11 +134,12 @@ def renyi_information_oracle(table) -> float:
 
 
 def residuals_oracle(records, weighting: str, x) -> np.ndarray:
-    """Weighted residual vector built record by record.
+    """Weighted residual vector built record by record from ``CountsRecord``s.
 
     The per-record ``np.concatenate`` form that the fit objective's one
-    array operation replaced, kept as the reference it must equal bit for
-    bit.
+    array operation on ``CountsColumns`` replaced, kept as the reference it
+    must equal bit for bit. Each count and total is converted once from
+    its exact integer.
     """
     records = sorted(
         records,
@@ -147,7 +148,8 @@ def residuals_oracle(records, weighting: str, x) -> np.ndarray:
     mean_total = sum(record.total for record in records) / len(records)
     params = ErrorModelParams.from_vector(x)
     parts = []
-    for record, estimated in zip(records, estimate_probabilities(records)):
+    for record in records:
+        estimated = np.array(record.counts, dtype=float) / float(record.total)
         weight = 1.0 if weighting == "equal" else record.total / mean_total
         predicted = predict_outcome_probs(
             params, record.alice, record.bob_basis, ProbeConfig(record.pe_nominal)
@@ -156,7 +158,7 @@ def residuals_oracle(records, weighting: str, x) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def trf_fit_oracle(records) -> tuple[np.ndarray, float]:
+def trf_fit_oracle(counts: CountsColumns) -> tuple[np.ndarray, float]:
     """Fit from zero with scipy's trust-region reflective least squares.
 
     The solver the numpy fit replaced, kept as the reference it must
@@ -166,8 +168,8 @@ def trf_fit_oracle(records) -> tuple[np.ndarray, float]:
     """
     from scipy.optimize import least_squares
 
-    objective = _make_objective(records, "equal")
-    held = _held_keys(records)
+    objective = _make_objective(counts, "equal")
+    held = _held_keys(counts)
     free = np.array([key not in held for key in _PARAM_KEYS])
     bound = math.nextafter(math.pi / 2, 0.0)
 
@@ -368,7 +370,7 @@ def parse_counts_oracle(lines, source: str = "<counts>") -> list[CountsRecord]:
 def sift_summaries_oracle(records) -> list[tuple]:
     """Sift groups collected in a dict, one record at a time.
 
-    The grouping that ``montecarlo.sift_summaries``'s one sort replaced,
+    The grouping that ``CountsColumns.sift_summaries``'s one sort replaced,
     kept as the reference it must equal (NaN where it has NaN): groups by
     (basis, pe), HV first, each by increasing pe, complete groups reduced
     by the scalar sift and Renyi oracles.
@@ -394,6 +396,30 @@ def sift_summaries_oracle(records) -> list[tuple]:
             renyi = renyi_information_oracle(table) if table.sum() > 0.0 else math.nan
             rows.append((*key, renyi, error_rate, None))
     return rows
+
+
+def take_rows(counts: CountsColumns, rows) -> CountsColumns:
+    """The rows ``rows`` (indices, a slice or a mask) of every column."""
+    return CountsColumns(*(column[rows] for column in counts))
+
+
+def assert_columns_equal(got: CountsColumns, want: CountsColumns) -> None:
+    """Assert two ``CountsColumns`` hold the same records in the same order.
+
+    Index and float columns compare by value and dtype kind, floats also by
+    sign so that -0.0 differs from 0.0, and NaN durations compare equal.
+    Counts compare by their exact integer values, so an int64 column
+    equals an object column of the same Python ints.
+    """
+    for name, a, b in zip(CountsColumns._fields, got, want):
+        assert a.shape == b.shape, f"{name}: shape {a.shape} != {b.shape}"
+        if name == "counts":
+            assert a.tolist() == b.tolist(), name
+            continue
+        assert a.dtype.kind == b.dtype.kind, f"{name}: dtype {a.dtype} != {b.dtype}"
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+        if a.dtype.kind == "f":
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 @pytest.fixture(scope="session")

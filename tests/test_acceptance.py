@@ -11,6 +11,7 @@ import numpy as np
 
 from fpbsim import (
     Bb84State,
+    CountsColumns,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
@@ -20,7 +21,6 @@ from fpbsim import (
     predict_outcome_probs,
     reference_counts_path,
     renyi_closed_form,
-    sift_summaries,
     simulate_counts,
 )
 from fpbsim.cli import main
@@ -188,7 +188,7 @@ def test_criterion_6_monte_carlo_consistency():
         )
         for state, seed in zip(SiftBasis.DA.states, pair_seeds)
     ]
-    ((_, _, renyi, _, _),) = sift_summaries(records)
+    ((_, _, renyi, _, _),) = CountsColumns.from_records(records).sift_summaries()
     ok = coverage >= 0.99 and abs(renyi - 0.480) <= 0.02
     report(
         6,

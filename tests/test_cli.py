@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
+    CountsColumns,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
@@ -295,18 +296,20 @@ class TestSimulate:
             "--out", str(path),
         )
         assert code == 0
-        records = read_counts_file(path)
+        counts = read_counts_file(path)
         # One record per state x basis x pe combination.
-        assert len(records) == 4 * 2 * 3
-        for record in records:
-            assert record.total == 40000
-            if record.pe_nominal == 0.0 and record.alice.basis is record.bob_basis:
+        assert len(counts.pe) == 4 * 2 * 3
+        for state, basis, pe, row in zip(
+            counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist(),
+            counts.counts.tolist(),
+        ):
+            alice = tuple(Bb84State)[state]
+            assert sum(row) == 40000
+            if pe == 0.0 and alice.basis is tuple(SiftBasis)[basis]:
                 wrong = [
                     c
-                    for c, (b, _) in zip(
-                        record.counts, ((1, 0), (1, 1), (0, 1), (0, 0))
-                    )
-                    if b != record.alice.bit
+                    for c, (b, _) in zip(row, ((1, 0), (1, 1), (0, 1), (0, 0)))
+                    if b != alice.bit
                 ]
                 assert wrong == [0, 0]
 
@@ -371,7 +374,7 @@ class TestEstimate:
                 )
             )
         path = tmp_path / "ideal.csv"
-        path.write_text(counts_file_text(records))
+        path.write_text(counts_file_text(CountsColumns.from_records(records)))
         code, out, _ = run(capsys, "estimate", "--counts", str(path))
         assert code == 0
         _, groups_table = parse_csv(out)
@@ -714,7 +717,7 @@ class TestParsing:
             "CountsRecord": lambda: CountsRecord(
                 Bb84State.D, SiftBasis.DA, pe, (1, 2, 3, 4)
             ).pe_nominal,
-            "counts line": lambda: parse_counts([f"D,DA,{pe!r},1,2,3,4"])[0].pe_nominal,
+            "counts line": lambda: parse_counts([f"D,DA,{pe!r},1,2,3,4"]).pe.item(0),
             "table --pe": table_pe,
             "renyi_closed_form": lambda: renyi_closed_form(pe),
         }
@@ -878,11 +881,11 @@ def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
         "--seed", str(seed), "--pe", ",".join(pes), "--out", str(counts),
     ]) == 0
     assert main(["estimate", "--counts", str(counts), "--out", str(estimate)]) == 0
-    records = read_counts_file(counts)
+    exact = read_counts_file(counts).counts.tolist()
     (_, rows), _ = parse_csv(estimate.read_text())
-    assert len(rows) == len(records) == 8 * len(pes)
-    for record, row in zip(records, rows):
-        assert row[3:] == [f"{c / record.total:.6g}" for c in record.counts]
+    assert len(rows) == len(exact) == 8 * len(pes)
+    for cells, row in zip(exact, rows):
+        assert row[3:] == [f"{c / sum(cells):.6g}" for c in cells]
     code = main([
         "fit", "--counts", str(counts), "--format", "json", "--out", str(fitted),
     ])

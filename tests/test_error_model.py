@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
+    CountsColumns,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
@@ -23,11 +24,13 @@ from fpbsim import (
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    sift_summaries,
     simulate_counts,
 )
 from fpbsim import error_model
-from fpbsim.error_model import _PARAM_KEYS, _make_objective, _trust_region_lm
+from fpbsim.error_model import (
+    _PARAM_KEYS, _jacobian_kernel, _make_objective, _trust_region_lm
+)
+from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from fpbsim.cli import main
 
@@ -44,6 +47,7 @@ from conftest import (
     renyi_information_oracle,
     residuals_oracle,
     sift_cells_oracle,
+    take_rows,
     trf_fit_oracle,
 )
 
@@ -90,10 +94,15 @@ def synth_records(params, n_pairs, seed=None):
     return records
 
 
-def design_records(tmp_path, seed):
+def synth_counts(params, n_pairs, seed=None) -> CountsColumns:
+    """``synth_records`` as columns, as the fit takes them."""
+    return CountsColumns.from_records(synth_records(params, n_pairs, seed))
+
+
+def design_records(tmp_path, seed) -> CountsColumns:
     """The bundled reference counts for ``seed`` None, else the 96-value
     design that ``simulate --params example_params.json --seed SEED``
-    writes."""
+    writes, read as columns."""
     if seed is None:
         return read_counts_file(reference_counts_path())
     path = tmp_path / "sim.csv"
@@ -477,8 +486,9 @@ class TestForwardModel:
                 ErrorModelParams.from_vector(x), state, basis, cfg
             )
 
-        probs, jac = predict_outcome_probs(params, state, basis, cfg, jacobian=True)
+        probs = predict_outcome_probs(params, state, basis, cfg)
         x, h = params.as_vector(), 1e-6
+        jac = _jacobian_kernel([(state, basis, cfg)])(x)[0]
         assert probs.tobytes() == predict(x).tobytes()
         assert jac.shape == (4, 10)
         for i in range(10):
@@ -564,7 +574,8 @@ class TestModelSummaries:
             )
             for state in basis.states
         ]
-        ((_, _, got_renyi, got_rate, _),) = sift_summaries(pair)
+        counts = CountsColumns.from_records(pair)
+        ((_, _, got_renyi, got_rate, _),) = counts.sift_summaries()
         assert abs(got_renyi - want_renyi) < 1e-9
         assert abs(got_rate - want_rate) < 1e-9
 
@@ -575,22 +586,39 @@ class TestModelSummaries:
 
 class TestFit:
     def test_objective_invariant_under_record_order(self, ref_params):
-        records = synth_records(ref_params, 50_000, seed=314)
+        seeded = synth_records(ref_params, 50_000, seed=314)
+        # Counts of 20 digits and more, read back as an object column, with
+        # totals that differ from record to record so that weights differ.
+        huge = [
+            dataclasses.replace(
+                record, counts=tuple(c * (10**15 + 7**k) for c in record.counts)
+            )
+            for k, record in enumerate(seeded)
+        ]
         rng = np.random.default_rng(0)
-        forward = _make_objective(records, "equal")
-        backward = _make_objective(records[::-1], "equal")
-        shuffled_records = list(records)
-        rng.shuffle(shuffled_records)
-        shuffled = _make_objective(shuffled_records, "equal")
-        for _ in range(5):
-            x = rng.uniform(-0.3, 0.3, size=10)
-            want, want_jacobian = forward(x)
-            want_jac = want_jacobian()
-            assert want.shape == (4 * len(records),)
-            assert want_jac.shape == (4 * len(records), 10)
-            for r, jacobian in (backward(x), shuffled(x)):
-                assert r.tobytes() == want.tobytes()
-                assert jacobian().tobytes() == want_jac.tobytes()
+        for records, dtype in ((seeded, np.int64), (huge, object)):
+            text = counts_file_text(CountsColumns.from_records(records))
+            counts = parse_counts(text.splitlines())
+            assert counts.counts.dtype == dtype
+            n = len(records)
+            orders = (np.arange(n)[::-1], rng.permutation(n))
+            for weighting in ("equal", "counts"):
+                forward = _make_objective(counts, weighting)
+                reordered = [
+                    _make_objective(take_rows(counts, order), weighting)
+                    for order in orders
+                ]
+                for _ in range(5):
+                    x = rng.uniform(-0.3, 0.3, size=10)
+                    want, want_jacobian = forward(x)
+                    want_jac = want_jacobian()
+                    assert want.shape == (4 * n,)
+                    assert want_jac.shape == (4 * n, 10)
+                    oracle = residuals_oracle(records, weighting, x)
+                    assert want.tobytes() == oracle.tobytes()
+                    for r, jacobian in (objective(x) for objective in reordered):
+                        assert r.tobytes() == want.tobytes()
+                        assert jacobian().tobytes() == want_jac.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -616,15 +644,15 @@ class TestFit:
             if rng.random() < 0.7
         ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
         x = params.as_vector()
-        got = _make_objective(records, weighting)(x)[0]
+        got = _make_objective(CountsColumns.from_records(records), weighting)(x)[0]
         want = residuals_oracle(records, weighting, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_short_fit_residual_invariant_under_record_order(self, ref_params):
-        records = synth_records(ref_params, 50_000, seed=314)
+        records = synth_counts(ref_params, 50_000, seed=314)
         a = fit_parameters(records, max_evals=400)
-        b = fit_parameters(records[::-1], max_evals=400)
+        b = fit_parameters(take_rows(records, slice(None, None, -1)), max_evals=400)
         assert a.residual == b.residual
         assert a.evaluations == b.evaluations
         np.testing.assert_array_equal(
@@ -632,7 +660,7 @@ class TestFit:
         )
 
     def test_fit_is_deterministic(self, ref_params):
-        records = synth_records(ref_params, 50_000, seed=11)
+        records = synth_counts(ref_params, 50_000, seed=11)
         a = fit_parameters(records, max_evals=1_500)
         b = fit_parameters(records, max_evals=1_500)
         np.testing.assert_array_equal(a.params.as_vector(), b.params.as_vector())
@@ -640,7 +668,7 @@ class TestFit:
         assert a.evaluations == b.evaluations
 
     def test_noise_free_zero_recovery(self):
-        records = synth_records(ErrorModelParams(), 100_000_000)
+        records = synth_counts(ErrorModelParams(), 100_000_000)
         result = fit_parameters(records)
         assert result.converged
         assert result.termination == "gtol"
@@ -648,7 +676,7 @@ class TestFit:
         assert np.max(np.abs(result.params.as_vector())) < math.radians(0.1)
 
     def test_noise_free_reference_recovery(self, ref_params):
-        records = synth_records(ref_params, 100_000_000)
+        records = synth_counts(ref_params, 100_000_000)
         result = fit_parameters(records)
         assert result.converged
         err_deg = np.degrees(
@@ -658,7 +686,7 @@ class TestFit:
         assert np.max(err_deg) < 0.5
 
     def test_noisy_reference_recovery(self, ref_params):
-        records = synth_records(ref_params, 50_000, seed=20240817)
+        records = synth_counts(ref_params, 50_000, seed=20240817)
         result = fit_parameters(records)
         assert result.converged
         err_deg = np.degrees(
@@ -670,34 +698,34 @@ class TestFit:
         assert max(err_deg[0], err_deg[1]) < 5.0
 
     def test_counts_weighting_runs(self, ref_params):
-        records = synth_records(ref_params, 20_000, seed=3)
+        records = synth_counts(ref_params, 20_000, seed=3)
         result = fit_parameters(records, max_evals=400, weighting="counts")
         assert result.residual >= 0.0
 
     def test_options_rejected(self):
         with pytest.raises(ValueError, match="unknown weighting 'median'"):
-            fit_parameters([], weighting="median")
+            fit_parameters(parse_counts([]), weighting="median")
         with pytest.raises(ValueError, match="max_evals must be positive"):
-            fit_parameters([], max_evals=0)
+            fit_parameters(parse_counts([]), max_evals=0)
 
     def test_rejects_degenerate_inputs(self):
         zero = ErrorModelParams()
-        records = synth_records(zero, 1_000)
+        records = synth_counts(zero, 1_000)
         with pytest.raises(ValueError, match="at least 10 data values"):
-            fit_parameters(records[:2])
-        single_pe = [r for r in records if r.pe_nominal == 0.1]
+            fit_parameters(take_rows(records, slice(2)))
+        single_pe = take_rows(records, records.pe == 0.1)
         with pytest.raises(ValueError, match="distinct error probabilities"):
             fit_parameters(single_pe)
 
     def test_nonconvergence_reported(self, ref_params):
-        records = synth_records(ref_params, 10_000, seed=8)
+        records = synth_counts(ref_params, 10_000, seed=8)
         result = fit_parameters(records, max_evals=8)
         assert not result.converged
         assert result.termination == "budget"
         assert result.evaluations <= 8
 
     def test_budget_is_hard_and_keeps_best_point(self, ref_params):
-        records = synth_records(ref_params, 10_000, seed=8)
+        records = synth_counts(ref_params, 10_000, seed=8)
         objective = _make_objective(records, "equal")
         start = math.fsum(objective(np.zeros(10))[0] ** 2)
         for budget in (1, 2, 5, 6, 8, 11):
@@ -792,7 +820,7 @@ class TestFit:
         found = trf_found = 0
         for k in range(12):
             truth = seeded_truth(f"recovery:{k}", 30.0)
-            records = synth_records(truth, 10**9)
+            records = synth_counts(truth, 10**9)
             result = fit_parameters(records)
             found += recovered(result.params.as_vector(), result.residual, truth)
             trf_found += recovered(*trf_fit_oracle(records), truth)
@@ -817,6 +845,6 @@ class TestFit:
         # at a local minimum. A solver that clips each trial point to the box,
         # instead of shortening the step, grinds there until the budget runs out.
         truth = seeded_truth("map:60:2", 60.0)
-        result = fit_parameters(synth_records(truth, 10**9), max_evals=1_000)
+        result = fit_parameters(synth_counts(truth, 10**9), max_evals=1_000)
         assert result.termination in ("ftol", "xtol", "gtol")
         assert result.evaluations <= 300

@@ -7,34 +7,31 @@ from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
+    CountsColumns,
     CountsFileError,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    estimate_probabilities,
     noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    sift_summaries,
     simulate_counts,
 )
-from fpbsim.montecarlo import (
-    CountsColumns,
-    counts_file_text,
-    parse_counts,
-    read_counts_columns,
-)
+from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
+    assert_columns_equal,
     counts_line_accepted,
     parse_counts_oracle,
     renyi_information_oracle,
     sift_cells_oracle,
     sift_summaries_oracle,
 )
+
+columns = CountsColumns.from_records
 
 
 #: One counts-file field: valid tokens, near misses and arbitrary text.
@@ -148,6 +145,17 @@ def sift_pair(pe, n_pairs, seeds=(101, 202)) -> list[CountsRecord]:
     ]
 
 
+def reference_records() -> list[CountsRecord]:
+    """The bundled reference counts as records, read by the per-line oracle."""
+    text = reference_counts_path().read_text(encoding="utf-8")
+    return parse_counts_oracle(text.split("\n"))
+
+
+def summaries(records) -> list[tuple]:
+    """``CountsColumns.sift_summaries`` of records made in code."""
+    return columns(records).sift_summaries()
+
+
 def noise_free_pair(pe, n_pairs) -> list[CountsRecord]:
     return [
         CountsRecord(
@@ -241,14 +249,14 @@ class TestNoiseFreeCounts:
 class TestEstimateProbabilities:
     def test_uniform(self):
         record = CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (1, 1, 1, 1))
-        np.testing.assert_array_equal(estimate_probabilities([record])[0], 0.25)
+        np.testing.assert_array_equal(columns([record]).probabilities()[0], 0.25)
 
     def test_reference_rows(self, measured_estimated):
-        for record in read_counts_file(reference_counts_path()):
-            want = measured_estimated[(record.alice.value, record.pe_nominal)]
-            np.testing.assert_allclose(
-                estimate_probabilities([record])[0], want, atol=5e-4
-            )
+        counts = read_counts_file(reference_counts_path())
+        states = counts.state.tolist()
+        for state, pe, probs in zip(states, counts.pe.tolist(), counts.probabilities()):
+            want = measured_estimated[(tuple(Bb84State)[state].value, pe)]
+            np.testing.assert_allclose(probs, want, atol=5e-4)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError, match="zero total"):
@@ -265,22 +273,20 @@ class TestEstimateProbabilities:
                 n = 10_000
                 counts = simulate_counts(probs, n, next(seeds))
                 record = CountsRecord(state, SiftBasis.DA, pe, counts)
-                estimate = estimate_probabilities([record])[0]
+                estimate = columns([record]).probabilities()[0]
                 bound = 4 * np.sqrt(probs * (1 - probs) / n)
                 assert np.all(np.abs(estimate - probs) <= bound)
 
 
 def one_group(records) -> tuple[float, float, str | None]:
     """The (renyi, error_rate, problem) of records forming one sift group."""
-    ((_, _, renyi, error_rate, problem),) = sift_summaries(records)
+    ((_, _, renyi, error_rate, problem),) = summaries(records)
     return renyi, error_rate, problem
 
 
 class TestSiftedErrorRate:
     def test_reference_counts_at_zero(self):
-        records = [
-            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.0
-        ]
+        records = [r for r in reference_records() if r.pe_nominal == 0.0]
         _, got, _ = one_group(records)
         # Equal-weight mean of the two per-record error fractions.
         want = ((1356 + 1836) / 49_956 + (1140 + 1112) / 48_304) / 2
@@ -297,12 +303,12 @@ class TestSiftedErrorRate:
         assert abs(got - 1 / 3) <= 3 * sigma
 
     def test_requires_matching_pair(self):
-        reference = read_counts_file(reference_counts_path())
+        reference = reference_records()
         records = [r for r in reference if r.pe_nominal == 0.0]
         missing = "is missing a paired input state"
         assert one_group(records[:1])[2] == missing
         d_only = [r for r in reference if r.alice is Bb84State.D]
-        rows = sift_summaries(d_only)
+        rows = summaries(d_only)
         assert [problem for *_, problem in rows] == [missing] * 3
         d, a = records
         assert one_group([d, a, d])[2] == "needs exactly one record per input state"
@@ -318,9 +324,7 @@ class TestMeasuredRenyi:
         assert abs(got - 0.480) < 0.02
 
     def test_reference_counts_at_zero_small_but_positive(self):
-        records = [
-            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.0
-        ]
+        records = [r for r in reference_records() if r.pe_nominal == 0.0]
         got, _, _ = one_group(records)
         assert 0.0 < got < 0.01
 
@@ -330,9 +334,7 @@ class TestMeasuredRenyi:
             assert abs(got - renyi_closed_form(pe)) < 2e-3
 
     def test_scaling_a_record_changes_nothing(self):
-        records = [
-            r for r in read_counts_file(reference_counts_path()) if r.pe_nominal == 0.1
-        ]
+        records = [r for r in reference_records() if r.pe_nominal == 0.1]
         scaled = [
             CountsRecord(
                 records[0].alice,
@@ -345,8 +347,7 @@ class TestMeasuredRenyi:
         assert one_group(records)[0] == one_group(scaled)[0]
 
     def test_rejects_missing_or_empty_pairs(self):
-        reference = read_counts_file(reference_counts_path())
-        d, a = (r for r in reference if r.pe_nominal == 0.1)
+        d, a = (r for r in reference_records() if r.pe_nominal == 0.1)
         assert one_group([d, d])[2] == "is missing a paired input state"
         empty = [
             CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
@@ -377,14 +378,17 @@ class TestSiftSummaries:
     @settings(derandomize=True, deadline=None)
     @given(records=SOME_RECORDS)
     def test_one_sort_matches_dict_grouping_oracle(self, records):
-        assert repr(sift_summaries(records)) == repr(sift_summaries_oracle(records))
-        columns = CountsColumns.from_records(records)
-        assert columns.records() == records
+        assert repr(summaries(records)) == repr(sift_summaries_oracle(records))
+        # Records of any order and count size come back as written.
+        assert_columns_equal(
+            parse_counts(counts_file_text(columns(records)).splitlines()),
+            columns(records),
+        )
 
     def test_stack_matches_scalar_oracles(self):
         groups = [sift_pair(pe, 20_000) for pe in (0.0, 0.1, 1 / 3)]
         groups.append(list(reversed(noise_free_pair(0.2, 10_000))))
-        rows = sift_summaries([record for group in groups for record in group])
+        rows = summaries([record for group in groups for record in group])
         assert [(basis, pe) for basis, pe, *_ in rows] == [
             (SiftBasis.DA, pe) for pe in (0.0, 0.1, 0.2, 1 / 3)
         ]
@@ -403,22 +407,23 @@ class TestSiftSummaries:
             CountsRecord(Bb84State.D, SiftBasis.DA, 0.1, (5, 5, 0, 0)),
             CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (0, 0, 5, 5)),
         ]
-        (*_, renyi_0, rate_0, _), (*_, renyi_1, _, _) = sift_summaries(
+        (*_, renyi_0, rate_0, _), (*_, renyi_1, _, _) = summaries(
             empty + noise_free_pair(0.2, 1000)
         )
         assert math.isnan(renyi_0) and not math.isnan(renyi_1)
         assert rate_0 == 1.0
 
     def test_no_groups(self):
-        assert sift_summaries([]) == []
+        assert summaries([]) == []
+        assert parse_counts([]).sift_summaries() == []
         cross = CountsRecord(Bb84State.D, SiftBasis.HV, 0.1, (1, 2, 3, 4))
-        assert sift_summaries([cross]) == []
+        assert summaries([cross]) == []
 
     def test_negative_zero_pe_summary_independent_of_order(self):
         a = CountsRecord(Bb84State.A, SiftBasis.DA, 0.0, (4, 3, 2, 1))
         d = CountsRecord(Bb84State.D, SiftBasis.DA, -0.0, (1, 2, 3, 4))
-        rows = sift_summaries([a, d])
-        assert repr(rows) == repr(sift_summaries([d, a]))
+        rows = summaries([a, d])
+        assert repr(rows) == repr(summaries([d, a]))
         assert [repr(pe) for _, pe, *_ in rows] == ["0.0"]
 
     def test_incomplete_groups_report_their_problem(self):
@@ -429,7 +434,7 @@ class TestSiftSummaries:
             CountsRecord(a.alice, a.bob_basis, 0.2, a.counts),
             CountsRecord(d.alice, d.bob_basis, 0.2, d.counts),
         ]
-        rows = sift_summaries([d, *duplicate, lone, a])
+        rows = summaries([d, *duplicate, lone, a])
         assert [(basis, pe, problem) for basis, pe, *_, problem in rows] == [
             (SiftBasis.HV, 0.3, "is missing a paired input state"),
             (SiftBasis.DA, 0.1, None),
@@ -454,13 +459,13 @@ class TestCountsFiles:
                 read_counts_file(path)
             assert str(excinfo.value) == str(exc)
             return
-        assert read_counts_file(path) == want
-        columns = read_counts_columns(path)
+        got = read_counts_file(path)
+        assert_columns_equal(got, columns(want))
         # Each count and total converted once from its exact integer.
         probs = np.array([r.counts for r in want], dtype=float).reshape(-1, 4)
         totals = np.array([r.total for r in want], dtype=float)
-        assert columns.probabilities().tobytes() == (probs / totals[:, None]).tobytes()
-        assert repr(columns.sift_summaries()) == repr(sift_summaries_oracle(want))
+        assert got.probabilities().tobytes() == (probs / totals[:, None]).tobytes()
+        assert repr(got.sift_summaries()) == repr(sift_summaries_oracle(want))
 
     @pytest.mark.parametrize(
         "position, message",
@@ -487,12 +492,14 @@ class TestCountsFiles:
         lines = [f"D,DA,0.1,{big},1,0,{big}", f"A,DA,0.1,3,{big},{big + 2},1"]
         path = tmp_path / "big.csv"
         path.write_text("\n".join(lines) + "\n")
-        records = read_counts_file(path)
-        assert records == parse_counts_oracle(lines)
-        assert [r.total for r in records] == [2 * big + 1, 2 * big + 6]
+        records = parse_counts_oracle(lines)
+        counts = read_counts_file(path)
+        assert_columns_equal(counts, columns(records))
+        assert counts.counts.dtype == (np.int64 if big + 2 < 10**18 else object)
+        assert counts.counts.sum(axis=1).tolist() == [2 * big + 1, 2 * big + 6]
         probs = np.array([r.counts for r in records], dtype=float)
         totals = np.array([r.total for r in records], dtype=float)
-        got = read_counts_columns(path).probabilities()
+        got = counts.probabilities()
         assert got.tobytes() == (probs / totals[:, None]).tobytes()
 
     def test_first_bad_line_wins_over_later_checks(self):
@@ -508,19 +515,20 @@ class TestCountsFiles:
             CountsRecord(Bb84State.A, SiftBasis.DA, 0.1, (10, 0, 0, 7)),
         ]
         path = tmp_path / "counts.csv"
-        path.write_text(counts_file_text(records))
-        assert read_counts_file(path) == records
+        path.write_text(counts_file_text(columns(records)))
+        assert_columns_equal(read_counts_file(path), columns(records))
 
     def test_negative_zero_pe_written_as_zero(self):
         record = CountsRecord(Bb84State.D, SiftBasis.DA, -0.0, (1, 2, 3, 4))
-        assert counts_file_text([record]).splitlines()[1] == "D,DA,0.0,1,2,3,4"
+        text = counts_file_text(columns([record]))
+        assert text.splitlines()[1] == "D,DA,0.0,1,2,3,4"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("# header\n\nD,DA,0.1,1,2,3,4\n")
-        records = read_counts_file(path)
-        assert len(records) == 1
-        assert records[0].counts == (1, 2, 3, 4)
+        counts = read_counts_file(path)
+        assert len(counts.pe) == 1
+        assert counts.counts.tolist() == [[1, 2, 3, 4]]
 
     @pytest.mark.parametrize(
         "line,match",
@@ -564,26 +572,29 @@ class TestCountsFiles:
     @given(lines=st.lists(ANY_LINE, max_size=6))
     def test_parser_returns_records_or_counts_file_error(self, lines):
         try:
-            records = parse_counts("\n".join(lines).splitlines())
+            counts = parse_counts("\n".join(lines).splitlines())
         except CountsFileError:
             return
-        assert all(isinstance(record, CountsRecord) for record in records)
-        assert parse_counts(counts_file_text(records).splitlines()) == records
+        assert isinstance(counts, CountsColumns)
+        text = counts_file_text(counts)
+        assert_columns_equal(parse_counts(text.splitlines()), counts)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(fields=grammar_fields())
     def test_parser_accepts_exactly_the_reference_grammar(self, fields):
         line = ",".join(fields)
         if counts_line_accepted(fields):
-            assert len(parse_counts([line])) == 1
+            assert len(parse_counts([line]).pe) == 1
         else:
             with pytest.raises(CountsFileError, match="^<counts>:1: "):
                 parse_counts([line])
 
     def test_reference_file_contents(self):
-        records = read_counts_file(reference_counts_path())
-        assert len(records) == 6
-        assert {r.pe_nominal for r in records} == {0.0, 0.1, 0.33}
+        counts = read_counts_file(reference_counts_path())
+        records = reference_records()
+        assert_columns_equal(counts, columns(records))
+        assert len(counts.pe) == 6
+        assert set(counts.pe.tolist()) == {0.0, 0.1, 0.33}
         assert all(r.bob_basis is SiftBasis.DA for r in records)
         assert all(r.duration_s == 40.0 for r in records)
         totals = {(r.alice.value, r.pe_nominal): r.total for r in records}
