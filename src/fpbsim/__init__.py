@@ -5,14 +5,12 @@ from .error_model import (
     FitResult,
     fit_parameters,
     model_sift_summaries,
-    output_state,
     predict_outcome_probs,
 )
 from .montecarlo import (
     CountsColumns,
     CountsFileError,
     CountsRecord,
-    noise_free_counts,
     read_counts_file,
     reference_counts_path,
     simulate_counts,
@@ -38,8 +36,6 @@ __all__ = [
     "SiftBasis",
     "fit_parameters",
     "model_sift_summaries",
-    "noise_free_counts",
-    "output_state",
     "predict_outcome_probs",
     "read_counts_file",
     "reference_counts_path",

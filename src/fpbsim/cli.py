@@ -7,8 +7,9 @@ Subcommands:
   whole grid, one stacked pass; a grid point without error-free sift
   events is an error.
 * ``table``     Model detection probabilities in the reference layout.
-* ``simulate``  Seeded synthetic coincidence-count files, written from
-  ``montecarlo.CountsColumns`` built with ``CountsColumns.from_records``.
+* ``simulate``  Seeded synthetic coincidence-count files: one multinomial
+  draw per (state, basis, pe), stacked straight into the int64 counts of a
+  ``montecarlo.CountsColumns`` and written from it.
 * ``estimate``  Probabilities, error rates, and measured Renyi
   information from a counts file. The per-(basis, pe) rows are the
   columns' ``sift_summaries``, and the command only formats them, warning
@@ -49,10 +50,8 @@ import numpy as np
 
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams
-from .montecarlo import ASCII_SPACE, CountsColumns, CountsRecord
-from .probe import Bb84State, ProbeConfig, SiftBasis
-
-_BASES = (SiftBasis.HV, SiftBasis.DA)
+from .montecarlo import _BASES, _BASIS_INDEX, _STATE_INDEX, ASCII_SPACE, CountsColumns
+from .probe import Bb84State, ProbeConfig
 
 #: Largest ``curve --steps``: each grid point costs four forward
 #: predictions and about 0.65 KB at peak. 100 000 steps take about 4 s and
@@ -271,9 +270,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 _PROB_COLUMNS = tuple(f"p_{b}{e}" for b, e in probe.OUTCOME_ORDER)
-#: Spellings of the state and basis indices of ``montecarlo.CountsColumns``.
-_STATE_NAMES = [state.value for state in Bb84State]
-_BASIS_NAMES = [basis.value for basis in SiftBasis]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -307,14 +303,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (state, basis, pe) for state in states for basis in _BASES for pe in pes
     ]
     seeds = np.random.SeedSequence(args.seed).generate_state(len(combos), np.uint64)
-    records = []
-    for (state, basis, pe), seed in zip(combos, seeds):
+    # Every row sums to --pairs, so the int64 counts and totals are exact.
+    counts = np.empty((len(combos), 4), dtype=np.int64)
+    for row, ((state, basis, pe), seed) in enumerate(zip(combos, seeds)):
         probs = error_model.predict_outcome_probs(
             params, state, basis, ProbeConfig(pe)
         )
-        counts = montecarlo.simulate_counts(probs, args.pairs, int(seed))
-        records.append(CountsRecord(state, basis, pe, counts))
-    _emit(args, montecarlo.counts_file_text(CountsColumns.from_records(records)))
+        counts[row] = montecarlo.simulate_counts(probs, args.pairs, int(seed))
+    state, basis, pe = zip(*combos)
+    columns = CountsColumns(
+        np.array([_STATE_INDEX[s.value] for s in state], dtype=np.intp),
+        np.array([_BASIS_INDEX[b.value] for b in basis], dtype=np.intp),
+        np.array(pe, dtype=float),
+        counts,
+        np.full(len(combos), float(args.pairs)),
+        np.full(len(combos), math.nan),
+    )
+    _emit(args, montecarlo.counts_file_text(columns))
     return 0
 
 
@@ -322,9 +327,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     counts = montecarlo.read_counts_file(args.counts)
     if not len(counts.pe):
         raise UsageError(f"counts file {args.counts} contains no records")
+    # The index maps hold the spellings in index order.
     record_rows = list(zip(
-        map(_STATE_NAMES.__getitem__, counts.state.tolist()),
-        map(_BASIS_NAMES.__getitem__, counts.basis.tolist()),
+        map(list(_STATE_INDEX).__getitem__, counts.state.tolist()),
+        map(list(_BASIS_INDEX).__getitem__, counts.basis.tolist()),
         counts.pe.tolist(),
         *counts.probabilities().T.tolist(),
     ))

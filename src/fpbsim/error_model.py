@@ -176,7 +176,8 @@ def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
 def _analyzed(
     params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig, phi: float
 ) -> tuple[complex, complex, complex, complex]:
-    """One configuration's ``_amplitudes`` at analyzer angle ``phi``."""
+    """One configuration's ``_amplitudes`` at analyzer angle ``phi``; at
+    ``phi = 0`` the joint photon/probe state after the entangling gate."""
     theta, key = _ANGLE_TERMS[alice]
     theta += getattr(params, key)
     ep = cmath.exp(1j * params.delta)
@@ -186,18 +187,6 @@ def _analyzed(
         math.cos(params.alpha), math.sin(params.alpha), ep, ep.conjugate(),
         math.cos(phi), math.sin(phi),
     )[-1]
-
-
-def output_state(
-    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
-) -> np.ndarray:
-    """Joint photon/probe state after the entangling gate.
-
-    The ``(4,)`` amplitudes are ordered control-major, index ``2*c + t``
-    for photon (control) bit ``c`` and probe (target) bit ``t``. At zero
-    parameters this is the ideal attack output.
-    """
-    return np.array(_analyzed(params, alice, cfg, 0.0))
 
 
 #: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` of
@@ -645,8 +634,7 @@ def fit_parameters(
     ----------
     counts:
         Measured configurations as columns, one row per record, as
-        ``montecarlo.read_counts_file`` returns them or
-        ``CountsColumns.from_records`` builds them; at least 3 records (so
+        ``montecarlo.read_counts_file`` returns them; at least 3 records (so
         the data values outnumber the 10 parameters) spanning at least 2
         distinct nominal error probabilities.
     init:

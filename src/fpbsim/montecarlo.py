@@ -14,9 +14,8 @@ counts, float totals and durations. ``parse_counts`` turns counts-file
 lines into columns and checks every field rule over a whole column; on a
 bad file it reports the first bad line with the message of that line's
 first failed check, the message ``CountsRecord`` gives for it.
-``read_counts_file`` reads a file with it. ``CountsColumns.from_records``
-turns records made in code into columns, and ``counts_file_text`` writes
-columns as counts-file text. ``CountsColumns.probabilities`` divides every
+``read_counts_file`` reads a file with it, and ``counts_file_text``
+writes columns as counts-file text. ``CountsColumns.probabilities`` divides every
 row ``counts / total`` in one array operation, and
 ``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
 the sift rows by sift basis and nominal pe with one sort, and reduces the
@@ -122,23 +121,6 @@ def simulate_counts(
     return tuple(int(c) for c in draw)
 
 
-def noise_free_counts(probs: np.ndarray, n_pairs: int) -> tuple[int, int, int, int]:
-    """Deterministic counts ``round(p * n)`` with the total forced exact.
-
-    ``probs`` holds the four outcome probabilities in ``OUTCOME_ORDER``.
-    Rounding is half-to-even; any leftover after rounding is absorbed by
-    the largest cell so the counts sum to ``n_pairs``.
-    """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (4,) or not np.all(np.isfinite(probs) & (probs >= 0.0)):
-        raise ValueError("expected 4 finite nonnegative outcome probabilities")
-    cells = [round(float(p) * n_pairs) for p in probs]
-    cells[int(np.argmax(probs))] += n_pairs - sum(cells)
-    return tuple(int(c) for c in cells)
-
-
 #: The states and bases in the order the index columns count them.
 _STATES = tuple(Bb84State)
 _BASES = tuple(SiftBasis)
@@ -161,11 +143,10 @@ class CountsColumns(NamedTuple):
 
     ``state`` and ``basis`` index ``tuple(Bb84State)`` and
     ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
-    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64 as
-    parsed, or Python ints in an object array once a count has more than
-    18 digits and always from ``from_records``.
-    ``totals`` is each row's exact integer sum rounded once to a float,
-    as ``float(record.total)``; ``durations`` is NaN where a row has none.
+    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64, or
+    Python ints in an object array when a parsed count has more than 18
+    digits. ``totals`` is each row's exact integer sum rounded once to a
+    float; ``durations`` is NaN where a row has none.
     """
 
     state: np.ndarray
@@ -174,21 +155,6 @@ class CountsColumns(NamedTuple):
     counts: np.ndarray
     totals: np.ndarray
     durations: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: Iterable[CountsRecord]) -> CountsColumns:
-        records = list(records)
-        return cls(
-            np.array([_STATES.index(r.alice) for r in records], dtype=np.intp),
-            np.array([_BASES.index(r.bob_basis) for r in records], dtype=np.intp),
-            np.array([r.pe_nominal for r in records], dtype=float),
-            np.array([r.counts for r in records], dtype=object).reshape(-1, 4),
-            np.array([r.total for r in records], dtype=float),
-            np.array(
-                [math.nan if r.duration_s is None else r.duration_s for r in records],
-                dtype=float,
-            ),
-        )
 
     def probabilities(self) -> np.ndarray:
         """Per-row probabilities: each count over its row's total, as an

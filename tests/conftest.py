@@ -398,6 +398,48 @@ def sift_summaries_oracle(records) -> list[tuple]:
     return rows
 
 
+def columns_from_records(records) -> CountsColumns:
+    """``CountsRecord``s as columns, built one record at a time.
+
+    The record-list constructor that ``CountsColumns`` dropped, kept as
+    the reference the parser's columns must equal. Counts follow the
+    columns' dtype rule: int64, or Python ints in an object array once a
+    count has more than 18 digits.
+    """
+    records = list(records)
+    states, bases = list(Bb84State), list(SiftBasis)
+    exact = [record.counts for record in records]
+    wide = any(count >= 10**18 for row in exact for count in row)
+    return CountsColumns(
+        np.array([states.index(r.alice) for r in records], dtype=np.intp),
+        np.array([bases.index(r.bob_basis) for r in records], dtype=np.intp),
+        np.array([r.pe_nominal for r in records], dtype=float),
+        np.array(exact, dtype=object if wide else np.int64).reshape(-1, 4),
+        np.array([r.total for r in records], dtype=float),
+        np.array(
+            [math.nan if r.duration_s is None else r.duration_s for r in records],
+            dtype=float,
+        ),
+    )
+
+
+def noise_free_counts(probs, n_pairs: int) -> tuple[int, int, int, int]:
+    """Deterministic counts ``round(p * n)`` with the total forced exact.
+
+    ``probs`` holds the four outcome probabilities in ``OUTCOME_ORDER``.
+    Rounding is half-to-even; any leftover after rounding is absorbed by
+    the largest cell so the counts sum to ``n_pairs``.
+    """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (4,) or not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise ValueError("expected 4 finite nonnegative outcome probabilities")
+    cells = [round(float(p) * n_pairs) for p in probs]
+    cells[int(np.argmax(probs))] += n_pairs - sum(cells)
+    return tuple(int(c) for c in cells)
+
+
 def take_rows(counts: CountsColumns, rows) -> CountsColumns:
     """The rows ``rows`` (indices, a slice or a mask) of every column."""
     return CountsColumns(*(column[rows] for column in counts))

@@ -11,26 +11,25 @@ import numpy as np
 
 from fpbsim import (
     Bb84State,
-    CountsColumns,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
     model_sift_summaries,
-    output_state,
     predict_outcome_probs,
     reference_counts_path,
     renyi_closed_form,
     simulate_counts,
 )
 from fpbsim.cli import main
-from fpbsim.error_model import _amplitudes
+from fpbsim.error_model import _amplitudes, _analyzed
 
 from conftest import (
     IDEAL_EXPECTED,
     MEASURED_ESTIMATED,
     analytic_output,
     analytic_probs,
+    columns_from_records,
     error_probability,
     states_close,
 )
@@ -93,7 +92,7 @@ def test_criterion_4_state_vector_vs_analytic():
     for state in Bb84State:
         for pe in grid:
             cfg = ProbeConfig(float(pe))
-            got = output_state(ZERO, state, cfg)
+            got = _analyzed(ZERO, state, cfg, 0.0)
             if not states_close(got, analytic_output(state, float(pe)), tol=1e-12):
                 states_ok = False
             err_worst = max(err_worst, abs(error_probability(state, cfg) - pe))
@@ -188,7 +187,7 @@ def test_criterion_6_monte_carlo_consistency():
         )
         for state, seed in zip(SiftBasis.DA.states, pair_seeds)
     ]
-    ((_, _, renyi, _, _),) = CountsColumns.from_records(records).sift_summaries()
+    ((_, _, renyi, _, _),) = columns_from_records(records).sift_summaries()
     ok = coverage >= 0.99 and abs(renyi - 0.480) <= 0.02
     report(
         6,

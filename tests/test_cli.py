@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
-    CountsColumns,
     CountsRecord,
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
@@ -28,11 +26,13 @@ from fpbsim import (
 )
 import fpbsim
 from fpbsim.cli import MAX_STEPS, _emit_tables, _fmt, _jsonable, main
-from fpbsim.montecarlo import counts_file_text, parse_counts
+from fpbsim.montecarlo import MAX_PAIRS, counts_file_text, parse_counts
 
 from conftest import (
     IDEAL_EXPECTED,
     MEASURED_ESTIMATED,
+    columns_from_records,
+    noise_free_counts,
     renyi_information_oracle,
     sift_cells_oracle,
 )
@@ -332,6 +332,34 @@ class TestSimulate:
             )
             np.testing.assert_allclose(estimated, model, atol=0.005)
 
+    def test_max_pairs_round_trip(self, capsys, monkeypatch, tmp_path):
+        # At the largest --pairs every row sums to 2**63 - 1 exactly: in the
+        # int64 columns simulate writes from, and in the file. Four counts
+        # of that sum include one of 19 digits, so the reader keeps them as
+        # Python ints.
+        written = []
+        write = fpbsim.montecarlo.counts_file_text
+        monkeypatch.setattr(
+            fpbsim.montecarlo, "counts_file_text",
+            lambda counts: written.append(counts) or write(counts),
+        )
+        path = tmp_path / "max.csv"
+        code, _, err = run(
+            capsys, "simulate", "--pairs", str(MAX_PAIRS), "--states", "D,A",
+            "--pe", "0.1", "--seed", "1", "--out", str(path),
+        )
+        assert (code, err) == (0, "")
+        (built,) = written
+        assert built.counts.dtype == np.int64
+        assert built.counts.sum(axis=1).tolist() == [MAX_PAIRS] * 4
+        assert built.totals.tolist() == [float(MAX_PAIRS)] * 4
+        counts = read_counts_file(path)
+        assert counts.counts.dtype == object
+        assert len(counts.pe) == 4
+        assert counts.counts.sum(axis=1).tolist() == [MAX_PAIRS] * 4
+        code, _, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, err) == (0, "")
+
 
 class TestEstimate:
     def test_reference_counts(self, capsys):
@@ -374,7 +402,7 @@ class TestEstimate:
                 )
             )
         path = tmp_path / "ideal.csv"
-        path.write_text(counts_file_text(CountsColumns.from_records(records)))
+        path.write_text(counts_file_text(columns_from_records(records)))
         code, out, _ = run(capsys, "estimate", "--counts", str(path))
         assert code == 0
         _, groups_table = parse_csv(out)
@@ -891,6 +919,18 @@ def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
     ])
     assert code in (0, 2)
     assert main(["table", "--params", str(fitted), "--out", str(work / "t.csv")]) == 0
+
+
+def test_public_names():
+    assert sorted(fpbsim.__all__) == [
+        "Bb84State", "CountsColumns", "CountsFileError", "CountsRecord",
+        "ErrorModelParams", "FitResult", "OUTCOME_ORDER", "ProbeConfig",
+        "SiftBasis", "fit_parameters", "model_sift_summaries",
+        "predict_outcome_probs", "read_counts_file", "reference_counts_path",
+        "renyi_closed_form", "renyi_information", "simulate_counts",
+    ]
+    for name in fpbsim.__all__:
+        assert hasattr(fpbsim, name), name
 
 
 def test_no_command_imports_scipy(tmp_path):

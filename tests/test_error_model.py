@@ -18,8 +18,6 @@ from fpbsim import (
     SiftBasis,
     fit_parameters,
     model_sift_summaries,
-    noise_free_counts,
-    output_state,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
@@ -38,10 +36,12 @@ from conftest import (
     FRAME_DEG,
     analytic_probs,
     bob_analyzer,
+    columns_from_records,
     frame,
     nonideal_alice_state,
     nonideal_pcnot,
     nonideal_probe_state,
+    noise_free_counts,
     output_state_oracle,
     predict_oracle,
     renyi_information_oracle,
@@ -96,7 +96,7 @@ def synth_records(params, n_pairs, seed=None):
 
 def synth_counts(params, n_pairs, seed=None) -> CountsColumns:
     """``synth_records`` as columns, as the fit takes them."""
-    return CountsColumns.from_records(synth_records(params, n_pairs, seed))
+    return columns_from_records(synth_records(params, n_pairs, seed))
 
 
 def design_records(tmp_path, seed) -> CountsColumns:
@@ -409,7 +409,8 @@ class TestForwardModel:
             rtol=0.0, atol=1e-15,
         )
         np.testing.assert_allclose(
-            output_state(params, state, cfg), output_state_oracle(params, state, cfg),
+            error_model._analyzed(params, state, cfg, 0.0),
+            output_state_oracle(params, state, cfg),
             rtol=0.0, atol=1e-15,
         )
 
@@ -574,7 +575,7 @@ class TestModelSummaries:
             )
             for state in basis.states
         ]
-        counts = CountsColumns.from_records(pair)
+        counts = columns_from_records(pair)
         ((_, _, got_renyi, got_rate, _),) = counts.sift_summaries()
         assert abs(got_renyi - want_renyi) < 1e-9
         assert abs(got_rate - want_rate) < 1e-9
@@ -597,7 +598,7 @@ class TestFit:
         ]
         rng = np.random.default_rng(0)
         for records, dtype in ((seeded, np.int64), (huge, object)):
-            text = counts_file_text(CountsColumns.from_records(records))
+            text = counts_file_text(columns_from_records(records))
             counts = parse_counts(text.splitlines())
             assert counts.counts.dtype == dtype
             n = len(records)
@@ -644,7 +645,7 @@ class TestFit:
             if rng.random() < 0.7
         ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
         x = params.as_vector()
-        got = _make_objective(CountsColumns.from_records(records), weighting)(x)[0]
+        got = _make_objective(columns_from_records(records), weighting)(x)[0]
         want = residuals_oracle(records, weighting, x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

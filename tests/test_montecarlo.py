@@ -13,7 +13,6 @@ from fpbsim import (
     ErrorModelParams,
     ProbeConfig,
     SiftBasis,
-    noise_free_counts,
     predict_outcome_probs,
     read_counts_file,
     reference_counts_path,
@@ -24,14 +23,16 @@ from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
     assert_columns_equal,
+    columns_from_records,
     counts_line_accepted,
+    noise_free_counts,
     parse_counts_oracle,
     renyi_information_oracle,
     sift_cells_oracle,
     sift_summaries_oracle,
 )
 
-columns = CountsColumns.from_records
+columns = columns_from_records
 
 
 #: One counts-file field: valid tokens, near misses and arbitrary text.
