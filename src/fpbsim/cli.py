@@ -22,10 +22,13 @@ read their counts file with ``montecarlo.read_counts_file`` into
 ``montecarlo.CountsColumns`` and never build a record.
 
 Outputs are deterministic given the inputs and seed. Tables are CSV
-blocks or JSON row objects with the same columns, each table written
-from one ``%`` row template: CSV floats are ``"%.6g"``, and the JSON is
-byte for byte ``json.dumps(payload, indent=2)`` without running its
-pure-Python encoder. Exit codes: 0 on
+blocks or JSON row objects with the same columns, each table written in
+one pass through one ``%`` row template: CSV floats are ``"%.6g"``, and
+the JSON is byte for byte ``json.dumps(payload, indent=2)`` without
+running its pure-Python encoder. A JSON float column is ``"%.6g"`` in
+the template too, unless it holds a value whose ``"%.6g"`` text is not
+the JSON one (an integer, 1e6 to 1e16, a subnormal, nan or inf); only
+such a column is converted to text first. Exit codes: 0 on
 success, 1 with one ``error:`` line on any rejected input (a bad flag,
 an unreadable or malformed file, parameters or counts the library
 rejects), 2 when a fit fails to converge. Numbers in flags and pe lists
@@ -149,17 +152,25 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_numbers(values: Sequence[float]) -> list[str]:
-    """Each ``_jsonable(value)`` as ``json.dumps`` writes it."""
-    texts = ("%.6g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    # "%.6g" is float.__repr__ of its own value except for integers (repr
-    # adds ".0"), exponents 6 to 15 (repr writes them out), subnormals
-    # (repr may need fewer digits), nan and inf. This mask holds all of
-    # them; the other values keep their "%.6g" text.
+def _json_odd(values: Sequence[float]) -> np.ndarray:
+    """Mask of the values whose ``"%.6g"`` text is not what ``json.dumps``
+    writes for ``_jsonable(value)``.
+
+    "%.6g" is float.__repr__ of its own value except for integers (repr
+    adds ".0"), exponents 6 to 15 (repr writes them out), subnormals (repr
+    may need fewer digits), nan and inf. This mask holds all of them.
+    """
     x = abs(np.array(values, dtype=float))
     with np.errstate(invalid="ignore"):
         odd = ~(abs(x - np.rint(x)) > 1e-5 * x)
-    odd |= (x >= 999_999.0) | (x < sys.float_info.min)
+    return odd | (x >= 999_999.0) | (x < sys.float_info.min)
+
+
+def _json_numbers(values: Sequence[float], odd: np.ndarray) -> list[str]:
+    """Each ``_jsonable(value)`` as ``json.dumps`` writes it, where ``odd``
+    is the values' ``_json_odd`` mask; the other values keep their
+    ``"%.6g"`` text."""
+    texts = ("%.6g\n" * len(values) % tuple(values)).split("\n")[:-1]
     for k in np.flatnonzero(odd).tolist():
         texts[k] = _JSON_SPECIAL.get(texts[k]) or repr(float(texts[k]))
     return texts
@@ -167,21 +178,31 @@ def _json_numbers(values: Sequence[float]) -> list[str]:
 
 def _json_table(columns: Sequence[str], rows: Sequence[Sequence], level: int) -> str:
     """``json.dumps(indent=2)`` text of the rows as a list of row objects,
-    for a list nested ``level`` deep."""
+    for a list nested ``level`` deep.
+
+    The rows fill one ``%`` template in one pass. A float column without a
+    ``_json_odd`` value is formatted there by ``"%.6g"``; a string column,
+    and a float column that holds an odd value, are converted first and
+    filled in by ``"%s"``.
+    """
     if not rows:
         return "[]"
     outer, inner, field = ("  " * n for n in (level, level + 1, level + 2))
-    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in columns]
-    members = ",\n".join(f"{field}{key}: %s" for key in keys)
-    row = f"{inner}{{\n{members}\n{inner}}}" if keys else f"{inner}{{}}"
     cells = list(chain.from_iterable(rows))
+    specs = []
     for k, value in enumerate(rows[0]):
         column = cells[k :: len(columns)]
-        cells[k :: len(columns)] = (
-            list(map(encode_basestring_ascii, column))
-            if isinstance(value, str)
-            else _json_numbers(column)
-        )
+        spec = "%s"
+        if isinstance(value, str):
+            cells[k :: len(columns)] = map(encode_basestring_ascii, column)
+        elif (odd := _json_odd(column)).any():
+            cells[k :: len(columns)] = _json_numbers(column, odd)
+        else:
+            spec = "%.6g"
+        specs.append(spec)
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in columns]
+    members = ",\n".join(f"{field}{key}: {spec}" for key, spec in zip(keys, specs))
+    row = f"{inner}{{\n{members}\n{inner}}}" if keys else f"{inner}{{}}"
     body = ",\n".join([row] * len(rows)) % tuple(cells)
     return f"[\n{body}\n{outer}]"
 
@@ -336,13 +357,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ))
     group_rows = []
     for basis, pe, measured, rate, problem in counts.sift_summaries():
+        if problem is None and not math.isnan(measured):
+            group_rows.append([basis.value, pe, measured, rate])
+            continue
         where = f"basis {basis.value} at pe {_fmt(pe)}"
         if problem is not None:
             print(f"warning: {where} {problem}; skipping its summary", file=sys.stderr)
-        elif math.isnan(measured):
-            raise UsageError(f"{where}: records contain no error-free sift counts")
         else:
-            group_rows.append([basis.value, pe, measured, rate])
+            raise UsageError(f"{where}: records contain no error-free sift counts")
     summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
     _emit_tables(
         args,

@@ -11,11 +11,16 @@ built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
 The read side is columnar for every command. ``CountsColumns`` holds
 records as state and basis index arrays, pe, the exact ``(N, 4)``
 counts, float totals and durations. ``parse_counts`` turns counts-file
-lines into columns and checks every field rule over a whole column; on a
-bad file it reports the first bad line with the message of that line's
-first failed check, the message ``CountsRecord`` gives for it.
-``read_counts_file`` reads a file with it, and ``counts_file_text``
-writes columns as counts-file text. ``CountsColumns.probabilities`` divides every
+lines into columns. Lines in the form ``counts_file_text`` writes, with
+no durations and counts of at most 18 digits, take one regex match, one
+split and one conversion per column. Every other input, and such lines
+with a pe that ``float`` rejects, a pe above 0.5 or a zero total, go to
+the full checker unchanged. That checker checks every field rule
+over a whole column; on a bad file it reports the first bad line with
+the message of that line's first failed check, the message
+``CountsRecord`` gives for it. ``read_counts_file`` reads a file with
+``parse_counts``, and ``counts_file_text`` writes columns as counts-file
+text. ``CountsColumns.probabilities`` divides every
 row ``counts / total`` in one array operation, and
 ``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
 the sift rows by sift basis and nominal pe with one sort, and reduces the
@@ -33,6 +38,7 @@ nominal error probabilities ships with the package;
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -130,8 +136,17 @@ _BASIS_INDEX = {basis.value: i for i, basis in enumerate(_BASES)}
 #: Sift basis index and key bit of each state index.
 _STATE_BASIS = np.array([_BASES.index(state.basis) for state in _STATES])
 _STATE_BIT = np.array([state.bit for state in _STATES])
-#: Longest count field read as int64: a sum of four such counts still fits.
+#: Longest count field read as int64 at once: a sum of four such counts
+#: still fits.
 _INT64_DIGITS = 18
+#: What ``counts_file_text`` writes for records without a duration: '#'
+#: comment lines from column 0, then 7-field records with a pe that starts
+#: with a digit and counts of at most ``_INT64_DIGITS`` digits, each line
+#: ended by "\n". Group 1 holds the records.
+_CANONICAL = re.compile(
+    r"(?:#[^\n]*\n)*"
+    r"((?:[HVDA],(?:HV|DA),[0-9][0-9.e+-]*(?:,[0-9]{1,%d}){4}\n)*)" % _INT64_DIGITS
+)
 
 _MISSING_PAIR = "is missing a paired input state"
 _EXTRA_RECORDS = "needs exactly one record per input state"
@@ -143,9 +158,9 @@ class CountsColumns(NamedTuple):
 
     ``state`` and ``basis`` index ``tuple(Bb84State)`` and
     ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
-    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64, or
-    Python ints in an object array when a parsed count has more than 18
-    digits. ``totals`` is each row's exact integer sum rounded once to a
+    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64
+    whenever every row total fits in one, else Python ints in an object
+    array. ``totals`` is each row's exact integer sum rounded once to a
     float; ``durations`` is NaN where a row has none.
     """
 
@@ -304,6 +319,8 @@ def _checked_columns(
         counts = np.array(list(map(int, digits)), dtype=object)
     counts = counts.reshape(4, -1).T
     totals = counts.sum(axis=1)
+    if counts.dtype == object and totals.max() <= np.iinfo(np.int64).max:
+        counts, totals = counts.astype(np.int64), totals.astype(np.int64)
     duration_values, k = _floats(duration_text)
     if k is not None:
         fail(int(timed[k]), _number_error("duration", duration_text[k]))
@@ -328,8 +345,48 @@ def _checked_columns(
     )
 
 
-def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
-    """Counts-file lines as columns; '#' comments and blank lines are skipped."""
+def _canonical_columns(lines: list[str]) -> CountsColumns | None:
+    """Columns of lines that ``counts_file_text`` could have written, else
+    None.
+
+    Such lines, joined, fully match ``_CANONICAL``, so they pass every
+    field rule of ``_checked_columns`` by their form and are split and
+    converted in one pass each; only a pe that ``float()`` rejects, the pe
+    range and zero totals are left to check. Any other input, or a failed
+    check, gives None, so every error message comes from the full checker.
+    """
+    text = "\n".join(lines)
+    # A line that holds a "\n" itself must not read as two lines.
+    if text.count("\n") != len(lines) - 1:
+        return None
+    if text and not text.endswith("\n"):
+        text += "\n"
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    # Every record ends in "\n", so the last field is an empty one.
+    fields = match[1].replace("\n", ",").split(",")[:-1]
+    try:
+        pe = np.array(list(map(float, fields[2::7])), dtype=float)
+    except ValueError:
+        return None
+    counts = np.fromstring(
+        ",".join(chain(fields[3::7], fields[4::7], fields[5::7], fields[6::7])),
+        dtype=np.int64, sep=",",
+    ).reshape(4, -1).T
+    totals = counts.sum(axis=1)
+    # A pe that starts with a digit is not negative and not NaN.
+    if not ((pe <= 0.5).all() and totals.all()):
+        return None
+    return CountsColumns(
+        np.array(list(map(_STATE_INDEX.__getitem__, fields[0::7])), dtype=np.intp),
+        np.array(list(map(_BASIS_INDEX.__getitem__, fields[1::7])), dtype=np.intp),
+        pe, counts, totals.astype(float), np.full(len(pe), np.nan),
+    )
+
+
+def _split_rows(lines: Iterable[str]) -> tuple[list[list[str]], list[int]]:
+    """The stripped fields of every record line, and the line numbers."""
     stripped = [line.strip(ASCII_SPACE) for line in lines]
     linenos = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
     kept = [stripped[n - 1] for n in linenos]
@@ -338,7 +395,24 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumn
     body = ",".join(kept)
     if any(space in body for space in ASCII_SPACE):
         rows = [[field.strip(ASCII_SPACE) for field in row] for row in rows]
-    return _checked_columns(rows, linenos, source)
+    return rows, linenos
+
+
+def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
+    """Counts-file lines as columns; '#' comments and blank lines are skipped.
+
+    Lines in the form ``counts_file_text`` writes without durations, each
+    count of at most 18 digits, take one regex match and one split
+    (``_canonical_columns``). All other lines, and such lines with a pe
+    that ``float`` rejects, a pe above 0.5 or a zero total, go through the
+    full checker ``_checked_columns`` unchanged; it alone gives the error
+    messages, naming the first bad line. Both give the same columns.
+    """
+    lines = list(lines)
+    columns = _canonical_columns(lines)
+    if columns is not None:
+        return columns
+    return _checked_columns(*_split_rows(lines), source)
 
 
 def read_counts_file(path: str | Path) -> CountsColumns:

@@ -403,13 +403,13 @@ def columns_from_records(records) -> CountsColumns:
 
     The record-list constructor that ``CountsColumns`` dropped, kept as
     the reference the parser's columns must equal. Counts follow the
-    columns' dtype rule: int64, or Python ints in an object array once a
-    count has more than 18 digits.
+    columns' dtype rule: int64 whenever every row total fits in one, else
+    Python ints in an object array.
     """
     records = list(records)
     states, bases = list(Bb84State), list(SiftBasis)
     exact = [record.counts for record in records]
-    wide = any(count >= 10**18 for row in exact for count in row)
+    wide = any(record.total >= 2**63 for record in records)
     return CountsColumns(
         np.array([states.index(r.alice) for r in records], dtype=np.intp),
         np.array([bases.index(r.bob_basis) for r in records], dtype=np.intp),

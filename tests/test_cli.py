@@ -335,8 +335,8 @@ class TestSimulate:
     def test_max_pairs_round_trip(self, capsys, monkeypatch, tmp_path):
         # At the largest --pairs every row sums to 2**63 - 1 exactly: in the
         # int64 columns simulate writes from, and in the file. Four counts
-        # of that sum include one of 19 digits, so the reader keeps them as
-        # Python ints.
+        # of that sum include one of 19 digits, and the reader still reads
+        # them as int64, since every row total fits in one.
         written = []
         write = fpbsim.montecarlo.counts_file_text
         monkeypatch.setattr(
@@ -354,7 +354,7 @@ class TestSimulate:
         assert built.counts.sum(axis=1).tolist() == [MAX_PAIRS] * 4
         assert built.totals.tolist() == [float(MAX_PAIRS)] * 4
         counts = read_counts_file(path)
-        assert counts.counts.dtype == object
+        assert counts.counts.dtype == np.int64
         assert len(counts.pe) == 4
         assert counts.counts.sum(axis=1).tolist() == [MAX_PAIRS] * 4
         code, _, err = run(capsys, "estimate", "--counts", str(path))
@@ -891,6 +891,26 @@ def test_json_tables_are_json_dumps_indent_2(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_columns_mixing_odd_and_plain_values(capsys, tmp_path):
+    # The ideal model has zero cells at pe = 0, so the pe and p_* columns
+    # mix 0.0, which "%.6g" writes as "0", with plain values. json.loads
+    # reads "0" as an int, so every value must come back a float.
+    path = tmp_path / "zeros.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--pe", "0,0.1", "--seed", "3", "--pairs", "1000",
+        "--out", str(path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "estimate", "--counts", str(path), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    records = json.loads(out)["records"]
+    for column in ("pe", "p_10", "p_11"):
+        values = [record[column] for record in records]
+        assert all(type(v) is float for v in values), column
+        assert 0.0 in values and any(0.0 < v < 1.0 for v in values), column
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)

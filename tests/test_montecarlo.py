@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fpbsim import (
     renyi_closed_form,
     simulate_counts,
 )
+from fpbsim import montecarlo
 from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
@@ -128,6 +130,40 @@ def counts_texts(draw) -> str:
             line = line[:at] + draw(NOT_A_BREAK) + line[at:]
         text += line + draw(LINE_BREAK)
     return text + draw(st.one_of(st.just(""), ORACLE_LINE))
+
+
+#: A record as ``counts_file_text`` writes it without a duration: any pe,
+#: and counts of up to 18 digits with a positive total.
+CANONICAL_RECORD = st.builds(
+    CountsRecord,
+    st.sampled_from(Bb84State),
+    st.sampled_from(SiftBasis),
+    st.floats(0.0, 0.5),
+    st.tuples(*[st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1))] * 4).filter(any),
+)
+
+
+@st.composite
+def canonical_lines(draw) -> list[str]:
+    """``counts_file_text`` of drawn records, split as ``read_counts_file``
+    splits a file, with or without the header and the final newline."""
+    text = counts_file_text(columns(draw(st.lists(CANONICAL_RECORD, max_size=12))))
+    if draw(st.booleans()):
+        text = text.partition("\n")[2]
+    if draw(st.booleans()):
+        text = text[:-1]
+    return text.split("\n")
+
+
+def checked_columns(lines) -> CountsColumns:
+    """Columns of ``lines`` read by the full checker alone."""
+    return montecarlo._checked_columns(*montecarlo._split_rows(lines), "<counts>")
+
+
+def assert_bitwise_equal(got: CountsColumns, want: CountsColumns) -> None:
+    for name, a, b in zip(CountsColumns._fields, got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -496,7 +532,8 @@ class TestCountsFiles:
         records = parse_counts_oracle(lines)
         counts = read_counts_file(path)
         assert_columns_equal(counts, columns(records))
-        assert counts.counts.dtype == (np.int64 if big + 2 < 10**18 else object)
+        # int64 whenever every row total fits in one.
+        assert counts.counts.dtype == (np.int64 if 2 * big + 6 < 2**63 else object)
         assert counts.counts.sum(axis=1).tolist() == [2 * big + 1, 2 * big + 6]
         probs = np.array([r.counts for r in records], dtype=float)
         totals = np.array([r.total for r in records], dtype=float)
@@ -568,6 +605,55 @@ class TestCountsFiles:
         with pytest.raises(CountsFileError, match=match) as excinfo:
             read_counts_file(path)
         assert ":3:" in str(excinfo.value)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(lines=canonical_lines())
+    def test_canonical_path_matches_full_checker(self, lines):
+        want = checked_columns(lines)
+        assert_bitwise_equal(parse_counts(lines), want)
+        # With the full checker out of reach, the canonical path must read
+        # every such text on its own.
+        with mock.patch.object(
+            montecarlo, "_checked_columns", side_effect=AssertionError("full checker ran")
+        ):
+            assert_bitwise_equal(parse_counts(lines), want)
+
+    @pytest.mark.parametrize(
+        "lines, canonical",
+        [
+            pytest.param("# c\r\nD,DA,0.1,1,2,3,4\r\n".split("\n"), False, id="crlf"),
+            pytest.param(["D, DA,0.1,1,2,3,4"], False, id="padded-field"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "", "A,DA,0.1,4,3,2,1"], False, id="blank"),
+            pytest.param(
+                ["D,DA,0.1,1,2,3,4", "# c", "A,DA,0.1,4,3,2,1"], False,
+                id="comment-after-record",
+            ),
+            # The last line may lack its "\n", as when a file's last record
+            # has no line break.
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,4,3,2,1"], True, id="no-final-newline"),
+            pytest.param(["D,DA,0.1,1,2,3,4,40.0", ""], False, id="duration"),
+            pytest.param(["D,DA,0.1,1000000000000000000,2,3,4", ""], False, id="19-digits"),
+            # A pe in the canonical form that float() reads as the full
+            # checker does.
+            pytest.param(["D,DA,1e-1,1,2,3,4", ""], True, id="pe-1e-1"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.9,4,3,2,1", ""], False, id="pe-0.9"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,1.2.3,4,3,2,1", ""], False, id="pe-1.2.3"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,0,0,0,0", ""], False, id="zero-total"),
+            pytest.param(
+                ["D,DA,0.1,1,2,3,4\nA,DA,0.1,4,3,2,1", ""], False, id="line-holds-newline"
+            ),
+        ],
+    )
+    def test_inputs_near_canonical_form_read_as_before(self, lines, canonical):
+        assert (montecarlo._canonical_columns(lines) is not None) == canonical
+        try:
+            want = checked_columns(lines)
+        except CountsFileError as exc:
+            with pytest.raises(CountsFileError) as excinfo:
+                parse_counts(lines)
+            assert str(excinfo.value) == str(exc)
+            return
+        assert_bitwise_equal(parse_counts(lines), want)
 
     @settings(derandomize=True, deadline=None)
     @given(lines=st.lists(ANY_LINE, max_size=6))
