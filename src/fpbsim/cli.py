@@ -54,7 +54,7 @@ import numpy as np
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams
 from .montecarlo import _BASES, _BASIS_INDEX, _STATE_INDEX, ASCII_SPACE, CountsColumns
-from .probe import Bb84State, ProbeConfig
+from .probe import Bb84State, ProbeConfig, SiftBasis
 
 #: Largest ``curve --steps``: each grid point costs four forward
 #: predictions and about 0.65 KB at peak. 100 000 steps take about 4 s and
@@ -344,6 +344,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _group_name(basis: SiftBasis, pe: float) -> str:
+    """How ``estimate`` names a sift group in a warning or error."""
+    return f"basis {basis.value} at pe {_fmt(pe)}"
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     counts = montecarlo.read_counts_file(args.counts)
     if not len(counts.pe):
@@ -357,14 +362,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     ))
     group_rows = []
     for basis, pe, measured, rate, problem in counts.sift_summaries():
-        if problem is None and not math.isnan(measured):
-            group_rows.append([basis.value, pe, measured, rate])
-            continue
-        where = f"basis {basis.value} at pe {_fmt(pe)}"
         if problem is not None:
-            print(f"warning: {where} {problem}; skipping its summary", file=sys.stderr)
+            print(
+                f"warning: {_group_name(basis, pe)} {problem}; skipping its summary",
+                file=sys.stderr,
+            )
+        elif math.isnan(measured):
+            raise UsageError(
+                f"{_group_name(basis, pe)}: records contain no error-free sift counts"
+            )
         else:
-            raise UsageError(f"{where}: records contain no error-free sift counts")
+            group_rows.append([basis.value, pe, measured, rate])
     summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
     _emit_tables(
         args,

@@ -11,16 +11,14 @@ built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
 The read side is columnar for every command. ``CountsColumns`` holds
 records as state and basis index arrays, pe, the exact ``(N, 4)``
 counts, float totals and durations. ``parse_counts`` turns counts-file
-lines into columns. Lines in the form ``counts_file_text`` writes, with
-no durations and counts of at most 18 digits, take one regex match, one
-split and one conversion per column. Every other input, and such lines
-with a pe that ``float`` rejects, a pe above 0.5 or a zero total, go to
-the full checker unchanged. That checker checks every field rule
-over a whole column; on a bad file it reports the first bad line with
-the message of that line's first failed check, the message
-``CountsRecord`` gives for it. ``read_counts_file`` reads a file with
-``parse_counts``, and ``counts_file_text`` writes columns as counts-file
-text. ``CountsColumns.probabilities`` divides every
+lines into columns. Record lines without padding that are all 7 or all 8
+fields wide, as ``counts_file_text`` writes them, take one flat split
+into field columns; other lines are split one at a time. Every field
+rule is then checked over a whole column; on a bad file the parser
+reports the first bad line with the message of that line's first failed
+check, the message ``CountsRecord`` gives for it. ``read_counts_file``
+reads a file with ``parse_counts``, and ``counts_file_text`` writes
+columns as counts-file text. ``CountsColumns.probabilities`` divides every
 row ``counts / total`` in one array operation, and
 ``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
 the sift rows by sift basis and nominal pe with one sort, and reduces the
@@ -38,11 +36,10 @@ nominal error probabilities ships with the package;
 from __future__ import annotations
 
 import math
-import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, compress, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
@@ -136,17 +133,12 @@ _BASIS_INDEX = {basis.value: i for i, basis in enumerate(_BASES)}
 #: Sift basis index and key bit of each state index.
 _STATE_BASIS = np.array([_BASES.index(state.basis) for state in _STATES])
 _STATE_BIT = np.array([state.bit for state in _STATES])
-#: Longest count field read as int64 at once: a sum of four such counts
-#: still fits.
-_INT64_DIGITS = 18
-#: What ``counts_file_text`` writes for records without a duration: '#'
-#: comment lines from column 0, then 7-field records with a pe that starts
-#: with a digit and counts of at most ``_INT64_DIGITS`` digits, each line
-#: ended by "\n". Group 1 holds the records.
-_CANONICAL = re.compile(
-    r"(?:#[^\n]*\n)*"
-    r"((?:[HVDA],(?:HV|DA),[0-9][0-9.e+-]*(?:,[0-9]{1,%d}){4}\n)*)" % _INT64_DIGITS
-)
+#: Largest count read as int64 at once: a sum of four such counts still
+#: fits.
+_INT64_QUARTER = np.iinfo(np.int64).max // 4
+#: Every byte but "," and "\n": deleting them from a text leaves only the
+#: field and line separators.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 _MISSING_PAIR = "is missing a paired input state"
 _EXTRA_RECORDS = "needs exactly one record per input state"
@@ -241,13 +233,22 @@ def _number_error(name: str, text: str) -> str:
 
 def _floats(texts: Sequence[str]) -> tuple[list[float], int | None]:
     """``float`` of every text, or the index of the first one it rejects."""
-    values = []
-    for text in texts:
+    try:
+        return list(map(float, texts)), None
+    except ValueError:
+        pass
+    for k, text in enumerate(texts):
         try:
-            values.append(float(text))
+            float(text)
         except ValueError:
-            return values, len(values)
-    return values, None
+            return [], k
+    raise AssertionError("float() rejected no text on the second pass")
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` in UTF-8, lone surrogates included: every byte of a
+    non-ASCII character is above 127."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _digits(text: str) -> bool:
@@ -255,9 +256,11 @@ def _digits(text: str) -> bool:
 
 
 def _checked_columns(
-    rows: list[list[str]], linenos: list[int], source: str
+    columns: list[Sequence[str]], widths: np.ndarray, linenos: Sequence[int],
+    source: str,
 ) -> CountsColumns:
-    """Columns of the split and stripped record lines ``rows``.
+    """Columns of the record lines split by ``_split_rows``: their stripped
+    fields by position, each line's field count and the line numbers.
 
     Each check runs over a whole column. When one fails, the rows before
     its first bad row are checked again from the start, because such a row
@@ -266,20 +269,19 @@ def _checked_columns(
     """
 
     def fail(k: int, message: str) -> NoReturn:
-        _checked_columns(rows[:k], linenos, source)
+        _checked_columns([column[:k] for column in columns], widths[:k], linenos, source)
         raise CountsFileError(f"{source}:{linenos[k]}: {message}")
 
-    if not rows:
+    if not len(widths):
         index, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
         counts = np.zeros((0, 4), dtype=np.int64)
         return CountsColumns(index, index, empty, counts, empty, empty)
-    widths = np.array([len(row) for row in rows])
     k = _first((widths != 7) & (widths != 8))
     if k is not None:
         fail(k, f"expected 7 or 8 comma-separated fields, got {widths[k]}")
-    alice, basis, pe_text, *count_text = list(zip(*rows))[:7]
-    timed = np.flatnonzero(widths == 8)
-    duration_text = [rows[k][7] for k in timed.tolist()]
+    alice, basis, pe_text, *count_text, duration_column = columns
+    timed = widths == 8
+    duration_text = list(compress(duration_column, timed.tolist()))
 
     state = list(map(_STATE_INDEX.get, alice))
     if None in state:
@@ -291,8 +293,10 @@ def _checked_columns(
         fail(k, _error_text(SiftBasis, basis[k]))
     # int() and float() also read digit-group underscores and non-ASCII
     # digits: counts must be ASCII digits, the pe and duration ASCII
-    # without '_'. A column passes as one joined string.
-    if not all(all(column) and _digits("".join(column)) for column in count_text):
+    # without '_'. The counts pass as one joined string.
+    digits = list(chain.from_iterable(count_text))
+    joined = ",".join(digits)
+    if not all(digits) or _utf8(joined).translate(None, b"0123456789,"):
         k, text = next(
             (k, text)
             for k, texts in enumerate(zip(*count_text))
@@ -302,20 +306,21 @@ def _checked_columns(
         fail(k, f"count {text!r} is not a nonnegative decimal integer")
     reals = "".join(pe_text) + "".join(duration_text)
     if not reals.isascii() or "_" in reals:
+        # A row of 7 fields has "" in the duration column, which passes.
         k, text = next(
             (k, text)
-            for k, row in enumerate(rows)
-            for text in (row[2], *row[7:])
+            for k, texts in enumerate(zip(pe_text, duration_column))
+            for text in texts
             if not text.isascii() or "_" in text
         )
         fail(k, f"{text!r} is not an ASCII number")
     pe, k = _floats(pe_text)
     if k is not None:
         fail(k, _number_error("pe", pe_text[k]))
-    digits = list(chain.from_iterable(count_text))
-    if max(map(len, digits)) <= _INT64_DIGITS:
-        counts = np.fromstring(",".join(digits), dtype=np.int64, sep=",")
-    else:
+    # np.fromstring reads each count exactly up to the int64 limit, where
+    # it saturates; counts below a quarter of it also sum exactly.
+    counts = np.fromstring(joined, dtype=np.int64, sep=",")
+    if counts.max() > _INT64_QUARTER:
         counts = np.array(list(map(int, digits)), dtype=object)
     counts = counts.reshape(4, -1).T
     totals = counts.sum(axis=1)
@@ -323,8 +328,8 @@ def _checked_columns(
         counts, totals = counts.astype(np.int64), totals.astype(np.int64)
     duration_values, k = _floats(duration_text)
     if k is not None:
-        fail(int(timed[k]), _number_error("duration", duration_text[k]))
-    durations = np.full(len(rows), np.nan)
+        fail(int(np.flatnonzero(timed)[k]), _number_error("duration", duration_text[k]))
+    durations = np.full(len(widths), np.nan)
     durations[timed] = duration_values
 
     # The record rules of CountsRecord, whose message a bad row reports.
@@ -345,73 +350,62 @@ def _checked_columns(
     )
 
 
-def _canonical_columns(lines: list[str]) -> CountsColumns | None:
-    """Columns of lines that ``counts_file_text`` could have written, else
-    None.
+def _row_columns(kept: list[str], padded: bool) -> tuple[list[Sequence[str]], np.ndarray]:
+    """The fields of the record lines ``kept`` as 8 columns, split one line
+    at a time and stripped when ``padded``, and each line's field count.
 
-    Such lines, joined, fully match ``_CANONICAL``, so they pass every
-    field rule of ``_checked_columns`` by their form and are split and
-    converted in one pass each; only a pe that ``float()`` rejects, the pe
-    range and zero totals are left to check. Any other input, or a failed
-    check, gives None, so every error message comes from the full checker.
+    A line of fewer fields has "" in the columns it lacks; one of more
+    keeps its first 8.
     """
-    text = "\n".join(lines)
-    # A line that holds a "\n" itself must not read as two lines.
-    if text.count("\n") != len(lines) - 1:
-        return None
-    if text and not text.endswith("\n"):
-        text += "\n"
-    match = _CANONICAL.fullmatch(text)
-    if match is None:
-        return None
-    # Every record ends in "\n", so the last field is an empty one.
-    fields = match[1].replace("\n", ",").split(",")[:-1]
-    try:
-        pe = np.array(list(map(float, fields[2::7])), dtype=float)
-    except ValueError:
-        return None
-    counts = np.fromstring(
-        ",".join(chain(fields[3::7], fields[4::7], fields[5::7], fields[6::7])),
-        dtype=np.int64, sep=",",
-    ).reshape(4, -1).T
-    totals = counts.sum(axis=1)
-    # A pe that starts with a digit is not negative and not NaN.
-    if not ((pe <= 0.5).all() and totals.all()):
-        return None
-    return CountsColumns(
-        np.array(list(map(_STATE_INDEX.__getitem__, fields[0::7])), dtype=np.intp),
-        np.array(list(map(_BASIS_INDEX.__getitem__, fields[1::7])), dtype=np.intp),
-        pe, counts, totals.astype(float), np.full(len(pe), np.nan),
-    )
+    rows = [line.split(",") for line in kept]
+    if padded:
+        rows = [[field.strip(ASCII_SPACE) for field in row] for row in rows]
+    columns = list(zip_longest(*rows, fillvalue=""))[:8]
+    columns += [("",) * len(rows)] * (8 - len(columns))
+    return columns, np.array([len(row) for row in rows], dtype=int)
 
 
-def _split_rows(lines: Iterable[str]) -> tuple[list[list[str]], list[int]]:
-    """The stripped fields of every record line, and the line numbers."""
+def _split_rows(
+    lines: Iterable[str],
+) -> tuple[list[Sequence[str]], np.ndarray, list[int]]:
+    """The stripped fields of every record line as 8 columns, as
+    ``_row_columns`` gives them, each line's field count, and the line
+    numbers.
+
+    Record lines without padding that are all 7 or all 8 fields wide, as
+    the separators of their joined text show, take one flat split of that
+    text and a stride slice per column; all others are split line by line.
+    """
     stripped = [line.strip(ASCII_SPACE) for line in lines]
     linenos = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
     kept = [stripped[n - 1] for n in linenos]
-    rows = [line.split(",") for line in kept]
-    # Fields need stripping only when padding sits inside some line.
-    body = ",".join(kept)
-    if any(space in body for space in ASCII_SPACE):
-        rows = [[field.strip(ASCII_SPACE) for field in row] for row in rows]
-    return rows, linenos
+    body = "\n".join(kept)
+    # "\n" joins the lines, so one more "\n" or any other space pads a line.
+    padded = body.count("\n") >= len(kept) or any(
+        space in body for space in ASCII_SPACE if space != "\n"
+    )
+    width = kept[0].count(",") + 1 if kept else 0
+    if (
+        not padded
+        and width in (7, 8)
+        and _utf8(body).translate(None, _NOT_SEPARATOR)
+        == b"\n".join([b"," * (width - 1)] * len(kept))
+    ):
+        fields = body.replace("\n", ",").split(",")
+        columns = [fields[i::width] for i in range(width)]
+        columns += [[""] * len(kept)] * (8 - width)
+        return columns, np.full(len(kept), width), linenos
+    return (*_row_columns(kept, padded), linenos)
 
 
 def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
     """Counts-file lines as columns; '#' comments and blank lines are skipped.
 
-    Lines in the form ``counts_file_text`` writes without durations, each
-    count of at most 18 digits, take one regex match and one split
-    (``_canonical_columns``). All other lines, and such lines with a pe
-    that ``float`` rejects, a pe above 0.5 or a zero total, go through the
-    full checker ``_checked_columns`` unchanged; it alone gives the error
-    messages, naming the first bad line. Both give the same columns.
+    ``_split_rows`` splits the record lines into field columns, with one
+    flat split when they are unpadded and all 7 or all 8 fields wide, and
+    ``_checked_columns`` checks and converts every column; on a bad file
+    it names the first bad line.
     """
-    lines = list(lines)
-    columns = _canonical_columns(lines)
-    if columns is not None:
-        return columns
     return _checked_columns(*_split_rows(lines), source)
 
 

@@ -132,22 +132,24 @@ def counts_texts(draw) -> str:
     return text + draw(st.one_of(st.just(""), ORACLE_LINE))
 
 
-#: A record as ``counts_file_text`` writes it without a duration: any pe,
-#: and counts of up to 18 digits with a positive total.
-CANONICAL_RECORD = st.builds(
-    CountsRecord,
-    st.sampled_from(Bb84State),
-    st.sampled_from(SiftBasis),
-    st.floats(0.0, 0.5),
-    st.tuples(*[st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1))] * 4).filter(any),
-)
+#: Four counts with a positive total: small, up to 18 digits, or up to
+#: 2**65, past the int64 limit.
+SOME_COUNTS = st.tuples(
+    *[st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1), st.integers(0, 2**65))] * 4
+).filter(any)
 
 
 @st.composite
-def canonical_lines(draw) -> list[str]:
-    """``counts_file_text`` of drawn records, split as ``read_counts_file``
-    splits a file, with or without the header and the final newline."""
-    text = counts_file_text(columns(draw(st.lists(CANONICAL_RECORD, max_size=12))))
+def written_lines(draw) -> list[str]:
+    """``counts_file_text`` of one or more drawn records, all with a
+    duration or all without, split as ``read_counts_file`` splits a file,
+    with or without the header and the final newline."""
+    duration = st.floats(0.0, 1e6) if draw(st.booleans()) else st.none()
+    record = st.builds(
+        CountsRecord, st.sampled_from(Bb84State), st.sampled_from(SiftBasis),
+        st.floats(0.0, 0.5), SOME_COUNTS, duration,
+    )
+    text = counts_file_text(columns(draw(st.lists(record, min_size=1, max_size=12))))
     if draw(st.booleans()):
         text = text.partition("\n")[2]
     if draw(st.booleans()):
@@ -155,15 +157,15 @@ def canonical_lines(draw) -> list[str]:
     return text.split("\n")
 
 
-def checked_columns(lines) -> CountsColumns:
-    """Columns of ``lines`` read by the full checker alone."""
-    return montecarlo._checked_columns(*montecarlo._split_rows(lines), "<counts>")
-
-
 def assert_bitwise_equal(got: CountsColumns, want: CountsColumns) -> None:
+    """Same dtypes and shapes, and the same bytes; Python-int counts by
+    exact value."""
     for name, a, b in zip(CountsColumns._fields, got, want):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
+        if a.dtype == object:
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -607,53 +609,65 @@ class TestCountsFiles:
         assert ":3:" in str(excinfo.value)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(lines=canonical_lines())
-    def test_canonical_path_matches_full_checker(self, lines):
-        want = checked_columns(lines)
-        assert_bitwise_equal(parse_counts(lines), want)
-        # With the full checker out of reach, the canonical path must read
+    @given(lines=written_lines())
+    def test_flat_split_reads_written_files(self, lines):
+        want = columns(parse_counts_oracle(lines))
+        # Line-by-line splitting out of reach: the flat split must read
         # every such text on its own.
         with mock.patch.object(
-            montecarlo, "_checked_columns", side_effect=AssertionError("full checker ran")
+            montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
         ):
             assert_bitwise_equal(parse_counts(lines), want)
 
     @pytest.mark.parametrize(
-        "lines, canonical",
+        "lines, flat",
         [
-            pytest.param("# c\r\nD,DA,0.1,1,2,3,4\r\n".split("\n"), False, id="crlf"),
+            # Stripping each line drops the "\r" of a CRLF ending.
+            pytest.param("# c\r\nD,DA,0.1,1,2,3,4\r\n".split("\n"), True, id="crlf"),
+            pytest.param(["D,DA,0.1,1,2,3,4\r"] * 2, True, id="crlf-no-final-newline"),
+            pytest.param(["D,DA,0.1,1\r,2,3,4"], False, id="inner-cr"),
             pytest.param(["D, DA,0.1,1,2,3,4"], False, id="padded-field"),
-            pytest.param(["D,DA,0.1,1,2,3,4", "", "A,DA,0.1,4,3,2,1"], False, id="blank"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "", "A,DA,0.1,4,3,2,1"], True, id="blank"),
             pytest.param(
-                ["D,DA,0.1,1,2,3,4", "# c", "A,DA,0.1,4,3,2,1"], False,
+                ["D,DA,0.1,1,2,3,4", "# c d", "A,DA,0.1,4,3,2,1"], True,
                 id="comment-after-record",
             ),
-            # The last line may lack its "\n", as when a file's last record
-            # has no line break.
             pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,4,3,2,1"], True, id="no-final-newline"),
-            pytest.param(["D,DA,0.1,1,2,3,4,40.0", ""], False, id="duration"),
-            pytest.param(["D,DA,0.1,1000000000000000000,2,3,4", ""], False, id="19-digits"),
-            # A pe in the canonical form that float() reads as the full
-            # checker does.
+            pytest.param(
+                ["# measured, 40 s", "D,DA,0.1,1,2,3,4,40.0", "A,DA,0.1,4,3,2,1,40.0", ""],
+                True, id="durations",
+            ),
+            pytest.param(
+                ["D,DA,0.1,1,2,3,4,40.0", "A,DA,0.1,4,3,2,1", ""], False, id="some-durations"
+            ),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,4,3,2", ""], False, id="six-fields"),
+            pytest.param(["D,DA,0.1,1000000000000000000,2,3,4", ""], True, id="19-digits"),
+            pytest.param([f"D,DA,0.1,{2**64 + 1},2,3,4", ""], True, id="past-int64"),
+            pytest.param([f"D,DA,0.1,{2**62},{2**62},3,4", ""], True, id="total-past-int64"),
             pytest.param(["D,DA,1e-1,1,2,3,4", ""], True, id="pe-1e-1"),
-            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.9,4,3,2,1", ""], False, id="pe-0.9"),
-            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,1.2.3,4,3,2,1", ""], False, id="pe-1.2.3"),
-            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,0,0,0,0", ""], False, id="zero-total"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.9,4,3,2,1", ""], True, id="pe-0.9"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,1.2.3,4,3,2,1", ""], True, id="pe-1.2.3"),
+            pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.1,0,0,0,0", ""], True, id="zero-total"),
+            pytest.param(["D,DA,0.1,1,\u0663,3,4", ""], True, id="arabic-indic-count"),
+            pytest.param(["D,DA,0.1,1,\ud800,3,4", ""], True, id="lone-surrogate-count"),
             pytest.param(
                 ["D,DA,0.1,1,2,3,4\nA,DA,0.1,4,3,2,1", ""], False, id="line-holds-newline"
             ),
         ],
     )
-    def test_inputs_near_canonical_form_read_as_before(self, lines, canonical):
-        assert (montecarlo._canonical_columns(lines) is not None) == canonical
-        try:
-            want = checked_columns(lines)
-        except CountsFileError as exc:
-            with pytest.raises(CountsFileError) as excinfo:
-                parse_counts(lines)
-            assert str(excinfo.value) == str(exc)
-            return
-        assert_bitwise_equal(parse_counts(lines), want)
+    def test_inputs_near_written_form_read_as_the_oracle(self, lines, flat):
+        with mock.patch.object(
+            montecarlo, "_row_columns", wraps=montecarlo._row_columns
+        ) as by_line:
+            try:
+                want = columns(parse_counts_oracle(lines))
+            except CountsFileError as exc:
+                with pytest.raises(CountsFileError) as excinfo:
+                    parse_counts(lines)
+                assert str(excinfo.value) == str(exc)
+            else:
+                assert_bitwise_equal(parse_counts(lines), want)
+        assert by_line.called != flat
 
     @settings(derandomize=True, deadline=None)
     @given(lines=st.lists(ANY_LINE, max_size=6))
