@@ -22,11 +22,15 @@ sift path: it predicts a whole pe grid and reduces it with one stacked
 ``montecarlo.CountsColumns.sift_summaries`` does for measured counts. The
 fitter recovers the ten parameters from measured coincidence counts, given
 as ``montecarlo.CountsColumns``, with a bounded trust-region
-Levenberg-Marquardt solver in numpy on the weighted residual vector. An
-evaluation is one call of the residual function; the analytic Jacobian,
-one array pass over all records, is taken only at the start point and at
-each accepted step, and forward differences fill only the columns whose
-slope is exactly zero at the start point. ``fit_parameters`` takes its
+Levenberg-Marquardt solver in numpy on the weighted residual vector. The
+fit's design is built once per fit, as arrays from the counts' state and
+basis index columns. An evaluation is one call of the residual function,
+which still predicts each record once with ``predict_outcome_probs``; the
+analytic Jacobian, one array pass over the design, is taken only at the
+start point and at each accepted step, and forward differences fill only
+the columns whose slope is exactly zero at the start point. A prediction
+looks its angle terms up by the members' spellings, not by hashing Enum
+members. ``fit_parameters`` takes its
 evaluation budget and record weighting as the keywords ``max_evals`` and
 ``weighting``. Angles are radians; degrees appear only at I/O boundaries.
 """
@@ -38,6 +42,7 @@ import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
+from itertools import compress
 
 import numpy as np
 
@@ -84,13 +89,14 @@ class ErrorModelParams:
     d_theta_b_da: float = 0.0
 
     def __post_init__(self) -> None:
-        values = self.as_vector()
-        if not np.isfinite(values).all():
+        values = [getattr(self, key) for key in _PARAM_KEYS]
+        # In Python numbers: a NaN fails the first comparison, so only a
+        # vector with some angle outside the box reaches the messages.
+        if all(-ANGLE_BOUND < value < ANGLE_BOUND for value in values):
+            return
+        if not all(map(math.isfinite, values)):
             raise ValueError("error-model parameters must be finite")
-        if np.any(np.abs(values) >= ANGLE_BOUND):
-            raise ValueError(
-                "error-model angles must satisfy |angle| < pi/2 radians"
-            )
+        raise ValueError("error-model angles must satisfy |angle| < pi/2 radians")
 
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector in field order, radians."""
@@ -139,11 +145,28 @@ _PARAM_KEYS = tuple(f.name for f in fields(ErrorModelParams))
 #: offset; per basis, its nominal analyzer angle and the field of its
 #: analyzer offset. Radians: the analyzer sits at +22.5 deg for HV and
 #: -22.5 deg for DA, where Bob's analyzed-bit states are the basis states.
+#: Keyed by the counts-file spelling, ``member._value_``: a plain attribute,
+#: where hashing an Enum member runs Python code.
 _ANGLE_TERMS = {
-    **{state: (state.theta, f"d_theta_a_{state.value.lower()}") for state in Bb84State},
-    SiftBasis.HV: (math.pi / 8, "d_theta_b_hv"),
-    SiftBasis.DA: (-math.pi / 8, "d_theta_b_da"),
+    **{
+        state.value: (state.theta, f"d_theta_a_{state.value.lower()}")
+        for state in Bb84State
+    },
+    SiftBasis.HV.value: (math.pi / 8, "d_theta_b_hv"),
+    SiftBasis.DA.value: (-math.pi / 8, "d_theta_b_da"),
 }
+
+
+def _index_terms(members) -> tuple[np.ndarray, np.ndarray]:
+    """``_ANGLE_TERMS`` of ``members`` as arrays: nominal angles and the
+    field-order columns of the offsets."""
+    nominal, keys = zip(*(_ANGLE_TERMS[member.value] for member in members))
+    return np.array(nominal), np.array([_PARAM_KEYS.index(key) for key in keys])
+
+
+#: ``_ANGLE_TERMS`` by the state and basis indices of ``CountsColumns``.
+_STATE_ANGLES, _STATE_COLUMNS = _index_terms(_STATES)
+_BASIS_ANGLES, _BASIS_COLUMNS = _index_terms(_BASES)
 
 
 def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
@@ -178,7 +201,7 @@ def _analyzed(
 ) -> tuple[complex, complex, complex, complex]:
     """One configuration's ``_amplitudes`` at analyzer angle ``phi``; at
     ``phi = 0`` the joint photon/probe state after the entangling gate."""
-    theta, key = _ANGLE_TERMS[alice]
+    theta, key = _ANGLE_TERMS[alice._value_]
     theta += getattr(params, key)
     ep = cmath.exp(1j * params.delta)
     return _amplitudes(
@@ -189,24 +212,26 @@ def _analyzed(
     )[-1]
 
 
-#: Per (state, basis), where derivative ``[bob_bit, k, eve_bit]`` of
-#: ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
+#: ``[state, basis]`` by index: where derivative ``[bob_bit, k, eve_bit]``
+#: of ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
 #: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
 #: the k-th of d_xi, d_chi, the state's wave-plate offset, alpha, delta and
 #: the basis's analyzer offset, the six parameters that move the prediction.
-_JACOBIAN_SLOTS = {
-    (state, basis): np.array(
+_JACOBIAN_SLOTS = np.array(
+    [
         [
-            10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
-            for b in (0, 1)
-            for key in ("d_xi", "d_chi", _ANGLE_TERMS[state][1], "alpha", "delta",
-                        _ANGLE_TERMS[basis][1])
-            for e in (0, 1)
+            [
+                10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
+                for b in (0, 1)
+                for key in ("d_xi", "d_chi", _ANGLE_TERMS[state.value][1], "alpha",
+                            "delta", _ANGLE_TERMS[basis.value][1])
+                for e in (0, 1)
+            ]
+            for basis in _BASES
         ]
-    )
-    for state in Bb84State
-    for basis in SiftBasis
-}
+        for state in _STATES
+    ]
+)
 #: Field-order columns of the four angles every prediction depends on.
 _SHARED_COLUMNS = np.array(
     [_PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")]
@@ -214,40 +239,32 @@ _SHARED_COLUMNS = np.array(
 
 
 def _jacobian_kernel(
-    configs: Sequence[tuple[Bb84State, SiftBasis, ProbeConfig]],
+    state: np.ndarray, basis: np.ndarray, theta_in: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Derivatives of ``predict_outcome_probs`` for many predictions at once.
 
-    Returns ``x -> (N, 4, 10)``: for each of the N (state, basis,
-    configuration) triples, the derivatives of its four probabilities
-    along the parameter vector ``x`` in field order, ``2 Re(conj(a) da)``
-    for each projected amplitude ``a``, from one pass of array arithmetic
-    over all N. Six columns can be nonzero: d_xi, d_chi, alpha, delta and
-    the offsets of the state and the basis. The other four are exact zeros,
-    and so are the d_xi, d_chi, alpha and delta columns wherever those four
-    angles are all zero, where the conjugation symmetry makes the model
-    even in them.
+    The N predictions are given as arrays: the state and basis indices of
+    ``CountsColumns`` and the probe's preparation angle ``theta_in``. Their
+    nominal angles, offset columns and Jacobian slots are gathered once,
+    here. Returns ``x -> (N, 4, 10)``: for each prediction, the derivatives
+    of its four probabilities along the parameter vector ``x`` in field
+    order, ``2 Re(conj(a) da)`` for each projected amplitude ``a``, from one
+    pass of array arithmetic over all N. Six columns can be nonzero: d_xi,
+    d_chi, alpha, delta and the offsets of the state and the basis. The
+    other four are exact zeros, and so are the d_xi, d_chi, alpha and delta
+    columns wherever those four angles are all zero, where the conjugation
+    symmetry makes the model even in them.
 
     The amplitudes and their terms ``a, b, u, w`` are ``_amplitudes``'s,
     with each argument an ``(N,)`` array or a scalar shared by all N.
     Bob's analyzer is a rotation ``R``, whose derivative along its offset
     is ``R @ [[0, -1], [1, 0]]``.
     """
-    n = len(configs)
-
-    def angle_terms(members) -> tuple[np.ndarray, np.ndarray]:
-        """Each member's nominal angle and its offset's field-order column."""
-        nominal, keys = zip(*(_ANGLE_TERMS[member] for member in members))
-        return np.array(nominal), np.array([_PARAM_KEYS.index(key) for key in keys])
-
-    theta_a, a_columns = angle_terms(state for state, _, _ in configs)
-    nominal, b_columns = angle_terms(basis for _, basis, _ in configs)
-    theta_in = np.array([cfg.theta_in for _, _, cfg in configs])
+    n = len(state)
+    theta_a, a_columns = _STATE_ANGLES[state], _STATE_COLUMNS[state]
+    nominal, b_columns = _BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
     q0, sin_in = np.cos(theta_in), np.sin(theta_in)
-    slots = np.concatenate(
-        [_JACOBIAN_SLOTS[state, basis] + 40 * k
-         for k, (state, basis, _) in enumerate(configs)]
-    )
+    slots = (_JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
     zero = np.zeros(n)
 
     def jacobians(x: np.ndarray) -> np.ndarray:
@@ -323,7 +340,7 @@ def predict_outcome_probs(
     array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
     (0,1), (0,0); the entries sum to one by unitarity.
     """
-    phi, key = _ANGLE_TERMS[bob_basis]
+    phi, key = _ANGLE_TERMS[bob_basis._value_]
     # Indexed 2*bob_bit + eve_bit, unpacked here in OUTCOME_ORDER.
     phi += getattr(params, key)
     b0e0, b0e1, b1e0, b1e1 = _analyzed(params, alice, cfg, phi)
@@ -385,55 +402,53 @@ class FitResult:
     termination: str
 
 
-def _record_design(
-    counts: CountsColumns, weighting: str
-) -> tuple[list[tuple[Bb84State, SiftBasis, ProbeConfig]], np.ndarray, np.ndarray]:
-    """Per record, in canonical record order: the (state, basis,
-    configuration) to predict, the ``(N, 4)`` estimated probabilities and
-    the ``(N,)`` square roots of the record weights.
+def _make_objective(counts: CountsColumns, weighting: str):
+    """Weighted residual vector over all records and outcomes, with its Jacobian.
 
-    The canonical order sorts by the state's and the basis's spelling, then
-    pe, then the exact counts. The mean total is taken over the exact
-    integer totals, so counts of any size order and weight exactly.
+    Returns ``x -> (r, jacobian)`` for a float parameter vector ``x``.
+    Entries of ``r`` are ``sqrt(weight) * (estimated - predicted)``, four
+    per record, with the records in canonical order: by the state's and
+    the basis's spelling, then pe, then the exact counts. ``jacobian()``
+    returns the ``(r.size, 10)`` analytic derivative of ``r`` at ``x`` in
+    field order. Both are therefore bit-identical under any reordering of
+    the records. The mean total of the "counts" weighting is taken over the
+    exact integer totals, so counts of any size order and weight exactly.
+
+    The design is built once, as arrays from the index columns of
+    ``counts`` in canonical order, with one ``ProbeConfig`` per distinct
+    pe. Each call still predicts every record once with
+    ``predict_outcome_probs``; the derivatives of all records come from one
+    ``_jacobian_kernel`` pass over the design, run only when ``jacobian``
+    is called.
     """
     state, basis, pe = counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist()
     exact = counts.counts.tolist()
     keys = [
-        (_STATES[s].value, _BASES[b].value, p, row)
+        (_STATES[s]._value_, _BASES[b]._value_, p, row)
         for s, b, p, row in zip(state, basis, pe, exact)
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    configs = [(_STATES[state[k]], _BASES[basis[k]], ProbeConfig(pe[k])) for k in order]
+    configs = {p: ProbeConfig(p) for p in dict.fromkeys(pe)}
+    rows = [(_STATES[state[k]], _BASES[basis[k]], configs[pe[k]]) for k in order]
+    jacobians = _jacobian_kernel(
+        counts.state[order], counts.basis[order],
+        np.array([cfg.theta_in for _, _, cfg in rows]),
+    )
+    estimated = counts.probabilities()[order]
     weights = np.ones(len(order))
     if weighting == "counts":
         weights = counts.totals[order] / (sum(map(sum, exact)) / len(exact))
-    return configs, counts.probabilities()[order], np.sqrt(weights)
-
-
-def _make_objective(counts: CountsColumns, weighting: str):
-    """Weighted residual vector over all records and outcomes, with its Jacobian.
-
-    Returns ``x -> (r, jacobian)``. Entries of ``r`` are ``sqrt(weight) *
-    (estimated - predicted)``, four per record, with the records in the
-    canonical order of ``_record_design``. ``jacobian()`` returns the
-    ``(r.size, 10)`` analytic derivative of ``r`` at ``x`` in field order.
-    Both are therefore bit-identical under any reordering of the records.
-    Each call predicts every record once with ``predict_outcome_probs``;
-    the derivatives of all records come from one ``_jacobian_kernel``
-    pass, run only when ``jacobian`` is called.
-    """
-    configs, estimated, root_weights = _record_design(counts, weighting)
-    jacobians = _jacobian_kernel(configs)
+    root_weights = np.sqrt(weights)
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         params = ErrorModelParams.from_vector(x)
         predicted = np.array(
-            [predict_outcome_probs(params, *config) for config in configs]
+            [predict_outcome_probs(params, s, b, cfg) for s, b, cfg in rows]
         )
         r = (root_weights[:, None] * (estimated - predicted)).ravel()
 
         def jacobian() -> np.ndarray:
-            jac = -root_weights[:, None, None] * jacobians(params.as_vector())
+            jac = -root_weights[:, None, None] * jacobians(x)
             return jac.reshape(r.size, 10)
 
         return r, jacobian
@@ -447,10 +462,11 @@ def _held_keys(counts: CountsColumns) -> tuple[str, ...]:
     A wave-plate offset only enters records prepared in its state and an
     analyzer offset only records measured in its basis.
     """
-    seen = {*map(_STATES.__getitem__, counts.state.tolist()),
-            *map(_BASES.__getitem__, counts.basis.tolist())}
-    held = {key for member, (_, key) in _ANGLE_TERMS.items() if member not in seen}
-    return tuple(key for key in _PARAM_KEYS if key in held)
+    moved = np.zeros(len(_PARAM_KEYS), dtype=bool)
+    moved[_SHARED_COLUMNS] = True
+    moved[_STATE_COLUMNS[counts.state]] = True
+    moved[_BASIS_COLUMNS[counts.basis]] = True
+    return tuple(compress(_PARAM_KEYS, (~moved).tolist()))
 
 
 class _BudgetExhausted(Exception):
@@ -493,20 +509,22 @@ def _lm_step(
     scaled onto the trust-region boundary, with ``lam`` found by Moré's
     safeguarded Newton iteration on ``||p(lam)|| = radius`` (Moré, "The
     Levenberg-Marquardt algorithm: implementation and theory", 1978),
-    started from the previous ``lam``.
+    started from the previous ``lam``. Its 2-norms are ``math.sqrt(v @ v)``,
+    which is what ``np.linalg.norm`` computes for a 1-D float vector.
     """
     suf = s * uf
     if full_rank:
         step = -vt.T @ (uf / s)
-        if np.linalg.norm(step) <= radius:
+        if math.sqrt(step @ step) <= radius:
             return step, 0.0
 
     def phi(lam):
         denom = s * s + lam
-        norm = np.linalg.norm(suf / denom)
+        p = suf / denom
+        norm = math.sqrt(p @ p)
         return norm - radius, -np.sum(suf**2 / denom**3) / norm
 
-    upper = np.linalg.norm(suf) / radius
+    upper = math.sqrt(suf @ suf) / radius
     lower = 0.0
     if full_rank:
         value, slope = phi(0.0)
@@ -524,7 +542,7 @@ def _lm_step(
         if abs(value) < 0.01 * radius:
             break
     step = -vt.T @ (suf / (s * s + lam))
-    return step * (radius / np.linalg.norm(step)), lam
+    return step * (radius / math.sqrt(step @ step)), lam
 
 
 def _trust_region_lm(fun, z: np.ndarray) -> str:
@@ -560,7 +578,7 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
     radius, lam = 1.0, 0.0
     while True:
         grad = jac.T @ f
-        grad_norm = np.linalg.norm(grad, np.inf)
+        grad_norm = abs(grad).max()
         if grad_norm < _TOL:
             return "gtol"
         u, s, vt = np.linalg.svd(jac, full_matrices=False)
@@ -580,10 +598,10 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             jstep = jac @ step
             predicted = -(jstep @ jstep + 2.0 * grad @ step)
             ratio = actual / predicted if predicted > 0.0 else 0.0
-            step_norm = np.linalg.norm(step)
+            step_norm = math.sqrt(step @ step)
             if actual < _TOL * cost and ratio > 0.25:
                 return "ftol"
-            if step_norm < _TOL * (_TOL + np.linalg.norm(z)):
+            if step_norm < _TOL * (_TOL + math.sqrt(z @ z)):
                 return "xtol"
             new_radius = radius
             if ratio < 0.25:
@@ -682,7 +700,7 @@ def fit_parameters(
         x[free] = z
         r, jacobian = objective(x)
         evaluations += 1
-        value = math.fsum(r * r)
+        value = math.fsum((r * r).tolist())
         if value < best_residual:
             best_x, best_residual = x, value
         return r, lambda: jacobian()[:, free]

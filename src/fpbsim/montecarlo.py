@@ -13,13 +13,15 @@ records as state and basis index arrays, pe, the exact ``(N, 4)``
 counts, float totals and durations. ``parse_counts`` turns counts-file
 lines into columns. Record lines without padding that are all 7 or all 8
 fields wide, as ``counts_file_text`` writes them, take one flat split
-into field columns; other lines are split one at a time. Every field
-rule is then checked over a whole column; on a bad file the parser
-reports the first bad line with the message of that line's first failed
-check, the message ``CountsRecord`` gives for it. ``read_counts_file``
-reads a file with ``parse_counts``, and ``counts_file_text`` writes
-columns as counts-file text. ``CountsColumns.probabilities`` divides every
-row ``counts / total`` in one array operation, and
+into field columns; other lines are stripped and split one at a time.
+Every field rule is then checked over a whole column; on a bad file the
+parser numbers the lines and reports the first bad line with the message
+of that line's first failed check, the message ``CountsRecord`` gives for
+it. ``read_counts_file`` reads a file, splitting one as
+``counts_file_text`` writes it straight from its text and any other with
+``parse_counts``; ``counts_file_text`` writes columns as counts-file
+text. ``CountsColumns.probabilities`` divides every row ``counts /
+total`` in one array operation, and
 ``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
 the sift rows by sift basis and nominal pe with one sort, and reduces the
 two rows ``counts / total`` of every group of one record per input state
@@ -136,6 +138,9 @@ _STATE_BIT = np.array([state.bit for state in _STATES])
 #: Largest count read as int64 at once: a sum of four such counts still
 #: fits.
 _INT64_QUARTER = np.iinfo(np.int64).max // 4
+#: Digits of the largest float's integer part: a count of more significant
+#: digits exceeds it.
+_FLOAT_DIGITS = len(str(int(sys.float_info.max)))
 #: Every byte but "," and "\n": deleting them from a text leaves only the
 #: field and line separators.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
@@ -255,12 +260,24 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _exact_count(text: str) -> int:
+    """A count field of ASCII digits as an int, leading zeros skipped.
+
+    A count of more than ``_FLOAT_DIGITS`` significant digits reads as
+    ``10**_FLOAT_DIGITS``: its record's total exceeds the largest float
+    whatever its value, and ``int()`` refuses more than 4300 digits.
+    """
+    digits = text.lstrip("0")
+    return int(digits or "0") if len(digits) <= _FLOAT_DIGITS else 10**_FLOAT_DIGITS
+
+
 def _checked_columns(
-    columns: list[Sequence[str]], widths: np.ndarray, linenos: Sequence[int],
-    source: str,
+    columns: list[Sequence[str]], widths: np.ndarray,
+    linenos: Callable[[], Sequence[int]], source: str,
 ) -> CountsColumns:
     """Columns of the record lines split by ``_split_rows``: their stripped
-    fields by position, each line's field count and the line numbers.
+    fields by position and each line's field count; ``linenos()`` numbers
+    the record lines, and is called only to report a bad one.
 
     Each check runs over a whole column. When one fails, the rows before
     its first bad row are checked again from the start, because such a row
@@ -270,7 +287,7 @@ def _checked_columns(
 
     def fail(k: int, message: str) -> NoReturn:
         _checked_columns([column[:k] for column in columns], widths[:k], linenos, source)
-        raise CountsFileError(f"{source}:{linenos[k]}: {message}")
+        raise CountsFileError(f"{source}:{linenos()[k]}: {message}")
 
     if not len(widths):
         index, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
@@ -321,7 +338,7 @@ def _checked_columns(
     # it saturates; counts below a quarter of it also sum exactly.
     counts = np.fromstring(joined, dtype=np.int64, sep=",")
     if counts.max() > _INT64_QUARTER:
-        counts = np.array(list(map(int, digits)), dtype=object)
+        counts = np.array(list(map(_exact_count, digits)), dtype=object)
     counts = counts.reshape(4, -1).T
     totals = counts.sum(axis=1)
     if counts.dtype == object and totals.max() <= np.iinfo(np.int64).max:
@@ -365,37 +382,77 @@ def _row_columns(kept: list[str], padded: bool) -> tuple[list[Sequence[str]], np
     return columns, np.array([len(row) for row in rows], dtype=int)
 
 
-def _split_rows(
-    lines: Iterable[str],
-) -> tuple[list[Sequence[str]], np.ndarray, list[int]]:
-    """The stripped fields of every record line as 8 columns, as
-    ``_row_columns`` gives them, each line's field count, and the line
-    numbers.
-
-    Record lines without padding that are all 7 or all 8 fields wide, as
-    the separators of their joined text show, take one flat split of that
-    text and a stride slice per column; all others are split line by line.
-    """
-    stripped = [line.strip(ASCII_SPACE) for line in lines]
-    linenos = [n for n, line in enumerate(stripped, 1) if line and line[0] != "#"]
-    kept = [stripped[n - 1] for n in linenos]
-    body = "\n".join(kept)
-    # "\n" joins the lines, so one more "\n" or any other space pads a line.
-    padded = body.count("\n") >= len(kept) or any(
+def _padded(body: str, n: int) -> bool:
+    """Whether one of the ``n`` lines that "\n" joins in ``body`` holds a
+    space: one more "\n" than the joins, or any other ASCII space."""
+    return body.count("\n") >= n or any(
         space in body for space in ASCII_SPACE if space != "\n"
     )
-    width = kept[0].count(",") + 1 if kept else 0
+
+
+def _flat_split(body: str, n: int) -> tuple[list[Sequence[str]], np.ndarray] | None:
+    """The fields of the ``n`` record lines that "\n" joins in ``body`` as 8
+    columns, as ``_row_columns`` gives them, and each line's field count.
+
+    One flat split of ``body`` and a stride slice per column, taken when no
+    line is padded and all are 7 or all 8 fields wide, as the separators of
+    ``body`` show; None otherwise.
+    """
+    end = body.find("\n")
+    width = body.count(",", 0, end if end >= 0 else len(body)) + 1
     if (
-        not padded
-        and width in (7, 8)
-        and _utf8(body).translate(None, _NOT_SEPARATOR)
-        == b"\n".join([b"," * (width - 1)] * len(kept))
+        width not in (7, 8)
+        or _padded(body, n)
+        or _utf8(body).translate(None, _NOT_SEPARATOR)
+        != b"\n".join([b"," * (width - 1)] * n)
     ):
-        fields = body.replace("\n", ",").split(",")
-        columns = [fields[i::width] for i in range(width)]
-        columns += [[""] * len(kept)] * (8 - width)
-        return columns, np.full(len(kept), width), linenos
-    return (*_row_columns(kept, padded), linenos)
+        return None
+    fields = body.replace("\n", ",").split(",")
+    columns = [fields[i::width] for i in range(width)]
+    columns += [[""] * n] * (8 - width)
+    return columns, np.full(n, width)
+
+
+def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
+    """The 1-based number and stripped text of each line that is neither
+    blank nor a '#' comment once stripped."""
+    stripped = (line.strip(ASCII_SPACE) for line in lines)
+    return ((n, line) for n, line in enumerate(stripped, 1) if line and line[0] != "#")
+
+
+def _split_rows(lines: Sequence[str]) -> tuple[list[Sequence[str]], np.ndarray]:
+    """The stripped fields of every record line as 8 columns, as
+    ``_row_columns`` gives them, and each line's field count.
+
+    Record lines without padding that are all 7 or all 8 fields wide take
+    ``_flat_split``; all others are split line by line. The lines are tried
+    first as they stand, since unpadded lines have nothing to strip, and
+    stripped only when that is refused.
+    """
+    kept = [line for line in lines if line and line[0] != "#"]
+    split = _flat_split("\n".join(kept), len(kept))
+    if split is None:
+        kept = [line for _, line in _record_lines(lines)]
+        body = "\n".join(kept)
+        split = _flat_split(body, len(kept)) or _row_columns(
+            kept, _padded(body, len(kept))
+        )
+    return split
+
+
+def _record_text(text: str) -> str | None:
+    """The record lines of a file's ``text`` as they stand, "\n"-joined,
+    when its '#' comment lines all come first and no line is blank but the
+    one after a final newline; None otherwise."""
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    body = text[start:-1] if text.endswith("\n") else text[start:]
+    if not body or body[0] == "\n" or body[-1] == "\n" or "\n\n" in body or "#" in body:
+        return None
+    return body
 
 
 def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
@@ -406,21 +463,36 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumn
     ``_checked_columns`` checks and converts every column; on a bad file
     it names the first bad line.
     """
-    return _checked_columns(*_split_rows(lines), source)
+    lines = list(lines)
+    return _checked_columns(
+        *_split_rows(lines), lambda: [n for n, _ in _record_lines(lines)], source
+    )
 
 
 def read_counts_file(path: str | Path) -> CountsColumns:
     """Read a UTF-8 counts file as columns; raises CountsFileError with
-    line context."""
+    line context.
+
+    A file whose comments all lead it and whose record lines ``_flat_split``
+    takes is split from its text as read, with no list of lines; any other
+    goes through ``parse_counts``. The text is split into lines to number
+    them only when a check fails.
+    """
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    # Split as iterating the file splits it: str.splitlines() would also
-    # break lines at \x0b, \x0c and U+2028.
-    return parse_counts(text.split("\n"), str(path))
+    body = _record_text(text)
+    split = None if body is None else _flat_split(body, body.count("\n") + 1)
+    if split is None:
+        # Split as iterating the file splits it: str.splitlines() would also
+        # break lines at \x0b, \x0c and U+2028.
+        return parse_counts(text.split("\n"), str(path))
+    return _checked_columns(
+        *split, lambda: [n for n, _ in _record_lines(text.split("\n"))], str(path)
+    )
 
 
 def counts_file_text(counts: CountsColumns) -> str:

@@ -133,6 +133,21 @@ def renyi_information_oracle(table) -> float:
     return prior_term + cond_term
 
 
+def from_vector_oracle(x) -> list[float]:
+    """The floats of ``x`` as ``ErrorModelParams.from_vector`` took them when
+    it checked them with numpy, kept as the reference for its values and
+    for its ValueError messages, raised in the same order."""
+    x = [float(v) for v in x]
+    if len(x) != 10:
+        raise ValueError(f"expected 10 parameters, got {len(x)}")
+    values = np.array(x)
+    if not np.isfinite(values).all():
+        raise ValueError("error-model parameters must be finite")
+    if np.any(np.abs(values) >= math.pi / 2):
+        raise ValueError("error-model angles must satisfy |angle| < pi/2 radians")
+    return x
+
+
 def residuals_oracle(records, weighting: str, x) -> np.ndarray:
     """Weighted residual vector built record by record from ``CountsRecord``s.
 

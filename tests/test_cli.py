@@ -478,6 +478,17 @@ class TestEstimate:
             f"error: {path}:1: record total counts exceed the largest float\n"
         )
 
+    def test_count_past_the_int_digit_limit(self, capsys, tmp_path):
+        # int() refuses a string of more than 4300 digits; the count's
+        # line is named with its record's first failed rule.
+        path = tmp_path / "huge.csv"
+        path.write_text("# huge\nD,DA,0.1," + "1" * 5001 + ",0,0,0\n")
+        code, out, err = run(capsys, "estimate", "--counts", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path}:2: record total counts exceed the largest float\n"
+        )
+
     def test_comment_only_file(self, capsys, tmp_path):
         path = tmp_path / "comments.csv"
         path.write_text("# alice,basis,pe_nominal\n\n# nothing else\n")
@@ -806,6 +817,12 @@ GOLDEN = Path(__file__).parent / "golden"
          ["estimate", "--counts", str(GOLDEN / "counts_seed7_edited.csv")]),
         ("estimate_seed7_edited.json",
          ["estimate", "--counts", str(GOLDEN / "counts_seed7_edited.csv"),
+          "--format", "json"]),
+        # Fits, whose JSON carries every angle to 6 significant digits.
+        ("fit_reference.json",
+         ["fit", "--counts", str(reference_counts_path()), "--format", "json"]),
+        ("fit_example_seed42.json",
+         ["fit", "--counts", str(GOLDEN / "simulate_example_seed42.csv"),
           "--format", "json"]),
     ],
 )

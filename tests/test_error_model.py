@@ -28,7 +28,7 @@ from fpbsim import error_model
 from fpbsim.error_model import (
     _PARAM_KEYS, _jacobian_kernel, _make_objective, _trust_region_lm
 )
-from fpbsim.montecarlo import counts_file_text, parse_counts
+from fpbsim.montecarlo import _BASES, _STATES, counts_file_text, parse_counts
 
 from fpbsim.cli import main
 
@@ -38,6 +38,7 @@ from conftest import (
     bob_analyzer,
     columns_from_records,
     frame,
+    from_vector_oracle,
     nonideal_alice_state,
     nonideal_pcnot,
     nonideal_probe_state,
@@ -233,6 +234,38 @@ class TestParams:
     def test_from_vector_needs_ten_values(self):
         with pytest.raises(ValueError, match="expected 10 parameters, got 9"):
             ErrorModelParams.from_vector([0.0] * 9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        values=st.lists(IN_BOX, min_size=9, max_size=11),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 10),
+                st.one_of(
+                    st.floats(),
+                    st.sampled_from(
+                        [math.pi / 2, -math.pi / 2, math.nextafter(math.pi / 2, 0.0),
+                         math.inf, -math.inf, math.nan, -0.0]
+                    ),
+                ),
+            ),
+            max_size=3,
+        ),
+        container=st.sampled_from([list, tuple, np.array]),
+    )
+    def test_from_vector_matches_numpy_checks(self, values, edits, container):
+        for i, value in edits:
+            values[i % len(values)] = value
+        x = container(values)
+        try:
+            want = from_vector_oracle(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                ErrorModelParams.from_vector(x)
+            assert str(excinfo.value) == str(exc)
+        else:
+            got = ErrorModelParams.from_vector(x).as_vector()
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_box_constraint(self):
         with pytest.raises(ValueError, match="pi/2"):
@@ -489,7 +522,10 @@ class TestForwardModel:
 
         probs = predict_outcome_probs(params, state, basis, cfg)
         x, h = params.as_vector(), 1e-6
-        jac = _jacobian_kernel([(state, basis, cfg)])(x)[0]
+        jac = _jacobian_kernel(
+            np.array([_STATES.index(state)]), np.array([_BASES.index(basis)]),
+            np.array([cfg.theta_in]),
+        )(x)[0]
         assert probs.tobytes() == predict(x).tobytes()
         assert jac.shape == (4, 10)
         for i in range(10):

@@ -542,12 +542,64 @@ class TestCountsFiles:
         got = counts.probabilities()
         assert got.tobytes() == (probs / totals[:, None]).tobytes()
 
+    @pytest.mark.parametrize("padding", [1, 400, 5000])
+    def test_zero_padded_counts_read_by_value(self, tmp_path, padding):
+        # The 20-digit count reads every count as a Python int.
+        padded = "0" * padding + "1"
+        path = tmp_path / "padded.csv"
+        path.write_text(
+            f"D,DA,0.1,{padded},2,3,{padded}\nA,DA,0.1,4,3,2,{10**19}\n"
+        )
+        counts = read_counts_file(path)
+        assert counts.counts.dtype == object
+        assert counts.counts.tolist() == [[1, 2, 3, 1], [4, 3, 2, 10**19]]
+        assert counts.totals.tolist() == [7.0, float(10**19 + 9)]
+
     def test_first_bad_line_wins_over_later_checks(self):
         # Line 2 fails a late check (pe range) and line 3 an early one
         # (field count): the file's first bad line is reported.
         lines = ["D,DA,0.1,1,2,3,4", "D,DA,0.9,1,2,3,4", "D,DA,0.1"]
         with pytest.raises(CountsFileError, match="^<counts>:2: error probability"):
             parse_counts(lines)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        lines=written_lines(),
+        edit=st.sampled_from(["none", "comment", "blank", "crlf", "bad-pe", "short"]),
+        at=st.integers(0, 20),
+    )
+    def test_file_text_reads_as_its_lines(self, tmp_path_factory, lines, edit, at):
+        # Written text is split as read, with no list of lines (text mode
+        # reads a CRLF ending as "\n"); a comment or blank line among the
+        # records or a bad record takes the line path. Either way the
+        # result, or the error with its line number, is parse_counts's on
+        # the file's lines.
+        at = min(at, len(lines))
+        if edit == "comment":
+            lines = lines[:at] + ["# note"] + lines[at:]
+        elif edit == "blank":
+            lines = lines[:at] + [""] + lines[at:]
+        elif edit == "crlf":
+            lines = [line + "\r" for line in lines[:-1]] + lines[-1:]
+        elif edit == "bad-pe":
+            lines = lines[:at] + ["D,DA,0.9,1,2,3,4"] + lines[at:]
+        elif edit == "short":
+            lines = lines[:at] + ["D,DA,0.1,1,2,3"] + lines[at:]
+        path = tmp_path_factory.mktemp("text") / "counts.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        try:
+            want = parse_counts(lines, source=str(path))
+        except CountsFileError as exc:
+            with pytest.raises(CountsFileError) as excinfo:
+                read_counts_file(path)
+            assert str(excinfo.value) == str(exc)
+            return
+        assert_bitwise_equal(read_counts_file(path), want)
+        if edit == "none":
+            with mock.patch.object(
+                montecarlo, "parse_counts", side_effect=AssertionError("split into lines")
+            ):
+                assert_bitwise_equal(read_counts_file(path), want)
 
     def test_round_trip(self, tmp_path):
         records = [
@@ -598,6 +650,14 @@ class TestCountsFiles:
             ("D,DA,0.1,0,0,0,0", "zero total"),
             pytest.param(
                 "D,DA,0.1,1" + "0" * 400 + ",0,0,0", "largest float", id="oversized"
+            ),
+            pytest.param(
+                "D,DA,0.1,1" + "0" * 5000 + ",0,0,0", ":3: record total counts exceed",
+                id="past-int-digit-limit",
+            ),
+            pytest.param(
+                "D,DA,0.9,1" + "0" * 5000 + ",0,0,0", ":3: error probability",
+                id="past-int-digit-limit-bad-pe",
             ),
         ],
     )
