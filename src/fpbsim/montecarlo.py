@@ -13,15 +13,14 @@ records as state and basis index arrays, pe, the exact ``(N, 4)``
 counts, float totals and durations. ``parse_counts`` turns counts-file
 lines into columns. Record lines without padding that are all 7 or all 8
 fields wide, as ``counts_file_text`` writes them, take one flat split
-into field columns; other lines are stripped and split one at a time.
-Every field rule is then checked over a whole column; on a bad file the
-parser numbers the lines and reports the first bad line with the message
-of that line's first failed check, the message ``CountsRecord`` gives for
-it. ``read_counts_file`` reads a file, splitting one as
-``counts_file_text`` writes it straight from its text and any other with
-``parse_counts``; ``counts_file_text`` writes columns as counts-file
-text. ``CountsColumns.probabilities`` divides every row ``counts /
-total`` in one array operation, and
+into field columns; other lines are split one at a time. Lines are
+stripped only when one is padded. Every field rule is then checked over a
+whole column; on a bad file the parser numbers the lines and reports the
+first bad line with the message of that line's first failed check, the
+message ``CountsRecord`` gives for it. ``read_counts_file`` reads a file
+with ``parse_counts``, and ``counts_file_text`` writes columns as
+counts-file text. ``CountsColumns.probabilities`` divides every row
+``counts / total`` in one array operation, and
 ``CountsColumns.sift_summaries`` is the counts' one sift path: it groups
 the sift rows by sift basis and nominal pe with one sort, and reduces the
 two rows ``counts / total`` of every group of one record per input state
@@ -390,29 +389,6 @@ def _padded(body: str, n: int) -> bool:
     )
 
 
-def _flat_split(body: str, n: int) -> tuple[list[Sequence[str]], np.ndarray] | None:
-    """The fields of the ``n`` record lines that "\n" joins in ``body`` as 8
-    columns, as ``_row_columns`` gives them, and each line's field count.
-
-    One flat split of ``body`` and a stride slice per column, taken when no
-    line is padded and all are 7 or all 8 fields wide, as the separators of
-    ``body`` show; None otherwise.
-    """
-    end = body.find("\n")
-    width = body.count(",", 0, end if end >= 0 else len(body)) + 1
-    if (
-        width not in (7, 8)
-        or _padded(body, n)
-        or _utf8(body).translate(None, _NOT_SEPARATOR)
-        != b"\n".join([b"," * (width - 1)] * n)
-    ):
-        return None
-    fields = body.replace("\n", ",").split(",")
-    columns = [fields[i::width] for i in range(width)]
-    columns += [[""] * n] * (8 - width)
-    return columns, np.full(n, width)
-
-
 def _record_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
     """The 1-based number and stripped text of each line that is neither
     blank nor a '#' comment once stripped."""
@@ -424,35 +400,31 @@ def _split_rows(lines: Sequence[str]) -> tuple[list[Sequence[str]], np.ndarray]:
     """The stripped fields of every record line as 8 columns, as
     ``_row_columns`` gives them, and each line's field count.
 
-    Record lines without padding that are all 7 or all 8 fields wide take
-    ``_flat_split``; all others are split line by line. The lines are tried
-    first as they stand, since unpadded lines have nothing to strip, and
-    stripped only when that is refused.
+    Padding is looked for in the record lines as they stand, and the lines
+    are stripped only when one is padded: a line without ASCII space strips
+    to itself. Unpadded lines that are all 7 or all 8 fields wide, as the
+    separators of their joined text show, then take one flat split of that
+    text and a stride slice per column; all others are split line by line.
     """
     kept = [line for line in lines if line and line[0] != "#"]
-    split = _flat_split("\n".join(kept), len(kept))
-    if split is None:
+    body = "\n".join(kept)
+    padded = _padded(body, len(kept))
+    if padded:
         kept = [line for _, line in _record_lines(lines)]
         body = "\n".join(kept)
-        split = _flat_split(body, len(kept)) or _row_columns(
-            kept, _padded(body, len(kept))
-        )
-    return split
-
-
-def _record_text(text: str) -> str | None:
-    """The record lines of a file's ``text`` as they stand, "\n"-joined,
-    when its '#' comment lines all come first and no line is blank but the
-    one after a final newline; None otherwise."""
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if not start:
-            return None
-    body = text[start:-1] if text.endswith("\n") else text[start:]
-    if not body or body[0] == "\n" or body[-1] == "\n" or "\n\n" in body or "#" in body:
-        return None
-    return body
+        padded = _padded(body, len(kept))
+    width = kept[0].count(",") + 1 if kept else 0
+    if (
+        not padded
+        and width in (7, 8)
+        and _utf8(body).translate(None, _NOT_SEPARATOR)
+        == b"\n".join([b"," * (width - 1)] * len(kept))
+    ):
+        fields = body.replace("\n", ",").split(",")
+        columns = [fields[i::width] for i in range(width)]
+        columns += [[""] * len(kept)] * (8 - width)
+        return columns, np.full(len(kept), width)
+    return _row_columns(kept, padded)
 
 
 def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumns:
@@ -471,28 +443,16 @@ def parse_counts(lines: Iterable[str], source: str = "<counts>") -> CountsColumn
 
 def read_counts_file(path: str | Path) -> CountsColumns:
     """Read a UTF-8 counts file as columns; raises CountsFileError with
-    line context.
-
-    A file whose comments all lead it and whose record lines ``_flat_split``
-    takes is split from its text as read, with no list of lines; any other
-    goes through ``parse_counts``. The text is split into lines to number
-    them only when a check fails.
-    """
+    line context."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise CountsFileError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    body = _record_text(text)
-    split = None if body is None else _flat_split(body, body.count("\n") + 1)
-    if split is None:
-        # Split as iterating the file splits it: str.splitlines() would also
-        # break lines at \x0b, \x0c and U+2028.
-        return parse_counts(text.split("\n"), str(path))
-    return _checked_columns(
-        *split, lambda: [n for n, _ in _record_lines(text.split("\n"))], str(path)
-    )
+    # Split as iterating the file splits it: str.splitlines() would also
+    # break lines at \x0b, \x0c and U+2028.
+    return parse_counts(text.split("\n"), str(path))
 
 
 def counts_file_text(counts: CountsColumns) -> str:

@@ -565,15 +565,16 @@ class TestCountsFiles:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
         lines=written_lines(),
-        edit=st.sampled_from(["none", "comment", "blank", "crlf", "bad-pe", "short"]),
+        edit=st.sampled_from(
+            ["none", "comment", "blank", "crlf", "pad", "indented-comment",
+             "spaces", "bad-pe", "short"]
+        ),
         at=st.integers(0, 20),
     )
-    def test_file_text_reads_as_its_lines(self, tmp_path_factory, lines, edit, at):
-        # Written text is split as read, with no list of lines (text mode
-        # reads a CRLF ending as "\n"); a comment or blank line among the
-        # records or a bad record takes the line path. Either way the
-        # result, or the error with its line number, is parse_counts's on
-        # the file's lines.
+    def test_lines_read_as_their_stripped_lines(self, lines, edit, at):
+        # Lines are read as they stand and stripped only when one is
+        # padded. Either way the result, or the error with its line number,
+        # is that of the lines stripped beforehand.
         at = min(at, len(lines))
         if edit == "comment":
             lines = lines[:at] + ["# note"] + lines[at:]
@@ -581,25 +582,30 @@ class TestCountsFiles:
             lines = lines[:at] + [""] + lines[at:]
         elif edit == "crlf":
             lines = [line + "\r" for line in lines[:-1]] + lines[-1:]
+        elif edit == "pad":
+            lines = lines[:at] + [" \t" + line for line in lines[at:at + 1]] + lines[at + 1:]
+        elif edit == "indented-comment":
+            lines = lines[:at] + ["  # note"] + lines[at:]
+        elif edit == "spaces":
+            lines = lines[:at] + [" \t "] + lines[at:]
         elif edit == "bad-pe":
             lines = lines[:at] + ["D,DA,0.9,1,2,3,4"] + lines[at:]
         elif edit == "short":
             lines = lines[:at] + ["D,DA,0.1,1,2,3"] + lines[at:]
-        path = tmp_path_factory.mktemp("text") / "counts.csv"
-        path.write_bytes("\n".join(lines).encode("utf-8"))
+        stripped = [line.strip(" \t\n\r\x0b\x0c") for line in lines]
         try:
-            want = parse_counts(lines, source=str(path))
+            want = parse_counts(stripped)
         except CountsFileError as exc:
             with pytest.raises(CountsFileError) as excinfo:
-                read_counts_file(path)
+                parse_counts(lines)
             assert str(excinfo.value) == str(exc)
             return
-        assert_bitwise_equal(read_counts_file(path), want)
-        if edit == "none":
+        assert_bitwise_equal(parse_counts(lines), want)
+        if edit in ("none", "comment", "blank"):
             with mock.patch.object(
-                montecarlo, "parse_counts", side_effect=AssertionError("split into lines")
+                montecarlo, "_record_lines", side_effect=AssertionError("stripped")
             ):
-                assert_bitwise_equal(read_counts_file(path), want)
+                assert_bitwise_equal(parse_counts(lines), want)
 
     def test_round_trip(self, tmp_path):
         records = [
