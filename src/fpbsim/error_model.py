@@ -26,13 +26,14 @@ Levenberg-Marquardt solver in numpy on the weighted residual vector. The
 fit's design is built once per fit, as arrays from the counts' state and
 basis index columns. An evaluation is one call of the residual function,
 which still predicts each record once with ``predict_outcome_probs``; the
-analytic Jacobian, one array pass over the design, is taken only at the
-start point and at each accepted step, and forward differences fill only
-the columns whose slope is exactly zero at the start point. A prediction
-looks its angle terms up by the members' spellings, not by hashing Enum
-members. ``fit_parameters`` takes its
-evaluation budget and record weighting as the keywords ``max_evals`` and
-``weighting``. Angles are radians; degrees appear only at I/O boundaries.
+analytic Jacobian, one array pass over the design that forms the output
+state's derivatives as one product of two gathered factor stacks, is taken
+only at the start point and at each accepted step, and forward differences
+fill only the columns whose slope is exactly zero at the start point. A
+prediction looks its angle terms up by the members' spellings, not by
+hashing Enum members. ``fit_parameters`` takes its evaluation budget and
+record weighting as the keywords ``max_evals`` and ``weighting``. Angles
+are radians; degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -97,6 +99,11 @@ class ErrorModelParams:
         if not all(map(math.isfinite, values)):
             raise ValueError("error-model parameters must be finite")
         raise ValueError("error-model angles must satisfy |angle| < pi/2 radians")
+
+    @cached_property
+    def _shared_terms(self) -> tuple:
+        """``_phases`` of these angles, computed once for all predictions."""
+        return _phases(self.d_xi, self.d_chi, self.alpha, self.delta)
 
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector in field order, radians."""
@@ -169,6 +176,13 @@ _STATE_ANGLES, _STATE_COLUMNS = _index_terms(_STATES)
 _BASIS_ANGLES, _BASIS_COLUMNS = _index_terms(_BASES)
 
 
+def _phases(d_xi, d_chi, alpha, delta):
+    """``exp(i d_chi)``, ``exp(i d_xi)``, cos and sin alpha, ``exp(+-i delta)``."""
+    chi_phase, xi_phase = cmath.exp(1j * d_chi), cmath.exp(1j * d_xi)
+    ep = cmath.exp(1j * delta)
+    return chi_phase, xi_phase, math.cos(alpha), math.sin(alpha), ep, ep.conjugate()
+
+
 def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
     """Closed-form amplitudes of the forward model.
 
@@ -203,12 +217,10 @@ def _analyzed(
     ``phi = 0`` the joint photon/probe state after the entangling gate."""
     theta, key = _ANGLE_TERMS[alice._value_]
     theta += getattr(params, key)
-    ep = cmath.exp(1j * params.delta)
+    chi_phase, xi_phase, c, s, ep, em = params._shared_terms
     return _amplitudes(
-        math.cos(theta), cmath.exp(1j * params.d_chi) * math.sin(theta),
-        math.cos(cfg.theta_in), cmath.exp(1j * params.d_xi) * math.sin(cfg.theta_in),
-        math.cos(params.alpha), math.sin(params.alpha), ep, ep.conjugate(),
-        math.cos(phi), math.sin(phi),
+        math.cos(theta), chi_phase * math.sin(theta), math.cos(cfg.theta_in),
+        xi_phase * math.sin(cfg.theta_in), c, s, ep, em, math.cos(phi), math.sin(phi),
     )[-1]
 
 
@@ -232,6 +244,12 @@ _JACOBIAN_SLOTS = np.array(
         for state in _STATES
     ]
 )
+#: The rows of ``_jacobian_kernel``'s ``left`` and ``right`` factor stacks
+#: whose product is each of its ``(2, 12)`` derivatives, all in one multiply.
+_LEFT, _RIGHT = np.array([
+    [[2, 1, 0, 0, 4, 4, 1, 1, 3, 2, 6, 6], [5, 8, 7, 7, 9, 9, 6, 6, 8, 7, 1, 1]],
+    [[1, 3, 0, 0, 4, 5, 8, 9, 1, 2, 6, 7], [3, 1, 6, 7, 6, 7, 10, 11, 2, 1, 4, 5]],
+])
 #: Field-order columns of the four angles every prediction depends on.
 _SHARED_COLUMNS = np.array(
     [_PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")]
@@ -256,7 +274,11 @@ def _jacobian_kernel(
     symmetry makes the model even in them.
 
     The amplitudes and their terms ``a, b, u, w`` are ``_amplitudes``'s,
-    with each argument an ``(N,)`` array or a scalar shared by all N.
+    with each argument an ``(N,)`` array or a scalar shared by all N. The
+    output state's ``(2, 12, N)`` derivatives (by control bit, the eve-bit
+    pairs along d_xi, d_chi, the wave-plate offset, alpha, delta and the
+    analyzer's rotation generator) are one gathered product of a photon
+    and a probe factor stack, ``left[_LEFT] * right[_RIGHT]``.
     Bob's analyzer is a rotation ``R``, whose derivative along its offset
     is ``R @ [[0, -1], [1, 0]]``.
     """
@@ -268,49 +290,25 @@ def _jacobian_kernel(
     zero = np.zeros(n)
 
     def jacobians(x: np.ndarray) -> np.ndarray:
-        d_xi, d_chi, alpha, delta = x[_SHARED_COLUMNS].tolist()
+        chi_phase, xi_phase, c, s, ep, em = _phases(*x[_SHARED_COLUMNS].tolist())
         theta = theta_a + x[a_columns]
         p0, sin_a = np.cos(theta), np.sin(theta)
-        chi_phase = cmath.exp(1j * d_chi)
         p1 = chi_phase * sin_a
-        q1 = cmath.exp(1j * d_xi) * sin_in
-        c, s = math.cos(alpha), math.sin(alpha)
-        ep = cmath.exp(1j * delta)
-        em = ep.conjugate()
+        q1 = xi_phase * sin_in
         phi = nominal + x[b_columns]
         cos_b, sin_b = np.cos(phi), np.sin(phi)
         a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
             p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b
         )
-        icq1 = 1j * c * q1
-        # Along alpha, c turns into -s and s into c, so a into ta and b into tb.
+        # Along alpha, (c, s) turns into (-s, c), so a into ta and b into tb;
+        # along the wave-plate offset, (p0, p1) turns into (-sin_a, chi_phase p0).
         ta, tb = 1j * em * c * q1, 1j * ep * c * q0
-        # Along the wave-plate offset, the photon (p0, p1) turns into
-        # (-sin_a, dp1).
-        dp1 = chi_phase * p0
-        # (2, 12, N): control bit, then the eve-bit pairs of d_xi, d_chi,
-        # wave-plate offset, alpha, delta and, for the analyzer, the
-        # rotation generator applied to the output state.
-        derivatives = np.array(
-            [
-                [
-                    1j * p0 * a, p0 * icq1,
-                    zero, zero,
-                    -sin_a * u0, -sin_a * u1,
-                    p0 * (ta - s * q0), p0 * (tb - s * q1),
-                    -1j * p0 * a, 1j * p0 * b,
-                    -p1 * w0, -p1 * w1,
-                ],
-                [
-                    p1 * icq1, -1j * p1 * a,
-                    1j * p1 * w0, 1j * p1 * w1,
-                    dp1 * w0, dp1 * w1,
-                    -p1 * (tb + s * q1), -p1 * (s * q0 + ta),
-                    -1j * p1 * b, 1j * p1 * a,
-                    p0 * u0, p0 * u1,
-                ],
-            ]
-        )
+        sq0, sq1 = s * q0, s * q1
+        left = np.array([zero, p0, 1j * p0, -1j * p0, -sin_a, p1, -p1, 1j * p1,
+                         -1j * p1, chi_phase * p0])
+        right = np.array([zero, a, b, 1j * c * q1, u0, u1, w0, w1, ta - sq0,
+                          tb - sq1, tb + sq1, sq0 + ta])
+        derivatives = left[_LEFT] * right[_RIGHT]
         # Rows of R, the bit-0 and bit-1 analyzer states, applied to the
         # derivatives as ``_amplitudes`` applies them to the state; R is real.
         amplitudes = np.array(analyzed).reshape(2, 2, n)
@@ -441,10 +439,10 @@ def _make_objective(counts: CountsColumns, weighting: str):
     root_weights = np.sqrt(weights)
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        params = ErrorModelParams.from_vector(x)
-        predicted = np.array(
+        params = ErrorModelParams(*x.tolist())
+        predicted = np.concatenate(
             [predict_outcome_probs(params, s, b, cfg) for s, b, cfg in rows]
-        )
+        ).reshape(-1, 4)
         r = (root_weights[:, None] * (estimated - predicted)).ravel()
 
         def jacobian() -> np.ndarray:
@@ -479,6 +477,8 @@ _TOL = 1e-8
 #: The largest float below the open box bound; every trial point, the
 #: finite-difference steps included, stays within it.
 _INNER_BOUND = math.nextafter(ANGLE_BOUND, 0.0)
+#: Machine epsilon of float64.
+_EPS = float(np.finfo(float).eps)
 
 
 def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray, columns) -> np.ndarray:
@@ -487,7 +487,7 @@ def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray, columns) -> np.ndarray:
     ``columns`` indexes ``z``; the step is ``sqrt(eps) * max(1, |z_i|)`` in
     the direction of ``z_i``'s sign, reversed where it would leave the box.
     """
-    h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
+    h = math.sqrt(_EPS) * np.maximum(1.0, np.abs(z))
     h = np.where(z >= 0.0, h, -h)
     h = np.where(np.abs(z + h) > _INNER_BOUND, -h, h)
     derivatives = []
@@ -522,7 +522,7 @@ def _lm_step(
         denom = s * s + lam
         p = suf / denom
         norm = math.sqrt(p @ p)
-        return norm - radius, -np.sum(suf**2 / denom**3) / norm
+        return norm - radius, -(suf**2 / denom**3).sum() / norm
 
     upper = math.sqrt(suf @ suf) / radius
     lower = 0.0
@@ -583,14 +583,14 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
             return "gtol"
         u, s, vt = np.linalg.svd(jac, full_matrices=False)
         uf = u.T @ f
-        full_rank = s[-1] > np.finfo(float).eps * f.size * s[0]
+        full_rank = s[-1] > _EPS * f.size * s[0]
         theta = max(0.995, 1.0 - grad_norm)
         while True:
             p, lam = _lm_step(uf, s, vt, full_rank, radius, lam)
             moving = p != 0.0
             to_bound = (_INNER_BOUND - np.sign(p) * z)[moving] / np.abs(p[moving])
             p *= min(1.0, theta * to_bound.min(initial=np.inf))
-            z_new = np.clip(z + p, -_INNER_BOUND, _INNER_BOUND)
+            z_new = np.minimum(np.maximum(z + p, -_INNER_BOUND), _INNER_BOUND)
             step = z_new - z
             f_new, jacobian = fun(z_new)
             cost_new = f_new @ f_new

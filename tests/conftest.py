@@ -16,8 +16,19 @@ from fpbsim import (
     SiftBasis,
     predict_outcome_probs,
 )
-from fpbsim.error_model import _PARAM_KEYS, _held_keys, _make_objective
-from fpbsim.montecarlo import ASCII_SPACE
+from fpbsim.error_model import (
+    _BASIS_ANGLES,
+    _BASIS_COLUMNS,
+    _JACOBIAN_SLOTS,
+    _PARAM_KEYS,
+    _SHARED_COLUMNS,
+    _STATE_ANGLES,
+    _STATE_COLUMNS,
+    _amplitudes,
+    _held_keys,
+    _make_objective,
+)
+from fpbsim.montecarlo import _BASES, _STATES, ASCII_SPACE
 
 RT2 = math.sqrt(2.0)
 
@@ -170,6 +181,92 @@ def residuals_oracle(records, weighting: str, x) -> np.ndarray:
             params, record.alice, record.bob_basis, ProbeConfig(record.pe_nominal)
         )
         parts.append(math.sqrt(weight) * (estimated - predicted))
+    return np.concatenate(parts)
+
+
+def jacobian_kernel_oracle(state, basis, theta_in):
+    """``error_model._jacobian_kernel`` as it wrote each derivative.
+
+    The form that the kernel's one gathered product of two factor stacks
+    replaced: every one of the 24 derivatives its own array expression,
+    stacked by one ``np.array``. Kept as the reference whose bytes the
+    kernel must equal. Returns ``x -> (N, 4, 10)``.
+    """
+    n = len(state)
+    theta_a, a_columns = _STATE_ANGLES[state], _STATE_COLUMNS[state]
+    nominal, b_columns = _BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
+    q0, sin_in = np.cos(theta_in), np.sin(theta_in)
+    slots = (_JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
+    zero = np.zeros(n)
+
+    def jacobians(x):
+        d_xi, d_chi, alpha, delta = x[_SHARED_COLUMNS].tolist()
+        theta = theta_a + x[a_columns]
+        p0, sin_a = np.cos(theta), np.sin(theta)
+        chi_phase = cmath.exp(1j * d_chi)
+        p1 = chi_phase * sin_a
+        q1 = cmath.exp(1j * d_xi) * sin_in
+        c, s = math.cos(alpha), math.sin(alpha)
+        ep = cmath.exp(1j * delta)
+        em = ep.conjugate()
+        phi = nominal + x[b_columns]
+        cos_b, sin_b = np.cos(phi), np.sin(phi)
+        a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
+            p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b
+        )
+        icq1 = 1j * c * q1
+        ta, tb = 1j * em * c * q1, 1j * ep * c * q0
+        dp1 = chi_phase * p0
+        derivatives = np.array(
+            [
+                [
+                    1j * p0 * a, p0 * icq1,
+                    zero, zero,
+                    -sin_a * u0, -sin_a * u1,
+                    p0 * (ta - s * q0), p0 * (tb - s * q1),
+                    -1j * p0 * a, 1j * p0 * b,
+                    -p1 * w0, -p1 * w1,
+                ],
+                [
+                    p1 * icq1, -1j * p1 * a,
+                    1j * p1 * w0, 1j * p1 * w1,
+                    dp1 * w0, dp1 * w1,
+                    -p1 * (tb + s * q1), -p1 * (s * q0 + ta),
+                    -1j * p1 * b, 1j * p1 * a,
+                    p0 * u0, p0 * u1,
+                ],
+            ]
+        )
+        amplitudes = np.array(analyzed).reshape(2, 2, n)
+        d_amplitudes = np.array(
+            [cos_b * derivatives[0] - sin_b * derivatives[1],
+             sin_b * derivatives[0] + cos_b * derivatives[1]]
+        )
+        products = amplitudes.conj()[:, None] * d_amplitudes.reshape(2, 6, 2, n)
+        jac = np.zeros(40 * n)
+        jac[slots] = 2.0 * products.real.transpose(3, 0, 1, 2).ravel()
+        return jac.reshape(n, 4, 10)
+
+    return jacobians
+
+
+def objective_jacobian_oracle(records, weighting: str, x) -> np.ndarray:
+    """The fit objective's ``(4 N, 10)`` Jacobian from ``jacobian_kernel_oracle``,
+    with the records in ``residuals_oracle``'s order and weights."""
+    records = sorted(
+        records,
+        key=lambda r: (r.alice.value, r.bob_basis.value, r.pe_nominal, r.counts),
+    )
+    mean_total = sum(record.total for record in records) / len(records)
+    jacobians = jacobian_kernel_oracle(
+        np.array([_STATES.index(record.alice) for record in records]),
+        np.array([_BASES.index(record.bob_basis) for record in records]),
+        np.array([ProbeConfig(record.pe_nominal).theta_in for record in records]),
+    )(x)
+    parts = []
+    for record, jac in zip(records, jacobians):
+        weight = 1.0 if weighting == "equal" else record.total / mean_total
+        parts.append(-math.sqrt(weight) * jac)
     return np.concatenate(parts)
 
 
@@ -344,6 +441,16 @@ def _float_field_oracle(name: str, text: str) -> float:
     return float(text)
 
 
+def _count_oracle(text: str) -> int:
+    """A count field of ASCII digits, read by its significant digits.
+
+    ``int()`` refuses more than 4300 digits. A count of more than 400
+    significant digits is far past the largest float, so its record fails
+    the total check whatever its other counts; its first 400 digits stand
+    in for it."""
+    return int(text.lstrip("0")[:400] or "0")
+
+
 def _parse_record_oracle(line: str) -> CountsRecord:
     fields = [f.strip(ASCII_SPACE) for f in line.split(",")]
     if len(fields) not in (7, 8):
@@ -357,7 +464,7 @@ def _parse_record_oracle(line: str) -> CountsRecord:
         if not text.isascii() or "_" in text:
             raise ValueError(f"{text!r} is not an ASCII number")
     pe = _float_field_oracle("pe", fields[2])
-    counts = tuple(int(text) for text in fields[3:7])
+    counts = tuple(map(_count_oracle, fields[3:7]))
     duration = _float_field_oracle("duration", fields[7]) if len(fields) == 8 else None
     return CountsRecord(alice, basis, pe, counts, duration)
 

@@ -824,6 +824,13 @@ GOLDEN = Path(__file__).parent / "golden"
         ("fit_example_seed42.json",
          ["fit", "--counts", str(GOLDEN / "simulate_example_seed42.csv"),
           "--format", "json"]),
+        ("fit_example_seed42_counts.json",
+         ["fit", "--counts", str(GOLDEN / "simulate_example_seed42.csv"),
+          "--format", "json", "--weighting", "counts"]),
+        # From the example parameters: no forward-difference column.
+        ("fit_example_seed42_init.json",
+         ["fit", "--counts", str(GOLDEN / "simulate_example_seed42.csv"),
+          "--format", "json", "--init", EXAMPLE_PARAMS]),
     ],
 )
 def test_stdout_matches_golden_file(capsys, name, argv):

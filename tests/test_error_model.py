@@ -39,10 +39,12 @@ from conftest import (
     columns_from_records,
     frame,
     from_vector_oracle,
+    jacobian_kernel_oracle,
     nonideal_alice_state,
     nonideal_pcnot,
     nonideal_probe_state,
     noise_free_counts,
+    objective_jacobian_oracle,
     output_state_oracle,
     predict_oracle,
     renyi_information_oracle,
@@ -73,6 +75,10 @@ ANY_PARAMS = st.lists(IN_BOX, min_size=10, max_size=10).map(
     ErrorModelParams.from_vector
 )
 ANY_PE = st.floats(0.0, 0.5)
+#: Parameter vectors in the box, some angles exact (signed) zeros.
+BOX_VECTORS = st.lists(
+    st.one_of(IN_BOX, st.sampled_from([0.0, -0.0])), min_size=10, max_size=10
+).map(np.array)
 #: Parameters whose central-difference neighbours, 1e-6 away, stay in the box.
 INSET_PARAMS = st.lists(
     st.floats(-math.pi / 2 + 1e-5, math.pi / 2 - 1e-5), min_size=10, max_size=10
@@ -112,6 +118,25 @@ def design_records(tmp_path, seed) -> CountsColumns:
         "--seed", str(seed), "--out", str(path),
     ]) == 0
     return read_counts_file(path)
+
+
+def random_records(params, seed) -> list[CountsRecord]:
+    """Seeded counts of ``params``' predictions for a random ~70% of the
+    (state, basis, pe) grid, with random totals, and one tiny record."""
+    rng = np.random.default_rng(seed)
+    return [
+        CountsRecord(
+            state, basis, pe,
+            simulate_counts(
+                predict_outcome_probs(params, state, basis, ProbeConfig(pe)),
+                int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
+            ),
+        )
+        for state in Bb84State
+        for basis in SiftBasis
+        for pe in PE_POINTS
+        if rng.random() < 0.7
+    ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
 
 
 def seeded_truth(tag: str, span_deg: float) -> ErrorModelParams:
@@ -547,6 +572,26 @@ class TestForwardModel:
             even = ["d_xi", "d_chi", "alpha", "delta"]
             assert not jac[:, [_PARAM_KEYS.index(key) for key in even]].any()
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        design=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), ANY_PE),
+            min_size=1, max_size=30,
+        ),
+        x=BOX_VECTORS,
+    )
+    def test_jacobian_kernel_equals_per_entry_oracle(self, design, x):
+        # Any state and basis indices, the probe angles of drawn pe values,
+        # and in-box parameters with exact zeros, which put the symmetric
+        # subspace's exactly-zero columns in reach.
+        state, basis, pe = (np.array(column) for column in zip(*design))
+        theta_in = np.array([ProbeConfig(p).theta_in for p in pe.tolist()])
+        got = _jacobian_kernel(state, basis, theta_in)(x)
+        want = jacobian_kernel_oracle(state, basis, theta_in)(x)
+        assert got.shape == want.shape == (len(design), 4, 10)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestModelSummaries:
     def test_shapes_and_basis_columns(self, ref_params):
@@ -666,24 +711,27 @@ class TestFit:
     def test_objective_equals_per_record_oracle(
         self, ref_params, params, weighting, seed
     ):
-        rng = np.random.default_rng(seed)
-        records = [
-            CountsRecord(
-                state, basis, pe,
-                simulate_counts(
-                    predict_outcome_probs(ref_params, state, basis, ProbeConfig(pe)),
-                    int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
-                ),
-            )
-            for state in Bb84State
-            for basis in SiftBasis
-            for pe in PE_POINTS
-            if rng.random() < 0.7
-        ] + [CountsRecord(Bb84State.D, SiftBasis.DA, 0.0, (1, 2, 3, 4))]
+        records = random_records(ref_params, seed)
         x = params.as_vector()
         got = _make_objective(columns_from_records(records), weighting)(x)[0]
         want = residuals_oracle(records, weighting, x)
         assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        x=BOX_VECTORS,
+        weighting=st.sampled_from(["equal", "counts"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_objective_jacobian_equals_kernel_oracle(
+        self, ref_params, x, weighting, seed
+    ):
+        records = random_records(ref_params, seed)
+        got = _make_objective(columns_from_records(records), weighting)(x)[1]()
+        want = objective_jacobian_oracle(records, weighting, x)
+        assert got.shape == want.shape == (4 * len(records), 10)
+        assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
 
     def test_short_fit_residual_invariant_under_record_order(self, ref_params):

@@ -97,7 +97,8 @@ def grammar_fields(draw) -> list[str]:
 
 
 #: A counts-file line for the oracle test: well-formed lines of 7 or 8
-#: fields, lines with junk fields, huge counts, comments and blanks.
+#: fields, lines with junk fields, huge counts, counts zero-padded past
+#: Python's 4300-digit int() limit, a 5001-digit count, comments and blanks.
 ORACLE_LINE = st.one_of(
     VALID_LINE,
     VALID_LINE,
@@ -106,7 +107,14 @@ ORACLE_LINE = st.one_of(
     st.tuples(
         st.sampled_from(["D,DA,0.1", "A,DA,0.1", "H,HV,0"]),
         st.lists(
-            st.one_of(st.integers(0, 10**25), st.integers(0, 10**400)).map(str),
+            st.one_of(
+                st.integers(0, 10**25).map(str),
+                st.integers(0, 10**400).map(str),
+                st.tuples(st.integers(4301, 4400), st.integers(0, 10**25)).map(
+                    lambda t: "0" * t[0] + str(t[1])
+                ),
+                st.just("9" * 5001),
+            ),
             min_size=4, max_size=4,
         ),
     ).map(lambda parts: ",".join([parts[0], *parts[1]])),
