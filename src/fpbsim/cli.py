@@ -22,19 +22,19 @@ read their counts file with ``montecarlo.read_counts_file`` into
 ``montecarlo.CountsColumns`` and never build a record.
 
 Outputs are deterministic given the inputs and seed. Tables are CSV
-blocks or JSON row objects with the same columns, each table written in
-one pass through one ``%`` row template: CSV floats are ``"%.6g"``, and
-the JSON is byte for byte ``json.dumps(payload, indent=2)`` without
-running its pure-Python encoder. A JSON float column is ``"%.6g"`` in
-the template too, unless it holds a value whose ``"%.6g"`` text is not
-the JSON one (an integer, 1e6 to 1e16, a subnormal, nan or inf); only
-such a column is converted to text first. Exit codes: 0 on
-success, 1 with one ``error:`` line on any rejected input (a bad flag,
-an unreadable or malformed file, parameters or counts the library
-rejects), 2 when a fit fails to converge. Numbers in flags and pe lists
-are ASCII without ``_``, as in counts files. All user-facing angles are
-degrees; counts files and parameter documents are documented in the
-README.
+blocks or JSON row objects with the same columns, each written from its
+columns in one pass through one ``%`` row template: CSV floats are
+``"%.6g"``, and the JSON is byte for byte what
+``json.dumps(payload, indent=2)`` writes, without its pure-Python
+encoder. A JSON float column is ``"%.6g"`` in the template too unless
+it holds a value whose ``"%.6g"`` text is not the JSON one (an integer,
+1e6 to 1e16, a subnormal, nan or inf); such a column, and a string
+column (each spelling encoded once), is converted to text first. Exit
+codes: 0 on success, 1 with one ``error:`` line on any rejected input
+(a bad flag, an unreadable or malformed file, parameters or counts the
+library rejects), 2 when a fit fails to converge. Numbers in flags and
+pe lists are ASCII without ``_``, as in counts files. All user-facing
+angles are degrees; counts files and parameter documents are in the README.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -57,8 +56,8 @@ from .montecarlo import _BASES, _BASIS_INDEX, _STATE_INDEX, ASCII_SPACE, CountsC
 from .probe import Bb84State, ProbeConfig, SiftBasis
 
 #: Largest ``curve --steps``: each grid point costs four forward
-#: predictions and about 0.65 KB at peak. 100 000 steps take about 4 s and
-#: peak at about 100 MB resident, so this grid takes about 40 s and 0.7 GB.
+#: predictions and about 0.7 KB at peak. 100 000 steps take about 3 s and
+#: peak at about 110 MB resident, so this grid takes about 30 s and 0.8 GB.
 MAX_STEPS = 1_000_000
 
 
@@ -160,7 +159,7 @@ def _json_odd(values: Sequence[float]) -> np.ndarray:
     adds ".0"), exponents 6 to 15 (repr writes them out), subnormals (repr
     may need fewer digits), nan and inf. This mask holds all of them.
     """
-    x = abs(np.array(values, dtype=float))
+    x = abs(np.asarray(values, dtype=float))
     with np.errstate(invalid="ignore"):
         odd = ~(abs(x - np.rint(x)) > 1e-5 * x)
     return odd | (x >= 999_999.0) | (x < sys.float_info.min)
@@ -176,57 +175,64 @@ def _json_numbers(values: Sequence[float], odd: np.ndarray) -> list[str]:
     return texts
 
 
-def _json_table(columns: Sequence[str], rows: Sequence[Sequence], level: int) -> str:
-    """``json.dumps(indent=2)`` text of the rows as a list of row objects,
+def _cells(columns: Sequence, rows: int) -> tuple:
+    """The cells of a table row after row, by one slice assignment per column."""
+    width = len(columns)
+    cells = [None] * (width * rows)
+    for k, column in enumerate(columns):
+        cells[k::width] = column
+    return tuple(cells)
+
+
+def _json_table(names: Sequence[str], columns: Sequence, rows: int, level: int) -> str:
+    """``json.dumps(indent=2)`` text of the table as a list of row objects,
     for a list nested ``level`` deep.
 
-    The rows fill one ``%`` template in one pass. A float column without a
-    ``_json_odd`` value is formatted there by ``"%.6g"``; a string column,
-    and a float column that holds an odd value, are converted first and
-    filled in by ``"%s"``.
+    The cells fill one ``%`` row template in one pass. A float column
+    without a ``_json_odd`` value is formatted there by ``"%.6g"``; a
+    string column, each distinct spelling encoded once, and a float column
+    that holds an odd value are converted first and filled in by ``"%s"``.
     """
     if not rows:
         return "[]"
     outer, inner, field = ("  " * n for n in (level, level + 1, level + 2))
-    cells = list(chain.from_iterable(rows))
-    specs = []
-    for k, value in enumerate(rows[0]):
-        column = cells[k :: len(columns)]
-        spec = "%s"
-        if isinstance(value, str):
-            cells[k :: len(columns)] = map(encode_basestring_ascii, column)
+    texts, specs = list(columns), ["%s"] * len(columns)
+    for k, column in enumerate(columns):
+        if isinstance(column[0], str):
+            codes = {text: encode_basestring_ascii(text) for text in set(column)}
+            texts[k] = list(map(codes.__getitem__, column))
         elif (odd := _json_odd(column)).any():
-            cells[k :: len(columns)] = _json_numbers(column, odd)
+            texts[k] = _json_numbers(column, odd)
         else:
-            spec = "%.6g"
-        specs.append(spec)
-    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in columns]
+            specs[k] = "%.6g"
+    keys = [encode_basestring_ascii(name).replace("%", "%%") for name in names]
     members = ",\n".join(f"{field}{key}: {spec}" for key, spec in zip(keys, specs))
     row = f"{inner}{{\n{members}\n{inner}}}" if keys else f"{inner}{{}}"
-    body = ",\n".join([row] * len(rows)) % tuple(cells)
+    body = ",\n".join([row] * rows) % _cells(texts, rows)
     return f"[\n{body}\n{outer}]"
 
 
-def _csv_table(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
-    text = ",".join(columns) + "\n"
+def _csv_table(names: Sequence[str], columns: Sequence, rows: int) -> str:
+    text = ",".join(names) + "\n"
     if rows:
-        row = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
-        text += "\n".join([row] * len(rows)) % tuple(chain.from_iterable(rows)) + "\n"
+        row = ",".join("%s" if isinstance(c[0], str) else "%.6g" for c in columns)
+        text += "\n".join([row] * rows) % _cells(columns, rows) + "\n"
     return text
 
 
 def _emit_tables(
     args: argparse.Namespace,
-    tables: dict[str, tuple[Sequence[str], Sequence[Sequence]]],
+    tables: dict[str, tuple[Sequence[str], Sequence[Sequence], int]],
 ) -> None:
     """Write named tables of strings and floats in ``args.format``.
 
-    A column holds strings or floats throughout, as in its first row, and
-    a table's rows fill one ``%`` template. CSV writes floats with
-    ``_fmt`` and separates the tables by a blank line. JSON is
+    A table is its names, its columns (each all strings or all floats) and
+    its row count, which a table without columns needs; its cells fill one
+    ``%`` row template, column by column. CSV writes floats with ``_fmt``
+    and separates the tables by a blank line. JSON is
     ``json.dumps(payload, indent=2)`` byte for byte, where the payload is
-    each table as a list of row objects with floats through
-    ``_jsonable``, and several tables go in an object keyed by name.
+    each table as a list of row objects with floats through ``_jsonable``,
+    and several tables go in an object keyed by name.
     """
     if args.format == "csv":
         _emit(args, "\n".join(_csv_table(*table) for table in tables.values()))
@@ -273,10 +279,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
             f"model predicts no error-free sift events in basis "
             f"{_BASES[basis].value} at pe {_fmt(grid[point])}"
         )
-    rows = [
-        [pe, *values, probe.renyi_closed_form(pe)]
-        for pe, values in zip(grid, renyi.tolist())
-    ]
     # The slack keeps a grid that ends at 1/3 itself free of the notice.
     above = sum(pe > 1.0 / 3.0 + 1e-12 for pe in grid)
     if above:
@@ -285,8 +287,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
             "pe = 1/3, outside the attack's useful operating range",
             file=sys.stderr,
         )
-    columns = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
-    _emit_tables(args, {"curve": (columns, rows)})
+    columns = [grid, *renyi.T.tolist(), list(map(probe.renyi_closed_form, grid))]
+    names = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
+    _emit_tables(args, {"curve": (names, columns, len(grid))})
     return 0
 
 
@@ -297,18 +300,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
-    rows = [
-        [
-            state.value,
-            pe,
-            *error_model.predict_outcome_probs(
-                params, state, state.basis, ProbeConfig(pe)
-            ),
-        ]
+    probs = np.array([
+        error_model.predict_outcome_probs(params, state, state.basis, ProbeConfig(pe))
         for state in states
         for pe in pes
-    ]
-    _emit_tables(args, {"table": (("alice", "pe", *_PROB_COLUMNS), rows)})
+    ])
+    alice = [state.value for state in states for _ in pes]
+    columns = [alice, pes * len(states), *probs.T.tolist()]
+    _emit_tables(args, {"table": (("alice", "pe", *_PROB_COLUMNS), columns, len(probs))})
     return 0
 
 
@@ -354,12 +353,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not len(counts.pe):
         raise UsageError(f"counts file {args.counts} contains no records")
     # The index maps hold the spellings in index order.
-    record_rows = list(zip(
-        map(list(_STATE_INDEX).__getitem__, counts.state.tolist()),
-        map(list(_BASIS_INDEX).__getitem__, counts.basis.tolist()),
+    records = [
+        np.array(list(_STATE_INDEX))[counts.state].tolist(),
+        np.array(list(_BASIS_INDEX))[counts.basis].tolist(),
         counts.pe.tolist(),
         *counts.probabilities().T.tolist(),
-    ))
+    ]
     group_rows = []
     for basis, pe, measured, rate, problem in counts.sift_summaries():
         if problem is not None:
@@ -372,13 +371,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 f"{_group_name(basis, pe)}: records contain no error-free sift counts"
             )
         else:
-            group_rows.append([basis.value, pe, measured, rate])
+            group_rows.append((basis._value_, pe, measured, rate))
     summary_columns = ("basis", "pe", "measured_renyi", "sifted_error_rate")
+    groups = [*zip(*group_rows)] or [()] * len(summary_columns)
     _emit_tables(
         args,
         {
-            "records": (("alice", "basis", "pe", *_PROB_COLUMNS), record_rows),
-            "groups": (summary_columns, group_rows),
+            "records": (("alice", "basis", "pe", *_PROB_COLUMNS), records, len(counts.pe)),
+            "groups": (summary_columns, groups, len(group_rows)),
         },
     )
     return 0

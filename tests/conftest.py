@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -421,18 +422,19 @@ def counts_line_accepted(fields) -> bool:
     """Whether a counts file should accept the line ``",".join(fields)``.
 
     Every field must match ``COUNTS_LINE_GRAMMAR`` and the values must pass
-    the record checks: pe in [0, 0.5], a positive total, and a finite,
-    nonnegative duration.
+    the record checks: pe in [0, 0.5], a positive total no larger than the
+    largest float, and a finite, nonnegative duration. The counts are read
+    by ``_count_oracle``, so a count of any length gets a verdict.
     """
     if len(fields) not in (7, 8) or not all(
         pattern.fullmatch(field) for pattern, field in zip(COUNTS_LINE_GRAMMAR, fields)
     ):
         return False
     pe = float(fields[2])
-    total = sum(int(field) for field in fields[3:7])
+    total = sum(_count_oracle(field.strip(ASCII_SPACE)) for field in fields[3:7])
     duration = float(fields[7]) if len(fields) == 8 else 0.0
     finite_duration = math.isfinite(duration) and duration >= 0.0
-    return 0.0 <= pe <= 0.5 and total > 0 and finite_duration
+    return 0.0 <= pe <= 0.5 and 0 < total <= sys.float_info.max and finite_duration
 
 
 def _float_field_oracle(name: str, text: str) -> float:

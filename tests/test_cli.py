@@ -831,6 +831,11 @@ GOLDEN = Path(__file__).parent / "golden"
         ("fit_example_seed42_init.json",
          ["fit", "--counts", str(GOLDEN / "simulate_example_seed42.csv"),
           "--format", "json", "--init", EXAMPLE_PARAMS]),
+        # Records of 20 000 and 80 000 pairs, so the counts weights are
+        # unequal and this fit differs from the equal-weight one.
+        ("fit_unequal_totals_counts.json",
+         ["fit", "--counts", str(GOLDEN / "counts_unequal_totals.csv"),
+          "--format", "json", "--weighting", "counts"]),
     ],
 )
 def test_stdout_matches_golden_file(capsys, name, argv):
@@ -865,12 +870,21 @@ FLOAT_CELLS = st.one_of(
 
 @st.composite
 def table_sets(draw) -> dict:
-    """One to three named tables, each column all strings or all floats."""
+    """One to three named tables of up to four rows, as (names, columns,
+    row count), each column a list or tuple of all strings or all floats.
+    Tables may have no columns or no rows, and a string column may repeat
+    one or two spellings throughout."""
     tables = {}
     for name in draw(st.lists(TEXT_CELLS, min_size=1, max_size=3, unique=True)):
-        columns = draw(st.lists(TEXT_CELLS, max_size=4, unique=True))
-        kinds = [draw(st.sampled_from([TEXT_CELLS, FLOAT_CELLS])) for _ in columns]
-        tables[name] = (columns, draw(st.lists(st.tuples(*kinds), max_size=4)))
+        names = draw(st.lists(TEXT_CELLS, max_size=4, unique=True))
+        rows = draw(st.integers(0, 4))
+        columns = []
+        for _ in names:
+            spellings = st.sampled_from(draw(st.lists(TEXT_CELLS, min_size=1, max_size=2)))
+            kind = draw(st.sampled_from([TEXT_CELLS, spellings, FLOAT_CELLS]))
+            column = draw(st.lists(kind, min_size=rows, max_size=rows))
+            columns.append(draw(st.sampled_from([list, tuple]))(column))
+        tables[name] = (names, columns, rows)
     return tables
 
 
@@ -887,16 +901,20 @@ def test_table_writer_matches_json_dumps_and_csv_join(tables):
     def cells(row, fmt):
         return [value if isinstance(value, str) else fmt(value) for value in row]
 
+    row_lists = {
+        name: (names, [[column[k] for column in columns] for k in range(rows)])
+        for name, (names, columns, rows) in tables.items()
+    }
     docs = {
-        name: [dict(zip(columns, cells(row, _jsonable))) for row in rows]
-        for name, (columns, rows) in tables.items()
+        name: [dict(zip(names, cells(row, _jsonable))) for row in rows]
+        for name, (names, rows) in row_lists.items()
     }
     payload = docs if len(docs) > 1 else next(iter(docs.values()))
     assert emitted(tables, "json") == json.dumps(payload, indent=2) + "\n"
     blocks = [
-        "\n".join([",".join(columns), *(",".join(cells(row, _fmt)) for row in rows)])
+        "\n".join([",".join(names), *(",".join(cells(row, _fmt)) for row in rows)])
         + "\n"
-        for columns, rows in tables.values()
+        for names, rows in row_lists.values()
     ]
     assert emitted(tables, "csv") == "\n".join(blocks)
 

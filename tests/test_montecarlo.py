@@ -81,17 +81,23 @@ JUNK_FIELD = st.one_of(
     ).map("".join),
 )
 
+#: Numeric fields past the reader's limits: more than the 4300 digits
+#: Python's int() reads, and counts just past and just under the largest
+#: float.
+LONG_FIELD = st.sampled_from(["0" * 4301 + "1", "9" * 309, "1" + "0" * 308])
+
 
 @st.composite
 def grammar_fields(draw) -> list[str]:
     """A well-formed line's fields, ASCII-padded, with up to two numeric
-    fields replaced by JUNK_FIELD."""
+    fields replaced by JUNK_FIELD or LONG_FIELD."""
     fields = [
         draw(_ASCII_PAD) + field + draw(_ASCII_PAD)
         for field in draw(VALID_LINE).split(",")
     ]
     numeric = st.integers(2, len(fields) - 1)
-    for index, junk in draw(st.dictionaries(numeric, JUNK_FIELD, max_size=2)).items():
+    junk_fields = st.one_of(JUNK_FIELD, LONG_FIELD)
+    for index, junk in draw(st.dictionaries(numeric, junk_fields, max_size=2)).items():
         fields[index] = junk
     return fields
 
