@@ -56,8 +56,9 @@ from .montecarlo import _BASES, _BASIS_INDEX, _STATE_INDEX, ASCII_SPACE, CountsC
 from .probe import Bb84State, ProbeConfig, SiftBasis
 
 #: Largest ``curve --steps``: each grid point costs four forward
-#: predictions and about 0.7 KB at peak. 100 000 steps take about 3 s and
-#: peak at about 110 MB resident, so this grid takes about 30 s and 0.8 GB.
+#: predictions and about 0.7 KB at peak. 100 000 steps take about 3.5 s and
+#: peak at about 100 MB resident (2-vCPU Xeon), so this grid takes about
+#: 35 s and 0.7 GB.
 MAX_STEPS = 1_000_000
 
 

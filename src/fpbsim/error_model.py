@@ -410,7 +410,8 @@ def _make_objective(counts: CountsColumns, weighting: str):
     returns the ``(r.size, 10)`` analytic derivative of ``r`` at ``x`` in
     field order. Both are therefore bit-identical under any reordering of
     the records. The mean total of the "counts" weighting is taken over the
-    exact integer totals, so counts of any size order and weight exactly.
+    exact integer totals, summed as Python ints since the int64 totals of
+    many records can sum past the int64 limit, so records weight exactly.
 
     The design is built once, as arrays from the index columns of
     ``counts`` in canonical order, with one ``ProbeConfig`` per distinct
@@ -474,7 +475,7 @@ class _BudgetExhausted(Exception):
 #: Relative tolerances on the cost decrease and the step, and the absolute
 #: one on the gradient's largest entry, as in scipy's least_squares.
 _TOL = 1e-8
-#: The largest float below the open box bound; every trial point, the
+#: The float next below the open box bound; every trial point, the
 #: finite-difference steps included, stays within it.
 _INNER_BOUND = math.nextafter(ANGLE_BOUND, 0.0)
 #: Machine epsilon of float64.

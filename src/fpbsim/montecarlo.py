@@ -4,12 +4,13 @@ Generates multinomial coincidence counts from any outcome-probability
 vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
 explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
-information. Every record has a positive total that fits in a float,
-and its nominal pe passes ``probe.checked_pe`` however the record is
-built, so a -0.0 is stored as 0.0 and groups, sorts and prints as 0.0.
+information. Every record has a positive total of at most ``MAX_PAIRS``
+(2**63 - 1), so its counts and total fit in an int64, and its nominal pe
+passes ``probe.checked_pe`` however the record is built, so a -0.0 is
+stored as 0.0 and groups, sorts and prints as 0.0.
 
 The read side is columnar for every command. ``CountsColumns`` holds
-records as state and basis index arrays, pe, the exact ``(N, 4)``
+records as state and basis index arrays, pe, the exact ``(N, 4)`` int64
 counts, float totals and durations. ``parse_counts`` turns counts-file
 lines into columns. Record lines without padding that are all 7 or all 8
 fields wide, as ``counts_file_text`` writes them, take one flat split
@@ -28,7 +29,8 @@ with one stacked ``probe.sift_cells`` and ``probe.renyi_information``
 pass, as ``error_model.model_sift_summaries`` does with the model's
 predictions. Counts files are strict ASCII: a count is decimal digits
 only, a pe or duration has no ``_``, and only ASCII whitespace pads a
-line or field.
+line or field. A record whose counts sum past 2**63 - 1 is rejected,
+however many digits a count has.
 A reference data set of measured counts for the D and A inputs at three
 nominal error probabilities ships with the package;
 ``read_counts_file(reference_counts_path())`` reads it.
@@ -37,7 +39,6 @@ nominal error probabilities ships with the package;
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, zip_longest
@@ -55,7 +56,8 @@ from .probe import (
 
 _REFERENCE_FILE = "reference_counts.csv"
 
-#: Largest number of pairs one multinomial draw accepts (numpy's int64 limit).
+#: Largest number of pairs one multinomial draw accepts, and largest record
+#: total: numpy's int64 limit.
 MAX_PAIRS = 2**63 - 1
 
 #: The only characters that may pad a counts-file line or field: the ASCII
@@ -74,7 +76,7 @@ class CountsRecord:
 
     ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``,
     i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0); their total is
-    positive and at most the largest float, so every count converts to one.
+    positive and at most ``MAX_PAIRS`` (2**63 - 1), so it fits in an int64.
     """
 
     alice: Bb84State
@@ -92,8 +94,8 @@ class CountsRecord:
             raise ValueError("counts must be 4 nonnegative integers")
         if self.total == 0:
             raise ValueError("record has zero total counts")
-        if self.total > sys.float_info.max:
-            raise ValueError("record total counts exceed the largest float")
+        if self.total > MAX_PAIRS:
+            raise ValueError("record total counts exceed 2**63 - 1")
         if self.duration_s is not None and not (
             math.isfinite(self.duration_s) and self.duration_s >= 0.0
         ):
@@ -134,12 +136,9 @@ _BASIS_INDEX = {basis.value: i for i, basis in enumerate(_BASES)}
 #: Sift basis index and key bit of each state index.
 _STATE_BASIS = np.array([_BASES.index(state.basis) for state in _STATES])
 _STATE_BIT = np.array([state.bit for state in _STATES])
-#: Largest count read as int64 at once: a sum of four such counts still
-#: fits.
-_INT64_QUARTER = np.iinfo(np.int64).max // 4
-#: Digits of the largest float's integer part: a count of more significant
-#: digits exceeds it.
-_FLOAT_DIGITS = len(str(int(sys.float_info.max)))
+#: Largest count that needs no exact read: a sum of four such counts still
+#: fits in an int64.
+_INT64_QUARTER = MAX_PAIRS // 4
 #: Every byte but "," and "\n": deleting them from a text leaves only the
 #: field and line separators.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
@@ -154,10 +153,9 @@ class CountsColumns(NamedTuple):
 
     ``state`` and ``basis`` index ``tuple(Bb84State)`` and
     ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
-    ``counts`` the exact ``(N, 4)`` counts in ``OUTCOME_ORDER``: int64
-    whenever every row total fits in one, else Python ints in an object
-    array. ``totals`` is each row's exact integer sum rounded once to a
-    float; ``durations`` is NaN where a row has none.
+    ``counts`` the exact ``(N, 4)`` int64 counts in ``OUTCOME_ORDER``; no
+    row sums past ``MAX_PAIRS``. ``totals`` is each row's exact int64 sum
+    rounded once to a float; ``durations`` is NaN where a row has none.
     """
 
     state: np.ndarray
@@ -259,17 +257,6 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _exact_count(text: str) -> int:
-    """A count field of ASCII digits as an int, leading zeros skipped.
-
-    A count of more than ``_FLOAT_DIGITS`` significant digits reads as
-    ``10**_FLOAT_DIGITS``: its record's total exceeds the largest float
-    whatever its value, and ``int()`` refuses more than 4300 digits.
-    """
-    digits = text.lstrip("0")
-    return int(digits or "0") if len(digits) <= _FLOAT_DIGITS else 10**_FLOAT_DIGITS
-
-
 def _checked_columns(
     columns: list[Sequence[str]], widths: np.ndarray,
     linenos: Callable[[], Sequence[int]], source: str,
@@ -296,6 +283,13 @@ def _checked_columns(
     if k is not None:
         fail(k, f"expected 7 or 8 comma-separated fields, got {widths[k]}")
     alice, basis, pe_text, *count_text, duration_column = columns
+
+    def exact_counts(k: int) -> tuple[int, ...]:
+        # Row k's counts read from their digits. A count of 20 significant
+        # digits already passes the int64 limit, and int() refuses more
+        # than 4300 digits, so its first 20 stand in for a longer one.
+        return tuple(int(texts[k].lstrip("0")[:20] or "0") for texts in count_text)
+
     timed = widths == 8
     duration_text = list(compress(duration_column, timed.tolist()))
 
@@ -334,14 +328,15 @@ def _checked_columns(
     if k is not None:
         fail(k, _number_error("pe", pe_text[k]))
     # np.fromstring reads each count exactly up to the int64 limit, where
-    # it saturates; counts below a quarter of it also sum exactly.
-    counts = np.fromstring(joined, dtype=np.int64, sep=",")
-    if counts.max() > _INT64_QUARTER:
-        counts = np.array(list(map(_exact_count, digits)), dtype=object)
-    counts = counts.reshape(4, -1).T
+    # it saturates, and counts up to a quarter of it sum exactly. Only a
+    # row holding a larger count can sum past the limit or hold a
+    # saturated count, so only such a row is summed from its digits.
+    counts = np.fromstring(joined, dtype=np.int64, sep=",").reshape(4, -1).T
     totals = counts.sum(axis=1)
-    if counts.dtype == object and totals.max() <= np.iinfo(np.int64).max:
-        counts, totals = counts.astype(np.int64), totals.astype(np.int64)
+    over = np.zeros(len(widths), dtype=bool)
+    if counts.max() > _INT64_QUARTER:
+        for k in np.flatnonzero(counts.max(axis=1) > _INT64_QUARTER).tolist():
+            over[k] = sum(exact_counts(k)) > MAX_PAIRS
     duration_values, k = _floats(duration_text)
     if k is not None:
         fail(int(np.flatnonzero(timed)[k]), _number_error("duration", duration_text[k]))
@@ -351,14 +346,13 @@ def _checked_columns(
     # The record rules of CountsRecord, whose message a bad row reports.
     pe_column = np.array(pe)
     bad = ~((pe_column >= 0.0) & (pe_column <= 0.5))
-    bad |= np.asarray(totals == 0, dtype=bool)
-    bad |= np.asarray(totals > sys.float_info.max, dtype=bool)
+    bad |= (totals == 0) | over
     bad[timed] |= ~(np.isfinite(durations[timed]) & (durations[timed] >= 0.0))
     k = _first(bad)
     if k is not None:
         fail(k, _error_text(
             CountsRecord, _STATES[state[k]], _BASES[bases[k]], pe[k],
-            tuple(counts[k].tolist()), durations[k].item() if widths[k] == 8 else None,
+            exact_counts(k), durations[k].item() if widths[k] == 8 else None,
         ))
     return CountsColumns(
         np.array(state, dtype=np.intp), np.array(bases, dtype=np.intp),

@@ -475,18 +475,18 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--counts", str(path))
         assert (code, out) == (1, "")
         assert err == (
-            f"error: {path}:1: record total counts exceed the largest float\n"
+            f"error: {path}:1: record total counts exceed 2**63 - 1\n"
         )
 
     def test_count_past_the_int_digit_limit(self, capsys, tmp_path):
         # int() refuses a string of more than 4300 digits; the count's
-        # line is named with its record's first failed rule.
+        # line is named with its record's first failed rule, the total's.
         path = tmp_path / "huge.csv"
         path.write_text("# huge\nD,DA,0.1," + "1" * 5001 + ",0,0,0\n")
         code, out, err = run(capsys, "estimate", "--counts", str(path))
         assert (code, out) == (1, "")
         assert err == (
-            f"error: {path}:2: record total counts exceed the largest float\n"
+            f"error: {path}:2: record total counts exceed 2**63 - 1\n"
         )
 
     def test_comment_only_file(self, capsys, tmp_path):

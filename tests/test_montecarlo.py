@@ -82,9 +82,11 @@ JUNK_FIELD = st.one_of(
 )
 
 #: Numeric fields past the reader's limits: more than the 4300 digits
-#: Python's int() reads, and counts just past and just under the largest
-#: float.
-LONG_FIELD = st.sampled_from(["0" * 4301 + "1", "9" * 309, "1" + "0" * 308])
+#: Python's int() reads, counts at and around the int64 limit, and a count
+#: far past it.
+LONG_FIELD = st.sampled_from(
+    ["0" * 4301 + "1", str(2**62), str(2**63 - 1), str(2**63), "9" * 309]
+)
 
 
 @st.composite
@@ -103,8 +105,10 @@ def grammar_fields(draw) -> list[str]:
 
 
 #: A counts-file line for the oracle test: well-formed lines of 7 or 8
-#: fields, lines with junk fields, huge counts, counts zero-padded past
-#: Python's 4300-digit int() limit, a 5001-digit count, comments and blanks.
+#: fields, lines with junk fields, counts around the int64 limit and far
+#: past it, counts zero-padded past Python's 4300-digit int() limit (at most
+#: a quarter of the int64 limit, so four of them read by value), a
+#: 5001-digit count, comments and blanks.
 ORACLE_LINE = st.one_of(
     VALID_LINE,
     VALID_LINE,
@@ -114,9 +118,9 @@ ORACLE_LINE = st.one_of(
         st.sampled_from(["D,DA,0.1", "A,DA,0.1", "H,HV,0"]),
         st.lists(
             st.one_of(
-                st.integers(0, 10**25).map(str),
+                st.integers(0, 2**64).map(str),
                 st.integers(0, 10**400).map(str),
-                st.tuples(st.integers(4301, 4400), st.integers(0, 10**25)).map(
+                st.tuples(st.integers(4301, 4400), st.integers(0, 2**61 - 1)).map(
                     lambda t: "0" * t[0] + str(t[1])
                 ),
                 st.just("9" * 5001),
@@ -146,11 +150,18 @@ def counts_texts(draw) -> str:
     return text + draw(st.one_of(st.just(""), ORACLE_LINE))
 
 
-#: Four counts with a positive total: small, up to 18 digits, or up to
-#: 2**65, past the int64 limit.
-SOME_COUNTS = st.tuples(
-    *[st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1), st.integers(0, 2**65))] * 4
-).filter(any)
+#: Four counts with a positive total of at most 2**63 - 1: each small, up
+#: to 18 digits or up to a quarter of that limit, or four that sum to
+#: exactly the limit.
+SOME_COUNTS = st.one_of(
+    st.tuples(
+        *[st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1),
+                    st.integers(0, 2**61 - 1))] * 4
+    ).filter(any),
+    st.lists(st.integers(0, 2**63 - 1), min_size=3, max_size=3).map(
+        lambda cuts: tuple(np.diff([0, *sorted(cuts), 2**63 - 1]).tolist())
+    ),
+)
 
 
 @st.composite
@@ -169,17 +180,6 @@ def written_lines(draw) -> list[str]:
     if draw(st.booleans()):
         text = text[:-1]
     return text.split("\n")
-
-
-def assert_bitwise_equal(got: CountsColumns, want: CountsColumns) -> None:
-    """Same dtypes and shapes, and the same bytes; Python-int counts by
-    exact value."""
-    for name, a, b in zip(CountsColumns._fields, got, want):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        if a.dtype == object:
-            assert a.tolist() == b.tolist(), name
-        else:
-            assert a.tobytes() == b.tobytes(), name
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
@@ -421,7 +421,7 @@ SOME_RECORDS = st.lists(
         st.sampled_from(list(Bb84State)),
         st.sampled_from(list(SiftBasis)),
         st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5]),
-        st.tuples(*[st.integers(0, 10**20)] * 4).filter(any),
+        SOME_COUNTS,
     ),
     max_size=12,
 )
@@ -498,6 +498,10 @@ class TestSiftSummaries:
         assert tuple(rows[1][2:4]) == one_group([d, a])[:2]
 
 
+#: The message of a record whose total passes the int64 limit, on line 3.
+PAST_INT64 = r":3: record total counts exceed 2\*\*63 - 1$"
+
+
 class TestCountsFiles:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(text=counts_texts())
@@ -545,11 +549,16 @@ class TestCountsFiles:
         lines = [f"D,DA,0.1,{big},1,0,{big}", f"A,DA,0.1,3,{big},{big + 2},1"]
         path = tmp_path / "big.csv"
         path.write_text("\n".join(lines) + "\n")
+        if 2 * big + 1 > 2**63 - 1:
+            # A total past the int64 limit is rejected at its first line.
+            with pytest.raises(CountsFileError) as excinfo:
+                read_counts_file(path)
+            assert str(excinfo.value) == f"{path}:1: record total counts exceed 2**63 - 1"
+            return
         records = parse_counts_oracle(lines)
         counts = read_counts_file(path)
         assert_columns_equal(counts, columns(records))
-        # int64 whenever every row total fits in one.
-        assert counts.counts.dtype == (np.int64 if 2 * big + 6 < 2**63 else object)
+        assert counts.counts.dtype == np.int64
         assert counts.counts.sum(axis=1).tolist() == [2 * big + 1, 2 * big + 6]
         probs = np.array([r.counts for r in records], dtype=float)
         totals = np.array([r.total for r in records], dtype=float)
@@ -558,16 +567,17 @@ class TestCountsFiles:
 
     @pytest.mark.parametrize("padding", [1, 400, 5000])
     def test_zero_padded_counts_read_by_value(self, tmp_path, padding):
-        # The 20-digit count reads every count as a Python int.
-        padded = "0" * padding + "1"
+        # Leading zeros are skipped, also in a count past a quarter of the
+        # int64 limit, whose row is summed from its digits.
+        zeros = "0" * padding
         path = tmp_path / "padded.csv"
         path.write_text(
-            f"D,DA,0.1,{padded},2,3,{padded}\nA,DA,0.1,4,3,2,{10**19}\n"
+            f"D,DA,0.1,{zeros}1,2,3,{zeros}1\nA,DA,0.1,4,3,2,{zeros}{2**63 - 10}\n"
         )
         counts = read_counts_file(path)
-        assert counts.counts.dtype == object
-        assert counts.counts.tolist() == [[1, 2, 3, 1], [4, 3, 2, 10**19]]
-        assert counts.totals.tolist() == [7.0, float(10**19 + 9)]
+        assert counts.counts.dtype == np.int64
+        assert counts.counts.tolist() == [[1, 2, 3, 1], [4, 3, 2, 2**63 - 10]]
+        assert counts.totals.tolist() == [7.0, float(2**63 - 1)]
 
     def test_first_bad_line_wins_over_later_checks(self):
         # Line 2 fails a late check (pe range) and line 3 an early one
@@ -586,6 +596,12 @@ class TestCountsFiles:
         at=st.integers(0, 20),
     )
     def test_lines_read_as_their_stripped_lines(self, lines, edit, at):
+        # Line-by-line splitting out of reach: the flat split must read
+        # every written text on its own.
+        with mock.patch.object(
+            montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
+        ):
+            assert_columns_equal(parse_counts(lines), columns(parse_counts_oracle(lines)))
         # Lines are read as they stand and stripped only when one is
         # padded. Either way the result, or the error with its line number,
         # is that of the lines stripped beforehand.
@@ -614,12 +630,12 @@ class TestCountsFiles:
                 parse_counts(lines)
             assert str(excinfo.value) == str(exc)
             return
-        assert_bitwise_equal(parse_counts(lines), want)
+        assert_columns_equal(parse_counts(lines), want)
         if edit in ("none", "comment", "blank"):
             with mock.patch.object(
                 montecarlo, "_record_lines", side_effect=AssertionError("stripped")
             ):
-                assert_bitwise_equal(parse_counts(lines), want)
+                assert_columns_equal(parse_counts(lines), want)
 
     def test_round_trip(self, tmp_path):
         records = [
@@ -668,8 +684,11 @@ class TestCountsFiles:
                 id="no-break-space-end",
             ),
             ("D,DA,0.1,0,0,0,0", "zero total"),
+            pytest.param("D,DA,0.1,1" + "0" * 400 + ",0,0,0", PAST_INT64, id="oversized"),
+            pytest.param(f"D,DA,0.1,{2**63},0,0,0", PAST_INT64, id="saturated-count"),
+            pytest.param(f"D,DA,0.1,{2**62},{2**62},0,0", PAST_INT64, id="total-wraps"),
             pytest.param(
-                "D,DA,0.1,1" + "0" * 400 + ",0,0,0", "largest float", id="oversized"
+                "A,DA,0.1,4,3,2," + "0" * 5000 + str(10**19), PAST_INT64, id="padded-20-digits"
             ),
             pytest.param(
                 "D,DA,0.1,1" + "0" * 5000 + ",0,0,0", ":3: record total counts exceed",
@@ -687,17 +706,6 @@ class TestCountsFiles:
         with pytest.raises(CountsFileError, match=match) as excinfo:
             read_counts_file(path)
         assert ":3:" in str(excinfo.value)
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(lines=written_lines())
-    def test_flat_split_reads_written_files(self, lines):
-        want = columns(parse_counts_oracle(lines))
-        # Line-by-line splitting out of reach: the flat split must read
-        # every such text on its own.
-        with mock.patch.object(
-            montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
-        ):
-            assert_bitwise_equal(parse_counts(lines), want)
 
     @pytest.mark.parametrize(
         "lines, flat",
@@ -724,6 +732,11 @@ class TestCountsFiles:
             pytest.param(["D,DA,0.1,1000000000000000000,2,3,4", ""], True, id="19-digits"),
             pytest.param([f"D,DA,0.1,{2**64 + 1},2,3,4", ""], True, id="past-int64"),
             pytest.param([f"D,DA,0.1,{2**62},{2**62},3,4", ""], True, id="total-past-int64"),
+            pytest.param([f"D,DA,0.1,{2**63 - 1},0,0,0", ""], True, id="int64-limit"),
+            pytest.param([f"D,DA,0.1,{2**62},{2**62 - 1},0,0", ""], True, id="total-at-limit"),
+            pytest.param([f"D,DA,0.1,{2**63},0,0,0", ""], True, id="saturated-count"),
+            pytest.param([f"D,DA,0.1,{2**62},{2**62},0,0", ""], True, id="total-wraps"),
+            pytest.param(["D,DA,0.9," + "9" * 5001 + ",0,0,0"], True, id="5001-digits-bad-pe"),
             pytest.param(["D,DA,1e-1,1,2,3,4", ""], True, id="pe-1e-1"),
             pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.9,4,3,2,1", ""], True, id="pe-0.9"),
             pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,1.2.3,4,3,2,1", ""], True, id="pe-1.2.3"),
@@ -746,7 +759,7 @@ class TestCountsFiles:
                     parse_counts(lines)
                 assert str(excinfo.value) == str(exc)
             else:
-                assert_bitwise_equal(parse_counts(lines), want)
+                assert_columns_equal(parse_counts(lines), want)
         assert by_line.called != flat
 
     @settings(derandomize=True, deadline=None)
