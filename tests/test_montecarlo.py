@@ -596,12 +596,6 @@ class TestCountsFiles:
         at=st.integers(0, 20),
     )
     def test_lines_read_as_their_stripped_lines(self, lines, edit, at):
-        # Line-by-line splitting out of reach: the flat split must read
-        # every written text on its own.
-        with mock.patch.object(
-            montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
-        ):
-            assert_columns_equal(parse_counts(lines), columns(parse_counts_oracle(lines)))
         # Lines are read as they stand and stripped only when one is
         # padded. Either way the result, or the error with its line number,
         # is that of the lines stripped beforehand.
@@ -706,6 +700,17 @@ class TestCountsFiles:
         with pytest.raises(CountsFileError, match=match) as excinfo:
             read_counts_file(path)
         assert ":3:" in str(excinfo.value)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(lines=written_lines())
+    def test_flat_split_reads_written_files(self, lines):
+        want = columns(parse_counts_oracle(lines))
+        # Line-by-line splitting out of reach: the flat split must read
+        # every such text on its own.
+        with mock.patch.object(
+            montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
+        ):
+            assert_columns_equal(parse_counts(lines), want)
 
     @pytest.mark.parametrize(
         "lines, flat",
