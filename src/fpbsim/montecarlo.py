@@ -16,9 +16,11 @@ lines into columns. Record lines without padding that are all 7 or all 8
 fields wide, as ``counts_file_text`` writes them, take one flat split
 into field columns; other lines are split one at a time. Lines are
 stripped only when one is padded. Every field rule is then checked over a
-whole column; on a bad file the parser numbers the lines and reports the
-first bad line with the message of that line's first failed check, the
-message ``CountsRecord`` gives for it. ``read_counts_file`` reads a file
+whole column, and these checks only accept. When one fails, the parser
+reads the lines one at a time with ``_record``, which with ``CountsRecord``
+states every rule and message once, and reports the first line it
+rejects, numbered, with the message of that line's first failed rule; it
+reads no line past that one. ``read_counts_file`` reads a file
 with ``parse_counts``, and ``counts_file_text`` writes columns as
 counts-file text. ``CountsColumns.probabilities`` divides every row
 ``counts / total`` in one array operation, and
@@ -77,6 +79,8 @@ class CountsRecord:
     ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``,
     i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0); their total is
     positive and at most ``MAX_PAIRS`` (2**63 - 1), so it fits in an int64.
+    Its checks are the record rules of a counts-file line: a line that
+    ``_record`` reads fails them in the order below, with their messages.
     """
 
     alice: Bb84State
@@ -214,39 +218,6 @@ class CountsColumns(NamedTuple):
         ]
 
 
-def _first(flags: np.ndarray) -> int | None:
-    hits = np.flatnonzero(flags)
-    return int(hits[0]) if hits.size else None
-
-
-def _error_text(convert: Callable[..., object], *args: object) -> str:
-    """The message of the ValueError that ``convert(*args)`` raises."""
-    try:
-        convert(*args)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"{convert!r}{args!r} raised no ValueError")
-
-
-def _number_error(name: str, text: str) -> str:
-    """Why a pe or duration field is no number; an empty one is named."""
-    return _error_text(float, text) if text else f"{name} '' is not a number"
-
-
-def _floats(texts: Sequence[str]) -> tuple[list[float], int | None]:
-    """``float`` of every text, or the index of the first one it rejects."""
-    try:
-        return list(map(float, texts)), None
-    except ValueError:
-        pass
-    for k, text in enumerate(texts):
-        try:
-            float(text)
-        except ValueError:
-            return [], k
-    raise AssertionError("float() rejected no text on the second pass")
-
-
 def _utf8(text: str) -> bytes:
     """``text`` in UTF-8, lone surrogates included: every byte of a
     non-ASCII character is above 127."""
@@ -257,6 +228,45 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _count(text: str) -> int:
+    """A count field of ASCII digits, read by its first 20 significant
+    digits: 20 already pass the int64 limit, and ``int()`` refuses more
+    than 4300, so they stand in for a longer count."""
+    return int(text.lstrip("0")[:20] or "0")
+
+
+def _real(name: str, text: str) -> float:
+    if not text:
+        raise ValueError(f"{name} '' is not a number")
+    return float(text)
+
+
+def _record(fields: Sequence[str], width: int) -> CountsRecord:
+    """One record line as a ``CountsRecord``: its 8 stripped fields, ""
+    past its ``width`` fields, as ``_split_rows`` gives them.
+
+    With ``CountsRecord``, the one statement of the counts-file rules and
+    their messages. A line fails them in this order: field count, state,
+    basis, count digits, ASCII pe and duration, pe number, duration
+    number, then ``CountsRecord``'s record rules; the first it fails
+    raises ValueError.
+    """
+    if width not in (7, 8):
+        raise ValueError(f"expected 7 or 8 comma-separated fields, got {width}")
+    alice, basis = Bb84State(fields[0]), SiftBasis(fields[1])
+    for text in fields[3:7]:
+        if not _digits(text):
+            raise ValueError(f"count {text!r} is not a nonnegative decimal integer")
+    # int() and float() also read digit-group underscores and non-ASCII
+    # digits. A line of 7 fields has "" as its duration, which passes.
+    for text in (fields[2], fields[7]):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{text!r} is not an ASCII number")
+    pe = _real("pe", fields[2])
+    duration = _real("duration", fields[7]) if width == 8 else None
+    return CountsRecord(alice, basis, pe, tuple(map(_count, fields[3:7])), duration)
+
+
 def _checked_columns(
     columns: list[Sequence[str]], widths: np.ndarray,
     linenos: Callable[[], Sequence[int]], source: str,
@@ -265,95 +275,69 @@ def _checked_columns(
     fields by position and each line's field count; ``linenos()`` numbers
     the record lines, and is called only to report a bad one.
 
-    Each check runs over a whole column. When one fails, the rows before
-    its first bad row are checked again from the start, because such a row
-    may fail a later check and comes first in the file; so the error names
-    the first bad line with the message of its first failed check.
+    Each check runs over a whole column and only accepts. When one fails,
+    the lines are read one at a time by ``_record`` up to the first that it
+    rejects, which is reported with ``_record``'s message: the first bad
+    line, with the message of its first failed rule.
     """
 
-    def fail(k: int, message: str) -> NoReturn:
-        _checked_columns([column[:k] for column in columns], widths[:k], linenos, source)
-        raise CountsFileError(f"{source}:{linenos()[k]}: {message}")
+    def reject() -> NoReturn:
+        for k, (fields, width) in enumerate(zip(zip(*columns), widths.tolist())):
+            try:
+                _record(fields, width)
+            except ValueError as exc:
+                raise CountsFileError(f"{source}:{linenos()[k]}: {exc}") from exc
+        raise AssertionError("a column check failed, but no record line did")
 
     if not len(widths):
         index, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
         counts = np.zeros((0, 4), dtype=np.int64)
         return CountsColumns(index, index, empty, counts, empty, empty)
-    k = _first((widths != 7) & (widths != 8))
-    if k is not None:
-        fail(k, f"expected 7 or 8 comma-separated fields, got {widths[k]}")
+    if ((widths != 7) & (widths != 8)).any():
+        reject()
     alice, basis, pe_text, *count_text, duration_column = columns
-
-    def exact_counts(k: int) -> tuple[int, ...]:
-        # Row k's counts read from their digits. A count of 20 significant
-        # digits already passes the int64 limit, and int() refuses more
-        # than 4300 digits, so its first 20 stand in for a longer one.
-        return tuple(int(texts[k].lstrip("0")[:20] or "0") for texts in count_text)
-
     timed = widths == 8
     duration_text = list(compress(duration_column, timed.tolist()))
 
     state = list(map(_STATE_INDEX.get, alice))
-    if None in state:
-        k = state.index(None)
-        fail(k, _error_text(Bb84State, alice[k]))
     bases = list(map(_BASIS_INDEX.get, basis))
-    if None in bases:
-        k = bases.index(None)
-        fail(k, _error_text(SiftBasis, basis[k]))
-    # int() and float() also read digit-group underscores and non-ASCII
-    # digits: counts must be ASCII digits, the pe and duration ASCII
-    # without '_'. The counts pass as one joined string.
+    if None in state or None in bases:
+        reject()
+    # Counts must be ASCII digits, the pe and duration ASCII without '_',
+    # as ``_record`` states; the counts pass as one joined string.
     digits = list(chain.from_iterable(count_text))
     joined = ",".join(digits)
     if not all(digits) or _utf8(joined).translate(None, b"0123456789,"):
-        k, text = next(
-            (k, text)
-            for k, texts in enumerate(zip(*count_text))
-            for text in texts
-            if not _digits(text)
-        )
-        fail(k, f"count {text!r} is not a nonnegative decimal integer")
+        reject()
     reals = "".join(pe_text) + "".join(duration_text)
     if not reals.isascii() or "_" in reals:
-        # A row of 7 fields has "" in the duration column, which passes.
-        k, text = next(
-            (k, text)
-            for k, texts in enumerate(zip(pe_text, duration_column))
-            for text in texts
-            if not text.isascii() or "_" in text
-        )
-        fail(k, f"{text!r} is not an ASCII number")
-    pe, k = _floats(pe_text)
-    if k is not None:
-        fail(k, _number_error("pe", pe_text[k]))
+        reject()
+    try:
+        pe = list(map(float, pe_text))
+        duration_values = list(map(float, duration_text))
+    except ValueError:
+        reject()
     # np.fromstring reads each count exactly up to the int64 limit, where
     # it saturates, and counts up to a quarter of it sum exactly. Only a
     # row holding a larger count can sum past the limit or hold a
     # saturated count, so only such a row is summed from its digits.
     counts = np.fromstring(joined, dtype=np.int64, sep=",").reshape(4, -1).T
     totals = counts.sum(axis=1)
-    over = np.zeros(len(widths), dtype=bool)
-    if counts.max() > _INT64_QUARTER:
-        for k in np.flatnonzero(counts.max(axis=1) > _INT64_QUARTER).tolist():
-            over[k] = sum(exact_counts(k)) > MAX_PAIRS
-    duration_values, k = _floats(duration_text)
-    if k is not None:
-        fail(int(np.flatnonzero(timed)[k]), _number_error("duration", duration_text[k]))
+    if counts.max() > _INT64_QUARTER and any(
+        sum(_count(texts[k]) for texts in count_text) > MAX_PAIRS
+        for k in np.flatnonzero(counts.max(axis=1) > _INT64_QUARTER).tolist()
+    ):
+        reject()
     durations = np.full(len(widths), np.nan)
     durations[timed] = duration_values
 
-    # The record rules of CountsRecord, whose message a bad row reports.
-    pe_column = np.array(pe)
-    bad = ~((pe_column >= 0.0) & (pe_column <= 0.5))
-    bad |= (totals == 0) | over
-    bad[timed] |= ~(np.isfinite(durations[timed]) & (durations[timed] >= 0.0))
-    k = _first(bad)
-    if k is not None:
-        fail(k, _error_text(
-            CountsRecord, _STATES[state[k]], _BASES[bases[k]], pe[k],
-            exact_counts(k), durations[k].item() if widths[k] == 8 else None,
-        ))
+    # The record rules of CountsRecord.
+    pe_column, timed_durations = np.array(pe), durations[timed]
+    if not (
+        ((pe_column >= 0.0) & (pe_column <= 0.5)).all() and totals.all()
+        and (np.isfinite(timed_durations) & (timed_durations >= 0.0)).all()
+    ):
+        reject()
     return CountsColumns(
         np.array(state, dtype=np.intp), np.array(bases, dtype=np.intp),
         pe_column + 0.0, counts, totals.astype(float), durations,

@@ -1,4 +1,6 @@
 import math
+from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -500,6 +502,21 @@ class TestSiftSummaries:
 
 #: The message of a record whose total passes the int64 limit, on line 3.
 PAST_INT64 = r":3: record total counts exceed 2\*\*63 - 1$"
+#: One bad line per counts-file rule, in the order a line is checked, with
+#: the message it gets.
+BAD_LINES = {
+    "fields": ("D,DA,0.1,1,2,3", "expected 7 or 8 comma-separated fields, got 6"),
+    "state": ("Q,DA,0.1,1,2,3,4", "'Q' is not a valid Bb84State"),
+    "basis": ("D,XY,0.1,1,2,3,4", "'XY' is not a valid SiftBasis"),
+    "count": ("D,DA,0.1,x,2,3,4", "count 'x' is not a nonnegative decimal integer"),
+    "ascii": ("D,DA,0_1,1,2,3,4", "'0_1' is not an ASCII number"),
+    "pe-txt": ("D,DA,1.2.3,1,2,3,4", "could not convert string to float: '1.2.3'"),
+    "dur-txt": ("D,DA,0.1,1,2,3,4,4.4.4", "could not convert string to float: '4.4.4'"),
+    "pe-0.9": ("D,DA,0.9,1,2,3,4", "error probability must be in [0, 0.5], got 0.9"),
+    "zero": ("D,DA,0.1,0,0,0,0", "record has zero total counts"),
+    "int64": (f"D,DA,0.1,{2**62},{2**62},0,0", "record total counts exceed 2**63 - 1"),
+    "dur-neg": ("D,DA,0.1,1,2,3,4,-5", "duration must be finite and nonnegative, got -5.0"),
+}
 
 
 class TestCountsFiles:
@@ -579,12 +596,29 @@ class TestCountsFiles:
         assert counts.counts.tolist() == [[1, 2, 3, 1], [4, 3, 2, 2**63 - 10]]
         assert counts.totals.tolist() == [7.0, float(2**63 - 1)]
 
-    def test_first_bad_line_wins_over_later_checks(self):
-        # Line 2 fails a late check (pe range) and line 3 an early one
-        # (field count): the file's first bad line is reported.
-        lines = ["D,DA,0.1,1,2,3,4", "D,DA,0.9,1,2,3,4", "D,DA,0.1"]
-        with pytest.raises(CountsFileError, match="^<counts>:2: error probability"):
+    @pytest.mark.parametrize("second, fourth", product(BAD_LINES, repeat=2))
+    def test_first_bad_line_wins_over_later_checks(self, second, fourth):
+        # Lines 2 and 4 each fail one rule, checked before or after the
+        # other's: the file's first bad line is reported, with its own message.
+        line, message = BAD_LINES[second]
+        lines = ["D,DA,0.1,1,2,3,4", line, "A,DA,0.1,4,3,2,1", BAD_LINES[fourth][0]]
+        with pytest.raises(CountsFileError) as excinfo:
             parse_counts(lines)
+        assert str(excinfo.value) == f"<counts>:2: {message}"
+
+    def test_lines_read_one_at_a_time_only_up_to_the_first_bad_line(self):
+        lines = ["D,DA,0.1,1,2,3,4"] * 1000
+        lines[3], lines[899] = "D,DA,0.9,1,2,3,4", "D,DA,0.1"
+        with mock.patch.object(montecarlo, "_record", wraps=montecarlo._record) as by_line:
+            with pytest.raises(CountsFileError, match="^<counts>:4: error probability"):
+                parse_counts(lines)
+            assert by_line.call_count == 4
+            by_line.reset_mock()
+            # A good file is read by its columns alone.
+            simulated = Path(__file__).parent / "golden" / "simulate_example_seed42.csv"
+            for path in (reference_counts_path(), simulated):
+                assert len(read_counts_file(path).pe) > 0
+            assert by_line.call_count == 0
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
