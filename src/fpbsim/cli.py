@@ -2,14 +2,15 @@
 
 Subcommands:
 
-* ``curve``     Renyi-information curves over an error-probability grid.
-  The model columns are ``error_model.model_sift_summaries`` of the
-  whole grid, one stacked pass; a grid point without error-free sift
-  events is an error.
-* ``table``     Model detection probabilities in the reference layout.
-* ``simulate``  Seeded synthetic coincidence-count files: one multinomial
-  draw per (state, basis, pe), stacked straight into the int64 counts of a
-  ``montecarlo.CountsColumns`` and written from it.
+* ``curve``     Renyi-information curves over an error-probability grid,
+  from ``error_model.model_sift_summaries`` of the whole grid; a grid
+  point without error-free sift events is an error.
+* ``table``     Model detection probabilities in the reference layout,
+  one ``error_model._predict`` pass over every (state, pe).
+* ``simulate``  Seeded synthetic coincidence-count files: one
+  ``error_model._predict`` pass over every (state, basis, pe), then one
+  multinomial draw per row into the int64 counts of a
+  ``montecarlo.CountsColumns``, written from it.
 * ``estimate``  Probabilities, error rates, and measured Renyi
   information from a counts file. The per-(basis, pe) rows are the
   columns' ``sift_summaries``, and the command only formats them, warning
@@ -17,24 +18,17 @@ Subcommands:
 * ``fit``       Least-squares fit of the ten error-model parameters, as
   one JSON document or ``key,value`` CSV rows with the same keys.
 
-The read side is columnar for every command: ``estimate`` and ``fit`` both
-read their counts file with ``montecarlo.read_counts_file`` into
-``montecarlo.CountsColumns`` and never build a record.
-
-Outputs are deterministic given the inputs and seed. Tables are CSV
-blocks or JSON row objects with the same columns, each written from its
-columns in one pass through one ``%`` row template: CSV floats are
-``"%.6g"``, and the JSON is byte for byte what
-``json.dumps(payload, indent=2)`` writes, without its pure-Python
-encoder. A JSON float column is ``"%.6g"`` in the template too unless
-it holds a value whose ``"%.6g"`` text is not the JSON one (an integer,
-1e6 to 1e16, a subnormal, nan or inf); such a column, and a string
-column (each spelling encoded once), is converted to text first. Exit
-codes: 0 on success, 1 with one ``error:`` line on any rejected input
-(a bad flag, an unreadable or malformed file, parameters or counts the
-library rejects), 2 when a fit fails to converge. Numbers in flags and
-pe lists are ASCII without ``_``, as in counts files. All user-facing
-angles are degrees; counts files and parameter documents are in the README.
+``estimate`` and ``fit`` read their counts file with
+``montecarlo.read_counts_file`` into ``montecarlo.CountsColumns``. Outputs
+are deterministic given the inputs and seed. Tables are CSV blocks or JSON
+row objects with the same columns, written by ``_emit_tables``: CSV floats
+are ``"%.6g"``, and the JSON is byte for byte what ``json.dumps(payload,
+indent=2)`` writes. Exit codes: 0 on success, 1 with one ``error:`` line
+on any rejected input (a bad flag, an unreadable or malformed file,
+parameters or counts the library rejects), 2 when a fit fails to
+converge. Numbers in flags and pe lists are ASCII without ``_``, as in
+counts files. All user-facing angles are degrees; counts files and
+parameter documents are in the README.
 """
 
 from __future__ import annotations
@@ -52,13 +46,13 @@ import numpy as np
 
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams
-from .montecarlo import _BASES, _BASIS_INDEX, _STATE_INDEX, ASCII_SPACE, CountsColumns
-from .probe import Bb84State, ProbeConfig, SiftBasis
+from .montecarlo import _BASES, _BASIS_INDEX, _STATE_BASIS, _STATE_INDEX
+from .montecarlo import ASCII_SPACE, CountsColumns
+from .probe import SiftBasis
 
-#: Largest ``curve --steps``: each grid point costs four forward
-#: predictions and about 0.7 KB at peak. 100 000 steps take about 3.5 s and
-#: peak at about 100 MB resident (2-vCPU Xeon), so this grid takes about
-#: 35 s and 0.7 GB.
+#: Largest ``curve --steps``: 10**6 steps take about 5 s and peak at about
+#: 0.3 GB resident in CSV and 0.6 GB in JSON (2-vCPU Xeon), nearly all of
+#: it the output's columns and text; the model's share stays a few MB.
 MAX_STEPS = 1_000_000
 
 
@@ -113,19 +107,16 @@ def _parse_pe_list(text: str) -> list[float]:
     return values
 
 
-def _parse_states(text: str) -> list[Bb84State]:
+def _parse_states(text: str) -> np.ndarray:
+    """The state indices, as in ``CountsColumns``, of a comma list of states."""
     states = []
-    for token in text.split(","):
-        token = token.strip(ASCII_SPACE)
-        if not token:
-            continue
-        try:
-            states.append(Bb84State(token.upper()))
-        except ValueError as exc:
-            raise UsageError(f"unknown input state {token!r}") from exc
+    for token in filter(None, (t.strip(ASCII_SPACE) for t in text.split(","))):
+        if token.upper() not in _STATE_INDEX:
+            raise UsageError(f"unknown input state {token!r}")
+        states.append(_STATE_INDEX[token.upper()])
     if not states:
         raise UsageError("empty state list")
-    return states
+    return np.array(states)
 
 
 def _load_params(path: str | None) -> ErrorModelParams:
@@ -295,19 +286,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 _PROB_COLUMNS = tuple(f"p_{b}{e}" for b, e in probe.OUTCOME_ORDER)
+#: The state spellings by state index: the index map holds them in index order.
+_SPELLINGS = np.array(list(_STATE_INDEX))
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
-    probs = np.array([
-        error_model.predict_outcome_probs(params, state, state.basis, ProbeConfig(pe))
-        for state in states
-        for pe in pes
-    ])
-    alice = [state.value for state in states for _ in pes]
-    columns = [alice, pes * len(states), *probs.T.tolist()]
+    state, pe_index = np.repeat(states, len(pes)), np.tile(range(len(pes)), len(states))
+    probs = error_model._predict(
+        params.as_vector(), state, _STATE_BASIS[state], pe_index, pes
+    )
+    columns = [_SPELLINGS[state].tolist(), pes * len(states), *probs.T.tolist()]
     _emit_tables(args, {"table": (("alice", "pe", *_PROB_COLUMNS), columns, len(probs))})
     return 0
 
@@ -320,27 +311,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
-    combos = [
-        (state, basis, pe) for state in states for basis in _BASES for pe in pes
-    ]
-    seeds = np.random.SeedSequence(args.seed).generate_state(len(combos), np.uint64)
+    # One record per (state, basis, pe), in that nesting order.
+    shape = (len(states), len(_BASES), len(pes))
+    state, basis, pe_index = np.indices(shape).reshape(3, -1)
+    state = states[state]
+    probs = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
+    seeds = np.random.SeedSequence(args.seed).generate_state(len(probs), np.uint64)
     # Every row sums to --pairs, so the int64 counts and totals are exact.
-    counts = np.empty((len(combos), 4), dtype=np.int64)
-    for row, ((state, basis, pe), seed) in enumerate(zip(combos, seeds)):
-        probs = error_model.predict_outcome_probs(
-            params, state, basis, ProbeConfig(pe)
-        )
-        counts[row] = montecarlo.simulate_counts(probs, args.pairs, int(seed))
-    state, basis, pe = zip(*combos)
-    columns = CountsColumns(
-        np.array([_STATE_INDEX[s.value] for s in state], dtype=np.intp),
-        np.array([_BASIS_INDEX[b.value] for b in basis], dtype=np.intp),
-        np.array(pe, dtype=float),
-        counts,
-        np.full(len(combos), float(args.pairs)),
-        np.full(len(combos), math.nan),
-    )
-    _emit(args, montecarlo.counts_file_text(columns))
+    counts = np.array([
+        montecarlo.simulate_counts(row, args.pairs, seed)
+        for row, seed in zip(probs, seeds.tolist())
+    ], dtype=np.int64)
+    _emit(args, montecarlo.counts_file_text(CountsColumns(
+        state, basis, np.array(pes)[pe_index], counts,
+        np.full(len(probs), float(args.pairs)), np.full(len(probs), math.nan),
+    )))
     return 0
 
 
@@ -353,9 +338,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     counts = montecarlo.read_counts_file(args.counts)
     if not len(counts.pe):
         raise UsageError(f"counts file {args.counts} contains no records")
-    # The index maps hold the spellings in index order.
     records = [
-        np.array(list(_STATE_INDEX))[counts.state].tolist(),
+        _SPELLINGS[counts.state].tolist(),
         np.array(list(_BASIS_INDEX))[counts.basis].tolist(),
         counts.pe.tolist(),
         *counts.probabilities().T.tolist(),

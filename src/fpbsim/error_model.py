@@ -10,30 +10,21 @@ fields of ``ErrorModelParams``, named and ordered as the parameter file.
 
 The model is one closed form, ``_amplitudes``: the amplitudes of the
 state after the entangling gate and of its projection onto Bob's
-analyzer, in arithmetic operators only, so one prediction evaluates it on
-Python numbers and the fit's derivative pass on numpy arrays. Two-qubit
-amplitudes are ordered control-major, index ``2*c + t`` for photon
-(control) bit ``c`` and probe (target) bit ``t``. The four joint
-detection probabilities of a configuration come back as a ``(4,)``
-array in ``OUTCOME_ORDER``; the model is unitary by construction, so
-they are not re-validated. ``model_sift_summaries`` is the model's one
-sift path: it predicts a whole pe grid and reduces it with one stacked
+analyzer, with no complex by complex product, so that Python numbers and
+numpy arrays round it alike. ``predict_outcome_probs`` evaluates it on
+numbers for one configuration and ``_predict`` on arrays for many, with
+bit-identical rows. Two-qubit amplitudes are ordered control-major, index
+``2*c + t`` for photon (control) bit ``c`` and probe (target) bit ``t``.
+Probabilities come in ``OUTCOME_ORDER``; the model is unitary by
+construction, so they are not re-validated. ``model_sift_summaries``
+predicts a pe grid in fixed-size chunks and reduces each with one stacked
 ``probe.sift_cells`` and ``probe.renyi_information`` pass, as
-``montecarlo.CountsColumns.sift_summaries`` does for measured counts. The
-fitter recovers the ten parameters from measured coincidence counts, given
-as ``montecarlo.CountsColumns``, with a bounded trust-region
-Levenberg-Marquardt solver in numpy on the weighted residual vector. The
-fit's design is built once per fit, as arrays from the counts' state and
-basis index columns. An evaluation is one call of the residual function,
-which still predicts each record once with ``predict_outcome_probs``; the
-analytic Jacobian, one array pass over the design that forms the output
-state's derivatives as one product of two gathered factor stacks, is taken
-only at the start point and at each accepted step, and forward differences
-fill only the columns whose slope is exactly zero at the start point. A
-prediction looks its angle terms up by the members' spellings, not by
-hashing Enum members. ``fit_parameters`` takes its evaluation budget and
-record weighting as the keywords ``max_evals`` and ``weighting``. Angles
-are radians; degrees appear only at I/O boundaries.
+``montecarlo.CountsColumns.sift_summaries`` does for measured counts.
+``fit_parameters`` recovers the ten parameters from measured counts with a
+bounded trust-region Levenberg-Marquardt solver on the weighted residual
+vector, which still predicts each record with ``predict_outcome_probs``,
+and its analytic Jacobian, ``_jacobian_kernel``. Angles are radians;
+degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -48,7 +39,7 @@ from itertools import compress
 
 import numpy as np
 
-from .montecarlo import _BASES, _STATES, CountsColumns
+from .montecarlo import _BASES, _STATE_BASIS, _STATES, CountsColumns
 from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis
 from .probe import renyi_information, sift_cells
 
@@ -102,8 +93,8 @@ class ErrorModelParams:
 
     @cached_property
     def _shared_terms(self) -> tuple:
-        """``_phases`` of these angles, computed once for all predictions."""
-        return _phases(self.d_xi, self.d_chi, self.alpha, self.delta)
+        """``_amplitudes``'s ``terms``, computed once for all predictions."""
+        return _phases(self.d_xi, self.d_chi, self.alpha, self.delta)[-1]
 
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector in field order, radians."""
@@ -177,32 +168,42 @@ _BASIS_ANGLES, _BASIS_COLUMNS = _index_terms(_BASES)
 
 
 def _phases(d_xi, d_chi, alpha, delta):
-    """``exp(i d_chi)``, ``exp(i d_xi)``, cos and sin alpha, ``exp(+-i delta)``."""
-    chi_phase, xi_phase = cmath.exp(1j * d_chi), cmath.exp(1j * d_xi)
+    """``chi, xi = exp(i d_chi), exp(i d_xi)``, ``c, s = cos, sin alpha``,
+    ``exp(+-i delta)`` and ``_amplitudes``'s ``terms``: ``c``, ``ia = i
+    exp(-i delta) s xi``, ``ib = i exp(i delta) s``, ``c xi``, then ``chi``
+    times each."""
+    chi, xi = cmath.exp(1j * d_chi), cmath.exp(1j * d_xi)
+    c, s = math.cos(alpha), math.sin(alpha)
     ep = cmath.exp(1j * delta)
-    return chi_phase, xi_phase, math.cos(alpha), math.sin(alpha), ep, ep.conjugate()
+    em = ep.conjugate()
+    gate = (c, 1j * em * s * xi, 1j * ep * s, c * xi)
+    return chi, xi, c, s, ep, em, (*gate, *(chi * term for term in gate))
 
 
-def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
+def _amplitudes(p0, p1, q0, q1, terms, cos_b, sin_b):
     """Closed-form amplitudes of the forward model.
 
-    The photon enters as ``(p0, p1)`` and the probe as ``(q0, q1)``; ``c,
-    s`` are the cosine and sine of the gate imbalance alpha, ``ep, em`` are
-    ``exp(+-i delta)`` of its phase, and ``cos_b, sin_b`` those of Bob's
-    analyzer angle. Only arithmetic operators are used, so the arguments
-    are Python numbers for one prediction or numpy arrays for many.
+    ``(p0, p1)``, ``(q0, q1)`` and ``(cos_b, sin_b)`` are the cosines and
+    sines of the photon's state, the probe's preparation and Bob's analyzer
+    angles; the phases ``chi``, ``xi`` and the gate come folded into the
+    complex constants ``terms`` of ``_phases``. No product is complex by
+    complex, which numpy may fuse into multiply-adds, so numbers and arrays
+    round alike.
 
     Returns ``(a, b, u, w, analyzed)``. The gate is block diagonal in the
-    control bit: it takes the probe to ``u = (c q0 + a, b + c q1)`` on
-    control 0 and to ``w = (c q1 - b, c q0 - a)`` on control 1, with ``a =
-    i em s q1`` and ``b = i ep s q0``, so the output state is ``(p0 u0, p0
-    u1, p1 w0, p1 w1)``. ``analyzed`` is that state with the photon rotated
-    onto the analyzer's bit-0 and bit-1 states, ordered ``2*bob_bit +
-    eve_bit``; at a zero analyzer angle it is the output state itself.
+    control bit: it takes the probe ``(q0, xi q1)`` to ``u = (c q0 + a, b +
+    c xi q1)`` on control 0 and to ``w = (c xi q1 - b, c q0 - a)`` on
+    control 1, with ``a = ia q1`` and ``b = ib q0``, so the output state is
+    ``(p0 u0, p0 u1, chi p1 w0, chi p1 w1)``. ``analyzed`` is that state
+    with the photon rotated onto the analyzer's bit-0 and bit-1 states,
+    ordered ``2*bob_bit + eve_bit``; at a zero analyzer angle it is the
+    output state itself.
     """
-    a, b = 1j * em * s * q1, 1j * ep * s * q0
-    u0, u1, w0, w1 = c * q0 + a, b + c * q1, c * q1 - b, c * q0 - a
-    out0, out1, out2, out3 = p0 * u0, p0 * u1, p1 * w0, p1 * w1
+    c, ia, ib, cxi, chi_c, chi_ia, chi_ib, chi_cxi = terms
+    a, b, cq0, cq1 = ia * q1, ib * q0, c * q0, cxi * q1
+    u0, u1, w0, w1 = cq0 + a, b + cq1, cq1 - b, cq0 - a
+    out0, out1 = p0 * u0, p0 * u1
+    out2, out3 = p1 * (chi_cxi * q1 - chi_ib * q0), p1 * (chi_c * q0 - chi_ia * q1)
     analyzed = (
         cos_b * out0 - sin_b * out2, cos_b * out1 - sin_b * out3,
         sin_b * out0 + cos_b * out2, sin_b * out1 + cos_b * out3,
@@ -210,18 +211,15 @@ def _amplitudes(p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b):
     return a, b, (u0, u1), (w0, w1), analyzed
 
 
-def _analyzed(
-    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig, phi: float
-) -> tuple[complex, complex, complex, complex]:
-    """One configuration's ``_amplitudes`` at analyzer angle ``phi``; at
-    ``phi = 0`` the joint photon/probe state after the entangling gate."""
-    theta, key = _ANGLE_TERMS[alice._value_]
-    theta += getattr(params, key)
-    chi_phase, xi_phase, c, s, ep, em = params._shared_terms
-    return _amplitudes(
-        math.cos(theta), chi_phase * math.sin(theta), math.cos(cfg.theta_in),
-        xi_phase * math.sin(cfg.theta_in), c, s, ep, em, math.cos(phi), math.sin(phi),
-    )[-1]
+def _outcome_probs(analyzed) -> tuple:
+    """``|a|^2`` of each of ``_amplitudes``'s ``analyzed``, in ``OUTCOME_ORDER``."""
+    b0e0, b0e1, b1e0, b1e1 = analyzed
+    return (
+        b1e0.real * b1e0.real + b1e0.imag * b1e0.imag,
+        b1e1.real * b1e1.real + b1e1.imag * b1e1.imag,
+        b0e1.real * b0e1.real + b0e1.imag * b0e1.imag,
+        b0e0.real * b0e0.real + b0e0.imag * b0e0.imag,
+    )
 
 
 #: ``[state, basis]`` by index: where derivative ``[bob_bit, k, eve_bit]``
@@ -290,22 +288,21 @@ def _jacobian_kernel(
     zero = np.zeros(n)
 
     def jacobians(x: np.ndarray) -> np.ndarray:
-        chi_phase, xi_phase, c, s, ep, em = _phases(*x[_SHARED_COLUMNS].tolist())
+        chi, xi, c, s, ep, em, terms = _phases(*x[_SHARED_COLUMNS].tolist())
         theta = theta_a + x[a_columns]
         p0, sin_a = np.cos(theta), np.sin(theta)
-        p1 = chi_phase * sin_a
-        q1 = xi_phase * sin_in
+        p1, q1 = chi * sin_a, xi * sin_in
         phi = nominal + x[b_columns]
         cos_b, sin_b = np.cos(phi), np.sin(phi)
         a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
-            p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b
+            p0, sin_a, q0, sin_in, terms, cos_b, sin_b
         )
         # Along alpha, (c, s) turns into (-s, c), so a into ta and b into tb;
-        # along the wave-plate offset, (p0, p1) turns into (-sin_a, chi_phase p0).
+        # along the wave-plate offset, (p0, p1) turns into (-sin_a, chi p0).
         ta, tb = 1j * em * c * q1, 1j * ep * c * q0
         sq0, sq1 = s * q0, s * q1
         left = np.array([zero, p0, 1j * p0, -1j * p0, -sin_a, p1, -p1, 1j * p1,
-                         -1j * p1, chi_phase * p0])
+                         -1j * p1, chi * p0])
         right = np.array([zero, a, b, 1j * c * q1, u0, u1, w0, w1, ta - sq0,
                           tb - sq1, tb + sq1, sq0 + ta])
         derivatives = left[_LEFT] * right[_RIGHT]
@@ -338,16 +335,39 @@ def predict_outcome_probs(
     array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
     (0,1), (0,0); the entries sum to one by unitarity.
     """
+    theta, key = _ANGLE_TERMS[alice._value_]
+    theta += getattr(params, key)
     phi, key = _ANGLE_TERMS[bob_basis._value_]
-    # Indexed 2*bob_bit + eve_bit, unpacked here in OUTCOME_ORDER.
     phi += getattr(params, key)
-    b0e0, b0e1, b1e0, b1e1 = _analyzed(params, alice, cfg, phi)
-    return np.array([
-        b1e0.real * b1e0.real + b1e0.imag * b1e0.imag,
-        b1e1.real * b1e1.real + b1e1.imag * b1e1.imag,
-        b0e1.real * b0e1.real + b0e1.imag * b0e1.imag,
-        b0e0.real * b0e0.real + b0e0.imag * b0e0.imag,
-    ])
+    return np.array(_outcome_probs(_amplitudes(
+        math.cos(theta), math.sin(theta), math.cos(cfg.theta_in),
+        math.sin(cfg.theta_in), params._shared_terms, math.cos(phi), math.sin(phi),
+    )[-1]))
+
+
+def _predict(
+    x: np.ndarray, state: np.ndarray, basis: np.ndarray, pe_index: np.ndarray, pes
+) -> np.ndarray:
+    """``predict_outcome_probs`` of N configurations as ``(N, 4)`` rows, bit
+    for bit. ``x`` is ``as_vector()``; ``state``, ``basis`` index states and
+    bases as in ``CountsColumns``, and ``pe_index`` indexes ``pes``. The four
+    state, two analyzer and ``len(pes)`` probe angles take their cosine and
+    sine from ``math`` once each, as one prediction does (numpy's need not
+    equal libm's), and are gathered by index."""
+    def trig(angles):
+        return np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
+
+    cos_a, sin_a = trig((_STATE_ANGLES + x[_STATE_COLUMNS]).tolist())
+    cos_b, sin_b = trig((_BASIS_ANGLES + x[_BASIS_COLUMNS]).tolist())
+    cos_in, sin_in = trig([ProbeConfig(pe).theta_in for pe in pes])
+    return np.column_stack(_outcome_probs(_amplitudes(
+        cos_a[state], sin_a[state], cos_in[pe_index], sin_in[pe_index],
+        _phases(*x[_SHARED_COLUMNS].tolist())[-1], cos_b[basis], sin_b[basis],
+    )[-1]))
+
+
+#: pe values per ``_predict`` pass of ``model_sift_summaries``: a few MB.
+_SUMMARY_CHUNK = 4096
 
 
 def model_sift_summaries(
@@ -356,28 +376,24 @@ def model_sift_summaries(
     """Predicted Renyi information and sifted error rate over a pe grid.
 
     Returns two ``(len(pes), 2)`` float arrays, columns in ``SiftBasis``
-    order (HV, DA). Each (pe, basis, state) is predicted with
-    ``predict_outcome_probs`` into one preallocated ``(len(pes), 2, 2, 4)``
-    array; the whole stack reduces with one ``sift_cells`` and one
-    ``renyi_information`` call, as measured counts do in
-    ``montecarlo.CountsColumns.sift_summaries``. The Renyi information is
-    NaN where the model predicts no error-free sift events: an error-free
-    mass below 1e-15, since predictions carry rounding noise.
+    order (HV, DA). Each chunk of ``_SUMMARY_CHUNK`` pe values is one
+    ``_predict`` pass, reduced with one ``sift_cells`` and one
+    ``renyi_information`` call as measured counts are in
+    ``CountsColumns.sift_summaries``; all three work row by row, so the
+    chunks' rows are the whole grid's. The Renyi information is NaN where
+    the model predicts no error-free sift events (an error-free mass below
+    1e-15, since predictions carry rounding noise).
     """
-    rows = np.empty((len(pes), 2, 2, 4))
-    flat_rows = rows.reshape(-1, 4)
-    configs = (
-        (state, basis, cfg)
-        for cfg in map(ProbeConfig, pes)
-        for basis in SiftBasis
-        for state in basis.states
-    )
-    for i, config in enumerate(configs):
-        flat_rows[i] = predict_outcome_probs(params, *config)
-    tables, error_rates = sift_cells(rows)
-    renyi = np.full(error_rates.shape, np.nan)
-    has_mass = tables.sum(axis=(-2, -1)) >= 1e-15
-    renyi[has_mass] = renyi_information(tables[has_mass])
+    x = params.as_vector()
+    renyi, error_rates = np.full((len(pes), 2), np.nan), np.empty((len(pes), 2))
+    for start in range(0, len(pes), _SUMMARY_CHUNK):
+        rows = slice(start, start + _SUMMARY_CHUNK)
+        # Per pe, states H, V, D, A: per basis its bit-0 then bit-1 state.
+        pe_index, state = np.indices((len(pes[rows]), 4)).reshape(2, -1)
+        probs = _predict(x, state, _STATE_BASIS[state], pe_index, pes[rows])
+        tables, error_rates[rows] = sift_cells(probs.reshape(-1, 2, 2, 4))
+        has_mass = tables.sum(axis=(-2, -1)) >= 1e-15
+        renyi[rows][has_mass] = renyi_information(tables[has_mass])
     return renyi, error_rates
 
 

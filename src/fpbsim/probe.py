@@ -15,11 +15,10 @@ array, and the sifted error rate), the Renyi information of that table,
 and its closed form for the ideal attack. The sift step and the Renyi
 information take one table or a stack of them along leading axes, so
 many sift groups reduce in one array pass with the same arithmetic as
-one: ``error_model.model_sift_summaries`` reduces a whole pe grid of
-predictions and ``montecarlo.CountsColumns.sift_summaries`` a whole
-counts file with one call of each. The state vectors and probabilities of the attack are
-computed by the forward model in ``error_model``; the ideal attack is
-that model with all ten hardware angles at zero.
+one: ``error_model.model_sift_summaries`` reduces a pe grid chunk by
+chunk, ``montecarlo.CountsColumns.sift_summaries`` a whole counts file.
+The forward model in ``error_model`` computes the attack's states and
+probabilities; the ideal attack is that model with all ten angles at zero.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from fpbsim import (
     predict_outcome_probs,
 )
 from fpbsim.error_model import (
+    _ANGLE_TERMS,
     _BASIS_ANGLES,
     _BASIS_COLUMNS,
     _JACOBIAN_SLOTS,
@@ -27,6 +28,7 @@ from fpbsim.error_model import (
     _amplitudes,
     _held_keys,
     _make_objective,
+    _phases,
 )
 from fpbsim.montecarlo import _BASES, _STATES, ASCII_SPACE
 
@@ -212,7 +214,7 @@ def jacobian_kernel_oracle(state, basis, theta_in):
         phi = nominal + x[b_columns]
         cos_b, sin_b = np.cos(phi), np.sin(phi)
         a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
-            p0, p1, q0, q1, c, s, ep, em, cos_b, sin_b
+            p0, sin_a, q0, sin_in, _phases(d_xi, d_chi, alpha, delta)[-1], cos_b, sin_b
         )
         icq1 = 1j * c * q1
         ta, tb = 1j * em * c * q1, 1j * ep * c * q0
@@ -374,6 +376,23 @@ def output_state_oracle(
     photon = nonideal_alice_state(alice, d_theta, params.d_chi)
     probe = nonideal_probe_state(cfg, params.d_xi)
     return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
+
+
+def shipped_output_state(
+    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+) -> tuple:
+    """The shipped closed form's joint photon/probe state after the gate.
+
+    ``error_model._amplitudes`` at analyzer angle 0, where the projection
+    onto Bob's analyzed-bit states is the state itself, fed as
+    ``predict_outcome_probs`` feeds it; four complex amplitudes.
+    """
+    theta, key = _ANGLE_TERMS[alice.value]
+    theta += getattr(params, key)
+    return _amplitudes(
+        math.cos(theta), math.sin(theta), math.cos(cfg.theta_in),
+        math.sin(cfg.theta_in), params._shared_terms, 1.0, 0.0,
+    )[-1]
 
 
 def predict_oracle(

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report.
 """
 
-import cmath
 import json
 import math
 
@@ -22,7 +21,7 @@ from fpbsim import (
     simulate_counts,
 )
 from fpbsim.cli import main
-from fpbsim.error_model import _amplitudes, _analyzed
+from fpbsim.error_model import _amplitudes, _phases
 
 from conftest import (
     IDEAL_EXPECTED,
@@ -31,6 +30,7 @@ from conftest import (
     analytic_probs,
     columns_from_records,
     error_probability,
+    shipped_output_state,
     states_close,
 )
 
@@ -92,7 +92,7 @@ def test_criterion_4_state_vector_vs_analytic():
     for state in Bb84State:
         for pe in grid:
             cfg = ProbeConfig(float(pe))
-            got = _analyzed(ZERO, state, cfg, 0.0)
+            got = shipped_output_state(ZERO, state, cfg)
             if not states_close(got, analytic_output(state, float(pe)), tol=1e-12):
                 states_ok = False
             err_worst = max(err_worst, abs(error_probability(state, cfg) - pe))
@@ -112,11 +112,10 @@ def shipped_gate(alpha: float, delta: float) -> np.ndarray:
     control-major, with the analyzer at zero angle, so each output is the
     gate's column for that input.
     """
-    ep = cmath.exp(1j * delta)
-    gate_terms = (math.cos(alpha), math.sin(alpha), ep, ep.conjugate())
+    gate_terms = _phases(0.0, 0.0, alpha, delta)[-1]
     basis = ((1.0, 0.0), (0.0, 1.0))
     columns = [
-        _amplitudes(*photon, *probe, *gate_terms, 1.0, 0.0)[-1]
+        _amplitudes(*photon, *probe, gate_terms, 1.0, 0.0)[-1]
         for photon in basis
         for probe in basis
     ]

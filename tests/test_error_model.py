@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpbsim import (
@@ -49,6 +49,7 @@ from conftest import (
     predict_oracle,
     renyi_information_oracle,
     residuals_oracle,
+    shipped_output_state,
     sift_cells_oracle,
     take_rows,
     trf_fit_oracle,
@@ -467,7 +468,7 @@ class TestForwardModel:
             rtol=0.0, atol=1e-15,
         )
         np.testing.assert_allclose(
-            error_model._analyzed(params, state, cfg, 0.0),
+            shipped_output_state(params, state, cfg),
             output_state_oracle(params, state, cfg),
             rtol=0.0, atol=1e-15,
         )
@@ -594,6 +595,33 @@ class TestForwardModel:
 
 
 class TestModelSummaries:
+    @settings(derandomize=True, deadline=None)
+    @given(params=ANY_PARAMS)
+    @example(params=ErrorModelParams())
+    def test_predict_rows_equal_single_predictions(self, params):
+        # All 8 state x basis pairs at pe 0, the least subnormal, 1/3 and 0.5.
+        pes = [0.0, 5e-324, 1 / 3, 0.5]
+        state, basis, pe_index = np.indices((4, 2, len(pes))).reshape(3, -1)
+        got = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
+        want = [
+            predict_outcome_probs(params, _STATES[s], _BASES[b], ProbeConfig(pes[k]))
+            for s, b, k in zip(state.tolist(), basis.tolist(), pe_index.tolist())
+        ]
+        assert got.shape == (32, 4)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_chunked_grid_equals_per_point_calls(self, ref_params):
+        grid = np.linspace(0.0, 0.5, error_model._SUMMARY_CHUNK + 3).tolist()
+        renyi, rates = model_sift_summaries(ref_params, grid)
+        points = [model_sift_summaries(ref_params, [pe]) for pe in grid]
+        assert renyi.tobytes() == np.concatenate([r for r, _ in points]).tobytes()
+        assert rates.tobytes() == np.concatenate([e for _, e in points]).tobytes()
+
+    def test_empty_grid_gives_empty_columns(self, ref_params):
+        renyi, rates = model_sift_summaries(ref_params, [])
+        assert renyi.shape == rates.shape == (0, 2)
+        assert renyi.dtype == rates.dtype == np.float64
+
     def test_shapes_and_basis_columns(self, ref_params):
         pes = [0.0, 0.1, 0.2]
         renyi, rates = model_sift_summaries(ref_params, pes)

@@ -17,7 +17,6 @@ from fpbsim import (
     renyi_closed_form,
     renyi_information,
 )
-from fpbsim.error_model import _analyzed
 from fpbsim.probe import sift_cells
 
 from conftest import (
@@ -27,6 +26,7 @@ from conftest import (
     nonideal_alice_state,
     nonideal_probe_state,
     renyi_information_oracle,
+    shipped_output_state,
     sift_cells_oracle,
     states_close,
     target_triple,
@@ -161,20 +161,20 @@ class TestTargetTriple:
 
 class TestAttackOutput:
     def test_product_state_at_zero(self):
-        out = _analyzed(ZERO, Bb84State.H, ProbeConfig(0.0), 0.0)
+        out = shipped_output_state(ZERO, Bb84State.H, ProbeConfig(0.0))
         expected = np.kron(frame(-22.5), np.array([1 / RT2, 1 / RT2]))
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("state", list(Bb84State))
     def test_matches_analytic_decomposition(self, state):
         for pe in PE_GRID:
-            got = _analyzed(ZERO, state, ProbeConfig(pe), 0.0)
+            got = shipped_output_state(ZERO, state, ProbeConfig(pe))
             assert states_close(got, analytic_output(state, pe), tol=1e-12)
 
     def test_error_component_of_attack_output(self):
         # Projecting the output for an H input onto the V state and the
         # normalized error component of the probe yields exactly pe.
-        psi = _analyzed(ZERO, Bb84State.H, ProbeConfig(0.1), 0.0)
+        psi = shipped_output_state(ZERO, Bb84State.H, ProbeConfig(0.1))
         te = target_triple(0.1)[2]
         bra = np.kron(frame(67.5), te / math.sqrt(norm_sq(te)))
         assert abs(abs(np.vdot(bra, psi)) ** 2 - 0.1) < 1e-12
