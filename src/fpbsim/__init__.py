@@ -18,7 +18,6 @@ from .montecarlo import (
 from .probe import (
     OUTCOME_ORDER,
     Bb84State,
-    ProbeConfig,
     SiftBasis,
     renyi_closed_form,
     renyi_information,
@@ -32,7 +31,6 @@ __all__ = [
     "ErrorModelParams",
     "FitResult",
     "OUTCOME_ORDER",
-    "ProbeConfig",
     "SiftBasis",
     "fit_parameters",
     "model_sift_summaries",

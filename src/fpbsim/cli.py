@@ -50,9 +50,10 @@ from .montecarlo import _BASES, _BASIS_INDEX, _STATE_BASIS, _STATE_INDEX
 from .montecarlo import ASCII_SPACE, CountsColumns
 from .probe import SiftBasis
 
-#: Largest ``curve --steps``: 10**6 steps take about 5 s and peak at about
-#: 0.3 GB resident in CSV and 0.6 GB in JSON (2-vCPU Xeon), nearly all of
-#: it the output's columns and text; the model's share stays a few MB.
+#: Largest ``curve --steps``: in a fresh process, 10**6 steps take 3.6-5.1 s
+#: and peak at 307 MB resident in CSV, 5.7-6.4 s and 729 MB in JSON (2-vCPU
+#: Xeon), nearly all of the memory the output's columns and text; the
+#: model's share stays a few MB.
 MAX_STEPS = 1_000_000
 
 

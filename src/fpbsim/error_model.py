@@ -7,6 +7,9 @@ four per-state wave-plate offsets on Alice's qubit, an imbalance and
 phase of the entangling gate, and one analyzer offset per measurement
 basis. With all ten at zero the model is the ideal attack. They are the
 fields of ``ErrorModelParams``, named and ordered as the parameter file.
+The probe enters as one float, the error probability pe that it induces,
+which alone fixes its preparation angle through the memoized
+``probe._probe_angle``.
 
 The model is one closed form, ``_amplitudes``: the amplitudes of the
 state after the entangling gate and of its projection onto Bob's
@@ -40,8 +43,8 @@ from itertools import compress
 import numpy as np
 
 from .montecarlo import _BASES, _STATE_BASIS, _STATES, CountsColumns
-from .probe import OUTCOME_ORDER, Bb84State, ProbeConfig, SiftBasis
-from .probe import renyi_information, sift_cells
+from .probe import OUTCOME_ORDER, Bb84State, SiftBasis
+from .probe import _probe_angle, renyi_information, sift_cells
 
 #: Fit box constraint on every parameter, radians.
 ANGLE_BOUND = math.pi / 2
@@ -326,22 +329,25 @@ def predict_outcome_probs(
     params: ErrorModelParams,
     alice: Bb84State,
     bob_basis: SiftBasis,
-    cfg: ProbeConfig,
+    pe: float,
 ) -> np.ndarray:
     """Forward-model the four joint detection probabilities.
 
-    Projects the output state onto Bob's analyzed-bit states (photon)
-    and Eve's computational states (probe). Returns a ``(4,)`` float
-    array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) = (1,0), (1,1),
-    (0,1), (0,0); the entries sum to one by unitarity.
+    ``pe`` is the error probability the probe is set to induce, which fixes
+    its preparation angle (``probe._probe_angle``); a pe outside [0, 0.5]
+    raises ValueError. Projects the output state onto Bob's analyzed-bit
+    states (photon) and Eve's computational states (probe). Returns a
+    ``(4,)`` float array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) =
+    (1,0), (1,1), (0,1), (0,0); the entries sum to one by unitarity.
     """
     theta, key = _ANGLE_TERMS[alice._value_]
     theta += getattr(params, key)
     phi, key = _ANGLE_TERMS[bob_basis._value_]
     phi += getattr(params, key)
+    theta_in = _probe_angle(pe)
     return np.array(_outcome_probs(_amplitudes(
-        math.cos(theta), math.sin(theta), math.cos(cfg.theta_in),
-        math.sin(cfg.theta_in), params._shared_terms, math.cos(phi), math.sin(phi),
+        math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
+        params._shared_terms, math.cos(phi), math.sin(phi),
     )[-1]))
 
 
@@ -359,7 +365,7 @@ def _predict(
 
     cos_a, sin_a = trig((_STATE_ANGLES + x[_STATE_COLUMNS]).tolist())
     cos_b, sin_b = trig((_BASIS_ANGLES + x[_BASIS_COLUMNS]).tolist())
-    cos_in, sin_in = trig([ProbeConfig(pe).theta_in for pe in pes])
+    cos_in, sin_in = trig([_probe_angle(pe) for pe in pes])
     return np.column_stack(_outcome_probs(_amplitudes(
         cos_a[state], sin_a[state], cos_in[pe_index], sin_in[pe_index],
         _phases(*x[_SHARED_COLUMNS].tolist())[-1], cos_b[basis], sin_b[basis],
@@ -430,8 +436,8 @@ def _make_objective(counts: CountsColumns, weighting: str):
     many records can sum past the int64 limit, so records weight exactly.
 
     The design is built once, as arrays from the index columns of
-    ``counts`` in canonical order, with one ``ProbeConfig`` per distinct
-    pe. Each call still predicts every record once with
+    ``counts`` in canonical order, with each record's probe angle from
+    ``probe._probe_angle``. Each call still predicts every record once with
     ``predict_outcome_probs``; the derivatives of all records come from one
     ``_jacobian_kernel`` pass over the design, run only when ``jacobian``
     is called.
@@ -443,11 +449,10 @@ def _make_objective(counts: CountsColumns, weighting: str):
         for s, b, p, row in zip(state, basis, pe, exact)
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    configs = {p: ProbeConfig(p) for p in dict.fromkeys(pe)}
-    rows = [(_STATES[state[k]], _BASES[basis[k]], configs[pe[k]]) for k in order]
+    rows = [(_STATES[state[k]], _BASES[basis[k]], pe[k]) for k in order]
     jacobians = _jacobian_kernel(
         counts.state[order], counts.basis[order],
-        np.array([cfg.theta_in for _, _, cfg in rows]),
+        np.array([_probe_angle(p) for _, _, p in rows]),
     )
     estimated = counts.probabilities()[order]
     weights = np.ones(len(order))
@@ -458,7 +463,7 @@ def _make_objective(counts: CountsColumns, weighting: str):
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         params = ErrorModelParams(*x.tolist())
         predicted = np.concatenate(
-            [predict_outcome_probs(params, s, b, cfg) for s, b, cfg in rows]
+            [predict_outcome_probs(params, s, b, p) for s, b, p in rows]
         ).reshape(-1, 4)
         r = (root_weights[:, None] * (estimated - predicted)).ravel()
 

@@ -5,10 +5,12 @@ through a CNOT gate whose control basis is rotated pi/8 from the H-V
 polarization basis, then reads the probe with a projective measurement
 in its computational basis. This module names the pieces of that
 setting: the four BB84 states, the two sift bases, the detector outcome
-order, and the probe preparation for a chosen induced error probability.
-``checked_pe`` is the one rule for that probability: it lies in
-[0, 0.5], and -0.0 reads as 0.0. ``ProbeConfig``, ``renyi_closed_form``,
-``montecarlo.CountsRecord`` and the CLI's pe flags all go through it.
+order, and the probe's preparation angle, which the error probability pe
+that the attack induces fixes on its own (``_probe_angle``). ``checked_pe``
+is the one rule for that probability: it lies in [0, 0.5], and -0.0 reads
+as 0.0. ``_probe_angle``, and so every forward prediction, goes through
+it, as do ``renyi_closed_form``, ``montecarlo.CountsRecord`` and the CLI's
+pe flags.
 It also holds the sift step that model predictions and measured counts
 share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
 array, and the sifted error rate), the Renyi information of that table,
@@ -24,8 +26,8 @@ probabilities; the ideal attack is that model with all ten angles at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,35 +122,17 @@ _THETA_A = {
 }
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Probe preparation for a chosen induced error probability.
-
-    Attributes
-    ----------
-    pe:
-        Error probability the attack induces on sifted bits, in [0, 0.5];
-        ``checked_pe`` rejects any other value and stores -0.0 as 0.0.
-    c, s:
-        Derived amplitudes ``sqrt(1 - 2*pe)`` and ``sqrt(2*pe)``.
-    theta_in:
-        Preparation angle of the probe qubit, radians.
-    """
-
-    pe: float
-    c: float = field(init=False)
-    s: float = field(init=False)
-    theta_in: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pe", checked_pe(self.pe))
-        c = math.sqrt(1.0 - 2.0 * self.pe)
-        s = math.sqrt(2.0 * self.pe)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(
-            self, "theta_in", math.atan2((c - s) / _SQRT2, (c + s) / _SQRT2)
-        )
+@lru_cache(maxsize=256)
+def _probe_angle(pe: float) -> float:
+    """Preparation angle of the probe qubit, radians, for the attack that
+    induces error probability ``pe``: ``atan2((c - s)/sqrt2, (c + s)/sqrt2)``
+    with ``c = sqrt(1 - 2*pe)`` and ``s = sqrt(2*pe)``, after ``checked_pe``.
+    Memoized, since a fit asks for the same few pe values once per record
+    and evaluation; a rejected pe raises on every call."""
+    pe = checked_pe(pe)
+    c = math.sqrt(1.0 - 2.0 * pe)
+    s = math.sqrt(2.0 * pe)
+    return math.atan2((c - s) / _SQRT2, (c + s) / _SQRT2)
 
 
 def _log2(values: np.ndarray) -> np.ndarray:

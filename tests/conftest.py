@@ -12,7 +12,6 @@ from fpbsim import (
     CountsFileError,
     CountsRecord,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     predict_outcome_probs,
 )
@@ -47,6 +46,17 @@ FRAME_DEG = {
     Bb84State.D: 22.5,
     Bb84State.A: 112.5,
 }
+
+
+def probe_angle_oracle(pe: float) -> float:
+    """The probe's preparation angle at error probability ``pe`` in
+    [0, 0.5], with ``c = sqrt(1 - 2*pe)`` and ``s = sqrt(2*pe)``: the
+    arithmetic of the ``ProbeConfig`` class that ``probe._probe_angle``
+    replaced, kept as the reference it must equal bit for bit."""
+    pe = pe + 0.0
+    c = math.sqrt(1.0 - 2.0 * pe)
+    s = math.sqrt(2.0 * pe)
+    return math.atan2((c - s) / RT2, (c + s) / RT2)
 
 
 def target_triple(pe: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,10 +103,10 @@ def analytic_probs(state: Bb84State, basis: SiftBasis, pe: float) -> np.ndarray:
     return np.array([abs(bob[b] @ psi[:, e]) ** 2 for b, e in OUTCOME_ORDER])
 
 
-def error_probability(alice: Bb84State, cfg: ProbeConfig) -> float:
+def error_probability(alice: Bb84State, pe: float) -> float:
     """Ideal-attack probability that Bob, measuring in Alice's basis, gets
     the wrong bit, summed from the forward model's detection cells."""
-    probs = predict_outcome_probs(ErrorModelParams(), alice, alice.basis, cfg)
+    probs = predict_outcome_probs(ErrorModelParams(), alice, alice.basis, pe)
     return sum(p for p, (b, _) in zip(probs, OUTCOME_ORDER) if b != alice.bit)
 
 
@@ -180,7 +190,7 @@ def residuals_oracle(records, weighting: str, x) -> np.ndarray:
         estimated = np.array(record.counts, dtype=float) / float(record.total)
         weight = 1.0 if weighting == "equal" else record.total / mean_total
         predicted = predict_outcome_probs(
-            params, record.alice, record.bob_basis, ProbeConfig(record.pe_nominal)
+            params, record.alice, record.bob_basis, record.pe_nominal
         )
         parts.append(math.sqrt(weight) * (estimated - predicted))
     return np.concatenate(parts)
@@ -263,7 +273,7 @@ def objective_jacobian_oracle(records, weighting: str, x) -> np.ndarray:
     jacobians = jacobian_kernel_oracle(
         np.array([_STATES.index(record.alice) for record in records]),
         np.array([_BASES.index(record.bob_basis) for record in records]),
-        np.array([ProbeConfig(record.pe_nominal).theta_in for record in records]),
+        np.array([probe_angle_oracle(record.pe_nominal) for record in records]),
     )(x)
     parts = []
     for record, jac in zip(records, jacobians):
@@ -307,14 +317,14 @@ def trf_fit_oracle(counts: CountsColumns) -> tuple[np.ndarray, float]:
 ANALYZER_NOMINAL = {SiftBasis.HV: math.pi / 8, SiftBasis.DA: -math.pi / 8}
 
 
-def nonideal_probe_state(cfg: ProbeConfig, d_xi: float) -> np.ndarray:
-    """Probe preparation with a residual phase ``d_xi`` on the upper state.
+def nonideal_probe_state(pe: float, d_xi: float) -> np.ndarray:
+    """Probe preparation for error probability ``pe`` with a residual phase
+    ``d_xi`` on the upper state.
 
     Returns the normalized ``(2,)`` complex amplitudes.
     """
-    return np.array(
-        [math.cos(cfg.theta_in), cmath.exp(1j * d_xi) * math.sin(cfg.theta_in)]
-    )
+    theta_in = probe_angle_oracle(pe)
+    return np.array([math.cos(theta_in), cmath.exp(1j * d_xi) * math.sin(theta_in)])
 
 
 def nonideal_alice_state(alice: Bb84State, d_theta: float, d_chi: float) -> np.ndarray:
@@ -364,7 +374,7 @@ def bob_analyzer(basis: SiftBasis, d_theta_b: float) -> np.ndarray:
 
 
 def output_state_oracle(
-    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+    params: ErrorModelParams, alice: Bb84State, pe: float
 ) -> np.ndarray:
     """Output state built from the four building blocks above.
 
@@ -374,12 +384,12 @@ def output_state_oracle(
     """
     d_theta = getattr(params, f"d_theta_a_{alice.value.lower()}")
     photon = nonideal_alice_state(alice, d_theta, params.d_chi)
-    probe = nonideal_probe_state(cfg, params.d_xi)
+    probe = nonideal_probe_state(pe, params.d_xi)
     return nonideal_pcnot(params.alpha, params.delta) @ np.outer(photon, probe).ravel()
 
 
 def shipped_output_state(
-    params: ErrorModelParams, alice: Bb84State, cfg: ProbeConfig
+    params: ErrorModelParams, alice: Bb84State, pe: float
 ) -> tuple:
     """The shipped closed form's joint photon/probe state after the gate.
 
@@ -389,14 +399,15 @@ def shipped_output_state(
     """
     theta, key = _ANGLE_TERMS[alice.value]
     theta += getattr(params, key)
+    theta_in = probe_angle_oracle(pe)
     return _amplitudes(
-        math.cos(theta), math.sin(theta), math.cos(cfg.theta_in),
-        math.sin(cfg.theta_in), params._shared_terms, 1.0, 0.0,
+        math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
+        params._shared_terms, 1.0, 0.0,
     )[-1]
 
 
 def predict_oracle(
-    params: ErrorModelParams, alice: Bb84State, basis: SiftBasis, cfg: ProbeConfig
+    params: ErrorModelParams, alice: Bb84State, basis: SiftBasis, pe: float
 ) -> np.ndarray:
     """Detection probabilities in ``OUTCOME_ORDER`` from the object pipeline.
 
@@ -404,7 +415,7 @@ def predict_oracle(
     ``predict_outcome_probs`` computed them before its closed form.
     """
     analyzer = bob_analyzer(basis, getattr(params, f"d_theta_b_{basis.value.lower()}"))
-    amplitudes = analyzer.conj() @ output_state_oracle(params, alice, cfg).reshape(2, 2)
+    amplitudes = analyzer.conj() @ output_state_oracle(params, alice, pe).reshape(2, 2)
     return np.array([abs(amplitudes[b, e]) ** 2 for b, e in OUTCOME_ORDER])
 
 

@@ -12,7 +12,6 @@ from fpbsim import (
     Bb84State,
     CountsRecord,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     model_sift_summaries,
     predict_outcome_probs,
@@ -91,11 +90,10 @@ def test_criterion_4_state_vector_vs_analytic():
     err_worst = 0.0
     for state in Bb84State:
         for pe in grid:
-            cfg = ProbeConfig(float(pe))
-            got = shipped_output_state(ZERO, state, cfg)
+            got = shipped_output_state(ZERO, state, float(pe))
             if not states_close(got, analytic_output(state, float(pe)), tol=1e-12):
                 states_ok = False
-            err_worst = max(err_worst, abs(error_probability(state, cfg) - pe))
+            err_worst = max(err_worst, abs(error_probability(state, float(pe)) - pe))
     ok = states_ok and err_worst < 1e-12
     report(
         4,
@@ -135,7 +133,7 @@ def test_criterion_5_gate_unitarity_and_zero_reduction():
     for state in Bb84State:
         for basis in SiftBasis:
             for pe in np.linspace(0.0, 0.5, 11):
-                got = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe))
+                got = predict_outcome_probs(ZERO, state, basis, pe)
                 want = analytic_probs(state, basis, float(pe))
                 reduction_worst = max(reduction_worst, float(np.max(np.abs(got - want))))
     ok = unitary_worst < 1e-12 and reduction_worst < 1e-10
@@ -156,7 +154,7 @@ def test_criterion_6_monte_carlo_consistency():
         for pe in (0.0, 0.05, 0.1, 0.2, 1 / 3)
     ]
     model = {
-        cfg: predict_outcome_probs(ZERO, cfg[0], cfg[1], ProbeConfig(cfg[2]))
+        cfg: predict_outcome_probs(ZERO, cfg[0], cfg[1], cfg[2])
         for cfg in configs
     }
     seeds = np.random.SeedSequence(20240613).generate_state(1000, np.uint64)
@@ -179,7 +177,7 @@ def test_criterion_6_monte_carlo_consistency():
             SiftBasis.DA,
             0.1,
             simulate_counts(
-                predict_outcome_probs(ZERO, state, SiftBasis.DA, ProbeConfig(0.1)),
+                predict_outcome_probs(ZERO, state, SiftBasis.DA, 0.1),
                 n,
                 int(seed),
             ),

@@ -17,7 +17,6 @@ from fpbsim import (
     Bb84State,
     CountsRecord,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     predict_outcome_probs,
     read_counts_file,
@@ -155,11 +154,10 @@ class TestCurve:
         columns = ("pe", "renyi_hv", "renyi_da", "renyi_ideal")
         rows = []
         for pe in np.linspace(0.0, 1 / 3, 200).tolist():
-            cfg = ProbeConfig(pe)
             renyi = []
             for basis in SiftBasis:
                 table, _ = sift_cells_oracle(
-                    [predict_outcome_probs(params, s, basis, cfg) for s in basis.states]
+                    [predict_outcome_probs(params, s, basis, pe) for s in basis.states]
                 )
                 renyi.append(renyi_information_oracle(table))
             rows.append([_fmt(value) for value in (pe, *renyi, renyi_closed_form(pe))])
@@ -328,7 +326,7 @@ class TestSimulate:
             alice, basis, pe = row[0], row[1], float(row[2])
             estimated = np.array([float(v) for v in row[3:]])
             model = predict_outcome_probs(
-                ErrorModelParams(), Bb84State(alice), SiftBasis(basis), ProbeConfig(pe)
+                ErrorModelParams(), Bb84State(alice), SiftBasis(basis), pe
             )
             np.testing.assert_allclose(estimated, model, atol=0.005)
 
@@ -394,7 +392,7 @@ class TestEstimate:
         records = []
         for state in SiftBasis.DA.states:
             probs = predict_outcome_probs(
-                ErrorModelParams(), state, SiftBasis.DA, ProbeConfig(0.1)
+                ErrorModelParams(), state, SiftBasis.DA, 0.1
             )
             records.append(
                 CountsRecord(
@@ -751,8 +749,13 @@ class TestParsing:
             (_, rows), = parse_csv(out.getvalue())
             return float(rows[0][1])
 
+        def predicted(pe) -> np.ndarray:
+            return predict_outcome_probs(
+                ErrorModelParams(), Bb84State.D, SiftBasis.DA, pe
+            )
+
         entry_points = {
-            "ProbeConfig": lambda: ProbeConfig(pe).pe,
+            "predict_outcome_probs": lambda: predicted(pe),
             "CountsRecord": lambda: CountsRecord(
                 Bb84State.D, SiftBasis.DA, pe, (1, 2, 3, 4)
             ).pe_nominal,
@@ -764,11 +767,18 @@ class TestParsing:
         for name, entry_point in entry_points.items():
             try:
                 value = entry_point()
-            except ValueError:
+            except ValueError as exc:
                 assert not want_accepted, name
+                if name == "predict_outcome_probs":
+                    assert str(exc) == (
+                        f"error probability must be in [0, 0.5], got {pe}"
+                    )
                 continue
             assert want_accepted, name
-            if pe == 0.0:  # either zero comes back as +0.0
+            if name == "predict_outcome_probs":
+                if pe == 0.0:  # -0.0 predicts the bytes of +0.0
+                    assert value.tobytes() == predicted(0.0).tobytes()
+            elif pe == 0.0:  # either zero comes back as +0.0
                 assert math.copysign(1.0, value) == 1.0, name
 
 
@@ -986,8 +996,8 @@ def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
 def test_public_names():
     assert sorted(fpbsim.__all__) == [
         "Bb84State", "CountsColumns", "CountsFileError", "CountsRecord",
-        "ErrorModelParams", "FitResult", "OUTCOME_ORDER", "ProbeConfig",
-        "SiftBasis", "fit_parameters", "model_sift_summaries",
+        "ErrorModelParams", "FitResult", "OUTCOME_ORDER", "SiftBasis",
+        "fit_parameters", "model_sift_summaries",
         "predict_outcome_probs", "read_counts_file", "reference_counts_path",
         "renyi_closed_form", "renyi_information", "simulate_counts",
     ]

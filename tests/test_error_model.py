@@ -14,7 +14,6 @@ from fpbsim import (
     CountsColumns,
     CountsRecord,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     fit_parameters,
     model_sift_summaries,
@@ -47,6 +46,7 @@ from conftest import (
     objective_jacobian_oracle,
     output_state_oracle,
     predict_oracle,
+    probe_angle_oracle,
     renyi_information_oracle,
     residuals_oracle,
     shipped_output_state,
@@ -93,7 +93,7 @@ def synth_records(params, n_pairs, seed=None):
     for state in Bb84State:
         for basis in SiftBasis:
             for pe in PE_POINTS:
-                probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe))
+                probs = predict_outcome_probs(params, state, basis, pe)
                 if seed is None:
                     counts = noise_free_counts(probs, n_pairs)
                 else:
@@ -129,7 +129,7 @@ def random_records(params, seed) -> list[CountsRecord]:
         CountsRecord(
             state, basis, pe,
             simulate_counts(
-                predict_outcome_probs(params, state, basis, ProbeConfig(pe)),
+                predict_outcome_probs(params, state, basis, pe),
                 int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
             ),
         )
@@ -325,9 +325,8 @@ class TestParams:
         for state in Bb84State:
             for basis in SiftBasis:
                 for pe in PE_POINTS:
-                    cfg = ProbeConfig(pe)
-                    before = predict_outcome_probs(params, state, basis, cfg)
-                    after = predict_outcome_probs(moved, state, basis, cfg)
+                    before = predict_outcome_probs(params, state, basis, pe)
+                    after = predict_outcome_probs(moved, state, basis, pe)
                     if not np.array_equal(before, after):
                         changed.add((state, basis))
         owner = key.rsplit("_", 1)[1].upper()
@@ -343,20 +342,19 @@ class TestParams:
 
 class TestNonidealStates:
     def test_probe_zero_residual_matches_ideal(self):
-        cfg = ProbeConfig(0.1)
-        got = nonideal_probe_state(cfg, 0.0)
-        want = ((cfg.c + cfg.s) / math.sqrt(2.0), (cfg.c - cfg.s) / math.sqrt(2.0))
+        c, s = math.sqrt(1.0 - 2.0 * 0.1), math.sqrt(2.0 * 0.1)
+        got = nonideal_probe_state(0.1, 0.0)
+        want = ((c + s) / math.sqrt(2.0), (c - s) / math.sqrt(2.0))
         assert abs(got[0] - want[0]) < 1e-15 and abs(got[1] - want[1]) < 1e-15
 
     def test_probe_quarter_phase(self):
-        got = nonideal_probe_state(ProbeConfig(0.1), math.pi / 2)
+        got = nonideal_probe_state(0.1, math.pi / 2)
         assert abs(got[0] - 0.9486832980505138) < 1e-15
         assert abs(got[1] - 0.31622776601683793j) < 1e-15
 
     def test_probe_norm_for_any_phase(self):
-        cfg = ProbeConfig(0.2)
         for d_xi in np.linspace(-math.pi, math.pi, 9):
-            probe = nonideal_probe_state(cfg, d_xi)
+            probe = nonideal_probe_state(0.2, d_xi)
             assert abs(np.sum(np.abs(probe) ** 2) - 1.0) < 1e-12
 
     def test_alice_reduces_to_frame(self):
@@ -426,7 +424,7 @@ class TestForwardModel:
         zero = ErrorModelParams()
         for (alice, pe), want in ideal_expected.items():
             probs = predict_outcome_probs(
-                zero, Bb84State(alice), SiftBasis.DA, ProbeConfig(pe)
+                zero, Bb84State(alice), SiftBasis.DA, pe
             )
             np.testing.assert_allclose(probs, want, atol=5e-4)
 
@@ -436,7 +434,7 @@ class TestForwardModel:
             for basis in SiftBasis:
                 for pe in np.linspace(0.0, 0.5, 11):
                     got = predict_outcome_probs(
-                        zero, state, basis, ProbeConfig(pe)
+                        zero, state, basis, pe
                     )
                     want = analytic_probs(state, basis, pe)
                     np.testing.assert_allclose(got, want, atol=1e-10)
@@ -449,7 +447,7 @@ class TestForwardModel:
         pe=ANY_PE,
     )
     def test_probabilities_normalized_for_random_params(self, params, state, basis, pe):
-        probs = predict_outcome_probs(params, state, basis, ProbeConfig(pe))
+        probs = predict_outcome_probs(params, state, basis, pe)
         assert np.all(probs >= 0.0)
         assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -461,21 +459,20 @@ class TestForwardModel:
         pe=ANY_PE,
     )
     def test_closed_form_matches_object_pipeline(self, params, state, basis, pe):
-        cfg = ProbeConfig(pe)
         np.testing.assert_allclose(
-            predict_outcome_probs(params, state, basis, cfg),
-            predict_oracle(params, state, basis, cfg),
+            predict_outcome_probs(params, state, basis, pe),
+            predict_oracle(params, state, basis, pe),
             rtol=0.0, atol=1e-15,
         )
         np.testing.assert_allclose(
-            shipped_output_state(params, state, cfg),
-            output_state_oracle(params, state, cfg),
+            shipped_output_state(params, state, pe),
+            output_state_oracle(params, state, pe),
             rtol=0.0, atol=1e-15,
         )
 
     def test_reference_params_near_measured_row(self, ref_params):
         probs = predict_outcome_probs(
-            ref_params, Bb84State.D, SiftBasis.DA, ProbeConfig(0.1)
+            ref_params, Bb84State.D, SiftBasis.DA, 0.1
         )
         np.testing.assert_allclose(
             probs, [0.058, 0.086, 0.196, 0.661], atol=0.05
@@ -489,9 +486,8 @@ class TestForwardModel:
         pe=ANY_PE,
     )
     def test_conjugation_symmetry(self, params, state, basis, pe):
-        cfg = ProbeConfig(pe)
-        a = predict_outcome_probs(params, state, basis, cfg)
-        b = predict_outcome_probs(mirror(params), state, basis, cfg)
+        a = predict_outcome_probs(params, state, basis, pe)
+        b = predict_outcome_probs(mirror(params), state, basis, pe)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     @settings(derandomize=True, deadline=None)
@@ -504,9 +500,8 @@ class TestForwardModel:
     def test_reflection_symmetry(self, params, state, basis, pe):
         twin = reflect(params)
         assume(twin is not None)
-        cfg = ProbeConfig(pe)
-        a = predict_outcome_probs(params, state, basis, cfg)
-        b = predict_outcome_probs(twin, state, basis, cfg)
+        a = predict_outcome_probs(params, state, basis, pe)
+        b = predict_outcome_probs(twin, state, basis, pe)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     @settings(derandomize=True, deadline=None)
@@ -519,9 +514,8 @@ class TestForwardModel:
     def test_quarter_twin_symmetry(self, params, state, basis, pe):
         twin = quarter_twin(params)
         assume(twin is not None)
-        cfg = ProbeConfig(pe)
-        a = predict_outcome_probs(params, state, basis, cfg)
-        b = predict_outcome_probs(twin, state, basis, cfg)
+        a = predict_outcome_probs(params, state, basis, pe)
+        b = predict_outcome_probs(twin, state, basis, pe)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     @settings(derandomize=True, deadline=None)
@@ -539,18 +533,17 @@ class TestForwardModel:
             params = dataclasses.replace(
                 params, d_xi=0.0, d_chi=0.0, alpha=0.0, delta=0.0
             )
-        cfg = ProbeConfig(pe)
 
         def predict(x):
             return predict_outcome_probs(
-                ErrorModelParams.from_vector(x), state, basis, cfg
+                ErrorModelParams.from_vector(x), state, basis, pe
             )
 
-        probs = predict_outcome_probs(params, state, basis, cfg)
+        probs = predict_outcome_probs(params, state, basis, pe)
         x, h = params.as_vector(), 1e-6
         jac = _jacobian_kernel(
             np.array([_STATES.index(state)]), np.array([_BASES.index(basis)]),
-            np.array([cfg.theta_in]),
+            np.array([probe_angle_oracle(pe)]),
         )(x)[0]
         assert probs.tobytes() == predict(x).tobytes()
         assert jac.shape == (4, 10)
@@ -586,7 +579,7 @@ class TestForwardModel:
         # and in-box parameters with exact zeros, which put the symmetric
         # subspace's exactly-zero columns in reach.
         state, basis, pe = (np.array(column) for column in zip(*design))
-        theta_in = np.array([ProbeConfig(p).theta_in for p in pe.tolist()])
+        theta_in = np.array([probe_angle_oracle(p) for p in pe.tolist()])
         got = _jacobian_kernel(state, basis, theta_in)(x)
         want = jacobian_kernel_oracle(state, basis, theta_in)(x)
         assert got.shape == want.shape == (len(design), 4, 10)
@@ -604,7 +597,7 @@ class TestModelSummaries:
         state, basis, pe_index = np.indices((4, 2, len(pes))).reshape(3, -1)
         got = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
         want = [
-            predict_outcome_probs(params, _STATES[s], _BASES[b], ProbeConfig(pes[k]))
+            predict_outcome_probs(params, _STATES[s], _BASES[b], pes[k])
             for s, b, k in zip(state.tolist(), basis.tolist(), pe_index.tolist())
         ]
         assert got.shape == (32, 4)
@@ -627,10 +620,9 @@ class TestModelSummaries:
         renyi, rates = model_sift_summaries(ref_params, pes)
         assert renyi.shape == rates.shape == (3, 2)
         for i, pe in enumerate(pes):
-            cfg = ProbeConfig(pe)
             for j, basis in enumerate(SiftBasis):
                 rows = [
-                    predict_outcome_probs(ref_params, state, basis, cfg)
+                    predict_outcome_probs(ref_params, state, basis, pe)
                     for state in basis.states
                 ]
                 table, rate = sift_cells_oracle(rows)
@@ -667,7 +659,6 @@ class TestModelSummaries:
     def test_noise_free_counts_measure_the_model(self, params, basis, pe):
         # Counts and model go through the same sift reduction, so counts
         # rounded at 10**12 pairs reproduce the model's summaries.
-        cfg = ProbeConfig(pe)
         column = list(SiftBasis).index(basis)
         renyi, rates = model_sift_summaries(params, [pe])
         want_renyi, want_rate = renyi[0, column], rates[0, column]
@@ -679,7 +670,7 @@ class TestModelSummaries:
                 basis,
                 pe,
                 noise_free_counts(
-                    predict_outcome_probs(params, state, basis, cfg), 10**12
+                    predict_outcome_probs(params, state, basis, pe), 10**12
                 ),
             )
             for state in basis.states

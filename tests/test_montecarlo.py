@@ -14,7 +14,6 @@ from fpbsim import (
     CountsFileError,
     CountsRecord,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     predict_outcome_probs,
     read_counts_file,
@@ -185,7 +184,7 @@ def written_lines(draw) -> list[str]:
 
 
 def ideal_probs(state, basis, pe) -> np.ndarray:
-    return predict_outcome_probs(ErrorModelParams(), state, basis, ProbeConfig(pe))
+    return predict_outcome_probs(ErrorModelParams(), state, basis, pe)
 
 
 def sift_pair(pe, n_pairs, seeds=(101, 202)) -> list[CountsRecord]:

@@ -4,20 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
     ErrorModelParams,
-    ProbeConfig,
     SiftBasis,
     model_sift_summaries,
     predict_outcome_probs,
     renyi_closed_form,
     renyi_information,
 )
-from fpbsim.probe import sift_cells
+from fpbsim.probe import _probe_angle, sift_cells
 
 from conftest import (
     analytic_output,
@@ -25,6 +24,7 @@ from conftest import (
     frame,
     nonideal_alice_state,
     nonideal_probe_state,
+    probe_angle_oracle,
     renyi_information_oracle,
     shipped_output_state,
     sift_cells_oracle,
@@ -94,35 +94,66 @@ class TestStatesAndConfig:
 
     def test_probe_config_invariants(self):
         for pe in PE_GRID:
-            cfg = ProbeConfig(pe)
-            assert abs(cfg.c**2 + cfg.s**2 - 1.0) < 1e-12
-            assert (
-                abs((cfg.c + cfg.s) ** 2 / 2 + (cfg.c - cfg.s) ** 2 / 2 - 1.0)
-                < 1e-12
-            )
-        assert abs(ProbeConfig(0.1).theta_in - 0.32175055439664219) < 1e-15
+            c, s = math.sqrt(1.0 - 2.0 * pe), math.sqrt(2.0 * pe)
+            assert abs(c**2 + s**2 - 1.0) < 1e-12
+            assert abs((c + s) ** 2 / 2 + (c - s) ** 2 / 2 - 1.0) < 1e-12
+        assert abs(_probe_angle(0.1) - 0.32175055439664219) < 1e-15
 
     @pytest.mark.parametrize("pe", [-0.01, 0.51, float("nan"), 1.0])
     def test_probe_config_domain(self, pe):
         with pytest.raises(ValueError):
-            ProbeConfig(pe)
+            predict_outcome_probs(ZERO, Bb84State.D, SiftBasis.DA, pe)
 
     def test_probe_state_values(self):
-        flat = nonideal_probe_state(ProbeConfig(0.0), 0.0)
+        flat = nonideal_probe_state(0.0, 0.0)
         np.testing.assert_allclose(flat, [1 / RT2, 1 / RT2], atol=1e-15)
-        mid = nonideal_probe_state(ProbeConfig(0.1), 0.0)
+        mid = nonideal_probe_state(0.1, 0.0)
         np.testing.assert_allclose(
             mid, [0.9486832980505138, 0.31622776601683793], atol=1e-15
         )
-        third = nonideal_probe_state(ProbeConfig(1 / 3), 0.0)
+        third = nonideal_probe_state(1 / 3, 0.0)
         np.testing.assert_allclose(
             third, [0.98559855965348878, -0.16910197872576275], atol=1e-15
         )
 
     def test_probe_state_normalized_on_grid(self):
         for pe in PE_GRID:
-            probe = nonideal_probe_state(ProbeConfig(pe), 0.0)
+            probe = nonideal_probe_state(pe, 0.0)
             assert abs(norm_sq(probe) - 1.0) < 1e-12
+
+
+class TestProbeAngle:
+    """``probe._probe_angle``, the memoized pe -> probe angle rule, against
+    ``conftest.probe_angle_oracle``."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(pe=st.floats(0.0, 0.5))
+    @example(pe=0.0)
+    @example(pe=-0.0)
+    @example(pe=5e-324)
+    @example(pe=0.1)
+    @example(pe=1 / 3)
+    @example(pe=0.5)
+    def test_equals_oracle_bit_for_bit(self, pe):
+        assert _probe_angle(pe).hex() == probe_angle_oracle(pe).hex()
+
+    @pytest.mark.parametrize("pe, value", [(0.1, 0.1), (0, 0.0), (np.float64(0.1), 0.1)])
+    def test_cold_and_cached_calls_agree(self, pe, value):
+        _probe_angle.cache_clear()
+        cold, cached = _probe_angle(pe), _probe_angle(pe)
+        assert _probe_angle.cache_info().hits == 1
+        assert type(cold) is float and type(cached) is float
+        assert cold.hex() == cached.hex() == probe_angle_oracle(value).hex()
+
+    @pytest.mark.parametrize("pe", [math.nan, math.inf, -math.inf, -0.01, 0.51])
+    def test_rejects_with_the_shared_message(self, pe):
+        message = f"^{re.escape(f'error probability must be in [0, 0.5], got {pe}')}$"
+        _probe_angle.cache_clear()
+        with pytest.raises(ValueError, match=message):
+            _probe_angle(pe)
+        _probe_angle(0.1)
+        with pytest.raises(ValueError, match=message):
+            _probe_angle(pe)
 
 
 class TestTargetTriple:
@@ -161,28 +192,26 @@ class TestTargetTriple:
 
 class TestAttackOutput:
     def test_product_state_at_zero(self):
-        out = shipped_output_state(ZERO, Bb84State.H, ProbeConfig(0.0))
+        out = shipped_output_state(ZERO, Bb84State.H, 0.0)
         expected = np.kron(frame(-22.5), np.array([1 / RT2, 1 / RT2]))
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("state", list(Bb84State))
     def test_matches_analytic_decomposition(self, state):
         for pe in PE_GRID:
-            got = shipped_output_state(ZERO, state, ProbeConfig(pe))
+            got = shipped_output_state(ZERO, state, pe)
             assert states_close(got, analytic_output(state, pe), tol=1e-12)
 
     def test_error_component_of_attack_output(self):
         # Projecting the output for an H input onto the V state and the
         # normalized error component of the probe yields exactly pe.
-        psi = shipped_output_state(ZERO, Bb84State.H, ProbeConfig(0.1))
+        psi = shipped_output_state(ZERO, Bb84State.H, 0.1)
         te = target_triple(0.1)[2]
         bra = np.kron(frame(67.5), te / math.sqrt(norm_sq(te)))
         assert abs(abs(np.vdot(bra, psi)) ** 2 - 0.1) < 1e-12
 
     def test_outcome_probability_examples(self):
-        probs = predict_outcome_probs(
-            ZERO, Bb84State.D, SiftBasis.DA, ProbeConfig(1 / 3)
-        )
+        probs = predict_outcome_probs(ZERO, Bb84State.D, SiftBasis.DA, 1 / 3)
         # (b=0, e=0) cell sits last in outcome order.
         assert abs(probs[3] - 2 / 3) < 1e-12
 
@@ -190,7 +219,7 @@ class TestAttackOutput:
         for state in Bb84State:
             for basis in SiftBasis:
                 for pe in (0.0, 0.1, 1 / 3, 0.5):
-                    probs = predict_outcome_probs(ZERO, state, basis, ProbeConfig(pe))
+                    probs = predict_outcome_probs(ZERO, state, basis, pe)
                     assert abs(probs.sum() - 1.0) < 1e-12
 
 
@@ -198,13 +227,11 @@ class TestErrorProbability:
     @pytest.mark.parametrize("state", list(Bb84State))
     def test_equals_pe(self, state):
         for pe in PE_GRID:
-            assert abs(error_probability(state, ProbeConfig(pe)) - pe) < 1e-12
+            assert abs(error_probability(state, pe) - pe) < 1e-12
 
     def test_state_independent(self):
         for pe in PE_GRID:
-            values = [
-                error_probability(state, ProbeConfig(pe)) for state in Bb84State
-            ]
+            values = [error_probability(state, pe) for state in Bb84State]
             assert max(values) - min(values) < 1e-12
 
 
@@ -227,9 +254,8 @@ class TestStatesClose:
 
 def model_table(params: ErrorModelParams, basis: SiftBasis, pe: float) -> np.ndarray:
     """The model's error-free-sift Bob/Eve table in ``basis``, normalized."""
-    cfg = ProbeConfig(pe)
     raw, _ = sift_cells(
-        [predict_outcome_probs(params, state, basis, cfg) for state in basis.states]
+        [predict_outcome_probs(params, state, basis, pe) for state in basis.states]
     )
     return raw / raw.sum()
 
