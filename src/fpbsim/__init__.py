@@ -10,7 +10,6 @@ from .error_model import (
 from .montecarlo import (
     CountsColumns,
     CountsFileError,
-    CountsRecord,
     read_counts_file,
     reference_counts_path,
     simulate_counts,
@@ -27,7 +26,6 @@ __all__ = [
     "Bb84State",
     "CountsColumns",
     "CountsFileError",
-    "CountsRecord",
     "ErrorModelParams",
     "FitResult",
     "OUTCOME_ORDER",

@@ -6,8 +6,8 @@ explicit per-call seeding, and turns measured counts back into
 normalized probabilities, sifted error rates, and the measured Renyi
 information. Every record has a positive total of at most ``MAX_PAIRS``
 (2**63 - 1), so its counts and total fit in an int64, and its nominal pe
-passes ``probe.checked_pe`` however the record is built, so a -0.0 is
-stored as 0.0 and groups, sorts and prints as 0.0.
+passes ``probe.checked_pe``, so a -0.0 is stored as 0.0 and groups, sorts
+and prints as 0.0.
 
 The read side is columnar for every command. ``CountsColumns`` holds
 records as state and basis index arrays, pe, the exact ``(N, 4)`` int64
@@ -17,10 +17,10 @@ fields wide, as ``counts_file_text`` writes them, take one flat split
 into field columns; other lines are split one at a time. Lines are
 stripped only when one is padded. Every field rule is then checked over a
 whole column, and these checks only accept. When one fails, the parser
-reads the lines one at a time with ``_record``, which with ``CountsRecord``
-states every rule and message once, and reports the first line it
-rejects, numbered, with the message of that line's first failed rule; it
-reads no line past that one. ``read_counts_file`` reads a file
+checks the lines one at a time with ``_record``, which states every rule,
+its order and its message once and builds no record, and reports the
+first line it rejects, numbered, with the message of that line's first
+failed rule; it reads no line past that one. ``read_counts_file`` reads a file
 with ``parse_counts``, and ``counts_file_text`` writes columns as
 counts-file text. ``CountsColumns.probabilities`` divides every row
 ``counts / total`` in one array operation, and
@@ -41,7 +41,6 @@ nominal error probabilities ships with the package;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, zip_longest
 from pathlib import Path
@@ -70,46 +69,6 @@ ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 class CountsFileError(ValueError):
     """A counts file failed to parse; the message carries the line number."""
-
-
-@dataclass(frozen=True)
-class CountsRecord:
-    """Measured coincidence counts for one configuration.
-
-    ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``,
-    i.e. (bob_bit, eve_bit) = (1,0), (1,1), (0,1), (0,0); their total is
-    positive and at most ``MAX_PAIRS`` (2**63 - 1), so it fits in an int64.
-    Its checks are the record rules of a counts-file line: a line that
-    ``_record`` reads fails them in the order below, with their messages.
-    """
-
-    alice: Bb84State
-    bob_basis: SiftBasis
-    pe_nominal: float
-    counts: tuple[int, int, int, int]
-    duration_s: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pe_nominal", checked_pe(self.pe_nominal))
-        if len(self.counts) != 4 or any(
-            not isinstance(c, int) or isinstance(c, bool) or c < 0
-            for c in self.counts
-        ):
-            raise ValueError("counts must be 4 nonnegative integers")
-        if self.total == 0:
-            raise ValueError("record has zero total counts")
-        if self.total > MAX_PAIRS:
-            raise ValueError("record total counts exceed 2**63 - 1")
-        if self.duration_s is not None and not (
-            math.isfinite(self.duration_s) and self.duration_s >= 0.0
-        ):
-            raise ValueError(
-                f"duration must be finite and nonnegative, got {self.duration_s}"
-            )
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def simulate_counts(
@@ -241,19 +200,22 @@ def _real(name: str, text: str) -> float:
     return float(text)
 
 
-def _record(fields: Sequence[str], width: int) -> CountsRecord:
-    """One record line as a ``CountsRecord``: its 8 stripped fields, ""
-    past its ``width`` fields, as ``_split_rows`` gives them.
+def _record(fields: Sequence[str], width: int) -> None:
+    """Check one record line: its 8 stripped fields, "" past its ``width``
+    fields, as ``_split_rows`` gives them.
 
-    With ``CountsRecord``, the one statement of the counts-file rules and
-    their messages. A line fails them in this order: field count, state,
+    The one statement of the counts-file rules and their messages; no
+    record is built. A line fails them in this order: field count, state,
     basis, count digits, ASCII pe and duration, pe number, duration
-    number, then ``CountsRecord``'s record rules; the first it fails
+    number, pe range (``checked_pe``), zero total, total past
+    ``MAX_PAIRS``, then a finite nonnegative duration; the first it fails
     raises ValueError.
     """
     if width not in (7, 8):
         raise ValueError(f"expected 7 or 8 comma-separated fields, got {width}")
-    alice, basis = Bb84State(fields[0]), SiftBasis(fields[1])
+    # The enums raise ValueError for an unknown state or basis.
+    Bb84State(fields[0])
+    SiftBasis(fields[1])
     for text in fields[3:7]:
         if not _digits(text):
             raise ValueError(f"count {text!r} is not a nonnegative decimal integer")
@@ -263,8 +225,16 @@ def _record(fields: Sequence[str], width: int) -> CountsRecord:
         if not text.isascii() or "_" in text:
             raise ValueError(f"{text!r} is not an ASCII number")
     pe = _real("pe", fields[2])
-    duration = _real("duration", fields[7]) if width == 8 else None
-    return CountsRecord(alice, basis, pe, tuple(map(_count, fields[3:7])), duration)
+    # A line of 7 fields has no duration, so 0.0 stands in for it.
+    duration = _real("duration", fields[7]) if width == 8 else 0.0
+    checked_pe(pe)
+    total = sum(map(_count, fields[3:7]))
+    if total == 0:
+        raise ValueError("record has zero total counts")
+    if total > MAX_PAIRS:
+        raise ValueError("record total counts exceed 2**63 - 1")
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValueError(f"duration must be finite and nonnegative, got {duration}")
 
 
 def _checked_columns(
@@ -331,7 +301,7 @@ def _checked_columns(
     durations = np.full(len(widths), np.nan)
     durations[timed] = duration_values
 
-    # The record rules of CountsRecord.
+    # The record rules that ``_record`` checks last.
     pe_column, timed_durations = np.array(pe), durations[timed]
     if not (
         ((pe_column >= 0.0) & (pe_column <= 0.5)).all() and totals.all()

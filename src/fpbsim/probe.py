@@ -9,8 +9,8 @@ order, and the probe's preparation angle, which the error probability pe
 that the attack induces fixes on its own (``_probe_angle``). ``checked_pe``
 is the one rule for that probability: it lies in [0, 0.5], and -0.0 reads
 as 0.0. ``_probe_angle``, and so every forward prediction, goes through
-it, as do ``renyi_closed_form``, ``montecarlo.CountsRecord`` and the CLI's
-pe flags.
+it, as do ``renyi_closed_form``, the counts-file reader's
+``montecarlo._record`` and the CLI's pe flags.
 It also holds the sift step that model predictions and measured counts
 share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
 array, and the sifted error rate), the Renyi information of that table,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from fpbsim import (
     Bb84State,
     CountsColumns,
     CountsFileError,
-    CountsRecord,
     ErrorModelParams,
     SiftBasis,
     predict_outcome_probs,
@@ -464,6 +464,52 @@ def counts_line_accepted(fields) -> bool:
     duration = float(fields[7]) if len(fields) == 8 else 0.0
     finite_duration = math.isfinite(duration) and duration >= 0.0
     return 0.0 <= pe <= 0.5 and 0 < total <= 2**63 - 1 and finite_duration
+
+
+@dataclass(frozen=True)
+class CountsRecord:
+    """Measured coincidence counts for one configuration: the record of
+    ``parse_counts_oracle`` and the tests' builder of single records.
+
+    ``counts`` holds the four detector coincidences in ``OUTCOME_ORDER``.
+    Its checks state the record rules of a counts line apart from the
+    library's ``montecarlo._record``, with the same order and messages:
+    pe in [0, 0.5] (a -0.0 is stored as 0.0), four nonnegative integer
+    counts, a positive total of at most 2**63 - 1, and a finite,
+    nonnegative duration.
+    """
+
+    alice: Bb84State
+    bob_basis: SiftBasis
+    pe_nominal: float
+    counts: tuple[int, int, int, int]
+    duration_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.pe_nominal <= 0.5:
+            raise ValueError(
+                f"error probability must be in [0, 0.5], got {self.pe_nominal}"
+            )
+        object.__setattr__(self, "pe_nominal", self.pe_nominal + 0.0)
+        if len(self.counts) != 4 or any(
+            not isinstance(c, int) or isinstance(c, bool) or c < 0
+            for c in self.counts
+        ):
+            raise ValueError("counts must be 4 nonnegative integers")
+        if self.total == 0:
+            raise ValueError("record has zero total counts")
+        if self.total > 2**63 - 1:
+            raise ValueError("record total counts exceed 2**63 - 1")
+        if self.duration_s is not None and not (
+            math.isfinite(self.duration_s) and self.duration_s >= 0.0
+        ):
+            raise ValueError(
+                f"duration must be finite and nonnegative, got {self.duration_s}"
+            )
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
 
 
 def _float_field_oracle(name: str, text: str) -> float:

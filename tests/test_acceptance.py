@@ -10,7 +10,6 @@ import numpy as np
 
 from fpbsim import (
     Bb84State,
-    CountsRecord,
     ErrorModelParams,
     SiftBasis,
     model_sift_summaries,
@@ -23,6 +22,7 @@ from fpbsim.cli import main
 from fpbsim.error_model import _amplitudes, _phases
 
 from conftest import (
+    CountsRecord,
     IDEAL_EXPECTED,
     MEASURED_ESTIMATED,
     analytic_output,

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from fpbsim import (
     Bb84State,
-    CountsRecord,
     ErrorModelParams,
     SiftBasis,
     predict_outcome_probs,
@@ -28,6 +27,7 @@ from fpbsim.cli import MAX_STEPS, _emit_tables, _fmt, _jsonable, main
 from fpbsim.montecarlo import MAX_PAIRS, counts_file_text, parse_counts
 
 from conftest import (
+    CountsRecord,
     IDEAL_EXPECTED,
     MEASURED_ESTIMATED,
     columns_from_records,
@@ -756,9 +756,6 @@ class TestParsing:
 
         entry_points = {
             "predict_outcome_probs": lambda: predicted(pe),
-            "CountsRecord": lambda: CountsRecord(
-                Bb84State.D, SiftBasis.DA, pe, (1, 2, 3, 4)
-            ).pe_nominal,
             "counts line": lambda: parse_counts([f"D,DA,{pe!r},1,2,3,4"]).pe.item(0),
             "table --pe": table_pe,
             "renyi_closed_form": lambda: renyi_closed_form(pe),
@@ -995,7 +992,7 @@ def test_simulate_estimate_fit_round_trip(tmp_path_factory, seed, pes):
 
 def test_public_names():
     assert sorted(fpbsim.__all__) == [
-        "Bb84State", "CountsColumns", "CountsFileError", "CountsRecord",
+        "Bb84State", "CountsColumns", "CountsFileError",
         "ErrorModelParams", "FitResult", "OUTCOME_ORDER", "SiftBasis",
         "fit_parameters", "model_sift_summaries",
         "predict_outcome_probs", "read_counts_file", "reference_counts_path",

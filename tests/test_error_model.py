@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fpbsim import (
     Bb84State,
     CountsColumns,
-    CountsRecord,
     ErrorModelParams,
     SiftBasis,
     fit_parameters,
@@ -32,6 +31,7 @@ from fpbsim.montecarlo import _BASES, _STATES, counts_file_text, parse_counts
 from fpbsim.cli import main
 
 from conftest import (
+    CountsRecord,
     FRAME_DEG,
     analytic_probs,
     bob_analyzer,

@@ -12,7 +12,6 @@ from fpbsim import (
     Bb84State,
     CountsColumns,
     CountsFileError,
-    CountsRecord,
     ErrorModelParams,
     SiftBasis,
     predict_outcome_probs,
@@ -25,6 +24,7 @@ from fpbsim import montecarlo
 from fpbsim.montecarlo import counts_file_text, parse_counts
 
 from conftest import (
+    CountsRecord,
     assert_columns_equal,
     columns_from_records,
     counts_line_accepted,
@@ -604,6 +604,23 @@ class TestCountsFiles:
         with pytest.raises(CountsFileError) as excinfo:
             parse_counts(lines)
         assert str(excinfo.value) == f"<counts>:2: {message}"
+
+    @pytest.mark.parametrize("parse", [parse_counts, parse_counts_oracle])
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("D,DA,0.9,0,0,0,0", "pe-0.9"),
+            ("D,DA,0.1,0,0,0,0,-5", "zero"),
+            (f"D,DA,0.1,{2**62},{2**62},0,0,-5", "int64"),
+            ("D,DA,0.9,x,2,3,4", "count"),
+            ("D,DA,0_1,0,0,0,0", "ascii"),
+            ("Q,DA,0.1,1,2,3", "fields"),
+        ],
+    )
+    def test_line_failing_two_rules_gets_the_first_message(self, parse, line, rule):
+        with pytest.raises(CountsFileError) as excinfo:
+            parse(["D,DA,0.1,1,2,3,4", line])
+        assert str(excinfo.value) == f"<counts>:2: {BAD_LINES[rule][1]}"
 
     def test_lines_read_one_at_a_time_only_up_to_the_first_bad_line(self):
         lines = ["D,DA,0.1,1,2,3,4"] * 1000
