@@ -12,11 +12,11 @@ which alone fixes its preparation angle through the memoized
 ``probe._probe_angle``.
 
 The model is one closed form, ``_amplitudes``: the amplitudes of the
-state after the entangling gate and of its projection onto Bob's
-analyzer, with no complex by complex product, so that Python numbers and
-numpy arrays round it alike. ``predict_outcome_probs`` evaluates it on
-numbers for one configuration and ``_predict`` on arrays for many, with
-bit-identical rows. Two-qubit amplitudes are ordered control-major, index
+state after the entangling gate, projected onto Bob's analyzer, with no
+complex by complex product, so that Python numbers and numpy arrays round
+it alike. ``predict_outcome_probs`` evaluates it on numbers for one
+configuration and ``_predict`` on arrays for many, with bit-identical
+rows. Two-qubit amplitudes are ordered control-major, index
 ``2*c + t`` for photon (control) bit ``c`` and probe (target) bit ``t``.
 Probabilities come in ``OUTCOME_ORDER``; the model is unitary by
 construction, so they are not re-validated. ``model_sift_summaries``
@@ -26,7 +26,10 @@ predicts a pe grid in fixed-size chunks and reduces each with one stacked
 ``fit_parameters`` recovers the ten parameters from measured counts with a
 bounded trust-region Levenberg-Marquardt solver on the weighted residual
 vector, which still predicts each record with ``predict_outcome_probs``,
-and its analytic Jacobian, ``_jacobian_kernel``. Angles are radians;
+and its analytic Jacobian, ``_jacobian_kernel``. The closed form is linear
+in its gate and phase terms, in the photon's cosine and sine and in the
+analyzer's, so the kernel writes no derivative of its own: it evaluates
+``_amplitudes`` at the derivatives of those inputs. Angles are radians;
 degrees appear only at I/O boundaries.
 """
 
@@ -193,29 +196,27 @@ def _amplitudes(p0, p1, q0, q1, terms, cos_b, sin_b):
     complex, which numpy may fuse into multiply-adds, so numbers and arrays
     round alike.
 
-    Returns ``(a, b, u, w, analyzed)``. The gate is block diagonal in the
-    control bit: it takes the probe ``(q0, xi q1)`` to ``u = (c q0 + a, b +
-    c xi q1)`` on control 0 and to ``w = (c xi q1 - b, c q0 - a)`` on
-    control 1, with ``a = ia q1`` and ``b = ib q0``, so the output state is
-    ``(p0 u0, p0 u1, chi p1 w0, chi p1 w1)``. ``analyzed`` is that state
-    with the photon rotated onto the analyzer's bit-0 and bit-1 states,
-    ordered ``2*bob_bit + eve_bit``; at a zero analyzer angle it is the
-    output state itself.
+    Returns the four amplitudes of the output state with the photon rotated
+    onto the analyzer's bit-0 and bit-1 states, ordered ``2*bob_bit +
+    eve_bit``; at a zero analyzer angle they are the output state itself.
+    The gate is block diagonal in the control bit, so that output state is
+    ``p0 (c q0 + ia q1)``, ``p0 (ib q0 + c xi q1)``, ``chi p1 (c xi q1 - ib
+    q0)`` and ``chi p1 (c q0 - ia q1)``. It is linear in each of ``terms``,
+    ``(p0, p1)`` and ``(cos_b, sin_b)``, and each parameter moves only one of
+    them: the derivative along it is this function with that input replaced
+    by its derivative, which is how ``_jacobian_kernel`` takes it.
     """
     c, ia, ib, cxi, chi_c, chi_ia, chi_ib, chi_cxi = terms
-    a, b, cq0, cq1 = ia * q1, ib * q0, c * q0, cxi * q1
-    u0, u1, w0, w1 = cq0 + a, b + cq1, cq1 - b, cq0 - a
-    out0, out1 = p0 * u0, p0 * u1
+    out0, out1 = p0 * (c * q0 + ia * q1), p0 * (ib * q0 + cxi * q1)
     out2, out3 = p1 * (chi_cxi * q1 - chi_ib * q0), p1 * (chi_c * q0 - chi_ia * q1)
-    analyzed = (
+    return (
         cos_b * out0 - sin_b * out2, cos_b * out1 - sin_b * out3,
         sin_b * out0 + cos_b * out2, sin_b * out1 + cos_b * out3,
     )
-    return a, b, (u0, u1), (w0, w1), analyzed
 
 
 def _outcome_probs(analyzed) -> tuple:
-    """``|a|^2`` of each of ``_amplitudes``'s ``analyzed``, in ``OUTCOME_ORDER``."""
+    """``|a|^2`` of each of ``_amplitudes``'s four amplitudes, in ``OUTCOME_ORDER``."""
     b0e0, b0e1, b1e0, b1e1 = analyzed
     return (
         b1e0.real * b1e0.real + b1e0.imag * b1e0.imag,
@@ -225,32 +226,6 @@ def _outcome_probs(analyzed) -> tuple:
     )
 
 
-#: ``[state, basis]`` by index: where derivative ``[bob_bit, k, eve_bit]``
-#: of ``_jacobian_kernel`` goes in the flattened ``(4, 10)`` Jacobian: row
-#: ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column of
-#: the k-th of d_xi, d_chi, the state's wave-plate offset, alpha, delta and
-#: the basis's analyzer offset, the six parameters that move the prediction.
-_JACOBIAN_SLOTS = np.array(
-    [
-        [
-            [
-                10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
-                for b in (0, 1)
-                for key in ("d_xi", "d_chi", _ANGLE_TERMS[state.value][1], "alpha",
-                            "delta", _ANGLE_TERMS[basis.value][1])
-                for e in (0, 1)
-            ]
-            for basis in _BASES
-        ]
-        for state in _STATES
-    ]
-)
-#: The rows of ``_jacobian_kernel``'s ``left`` and ``right`` factor stacks
-#: whose product is each of its ``(2, 12)`` derivatives, all in one multiply.
-_LEFT, _RIGHT = np.array([
-    [[2, 1, 0, 0, 4, 4, 1, 1, 3, 2, 6, 6], [5, 8, 7, 7, 9, 9, 6, 6, 8, 7, 1, 1]],
-    [[1, 3, 0, 0, 4, 5, 8, 9, 1, 2, 6, 7], [3, 1, 6, 7, 6, 7, 10, 11, 2, 1, 4, 5]],
-])
 #: Field-order columns of the four angles every prediction depends on.
 _SHARED_COLUMNS = np.array(
     [_PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")]
@@ -264,62 +239,62 @@ def _jacobian_kernel(
 
     The N predictions are given as arrays: the state and basis indices of
     ``CountsColumns`` and the probe's preparation angle ``theta_in``. Their
-    nominal angles, offset columns and Jacobian slots are gathered once,
-    here. Returns ``x -> (N, 4, 10)``: for each prediction, the derivatives
-    of its four probabilities along the parameter vector ``x`` in field
-    order, ``2 Re(conj(a) da)`` for each projected amplitude ``a``, from one
-    pass of array arithmetic over all N. Six columns can be nonzero: d_xi,
-    d_chi, alpha, delta and the offsets of the state and the basis. The
-    other four are exact zeros, and so are the d_xi, d_chi, alpha and delta
-    columns wherever those four angles are all zero, where the conjugation
-    symmetry makes the model even in them.
+    nominal angles, offset columns and the flat index of their derivatives
+    in the Jacobian are gathered once, here. Returns ``x -> (N, 4, 10)``:
+    for each prediction, the derivatives of its four probabilities along
+    the parameter vector ``x`` in field order, ``2 Re(conj(a) da)`` for
+    each analyzed amplitude ``a``. Six columns can be nonzero: d_xi, d_chi,
+    alpha, delta and the offsets of the state and the basis. The other four
+    are exact zeros, and so are the d_xi, d_chi, alpha and delta columns
+    wherever those four angles are all zero, where the conjugation symmetry
+    makes the model even in them.
 
-    The amplitudes and their terms ``a, b, u, w`` are ``_amplitudes``'s,
-    with each argument an ``(N,)`` array or a scalar shared by all N. The
-    output state's ``(2, 12, N)`` derivatives (by control bit, the eve-bit
-    pairs along d_xi, d_chi, the wave-plate offset, alpha, delta and the
-    analyzer's rotation generator) are one gathered product of a photon
-    and a probe factor stack, ``left[_LEFT] * right[_RIGHT]``.
-    Bob's analyzer is a rotation ``R``, whose derivative along its offset
-    is ``R @ [[0, -1], [1, 0]]``.
+    Each ``da`` is the closed form ``_amplitudes`` at differentiated inputs,
+    as it is linear in each of them: one call over a stack of six rows
+    gives the amplitudes (row 0), their derivatives along d_xi, d_chi,
+    alpha and delta through the derivatives of the gate and phase terms
+    (rows 1-4), and along the wave-plate offset, which turns the photon's
+    ``(p0, p1)`` into ``(-p1, p0)`` (row 5). Along the analyzer offset the
+    rotation onto Bob's analyzed-bit states turns ``(a0, a1, a2, a3)`` into
+    ``(-a2, -a3, a0, a1)``.
     """
     n = len(state)
-    theta_a, a_columns = _STATE_ANGLES[state], _STATE_COLUMNS[state]
-    nominal, b_columns = _BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
-    q0, sin_in = np.cos(theta_in), np.sin(theta_in)
-    slots = (_JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
-    zero = np.zeros(n)
+    theta_a, nominal = _STATE_ANGLES[state], _BASIS_ANGLES[basis]
+    a_columns, b_columns = _STATE_COLUMNS[state], _BASIS_COLUMNS[basis]
+    q0, q1 = np.cos(theta_in), np.sin(theta_in)
+    # Where the derivative of amplitude 2*bob_bit + eve_bit along the k-th
+    # of d_xi, d_chi, alpha, delta and the two offsets goes in the (N, 4, 10)
+    # Jacobian: row OUTCOME_ORDER.index((bob_bit, eve_bit)), field column.
+    columns = np.vstack([np.broadcast_to(_SHARED_COLUMNS[:, None], (4, n)),
+                         a_columns, b_columns])
+    outcome = np.array([OUTCOME_ORDER.index(divmod(j, 2)) for j in range(4)])
+    slots = (40 * np.arange(n) + 10 * outcome[:, None, None] + columns).ravel()
 
     def jacobians(x: np.ndarray) -> np.ndarray:
         chi, xi, c, s, ep, em, terms = _phases(*x[_SHARED_COLUMNS].tolist())
+        _, ia, ib, cxi = terms[:4]
+        # The gate terms' derivatives along d_xi, alpha and delta, each
+        # followed by chi times each; along d_chi only that chi-carrying half
+        # of ``terms`` moves, by a factor i.
+        gates = (
+            (0.0, 1j * ia, 0.0, 1j * cxi),
+            (-s, 1j * em * c * xi, 1j * ep * c, -s * xi),
+            (0.0, -1j * ia, 1j * ib, 0.0),
+        )
+        d_xi, d_alpha, d_delta = ((*g, *(chi * term for term in g)) for g in gates)
+        d_chi = (0.0, 0.0, 0.0, 0.0, *(1j * term for term in terms[4:]))
+        stack = np.array([terms, d_xi, d_chi, d_alpha, d_delta, terms]).T[..., None]
         theta = theta_a + x[a_columns]
-        p0, sin_a = np.cos(theta), np.sin(theta)
-        p1, q1 = chi * sin_a, xi * sin_in
+        p0, p1 = np.cos(theta), np.sin(theta)
         phi = nominal + x[b_columns]
-        cos_b, sin_b = np.cos(phi), np.sin(phi)
-        a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
-            p0, sin_a, q0, sin_in, terms, cos_b, sin_b
-        )
-        # Along alpha, (c, s) turns into (-s, c), so a into ta and b into tb;
-        # along the wave-plate offset, (p0, p1) turns into (-sin_a, chi p0).
-        ta, tb = 1j * em * c * q1, 1j * ep * c * q0
-        sq0, sq1 = s * q0, s * q1
-        left = np.array([zero, p0, 1j * p0, -1j * p0, -sin_a, p1, -p1, 1j * p1,
-                         -1j * p1, chi * p0])
-        right = np.array([zero, a, b, 1j * c * q1, u0, u1, w0, w1, ta - sq0,
-                          tb - sq1, tb + sq1, sq0 + ta])
-        derivatives = left[_LEFT] * right[_RIGHT]
-        # Rows of R, the bit-0 and bit-1 analyzer states, applied to the
-        # derivatives as ``_amplitudes`` applies them to the state; R is real.
-        amplitudes = np.array(analyzed).reshape(2, 2, n)
-        d_amplitudes = np.array(
-            [cos_b * derivatives[0] - sin_b * derivatives[1],
-             sin_b * derivatives[0] + cos_b * derivatives[1]]
-        )
-        # (bob_bit, k, eve_bit, N) -> (N, bob_bit, k, eve_bit)
-        products = amplitudes.conj()[:, None] * d_amplitudes.reshape(2, 6, 2, n)
+        rows = np.array(_amplitudes(
+            np.array([p0, p0, p0, p0, p0, -p1]), np.array([p1, p1, p1, p1, p1, p0]),
+            q0, q1, stack, np.cos(phi), np.sin(phi),
+        ))
+        a = rows[:, 0]
+        d_a = np.concatenate([rows[:, 1:], [[-a[2]], [-a[3]], [a[0]], [a[1]]]], axis=1)
         jac = np.zeros(40 * n)
-        jac[slots] = 2.0 * products.real.transpose(3, 0, 1, 2).ravel()
+        jac[slots] = 2.0 * (a.conj()[:, None] * d_a).real.ravel()
         return jac.reshape(n, 4, 10)
 
     return jacobians
@@ -348,7 +323,7 @@ def predict_outcome_probs(
     return np.array(_outcome_probs(_amplitudes(
         math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
         params._shared_terms, math.cos(phi), math.sin(phi),
-    )[-1]))
+    )))
 
 
 def _predict(
@@ -369,7 +344,7 @@ def _predict(
     return np.column_stack(_outcome_probs(_amplitudes(
         cos_a[state], sin_a[state], cos_in[pe_index], sin_in[pe_index],
         _phases(*x[_SHARED_COLUMNS].tolist())[-1], cos_b[basis], sin_b[basis],
-    )[-1]))
+    )))
 
 
 #: pe values per ``_predict`` pass of ``model_sift_summaries``: a few MB.
@@ -439,8 +414,8 @@ def _make_objective(counts: CountsColumns, weighting: str):
     ``counts`` in canonical order, with each record's probe angle from
     ``probe._probe_angle``. Each call still predicts every record once with
     ``predict_outcome_probs``; the derivatives of all records come from one
-    ``_jacobian_kernel`` pass over the design, run only when ``jacobian``
-    is called.
+    ``_jacobian_kernel`` pass over the design, the closed form evaluated at
+    its differentiated inputs, run only when ``jacobian`` is called.
     """
     state, basis, pe = counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist()
     exact = counts.counts.tolist()

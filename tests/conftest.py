@@ -19,7 +19,6 @@ from fpbsim.error_model import (
     _ANGLE_TERMS,
     _BASIS_ANGLES,
     _BASIS_COLUMNS,
-    _JACOBIAN_SLOTS,
     _PARAM_KEYS,
     _SHARED_COLUMNS,
     _STATE_ANGLES,
@@ -196,19 +195,44 @@ def residuals_oracle(records, weighting: str, x) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def jacobian_kernel_oracle(state, basis, theta_in):
-    """``error_model._jacobian_kernel`` as it wrote each derivative.
+#: ``[state, basis]`` by index: where derivative ``[bob_bit, k, eve_bit]``
+#: of ``jacobian_kernel_oracle`` goes in the flattened ``(4, 10)`` Jacobian:
+#: row ``OUTCOME_ORDER.index((bob_bit, eve_bit))``, and the field-order column
+#: of the k-th of d_xi, d_chi, the state's wave-plate offset, alpha, delta
+#: and the basis's analyzer offset, the six parameters that move the
+#: prediction.
+JACOBIAN_SLOTS = np.array(
+    [
+        [
+            [
+                10 * OUTCOME_ORDER.index((b, e)) + _PARAM_KEYS.index(key)
+                for b in (0, 1)
+                for key in ("d_xi", "d_chi", _ANGLE_TERMS[state.value][1], "alpha",
+                            "delta", _ANGLE_TERMS[basis.value][1])
+                for e in (0, 1)
+            ]
+            for basis in _BASES
+        ]
+        for state in _STATES
+    ]
+)
 
-    The form that the kernel's one gathered product of two factor stacks
-    replaced: every one of the 24 derivatives its own array expression,
-    stacked by one ``np.array``. Kept as the reference whose bytes the
-    kernel must equal. Returns ``x -> (N, 4, 10)``.
+
+def jacobian_kernel_oracle(state, basis, theta_in):
+    """``error_model._jacobian_kernel`` with each derivative written by hand.
+
+    Every one of the 24 derivatives of the output state is its own array
+    expression in the gate's intermediate terms ``a = ia q1`` and ``b = ib
+    q0`` and its per-control probe states ``u`` and ``w``, stacked by one
+    ``np.array`` and rotated onto Bob's analyzed-bit states. Kept as the
+    reference the kernel, which differentiates the closed form's inputs
+    instead, must equal to rounding. Returns ``x -> (N, 4, 10)``.
     """
     n = len(state)
     theta_a, a_columns = _STATE_ANGLES[state], _STATE_COLUMNS[state]
     nominal, b_columns = _BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
     q0, sin_in = np.cos(theta_in), np.sin(theta_in)
-    slots = (_JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
+    slots = (JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
     zero = np.zeros(n)
 
     def jacobians(x):
@@ -223,9 +247,12 @@ def jacobian_kernel_oracle(state, basis, theta_in):
         em = ep.conjugate()
         phi = nominal + x[b_columns]
         cos_b, sin_b = np.cos(phi), np.sin(phi)
-        a, b, (u0, u1), (w0, w1), analyzed = _amplitudes(
-            p0, sin_a, q0, sin_in, _phases(d_xi, d_chi, alpha, delta)[-1], cos_b, sin_b
-        )
+        terms = _phases(d_xi, d_chi, alpha, delta)[-1]
+        _, ia, ib, cxi = terms[:4]
+        a, b = ia * sin_in, ib * q0
+        u0, u1 = c * q0 + a, b + cxi * sin_in
+        w0, w1 = cxi * sin_in - b, c * q0 - a
+        analyzed = _amplitudes(p0, sin_a, q0, sin_in, terms, cos_b, sin_b)
         icq1 = 1j * c * q1
         ta, tb = 1j * em * c * q1, 1j * ep * c * q0
         dp1 = chi_phase * p0
@@ -403,7 +430,7 @@ def shipped_output_state(
     return _amplitudes(
         math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
         params._shared_terms, 1.0, 0.0,
-    )[-1]
+    )
 
 
 def predict_oracle(

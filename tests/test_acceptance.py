@@ -113,7 +113,7 @@ def shipped_gate(alpha: float, delta: float) -> np.ndarray:
     gate_terms = _phases(0.0, 0.0, alpha, delta)[-1]
     basis = ((1.0, 0.0), (0.0, 1.0))
     columns = [
-        _amplitudes(*photon, *probe, gate_terms, 1.0, 0.0)[-1]
+        _amplitudes(*photon, *probe, gate_terms, 1.0, 0.0)
         for photon in basis
         for probe in basis
     ]
