@@ -50,8 +50,8 @@ from .montecarlo import _BASES, _BASIS_INDEX, _STATE_BASIS, _STATE_INDEX
 from .montecarlo import ASCII_SPACE, CountsColumns
 from .probe import SiftBasis
 
-#: Largest ``curve --steps``: in a fresh process, 10**6 steps take 3.7-4.1 s
-#: and peak at 307 MB resident in CSV, 4.7-5.2 s and 729 MB in JSON (2-vCPU
+#: Largest ``curve --steps``: in a fresh process, 10**6 steps take 2.9-3.2 s
+#: and peak at 307 MB resident in CSV, 3.8-3.9 s and 729 MB in JSON (2-vCPU
 #: Xeon), nearly all of the memory the output's columns and text; the
 #: model's share stays a few MB.
 MAX_STEPS = 1_000_000

@@ -8,8 +8,8 @@ phase of the entangling gate, and one analyzer offset per measurement
 basis. With all ten at zero the model is the ideal attack. They are the
 fields of ``ErrorModelParams``, named and ordered as the parameter file.
 The probe enters as one float, the error probability pe that it induces,
-which alone fixes its preparation angle through the memoized
-``probe._probe_angle``.
+which alone fixes its preparation angle through ``probe._probe_angle``,
+memoized for the per-record predictions of a fit.
 
 The model is one closed form, ``_amplitudes``: the amplitudes of the
 state after the entangling gate, projected onto Bob's analyzer, with no
@@ -233,21 +233,24 @@ _SHARED_COLUMNS = np.array(
 
 
 def _jacobian_kernel(
-    state: np.ndarray, basis: np.ndarray, theta_in: np.ndarray
+    state: np.ndarray, basis: np.ndarray, theta_in: np.ndarray,
+    free: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Derivatives of ``predict_outcome_probs`` for many predictions at once.
 
     The N predictions are given as arrays: the state and basis indices of
     ``CountsColumns`` and the probe's preparation angle ``theta_in``. Their
-    nominal angles, offset columns and the flat index of their derivatives
-    in the Jacobian are gathered once, here. Returns ``x -> (N, 4, 10)``:
-    for each prediction, the derivatives of its four probabilities along
-    the parameter vector ``x`` in field order, ``2 Re(conj(a) da)`` for
-    each analyzed amplitude ``a``. Six columns can be nonzero: d_xi, d_chi,
-    alpha, delta and the offsets of the state and the basis. The other four
-    are exact zeros, and so are the d_xi, d_chi, alpha and delta columns
-    wherever those four angles are all zero, where the conjugation symmetry
-    makes the model even in them.
+    nominal angles, offset columns, probe cosines and sines and the flat
+    index of their derivatives in the Jacobian are gathered once, here.
+    Returns ``x -> (N, 4, 10)``: for each prediction, the derivatives of
+    its four probabilities along the parameter vector ``x`` in field
+    order, ``2 Re(conj(a) da)`` for each analyzed amplitude ``a``. Six
+    columns can be nonzero: d_xi, d_chi, alpha, delta and the offsets of
+    the state and the basis. The other four are exact zeros, and so are
+    the d_xi, d_chi, alpha and delta columns wherever those four angles are
+    all zero, where the conjugation symmetry makes the model even in them.
+    A boolean mask ``free`` over the fields that keeps every column some
+    prediction moves returns only the kept columns, ``(N, 4, free.sum())``.
 
     Each ``da`` is the closed form ``_amplitudes`` at differentiated inputs,
     as it is linear in each of them: one call over a stack of six rows
@@ -256,19 +259,35 @@ def _jacobian_kernel(
     (rows 1-4), and along the wave-plate offset, which turns the photon's
     ``(p0, p1)`` into ``(-p1, p0)`` (row 5). Along the analyzer offset the
     rotation onto Bob's analyzed-bit states turns ``(a0, a1, a2, a3)`` into
-    ``(-a2, -a3, a0, a1)``.
+    ``(-a2, -a3, a0, a1)``. numpy multiplies a real array by a complex one
+    as the complex array of the same values, so the real inputs are cast
+    to complex before the call, the probe's once here: the same products,
+    without a cast inside each of them. The returned function fills two
+    buffers of its own on every call, so it serves one caller at a time.
     """
     n = len(state)
+    if free is None:
+        free = np.ones(len(_PARAM_KEYS), dtype=bool)
+    width = np.count_nonzero(free)
     theta_a, nominal = _STATE_ANGLES[state], _BASIS_ANGLES[basis]
     a_columns, b_columns = _STATE_COLUMNS[state], _BASIS_COLUMNS[basis]
-    q0, q1 = np.cos(theta_in), np.sin(theta_in)
+    q0, q1 = np.cos(theta_in).astype(complex), np.sin(theta_in).astype(complex)
     # Where the derivative of amplitude 2*bob_bit + eve_bit along the k-th
-    # of d_xi, d_chi, alpha, delta and the two offsets goes in the (N, 4, 10)
-    # Jacobian: row OUTCOME_ORDER.index((bob_bit, eve_bit)), field column.
-    columns = np.vstack([np.broadcast_to(_SHARED_COLUMNS[:, None], (4, n)),
-                         a_columns, b_columns])
+    # of d_xi, d_chi, alpha, delta and the two offsets goes in the (N, 4,
+    # width) Jacobian: row OUTCOME_ORDER.index((bob_bit, eve_bit)), the
+    # position of its field column among the kept ones.
+    position = free.cumsum() - 1
+    columns = np.empty((6, n), dtype=np.intp)
+    columns[:4] = position[_SHARED_COLUMNS, None]
+    columns[4], columns[5] = position[a_columns], position[b_columns]
     outcome = np.array([OUTCOME_ORDER.index(divmod(j, 2)) for j in range(4)])
-    slots = (40 * np.arange(n) + 10 * outcome[:, None, None] + columns).ravel()
+    slots = (
+        4 * width * np.arange(n) + width * outcome[:, None, None] + columns
+    ).ravel()
+    # Buffers of each call: the photon's (p0, p1) per stacked row, and per
+    # analyzed amplitude its value and its six derivatives.
+    photon = np.empty((2, 6, n), dtype=complex)
+    rows = np.empty((4, 7, n), dtype=complex)
 
     def jacobians(x: np.ndarray) -> np.ndarray:
         chi, xi, c, s, ep, em, terms = _phases(*x[_SHARED_COLUMNS].tolist())
@@ -286,16 +305,18 @@ def _jacobian_kernel(
         stack = np.array([terms, d_xi, d_chi, d_alpha, d_delta, terms]).T[..., None]
         theta = theta_a + x[a_columns]
         p0, p1 = np.cos(theta), np.sin(theta)
+        photon[0, :5], photon[1, :5] = p0, p1
+        photon[0, 5], photon[1, 5] = -p1, p0
         phi = nominal + x[b_columns]
-        rows = np.array(_amplitudes(
-            np.array([p0, p0, p0, p0, p0, -p1]), np.array([p1, p1, p1, p1, p1, p0]),
-            q0, q1, stack, np.cos(phi), np.sin(phi),
-        ))
+        cos_b, sin_b = np.cos(phi).astype(complex), np.sin(phi).astype(complex)
+        analyzed = _amplitudes(*photon, q0, q1, stack, cos_b, sin_b)
+        for row, amplitudes in zip(rows, analyzed):
+            row[:6] = amplitudes
         a = rows[:, 0]
-        d_a = np.concatenate([rows[:, 1:], [[-a[2]], [-a[3]], [a[0]], [a[1]]]], axis=1)
-        jac = np.zeros(40 * n)
-        jac[slots] = 2.0 * (a.conj()[:, None] * d_a).real.ravel()
-        return jac.reshape(n, 4, 10)
+        rows[:2, 6], rows[2:, 6] = -a[2:], a[:2]
+        jac = np.zeros(4 * width * n)
+        jac[slots] = ((a.conj()[:, None] * rows[:, 1:]).real * 2.0).ravel()
+        return jac.reshape(n, 4, width)
 
     return jacobians
 
@@ -334,13 +355,15 @@ def _predict(
     bases as in ``CountsColumns``, and ``pe_index`` indexes ``pes``. The four
     state, two analyzer and ``len(pes)`` probe angles take their cosine and
     sine from ``math`` once each, as one prediction does (numpy's need not
-    equal libm's), and are gathered by index."""
+    equal libm's), and are gathered by index. The probe angles come from
+    the unmemoized rule, ``_probe_angle.__wrapped__``: a grid's pe values
+    are distinct, so its lookups would only miss and evict the fit's."""
     def trig(angles):
         return np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
 
     cos_a, sin_a = trig((_STATE_ANGLES + x[_STATE_COLUMNS]).tolist())
     cos_b, sin_b = trig((_BASIS_ANGLES + x[_BASIS_COLUMNS]).tolist())
-    cos_in, sin_in = trig([_probe_angle(pe) for pe in pes])
+    cos_in, sin_in = trig([_probe_angle.__wrapped__(pe) for pe in pes])
     return np.column_stack(_outcome_probs(_amplitudes(
         cos_a[state], sin_a[state], cos_in[pe_index], sin_in[pe_index],
         _phases(*x[_SHARED_COLUMNS].tolist())[-1], cos_b[basis], sin_b[basis],
@@ -397,7 +420,9 @@ class FitResult:
     termination: str
 
 
-def _make_objective(counts: CountsColumns, weighting: str):
+def _make_objective(
+    counts: CountsColumns, weighting: str, free: np.ndarray | None = None
+):
     """Weighted residual vector over all records and outcomes, with its Jacobian.
 
     Returns ``x -> (r, jacobian)`` for a float parameter vector ``x``.
@@ -405,17 +430,21 @@ def _make_objective(counts: CountsColumns, weighting: str):
     per record, with the records in canonical order: by the state's and
     the basis's spelling, then pe, then the exact counts. ``jacobian()``
     returns the ``(r.size, 10)`` analytic derivative of ``r`` at ``x`` in
-    field order. Both are therefore bit-identical under any reordering of
-    the records. The mean total of the "counts" weighting is taken over the
-    exact integer totals, summed as Python ints since the int64 totals of
-    many records can sum past the int64 limit, so records weight exactly.
+    field order, or only the columns of a boolean mask ``free`` that keeps
+    every column some record moves. Both are therefore bit-identical under
+    any reordering of the records. The mean total of the "counts" weighting
+    is taken over the exact integer totals, summed as Python ints since the
+    int64 totals of many records can sum past the int64 limit, so records
+    weight exactly.
 
-    The design is built once, as arrays from the index columns of
-    ``counts`` in canonical order, with each record's probe angle from
-    ``probe._probe_angle``. Each call still predicts every record once with
+    Everything but ``x`` is fixed once, here: the canonical rows, each
+    with its probe angle from ``probe._probe_angle``, the estimated
+    probabilities as one flat vector, the weights (the exact 1s of "equal"
+    weighting are not multiplied in) and the gathers and slots of one
+    ``_jacobian_kernel``. Each call still predicts every record once with
     ``predict_outcome_probs``; the derivatives of all records come from one
-    ``_jacobian_kernel`` pass over the design, the closed form evaluated at
-    its differentiated inputs, run only when ``jacobian`` is called.
+    kernel pass, the closed form evaluated at its differentiated inputs,
+    run only when ``jacobian`` is called.
     """
     state, basis, pe = counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist()
     exact = counts.counts.tolist()
@@ -424,27 +453,36 @@ def _make_objective(counts: CountsColumns, weighting: str):
         for s, b, p, row in zip(state, basis, pe, exact)
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    rows = [(_STATES[state[k]], _BASES[basis[k]], pe[k]) for k in order]
+    states = [_STATES[state[k]] for k in order]
+    bases = [_BASES[basis[k]] for k in order]
+    pes = [pe[k] for k in order]
     jacobians = _jacobian_kernel(
         counts.state[order], counts.basis[order],
-        np.array([_probe_angle(p) for _, _, p in rows]),
+        np.array([_probe_angle(p) for p in pes]), free,
     )
-    estimated = counts.probabilities()[order]
-    weights = np.ones(len(order))
+    estimated = counts.probabilities()[order].ravel()
+    root_weights = None
     if weighting == "counts":
         weights = counts.totals[order] / (sum(map(sum, exact)) / len(exact))
-    root_weights = np.sqrt(weights)
+        root_weights = np.sqrt(weights)
+        root_entries = np.repeat(root_weights, 4)
+        minus_root = -root_weights[:, None, None]
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         params = ErrorModelParams(*x.tolist())
-        predicted = np.concatenate(
-            [predict_outcome_probs(params, s, b, p) for s, b, p in rows]
-        ).reshape(-1, 4)
-        r = (root_weights[:, None] * (estimated - predicted)).ravel()
+        r = estimated - np.concatenate(
+            list(map(predict_outcome_probs, [params] * len(pes), states, bases, pes))
+        )
+        if root_weights is not None:
+            r *= root_entries
 
         def jacobian() -> np.ndarray:
-            jac = -root_weights[:, None, None] * jacobians(x)
-            return jac.reshape(r.size, 10)
+            jac = jacobians(x)
+            if root_weights is None:
+                np.negative(jac, out=jac)
+            else:
+                jac *= minus_root
+            return jac.reshape(r.size, -1)
 
         return r, jacobian
 
@@ -478,21 +516,23 @@ _INNER_BOUND = math.nextafter(ANGLE_BOUND, 0.0)
 _EPS = float(np.finfo(float).eps)
 
 
-def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray, columns) -> np.ndarray:
-    """Two-point derivatives of ``fun``'s residual at ``z``, one call per column.
+def _forward_jacobian(fun, z: np.ndarray, f: np.ndarray, jac: np.ndarray) -> None:
+    """Replace each exactly-zero column of ``jac`` by two-point derivatives
+    of ``fun``'s residual ``f`` at ``z``, one call per column.
 
-    ``columns`` indexes ``z``; the step is ``sqrt(eps) * max(1, |z_i|)`` in
-    the direction of ``z_i``'s sign, reversed where it would leave the box.
+    The step along ``z_i`` is ``sqrt(eps) * max(1, |z_i|)`` in the
+    direction of ``z_i``'s sign, reversed where it would leave the box.
     """
-    h = math.sqrt(_EPS) * np.maximum(1.0, np.abs(z))
-    h = np.where(z >= 0.0, h, -h)
-    h = np.where(np.abs(z + h) > _INNER_BOUND, -h, h)
-    derivatives = []
-    for i in columns:
+    for i in np.flatnonzero(~jac.any(axis=0)).tolist():
+        z_i = z[i].item()
+        h = math.sqrt(_EPS) * max(1.0, abs(z_i))
+        if z_i < 0.0:
+            h = -h
+        if abs(z_i + h) > _INNER_BOUND:
+            h = -h
         shifted = z.copy()
-        shifted[i] += h[i]
-        derivatives.append((fun(shifted)[0] - f) / (shifted[i] - z[i]))
-    return np.column_stack(derivatives)
+        shifted[i] = z_i + h
+        jac[:, i] = (fun(shifted)[0] - f) / (shifted[i] - z_i)
 
 
 def _lm_step(
@@ -509,17 +549,18 @@ def _lm_step(
     started from the previous ``lam``. Its 2-norms are ``math.sqrt(v @ v)``,
     which is what ``np.linalg.norm`` computes for a 1-D float vector.
     """
-    suf = s * uf
     if full_rank:
         step = -vt.T @ (uf / s)
         if math.sqrt(step @ step) <= radius:
             return step, 0.0
+    suf = s * uf
+    s2, suf2 = s * s, suf**2
 
     def phi(lam):
-        denom = s * s + lam
+        denom = s2 + lam
         p = suf / denom
         norm = math.sqrt(p @ p)
-        return norm - radius, -(suf**2 / denom**3).sum() / norm
+        return norm - radius, -(suf2 / denom**3).sum() / norm
 
     upper = math.sqrt(suf @ suf) / radius
     lower = 0.0
@@ -564,13 +605,14 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
     gradient's largest entry is below ``_TOL``, "ftol" when a trial lowers
     the cost by less than ``_TOL`` relative with a ratio above 0.25, and
     "xtol" when a trial step is shorter than ``_TOL`` relative to ``z``.
-    The caller keeps the best point seen.
+    What no trial from ``z`` changes -- the SVD, ``U^T f``, twice the
+    gradient and both tolerances -- is computed once per iteration, and the
+    distance to the box along a trial step in Python floats, entry by
+    entry. The caller keeps the best point seen.
     """
     f, jacobian = fun(z)
     jac = jacobian()
-    flat = np.flatnonzero(~jac.any(axis=0))
-    if flat.size:
-        jac[:, flat] = _forward_jacobian(fun, z, f, flat)
+    _forward_jacobian(fun, z, f, jac)
     cost = f @ f
     radius, lam = 1.0, 0.0
     while True:
@@ -582,23 +624,30 @@ def _trust_region_lm(fun, z: np.ndarray) -> str:
         uf = u.T @ f
         full_rank = s[-1] > _EPS * f.size * s[0]
         theta = max(0.995, 1.0 - grad_norm)
+        # What no trial from z changes: the gradient term of the predicted
+        # decrease and the tolerances.
+        grad2 = 2.0 * grad
+        ftol, xtol = _TOL * cost, _TOL * (_TOL + math.sqrt(z @ z))
+        z_list = z.tolist()
         while True:
             p, lam = _lm_step(uf, s, vt, full_rank, radius, lam)
-            moving = p != 0.0
-            to_bound = (_INNER_BOUND - np.sign(p) * z)[moving] / np.abs(p[moving])
-            p *= min(1.0, theta * to_bound.min(initial=np.inf))
+            to_bound = [
+                (_INNER_BOUND - z_i if p_i > 0.0 else _INNER_BOUND + z_i) / abs(p_i)
+                for z_i, p_i in zip(z_list, p.tolist()) if p_i != 0.0
+            ]
+            p *= min(1.0, theta * min(to_bound, default=math.inf))
             z_new = np.minimum(np.maximum(z + p, -_INNER_BOUND), _INNER_BOUND)
             step = z_new - z
             f_new, jacobian = fun(z_new)
             cost_new = f_new @ f_new
             actual = cost - cost_new
             jstep = jac @ step
-            predicted = -(jstep @ jstep + 2.0 * grad @ step)
+            predicted = -(jstep @ jstep + grad2 @ step)
             ratio = actual / predicted if predicted > 0.0 else 0.0
             step_norm = math.sqrt(step @ step)
-            if actual < _TOL * cost and ratio > 0.25:
+            if actual < ftol and ratio > 0.25:
                 return "ftol"
-            if step_norm < _TOL * (_TOL + math.sqrt(z @ z)):
+            if step_norm < xtol:
                 return "xtol"
             new_radius = radius
             if ratio < 0.25:
@@ -634,6 +683,13 @@ def fit_parameters(
     conjugation symmetry below cancels. Deterministic given identical
     records (the rows of ``counts``, in any order), init, ``max_evals``
     and ``weighting``.
+
+    All that does not depend on the trial point is built once per fit:
+    the held parameters and the free-column map, and ``_make_objective``'s
+    canonical rows, weights and Jacobian kernel over the free columns. An
+    evaluation is then the record predictions, one subtraction (and for
+    "counts" one product), and the exact ``math.fsum`` of the squares that
+    picks the best point; its Jacobian comes without the held columns.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis
@@ -673,7 +729,6 @@ def fit_parameters(
         raise ValueError(f"unknown weighting {weighting!r}")
     if max_evals < 1:
         raise ValueError("max_evals must be positive")
-    init = init or ErrorModelParams()
     if counts.counts.size < 10:
         raise ValueError(
             f"need at least 10 data values to fit 10 parameters, got "
@@ -682,10 +737,10 @@ def fit_parameters(
     if len(set(counts.pe.tolist())) < 2:
         raise ValueError("records must span at least 2 distinct error probabilities")
 
-    objective = _make_objective(counts, weighting)
     held = _held_keys(counts)
     free = np.array([key not in held for key in _PARAM_KEYS])
-    x0 = init.as_vector()
+    objective = _make_objective(counts, weighting, free)
+    x0 = np.zeros(len(_PARAM_KEYS)) if init is None else init.as_vector()
     best_x, best_residual = x0, math.inf
     evaluations = 0
 
@@ -700,13 +755,13 @@ def fit_parameters(
         value = math.fsum((r * r).tolist())
         if value < best_residual:
             best_x, best_residual = x, value
-        return r, lambda: jacobian()[:, free]
+        return r, jacobian
 
     try:
         termination = _trust_region_lm(free_residuals, x0[free])
     except _BudgetExhausted:
         termination = "budget"
-    params = ErrorModelParams.from_vector(best_x)
+    params = ErrorModelParams(*best_x.tolist())
     if params.alpha < 0.0:
         # Pick the conjugation-symmetric representative with alpha >= 0;
         # it predicts the same probabilities, so the residual stands.

@@ -128,7 +128,8 @@ def _probe_angle(pe: float) -> float:
     induces error probability ``pe``: ``atan2((c - s)/sqrt2, (c + s)/sqrt2)``
     with ``c = sqrt(1 - 2*pe)`` and ``s = sqrt(2*pe)``, after ``checked_pe``.
     Memoized, since a fit asks for the same few pe values once per record
-    and evaluation; a rejected pe raises on every call."""
+    and evaluation; a rejected pe raises on every call. A grid of distinct
+    pe values calls the unmemoized rule, ``_probe_angle.__wrapped__``."""
     pe = checked_pe(pe)
     c = math.sqrt(1.0 - 2.0 * pe)
     s = math.sqrt(2.0 * pe)
