@@ -12,7 +12,6 @@ from .montecarlo import (
     CountsFileError,
     read_counts_file,
     reference_counts_path,
-    simulate_counts,
 )
 from .probe import (
     OUTCOME_ORDER,
@@ -37,7 +36,6 @@ __all__ = [
     "reference_counts_path",
     "renyi_closed_form",
     "renyi_information",
-    "simulate_counts",
 ]
 
 __version__ = "0.1.0"

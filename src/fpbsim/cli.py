@@ -43,6 +43,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+# Imported with the CLI: numpy loads numpy.random lazily, on first use,
+# which would put ~20 ms of imports into the first simulation.
+from numpy.random import SeedSequence, default_rng
 
 from . import error_model, montecarlo, probe
 from .error_model import ErrorModelParams
@@ -317,15 +320,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     state, basis, pe_index = np.indices(shape).reshape(3, -1)
     state = states[state]
     probs = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
-    seeds = np.random.SeedSequence(args.seed).generate_state(len(probs), np.uint64)
-    # Every row sums to --pairs, so the int64 counts and totals are exact.
+    seeds = SeedSequence(args.seed).generate_state(len(probs), np.uint64)
+    # Each row is one multinomial draw of --pairs events from its own
+    # seed's PCG64 stream, over the row renormalized to sum to 1; every row
+    # sums to --pairs, so the int64 counts are exact.
     counts = np.array([
-        montecarlo.simulate_counts(row, args.pairs, seed)
+        default_rng(seed).multinomial(args.pairs, row / row.sum())
         for row, seed in zip(probs, seeds.tolist())
     ], dtype=np.int64)
     _emit(args, montecarlo.counts_file_text(CountsColumns(
-        state, basis, np.array(pes)[pe_index], counts,
-        np.full(len(probs), float(args.pairs)), np.full(len(probs), math.nan),
+        state, basis, np.array(pes)[pe_index], counts, np.full(len(probs), math.nan),
     )))
     return 0
 

@@ -145,19 +145,21 @@ class ErrorModelParams:
 
 #: Parameter-file keys in vector order: the field names.
 _PARAM_KEYS = tuple(f.name for f in fields(ErrorModelParams))
-#: Per input state, its nominal angle and the field of its wave-plate
-#: offset; per basis, its nominal analyzer angle and the field of its
-#: analyzer offset. Radians: the analyzer sits at +22.5 deg for HV and
-#: -22.5 deg for DA, where Bob's analyzed-bit states are the basis states.
-#: Keyed by the counts-file spelling, ``member._value_``: a plain attribute,
-#: where hashing an Enum member runs Python code.
+#: The model's one table of nominal angles, radians in the control frame,
+#: whose basis is the H-V basis rotated by pi/8. Per input state, its polar
+#: angle and the field of its wave-plate offset: H at -22.5 deg, V at 67.5,
+#: D at 22.5 and A at 112.5. Per basis, its analyzer angle and the field of
+#: its analyzer offset: +22.5 deg for HV and -22.5 deg for DA, where Bob's
+#: analyzed-bit states are the basis states. Keyed by the counts-file
+#: spelling, ``member._value_``: a plain attribute, where hashing an Enum
+#: member runs Python code.
 _ANGLE_TERMS = {
-    **{
-        state.value: (state.theta, f"d_theta_a_{state.value.lower()}")
-        for state in Bb84State
-    },
-    SiftBasis.HV.value: (math.pi / 8, "d_theta_b_hv"),
-    SiftBasis.DA.value: (-math.pi / 8, "d_theta_b_da"),
+    "H": (-math.pi / 8, "d_theta_a_h"),
+    "V": (3 * math.pi / 8, "d_theta_a_v"),
+    "D": (math.pi / 8, "d_theta_a_d"),
+    "A": (5 * math.pi / 8, "d_theta_a_a"),
+    "HV": (math.pi / 8, "d_theta_b_hv"),
+    "DA": (-math.pi / 8, "d_theta_b_da"),
 }
 
 
@@ -415,9 +417,13 @@ class FitResult:
     params: ErrorModelParams
     residual: float
     evaluations: int
-    converged: bool
     held: tuple[str, ...]
     termination: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solver met a tolerance: ``termination`` is not "budget"."""
+        return self.termination != "budget"
 
 
 def _make_objective(
@@ -773,7 +779,6 @@ def fit_parameters(
         params=params,
         residual=best_residual,
         evaluations=evaluations,
-        converged=termination != "budget",
         held=held,
         termination=termination,
     )

@@ -1,21 +1,21 @@
-"""Coincidence-count simulation and estimation.
+"""Coincidence counts: reading, writing and estimation.
 
-Generates multinomial coincidence counts from any outcome-probability
-vector (four entries in ``OUTCOME_ORDER``, a plain numpy array) with
-explicit per-call seeding, and turns measured counts back into
+Turns measured counts (four per record, in ``OUTCOME_ORDER``) into
 normalized probabilities, sifted error rates, and the measured Renyi
 information. Every record has a positive total of at most ``MAX_PAIRS``
 (2**63 - 1), so its counts and total fit in an int64, and its nominal pe
 passes ``probe.checked_pe``, so a -0.0 is stored as 0.0 and groups, sorts
-and prints as 0.0.
+and prints as 0.0. The seeded multinomial draws of synthetic counts are
+the CLI's ``simulate``.
 
 The read side is columnar for every command. ``CountsColumns`` holds
 records as state and basis index arrays, pe, the exact ``(N, 4)`` int64
-counts, float totals and durations. ``parse_counts`` turns counts-file
-lines into columns. Record lines without padding that are all 7 or all 8
-fields wide, as ``counts_file_text`` writes them, take one flat split
-into field columns; other lines are split one at a time. Lines are
-stripped only when one is padded. Every field rule is then checked over a
+counts and durations; the float totals are derived from the counts.
+``parse_counts`` turns counts-file lines into columns. Record lines
+without padding that are all 7 or all 8 fields wide, as
+``counts_file_text`` writes them, take one flat split into field columns;
+other lines are split one at a time. Lines are stripped only when one is
+padded. Every field rule is then checked over a
 whole column, and these checks only accept. When one fails, the parser
 checks the lines one at a time with ``_record``, which states every rule,
 its order and its message once and builds no record, and reports the
@@ -47,9 +47,6 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
-# Imported with the package: numpy loads numpy.random lazily, on first use,
-# which would put ~20 ms of imports into the first simulation.
-from numpy.random import default_rng
 
 from .probe import (
     OUTCOME_ORDER, Bb84State, SiftBasis, checked_pe, renyi_information, sift_cells
@@ -57,8 +54,8 @@ from .probe import (
 
 _REFERENCE_FILE = "reference_counts.csv"
 
-#: Largest number of pairs one multinomial draw accepts, and largest record
-#: total: numpy's int64 limit.
+#: Largest record total, and largest ``simulate --pairs``: numpy's int64
+#: limit.
 MAX_PAIRS = 2**63 - 1
 
 #: The only characters that may pad a counts-file line or field: the ASCII
@@ -69,25 +66,6 @@ ASCII_SPACE = " \t\n\r\x0b\x0c"
 
 class CountsFileError(ValueError):
     """A counts file failed to parse; the message carries the line number."""
-
-
-def simulate_counts(
-    probs: np.ndarray, n_pairs: int, seed: int
-) -> tuple[int, int, int, int]:
-    """Draw one multinomial sample of ``n_pairs`` detection events.
-
-    ``probs`` holds the four outcome probabilities in ``OUTCOME_ORDER``;
-    they are renormalized, and numpy rejects negative or NaN entries.
-    Deterministic given the seed; the counts sum to ``n_pairs`` exactly.
-    """
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (4,):
-        raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
-    p = probs / probs.sum()
-    draw = default_rng(seed).multinomial(n_pairs, p)
-    return tuple(int(c) for c in draw)
 
 
 #: The states and bases in the order the index columns count them.
@@ -117,16 +95,19 @@ class CountsColumns(NamedTuple):
     ``state`` and ``basis`` index ``tuple(Bb84State)`` and
     ``tuple(SiftBasis)``. ``pe`` holds the checked nominal pe values and
     ``counts`` the exact ``(N, 4)`` int64 counts in ``OUTCOME_ORDER``; no
-    row sums past ``MAX_PAIRS``. ``totals`` is each row's exact int64 sum
-    rounded once to a float; ``durations`` is NaN where a row has none.
+    row sums past ``MAX_PAIRS``. ``durations`` is NaN where a row has none.
     """
 
     state: np.ndarray
     basis: np.ndarray
     pe: np.ndarray
     counts: np.ndarray
-    totals: np.ndarray
     durations: np.ndarray
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Each row's exact int64 sum, rounded once to a float."""
+        return self.counts.sum(axis=1).astype(float)
 
     def probabilities(self) -> np.ndarray:
         """Per-row probabilities: each count over its row's total, as an
@@ -262,7 +243,7 @@ def _checked_columns(
     if not len(widths):
         index, empty = np.zeros(0, dtype=np.intp), np.zeros(0)
         counts = np.zeros((0, 4), dtype=np.int64)
-        return CountsColumns(index, index, empty, counts, empty, empty)
+        return CountsColumns(index, index, empty, counts, empty)
     if ((widths != 7) & (widths != 8)).any():
         reject()
     alice, basis, pe_text, *count_text, duration_column = columns
@@ -292,7 +273,6 @@ def _checked_columns(
     # row holding a larger count can sum past the limit or hold a
     # saturated count, so only such a row is summed from its digits.
     counts = np.fromstring(joined, dtype=np.int64, sep=",").reshape(4, -1).T
-    totals = counts.sum(axis=1)
     if counts.max() > _INT64_QUARTER and any(
         sum(_count(texts[k]) for texts in count_text) > MAX_PAIRS
         for k in np.flatnonzero(counts.max(axis=1) > _INT64_QUARTER).tolist()
@@ -304,13 +284,13 @@ def _checked_columns(
     # The record rules that ``_record`` checks last.
     pe_column, timed_durations = np.array(pe), durations[timed]
     if not (
-        ((pe_column >= 0.0) & (pe_column <= 0.5)).all() and totals.all()
+        ((pe_column >= 0.0) & (pe_column <= 0.5)).all() and counts.any(axis=1).all()
         and (np.isfinite(timed_durations) & (timed_durations >= 0.0)).all()
     ):
         reject()
     return CountsColumns(
         np.array(state, dtype=np.intp), np.array(bases, dtype=np.intp),
-        pe_column + 0.0, counts, totals.astype(float), durations,
+        pe_column + 0.0, counts, durations,
     )
 
 

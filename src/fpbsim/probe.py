@@ -10,7 +10,9 @@ that the attack induces fixes on its own (``_probe_angle``). ``checked_pe``
 is the one rule for that probability: it lies in [0, 0.5], and -0.0 reads
 as 0.0. ``_probe_angle``, and so every forward prediction, goes through
 it, as do ``renyi_closed_form``, the counts-file reader's
-``montecarlo._record`` and the CLI's pe flags.
+``montecarlo._record`` and the CLI's pe flags. The states name no
+angle: their control-frame angles, and those of Bob's analyzer, are one
+table of the forward model, ``error_model._ANGLE_TERMS``.
 It also holds the sift step that model predictions and measured counts
 share (a 2x2 Bob/Eve bit table on error-free sift events, a plain numpy
 array, and the sifted error rate), the Renyi information of that table,
@@ -84,11 +86,6 @@ class Bb84State(Enum):
     A = "A"
 
     @property
-    def theta(self) -> float:
-        """Polar angle of the state in the control-basis frame, radians."""
-        return _THETA_A[self]
-
-    @property
     def basis(self) -> "SiftBasis":
         return SiftBasis.HV if self in (Bb84State.H, Bb84State.V) else SiftBasis.DA
 
@@ -110,16 +107,6 @@ class SiftBasis(Enum):
         if self is SiftBasis.HV:
             return (Bb84State.H, Bb84State.V)
         return (Bb84State.D, Bb84State.A)
-
-
-# Control basis is the H-V basis rotated by pi/8, so H sits at -22.5 deg,
-# D at +22.5 deg, V at 67.5 deg, and A at 112.5 deg in the control frame.
-_THETA_A = {
-    Bb84State.H: -math.pi / 8,
-    Bb84State.D: math.pi / 8,
-    Bb84State.V: 3 * math.pi / 8,
-    Bb84State.A: 5 * math.pi / 8,
-}
 
 
 @lru_cache(maxsize=256)

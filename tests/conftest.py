@@ -46,6 +46,15 @@ FRAME_DEG = {
     Bb84State.A: 112.5,
 }
 
+#: The same angles in radians, written ``k*pi/8`` as the forward model
+#: writes them, so that oracles built on them compare with it bit for bit.
+FRAME_RAD = {
+    Bb84State.H: -math.pi / 8,
+    Bb84State.V: 3 * math.pi / 8,
+    Bb84State.D: math.pi / 8,
+    Bb84State.A: 5 * math.pi / 8,
+}
+
 
 def probe_angle_oracle(pe: float) -> float:
     """The probe's preparation angle at error probability ``pe`` in
@@ -361,7 +370,7 @@ def nonideal_alice_state(alice: Bb84State, d_theta: float, d_chi: float) -> np.n
     frame; with zero offset and phase this is ``(cos theta, sin theta)``
     at the state's polar angle.
     """
-    theta = alice.theta + d_theta
+    theta = FRAME_RAD[alice] + d_theta
     return np.array([math.cos(theta), cmath.exp(1j * d_chi) * math.sin(theta)])
 
 
@@ -637,12 +646,20 @@ def columns_from_records(records) -> CountsColumns:
         np.array([bases.index(r.bob_basis) for r in records], dtype=np.intp),
         np.array([r.pe_nominal for r in records], dtype=float),
         np.array([r.counts for r in records], dtype=np.int64).reshape(-1, 4),
-        np.array([r.total for r in records], dtype=float),
         np.array(
             [math.nan if r.duration_s is None else r.duration_s for r in records],
             dtype=float,
         ),
     )
+
+
+def draw_counts(probs, n_pairs: int, seed: int) -> tuple[int, int, int, int]:
+    """One seeded multinomial draw of ``n_pairs`` detection events over the
+    four outcome probabilities ``probs``, renormalized: the draw that
+    ``fpbsim simulate`` makes for each of its rows."""
+    probs = np.asarray(probs, dtype=float)
+    draw = np.random.default_rng(seed).multinomial(n_pairs, probs / probs.sum())
+    return tuple(int(c) for c in draw)
 
 
 def noise_free_counts(probs, n_pairs: int) -> tuple[int, int, int, int]:
@@ -670,9 +687,11 @@ def take_rows(counts: CountsColumns, rows) -> CountsColumns:
 def assert_columns_equal(got: CountsColumns, want: CountsColumns) -> None:
     """Assert two ``CountsColumns`` hold the same records in the same order:
     every column of the same dtype and shape, and of the same bytes, so
-    that -0.0 differs from 0.0 and NaN durations compare equal.
+    that -0.0 differs from 0.0 and NaN durations compare equal; the
+    derived ``totals`` likewise.
     """
-    for name, a, b in zip(CountsColumns._fields, got, want):
+    for name in (*CountsColumns._fields, "totals"):
+        a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
 

@@ -16,7 +16,6 @@ from fpbsim import (
     predict_outcome_probs,
     reference_counts_path,
     renyi_closed_form,
-    simulate_counts,
 )
 from fpbsim.cli import main
 from fpbsim.error_model import _amplitudes, _phases
@@ -28,6 +27,7 @@ from conftest import (
     analytic_output,
     analytic_probs,
     columns_from_records,
+    draw_counts,
     error_probability,
     shipped_output_state,
     states_close,
@@ -163,7 +163,7 @@ def test_criterion_6_monte_carlo_consistency():
     for trial, seed in enumerate(seeds):
         cfg = configs[trial % len(configs)]
         p = model[cfg]
-        counts = simulate_counts(p, n, int(seed))
+        counts = draw_counts(p, n, int(seed))
         estimate = np.array(counts) / n
         bound = 3 * np.sqrt(p * (1 - p) / n)
         cells += 4
@@ -176,7 +176,7 @@ def test_criterion_6_monte_carlo_consistency():
             state,
             SiftBasis.DA,
             0.1,
-            simulate_counts(
+            draw_counts(
                 predict_outcome_probs(ZERO, state, SiftBasis.DA, 0.1),
                 n,
                 int(seed),

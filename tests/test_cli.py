@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,6 +32,7 @@ from conftest import (
     IDEAL_EXPECTED,
     MEASURED_ESTIMATED,
     columns_from_records,
+    draw_counts,
     noise_free_counts,
     renyi_information_oracle,
     sift_cells_oracle,
@@ -192,6 +194,7 @@ class TestCurve:
             ("simulate", "--pairs", str(2**63)),
             ("curve", "--steps", str(MAX_STEPS + 1)),
             ("curve", "--steps", str(2**63 - 1)),
+            ("simulate", "--pairs", "0"),
         ],
     )
     def test_usage_errors(self, capsys, args):
@@ -280,6 +283,32 @@ class TestSimulate:
         )
         assert code == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_rows_are_seeded_multinomial_draws(self, capsys, tmp_path):
+        # Row k, in (state, basis, pe) nesting order, is one multinomial
+        # draw of --pairs events over the model's row renormalized, seeded
+        # with the k-th 64-bit word of the --seed SeedSequence.
+        path = tmp_path / "sim.csv"
+        seed = 2**64 - 1
+        code, _, _ = run(
+            capsys, "simulate", "--params", EXAMPLE_PARAMS, "--states", "V,D",
+            "--pe", "0,0.2,0.5", "--pairs", "123457", "--seed", str(seed),
+            "--out", str(path),
+        )
+        assert code == 0
+        params = ErrorModelParams.from_dict(json.loads(Path(EXAMPLE_PARAMS).read_text()))
+        configs = [
+            (state, basis, pe)
+            for state in (Bb84State.V, Bb84State.D)
+            for basis in SiftBasis
+            for pe in (0.0, 0.2, 0.5)
+        ]
+        seeds = np.random.SeedSequence(seed).generate_state(len(configs), np.uint64)
+        want = [
+            list(draw_counts(predict_outcome_probs(params, *config), 123457, k))
+            for config, k in zip(configs, seeds.tolist())
+        ]
+        assert read_counts_file(path).counts.tolist() == want
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):
@@ -996,10 +1025,18 @@ def test_public_names():
         "ErrorModelParams", "FitResult", "OUTCOME_ORDER", "SiftBasis",
         "fit_parameters", "model_sift_summaries",
         "predict_outcome_probs", "read_counts_file", "reference_counts_path",
-        "renyi_closed_form", "renyi_information", "simulate_counts",
+        "renyi_closed_form", "renyi_information",
     ]
     for name in fpbsim.__all__:
         assert hasattr(fpbsim, name), name
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    missing = [name for name in fpbsim.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
 
 
 def test_no_command_imports_scipy(tmp_path):

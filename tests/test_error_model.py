@@ -20,7 +20,6 @@ from fpbsim import (
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    simulate_counts,
 )
 from fpbsim import error_model
 from fpbsim.error_model import (
@@ -33,9 +32,11 @@ from fpbsim.cli import main
 from conftest import (
     CountsRecord,
     FRAME_DEG,
+    FRAME_RAD,
     analytic_probs,
     bob_analyzer,
     columns_from_records,
+    draw_counts,
     frame,
     from_vector_oracle,
     jacobian_kernel_oracle,
@@ -110,7 +111,7 @@ def synth_records(params, n_pairs, seed=None):
                 if seed is None:
                     counts = noise_free_counts(probs, n_pairs)
                 else:
-                    counts = simulate_counts(probs, n_pairs, int(next(seeds)))
+                    counts = draw_counts(probs, n_pairs, int(next(seeds)))
                 records.append(CountsRecord(state, basis, pe, counts))
     return records
 
@@ -153,7 +154,7 @@ def random_records(params, seed) -> list[CountsRecord]:
     return [
         CountsRecord(
             state, basis, pe,
-            simulate_counts(
+            draw_counts(
                 predict_outcome_probs(params, state, basis, pe),
                 int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
             ),
@@ -202,10 +203,10 @@ def reflect(params: ErrorModelParams) -> ErrorModelParams | None:
         return (angle + math.pi / 2) % math.pi - math.pi / 2
 
     offsets = {
-        "d_theta_a_h": wrap(-2 * Bb84State.H.theta - params.d_theta_a_h),
-        "d_theta_a_d": wrap(-2 * Bb84State.D.theta - params.d_theta_a_d),
-        "d_theta_a_v": wrap(-2 * Bb84State.V.theta - params.d_theta_a_v),
-        "d_theta_a_a": wrap(-2 * Bb84State.A.theta - params.d_theta_a_a),
+        "d_theta_a_h": wrap(-2 * FRAME_RAD[Bb84State.H] - params.d_theta_a_h),
+        "d_theta_a_d": wrap(-2 * FRAME_RAD[Bb84State.D] - params.d_theta_a_d),
+        "d_theta_a_v": wrap(-2 * FRAME_RAD[Bb84State.V] - params.d_theta_a_v),
+        "d_theta_a_a": wrap(-2 * FRAME_RAD[Bb84State.A] - params.d_theta_a_a),
         "d_theta_b_hv": wrap(-math.pi / 4 - params.d_theta_b_hv),
         "d_theta_b_da": wrap(math.pi / 4 - params.d_theta_b_da),
     }
@@ -384,7 +385,7 @@ class TestNonidealStates:
 
     def test_alice_reduces_to_frame(self):
         got = nonideal_alice_state(Bb84State.D, 0.0, 0.0)
-        theta = Bb84State.D.theta
+        theta = FRAME_RAD[Bb84State.D]
         assert got[0] == math.cos(theta) and got[1] == math.sin(theta)
 
     def test_alice_angle_addition(self):
@@ -802,7 +803,7 @@ class TestFit:
         records = [
             CountsRecord(
                 state, basis, pe,
-                simulate_counts(
+                draw_counts(
                     predict_outcome_probs(ref_params, state, basis, pe),
                     int(rng.integers(1, 10**7)), int(rng.integers(2**63)),
                 ),

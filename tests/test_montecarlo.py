@@ -1,4 +1,6 @@
+import io
 import math
+from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpbsim import (
+    OUTCOME_ORDER,
     Bb84State,
     CountsColumns,
     CountsFileError,
@@ -18,16 +21,17 @@ from fpbsim import (
     read_counts_file,
     reference_counts_path,
     renyi_closed_form,
-    simulate_counts,
 )
 from fpbsim import montecarlo
-from fpbsim.montecarlo import counts_file_text, parse_counts
+from fpbsim.cli import main
+from fpbsim.montecarlo import _STATE_BASIS, counts_file_text, parse_counts
 
 from conftest import (
     CountsRecord,
     assert_columns_equal,
     columns_from_records,
     counts_line_accepted,
+    draw_counts,
     noise_free_counts,
     parse_counts_oracle,
     renyi_information_oracle,
@@ -36,6 +40,11 @@ from conftest import (
 )
 
 columns = columns_from_records
+
+
+def oracle_totals(records) -> np.ndarray:
+    """Each record's exact integer total, converted to a float once."""
+    return np.array([float(r.total) for r in records])
 
 
 #: One counts-file field: valid tokens, near misses and arbitrary text.
@@ -193,7 +202,7 @@ def sift_pair(pe, n_pairs, seeds=(101, 202)) -> list[CountsRecord]:
             state,
             SiftBasis.DA,
             pe,
-            simulate_counts(ideal_probs(state, SiftBasis.DA, pe), n_pairs, seed),
+            draw_counts(ideal_probs(state, SiftBasis.DA, pe), n_pairs, seed),
         )
         for state, seed in zip(SiftBasis.DA.states, seeds)
     ]
@@ -222,54 +231,59 @@ def noise_free_pair(pe, n_pairs) -> list[CountsRecord]:
     ]
 
 
+def simulate(*flags: str) -> str:
+    """What ``fpbsim simulate FLAGS`` writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["simulate", *flags]) == 0
+    return out.getvalue()
+
+
+def simulated(*flags: str) -> CountsColumns:
+    """The counts that ``fpbsim simulate FLAGS`` writes, read back."""
+    return parse_counts(simulate(*flags).split("\n"))
+
+
 class TestSimulateCounts:
+    """The seeded multinomial draws of ``fpbsim simulate``."""
+
     def test_degenerate_distribution(self):
-        counts = simulate_counts([1.0, 0.0, 0.0, 0.0], 1000, 1)
-        assert counts == (1000, 0, 0, 0)
+        # At pe 0 the ideal attack never flips Bob's bit on a sift row:
+        # the cells of the other bit, of probability below 1e-32, stay empty.
+        counts = simulated("--pe", "0", "--pairs", "1000", "--seed", "1")
+        sift = _STATE_BASIS[counts.state] == counts.basis
+        for state, row in zip(counts.state[sift].tolist(), counts.counts[sift].tolist()):
+            bit = tuple(Bb84State)[state].bit
+            assert [c for c, (b, _) in zip(row, OUTCOME_ORDER) if b != bit] == [0, 0]
+            assert sum(row) == 1000
 
     def test_counts_sum_to_n(self):
-        probs = ideal_probs(Bb84State.D, SiftBasis.DA, 0.1)
-        assert sum(simulate_counts(probs, 49_316, 7)) == 49_316
+        counts = simulated("--pairs", "49316", "--seed", "7")
+        assert counts.counts.sum(axis=1).tolist() == [49_316] * 24
 
     def test_deterministic_given_seed(self):
-        probs = ideal_probs(Bb84State.A, SiftBasis.DA, 0.1)
-        assert simulate_counts(probs, 50_000, 123) == simulate_counts(
-            probs, 50_000, 123
-        )
-        assert simulate_counts(probs, 50_000, 123) != simulate_counts(
-            probs, 50_000, 124
-        )
+        flags = ("--states", "A", "--pe", "0.1", "--pairs", "50000")
+        assert simulate(*flags, "--seed", "123") == simulate(*flags, "--seed", "123")
+        assert simulate(*flags, "--seed", "123") != simulate(*flags, "--seed", "124")
 
     def test_uniform_within_three_sigma(self):
-        counts = simulate_counts([0.25] * 4, 40_000, 2024)
+        # At pe 0 a state measured in the other basis gives all four
+        # outcomes with probability 1/4, to within a few ulps.
+        counts = simulated("--pe", "0", "--pairs", "40000", "--seed", "2024")
+        cross = _STATE_BASIS[counts.state] != counts.basis
         sigma = math.sqrt(40_000 * 0.25 * 0.75)
-        for c in counts:
+        assert cross.sum() == 4
+        for c in counts.counts[cross].ravel().tolist():
             assert abs(c - 10_000) <= 3 * sigma
 
     def test_reference_row_scale_within_three_sigma(self):
         n = 49_316
         probs = ideal_probs(Bb84State.D, SiftBasis.DA, 0.1)
-        counts = simulate_counts(probs, n, 99)
-        for c, p in zip(counts, probs):
+        counts = simulated("--states", "D", "--pe", "0.1", "--pairs", str(n), "--seed", "99")
+        (row,) = counts.counts[counts.basis == tuple(SiftBasis).index(SiftBasis.DA)]
+        for c, p in zip(row.tolist(), probs):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(c - n * p) <= 3 * sigma
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValueError, match="n_pairs"):
-            simulate_counts([0.25] * 4, 0, 1)
-        with pytest.raises(ValueError, match="n_pairs"):
-            simulate_counts([0.25] * 4, 2**63, 1)
-
-    def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError, match="4 outcome probabilities"):
-            simulate_counts([0.5, 0.25, 0.25], 100, 1)
-        with pytest.raises(ValueError, match="4 outcome probabilities"):
-            simulate_counts(np.full((2, 2), 0.25), 100, 1)
-        # numpy's multinomial rejects NaN and negative entries.
-        with pytest.raises(ValueError):
-            simulate_counts([float("nan"), 0.5, 0.25, 0.25], 100, 1)
-        with pytest.raises(ValueError):
-            simulate_counts([-0.1, 0.6, 0.25, 0.25], 100, 1)
 
 
 class TestNoiseFreeCounts:
@@ -325,7 +339,7 @@ class TestEstimateProbabilities:
             for pe in (0.05, 0.1, 0.25, 1 / 3):
                 probs = ideal_probs(state, SiftBasis.DA, pe)
                 n = 10_000
-                counts = simulate_counts(probs, n, next(seeds))
+                counts = draw_counts(probs, n, next(seeds))
                 record = CountsRecord(state, SiftBasis.DA, pe, counts)
                 estimate = columns([record]).probabilities()[0]
                 bound = 4 * np.sqrt(probs * (1 - probs) / n)
@@ -536,7 +550,8 @@ class TestCountsFiles:
         assert_columns_equal(got, columns(want))
         # Each count and total converted once from its exact integer.
         probs = np.array([r.counts for r in want], dtype=float).reshape(-1, 4)
-        totals = np.array([r.total for r in want], dtype=float)
+        totals = oracle_totals(want)
+        assert got.totals.tobytes() == totals.tobytes()
         assert got.probabilities().tobytes() == (probs / totals[:, None]).tobytes()
         assert repr(got.sift_summaries()) == repr(sift_summaries_oracle(want))
 
@@ -577,7 +592,8 @@ class TestCountsFiles:
         assert counts.counts.dtype == np.int64
         assert counts.counts.sum(axis=1).tolist() == [2 * big + 1, 2 * big + 6]
         probs = np.array([r.counts for r in records], dtype=float)
-        totals = np.array([r.total for r in records], dtype=float)
+        totals = oracle_totals(records)
+        assert counts.totals.tobytes() == totals.tobytes()
         got = counts.probabilities()
         assert got.tobytes() == (probs / totals[:, None]).tobytes()
 
@@ -754,13 +770,15 @@ class TestCountsFiles:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(lines=written_lines())
     def test_flat_split_reads_written_files(self, lines):
-        want = columns(parse_counts_oracle(lines))
+        records = parse_counts_oracle(lines)
         # Line-by-line splitting out of reach: the flat split must read
         # every such text on its own.
         with mock.patch.object(
             montecarlo, "_row_columns", side_effect=AssertionError("split line by line")
         ):
-            assert_columns_equal(parse_counts(lines), want)
+            got = parse_counts(lines)
+        assert_columns_equal(got, columns(records))
+        assert got.totals.tobytes() == oracle_totals(records).tobytes()
 
     @pytest.mark.parametrize(
         "lines, flat",
@@ -791,6 +809,9 @@ class TestCountsFiles:
             pytest.param([f"D,DA,0.1,{2**62},{2**62 - 1},0,0", ""], True, id="total-at-limit"),
             pytest.param([f"D,DA,0.1,{2**63},0,0,0", ""], True, id="saturated-count"),
             pytest.param([f"D,DA,0.1,{2**62},{2**62},0,0", ""], True, id="total-wraps"),
+            # Exactly 2**53 + 2: adding the counts as floats would round
+            # twice, to 2**53.
+            pytest.param([f"D,DA,0.1,{2**53},1,1,0", ""], True, id="total-rounds-once"),
             pytest.param(["D,DA,0.9," + "9" * 5001 + ",0,0,0"], True, id="5001-digits-bad-pe"),
             pytest.param(["D,DA,1e-1,1,2,3,4", ""], True, id="pe-1e-1"),
             pytest.param(["D,DA,0.1,1,2,3,4", "A,DA,0.9,4,3,2,1", ""], True, id="pe-0.9"),
@@ -808,13 +829,15 @@ class TestCountsFiles:
             montecarlo, "_row_columns", wraps=montecarlo._row_columns
         ) as by_line:
             try:
-                want = columns(parse_counts_oracle(lines))
+                records = parse_counts_oracle(lines)
             except CountsFileError as exc:
                 with pytest.raises(CountsFileError) as excinfo:
                     parse_counts(lines)
                 assert str(excinfo.value) == str(exc)
             else:
-                assert_columns_equal(parse_counts(lines), want)
+                got = parse_counts(lines)
+                assert_columns_equal(got, columns(records))
+                assert got.totals.tobytes() == oracle_totals(records).tobytes()
         assert by_line.called != flat
 
     @settings(derandomize=True, deadline=None)

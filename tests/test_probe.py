@@ -16,9 +16,12 @@ from fpbsim import (
     renyi_closed_form,
     renyi_information,
 )
+from fpbsim.error_model import _ANGLE_TERMS
 from fpbsim.probe import _probe_angle, sift_cells
 
 from conftest import (
+    FRAME_DEG,
+    FRAME_RAD,
     analytic_output,
     error_probability,
     frame,
@@ -80,6 +83,17 @@ class TestStatesAndConfig:
         np.testing.assert_allclose(
             d, [0.9238795325112867, 0.3826834323650898], atol=1e-15
         )
+        # The forward model's one table of nominal angles: each state at its
+        # control-frame angle, the analyzers at +-22.5 deg, exactly.
+        assert _ANGLE_TERMS == {
+            **{
+                state.value: (math.radians(deg), f"d_theta_a_{state.value.lower()}")
+                for state, deg in FRAME_DEG.items()
+            },
+            "HV": (math.radians(22.5), "d_theta_b_hv"),
+            "DA": (math.radians(-22.5), "d_theta_b_da"),
+        }
+        assert FRAME_RAD == {state: math.radians(deg) for state, deg in FRAME_DEG.items()}
 
     @pytest.mark.parametrize("basis", list(SiftBasis))
     def test_basis_states_orthonormal(self, basis):
