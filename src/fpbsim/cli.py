@@ -147,6 +147,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes a float."""
+    text = repr(value)
+    return _JSON_SPECIAL.get(text, text)
+
+
 def _json_odd(values: Sequence[float]) -> np.ndarray:
     """Mask of the values whose ``"%.6g"`` text is not what ``json.dumps``
     writes for ``_jsonable(value)``.
@@ -167,7 +173,7 @@ def _json_numbers(values: Sequence[float], odd: np.ndarray) -> list[str]:
     ``"%.6g"`` text."""
     texts = ("%.6g\n" * len(values) % tuple(values)).split("\n")[:-1]
     for k in np.flatnonzero(odd).tolist():
-        texts[k] = _JSON_SPECIAL.get(texts[k]) or repr(float(texts[k]))
+        texts[k] = _json_float(float(texts[k]))
     return texts
 
 
@@ -374,6 +380,28 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit_json(doc: dict[str, float], result: error_model.FitResult) -> str:
+    """The fit's JSON document, byte for byte what ``json.dumps(payload,
+    indent=2) + "\\n"`` writes for the payload of ``doc``'s angles through
+    ``_jsonable``, the residual to 7 digits, ``evaluations``, ``converged``,
+    ``termination`` and the list ``held``. Written member by member, since
+    json's indented encoder runs in pure Python."""
+    held = "[]"
+    if result.held:
+        names = ",\n".join(f"    {encode_basestring_ascii(key)}" for key in result.held)
+        held = f"[\n{names}\n  ]"
+    members = [
+        *(f"{encode_basestring_ascii(key)}: {_json_float(_jsonable(value))}"
+          for key, value in doc.items()),
+        f'"residual": {_json_float(float(f"{result.residual:.6e}"))}',
+        f'"evaluations": {result.evaluations}',
+        f'"converged": {"true" if result.converged else "false"}',
+        f'"termination": {encode_basestring_ascii(result.termination)}',
+        f'"held": {held}',
+    ]
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     counts = montecarlo.read_counts_file(args.counts)
     init = _load_params(args.init)
@@ -396,13 +424,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
     doc = result.params.to_dict()
     if args.format == "json":
-        payload = {key: _jsonable(value) for key, value in doc.items()}
-        payload["residual"] = float(f"{result.residual:.6e}")
-        payload["evaluations"] = result.evaluations
-        payload["converged"] = result.converged
-        payload["termination"] = result.termination
-        payload["held"] = list(result.held)
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _fit_json(doc, result))
     else:
         lines = ["key,value"]
         lines.extend(f"{key},{_fmt(value)}" for key, value in doc.items())

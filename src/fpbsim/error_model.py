@@ -14,9 +14,15 @@ memoized for the per-record predictions of a fit.
 The model is one closed form, ``_amplitudes``: the amplitudes of the
 state after the entangling gate, projected onto Bob's analyzer, with no
 complex by complex product, so that Python numbers and numpy arrays round
-it alike. ``predict_outcome_probs`` evaluates it on numbers for one
-configuration and ``_predict`` on arrays for many, with bit-identical
-rows. Two-qubit amplitudes are ordered control-major, index
+it alike. It runs in two stages: ``_gated_probe``, the gate acting on the
+probe, which depends only on the parameters and pe, then ``_analyzed``,
+the photon and the analyzer. ``predict_outcome_probs`` evaluates it on
+numbers for one configuration and ``_predict`` on arrays for many, with
+bit-identical rows. One prediction reads what depends only on its
+``ErrorModelParams`` from the object, computed on first use: the gate and
+phase terms, the cosine and sine of the four state and two analyzer
+angles, and stage 1 per pe, memoized for a bounded number of pe values.
+Two-qubit amplitudes are ordered control-major, index
 ``2*c + t`` for photon (control) bit ``c`` and probe (target) bit ``t``.
 Probabilities come in ``OUTCOME_ORDER``; the model is unitary by
 construction, so they are not re-validated. ``model_sift_summaries``
@@ -28,9 +34,9 @@ bounded trust-region Levenberg-Marquardt solver on the weighted residual
 vector, which still predicts each record with ``predict_outcome_probs``,
 and its analytic Jacobian, ``_jacobian_kernel``. The closed form is linear
 in its gate and phase terms, in the photon's cosine and sine and in the
-analyzer's, so the kernel writes no derivative of its own: it evaluates
-``_amplitudes`` at the derivatives of those inputs. Angles are radians;
-degrees appear only at I/O boundaries.
+analyzer's, so the kernel writes no derivative of its own: it runs both
+stages of ``_amplitudes`` at the derivatives of those inputs, over one
+stacked array. Angles are radians; degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ from .probe import _probe_angle, renyi_information, sift_cells
 
 #: Fit box constraint on every parameter, radians.
 ANGLE_BOUND = math.pi / 2
+#: Most pe values one ``ErrorModelParams`` memoizes ``_gated_at`` for: the
+#: bound of ``probe._probe_angle``'s memo.
+_GATED_MEMO_SIZE = _probe_angle.cache_parameters()["maxsize"]
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,43 @@ class ErrorModelParams:
 
     @cached_property
     def _shared_terms(self) -> tuple:
-        """``_amplitudes``'s ``terms``, computed once for all predictions."""
+        """``_amplitudes``'s ``terms``, computed once for all predictions
+        with this object; ``_gated_at`` reads them."""
         return _phases(self.d_xi, self.d_chi, self.alpha, self.delta)[-1]
+
+    @cached_property
+    def _angle_trig(self) -> dict[str, tuple[float, float]]:
+        """``math``'s cosine and sine of each state's and each basis's angle
+        plus its offset, keyed as ``_ANGLE_TERMS``: 12 calls per object."""
+        trig = {}
+        for name, (nominal, key) in _ANGLE_TERMS.items():
+            angle = nominal + getattr(self, key)
+            trig[name] = math.cos(angle), math.sin(angle)
+        return trig
+
+    @cached_property
+    def _gated_memo(self) -> dict:
+        """``_gated_at``'s results by pe."""
+        return {}
+
+    def _gated_at(self, pe: float) -> tuple:
+        """``_gated_probe`` of ``_shared_terms`` at the probe angle of ``pe``.
+
+        Memoized on this object for at most ``_GATED_MEMO_SIZE`` pe values,
+        as ``probe._probe_angle`` is for all objects: a fit's evaluation
+        predicts each record with one object, over a few pe values. A
+        rejected pe raises on every call and is never stored.
+        """
+        memo = self._gated_memo
+        try:
+            return memo[pe]
+        except KeyError:
+            pass
+        theta_in = _probe_angle(pe)
+        gated = _gated_probe(self._shared_terms, math.cos(theta_in), math.sin(theta_in))
+        if len(memo) < _GATED_MEMO_SIZE:
+            memo[pe] = gated
+        return gated
 
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector in field order, radians."""
@@ -188,6 +232,35 @@ def _phases(d_xi, d_chi, alpha, delta):
     return chi, xi, c, s, ep, em, (*gate, *(chi * term for term in gate))
 
 
+def _gated_probe(terms, q0, q1):
+    """Stage 1 of ``_amplitudes``: the gate acting on the probe.
+
+    ``(q0, q1)`` are the cosine and sine of the probe's preparation angle
+    and ``terms`` the complex constants of ``_phases``. Returns ``c q0 + ia
+    q1``, ``ib q0 + c xi q1``, ``chi (c xi q1 - ib q0)`` and ``chi (c q0 -
+    ia q1)``, the probe's state after the gate for each control bit, the
+    latter two with the phase ``chi`` of the photon's bit-1 amplitude. It
+    depends only on the parameters and pe.
+    """
+    c, ia, ib, cxi, chi_c, chi_ia, chi_ib, chi_cxi = terms
+    return (
+        c * q0 + ia * q1, ib * q0 + cxi * q1,
+        chi_cxi * q1 - chi_ib * q0, chi_c * q0 - chi_ia * q1,
+    )
+
+
+def _analyzed(p0, p1, gated, cos_b, sin_b):
+    """Stage 2 of ``_amplitudes``: the photon's amplitudes ``(p0, p1)`` times
+    ``_gated_probe``'s four terms, rotated onto Bob's analyzer."""
+    g0, g1, g2, g3 = gated
+    out0, out1 = p0 * g0, p0 * g1
+    out2, out3 = p1 * g2, p1 * g3
+    return (
+        cos_b * out0 - sin_b * out2, cos_b * out1 - sin_b * out3,
+        sin_b * out0 + cos_b * out2, sin_b * out1 + cos_b * out3,
+    )
+
+
 def _amplitudes(p0, p1, q0, q1, terms, cos_b, sin_b):
     """Closed-form amplitudes of the forward model.
 
@@ -203,18 +276,14 @@ def _amplitudes(p0, p1, q0, q1, terms, cos_b, sin_b):
     eve_bit``; at a zero analyzer angle they are the output state itself.
     The gate is block diagonal in the control bit, so that output state is
     ``p0 (c q0 + ia q1)``, ``p0 (ib q0 + c xi q1)``, ``chi p1 (c xi q1 - ib
-    q0)`` and ``chi p1 (c q0 - ia q1)``. It is linear in each of ``terms``,
-    ``(p0, p1)`` and ``(cos_b, sin_b)``, and each parameter moves only one of
-    them: the derivative along it is this function with that input replaced
-    by its derivative, which is how ``_jacobian_kernel`` takes it.
+    q0)`` and ``chi p1 (c q0 - ia q1)``: ``_gated_probe``, the gate on the
+    probe, then ``_analyzed``, the photon and the analyzer. It is linear in
+    each of ``terms``, ``(p0, p1)`` and ``(cos_b, sin_b)``, and each
+    parameter moves only one of them: the derivative along it is this
+    function with that input replaced by its derivative, which is how
+    ``_jacobian_kernel`` takes it.
     """
-    c, ia, ib, cxi, chi_c, chi_ia, chi_ib, chi_cxi = terms
-    out0, out1 = p0 * (c * q0 + ia * q1), p0 * (ib * q0 + cxi * q1)
-    out2, out3 = p1 * (chi_cxi * q1 - chi_ib * q0), p1 * (chi_c * q0 - chi_ia * q1)
-    return (
-        cos_b * out0 - sin_b * out2, cos_b * out1 - sin_b * out3,
-        sin_b * out0 + cos_b * out2, sin_b * out1 + cos_b * out3,
-    )
+    return _analyzed(p0, p1, _gated_probe(terms, q0, q1), cos_b, sin_b)
 
 
 def _outcome_probs(analyzed) -> tuple:
@@ -228,6 +297,9 @@ def _outcome_probs(analyzed) -> tuple:
     )
 
 
+#: ``_phases``'s ``terms`` in the order of ``_gated_probe``'s products: the
+#: coefficients of its four first products, then of its four second ones.
+_GATE_ORDER = [0, 2, 7, 4, 1, 3, 6, 5]
 #: Field-order columns of the four angles every prediction depends on.
 _SHARED_COLUMNS = np.array(
     [_PARAM_KEYS.index(key) for key in ("d_xi", "d_chi", "alpha", "delta")]
@@ -255,17 +327,24 @@ def _jacobian_kernel(
     prediction moves returns only the kept columns, ``(N, 4, free.sum())``.
 
     Each ``da`` is the closed form ``_amplitudes`` at differentiated inputs,
-    as it is linear in each of them: one call over a stack of six rows
-    gives the amplitudes (row 0), their derivatives along d_xi, d_chi,
-    alpha and delta through the derivatives of the gate and phase terms
-    (rows 1-4), and along the wave-plate offset, which turns the photon's
-    ``(p0, p1)`` into ``(-p1, p0)`` (row 5). Along the analyzer offset the
-    rotation onto Bob's analyzed-bit states turns ``(a0, a1, a2, a3)`` into
-    ``(-a2, -a3, a0, a1)``. numpy multiplies a real array by a complex one
-    as the complex array of the same values, so the real inputs are cast
-    to complex before the call, the probe's once here: the same products,
-    without a cast inside each of them. The returned function fills two
-    buffers of its own on every call, so it serves one caller at a time.
+    as it is linear in each of them. Both of its stages run once over a
+    ``(6 rows, 4 amplitudes, N)`` stack: the amplitudes (row 0), their
+    derivatives along d_xi, d_chi, alpha and delta through the derivatives
+    of the gate and phase terms (rows 1-4), and along the wave-plate
+    offset, which turns the photon's ``(p0, p1)`` into ``(-p1, p0)`` (row
+    5). Each element takes the operations ``_gated_probe`` and
+    ``_analyzed`` apply to it, on the same operands in the same order: one
+    product per ``terms`` coefficient and probe factor, then the sums and
+    differences of the four amplitudes, each as one call over their half of
+    the stack. Along the analyzer offset the rotation onto Bob's
+    analyzed-bit states turns ``(a0, a1, a2, a3)`` into ``(-a2, -a3, a0,
+    a1)`` (row 6). The rows are written in the order the Jacobian's slots
+    read them, so they scatter without a copy. numpy multiplies a real
+    array by a complex one as the complex array of the same values, so the
+    real inputs are cast to complex first, the probe's once here: the same
+    products, without a cast inside each of them. The returned function
+    fills buffers of its own on every call, so it serves one caller at a
+    time.
     """
     n = len(state)
     if free is None:
@@ -274,6 +353,9 @@ def _jacobian_kernel(
     theta_a, nominal = _STATE_ANGLES[state], _BASIS_ANGLES[basis]
     a_columns, b_columns = _STATE_COLUMNS[state], _BASIS_COLUMNS[basis]
     q0, q1 = np.cos(theta_in).astype(complex), np.sin(theta_in).astype(complex)
+    # The probe factor of each of _gated_probe's four first and four second
+    # products, (2, 1, 4, N) against the (2, 6, 4, 1) coefficients.
+    probe = np.array([[q0, q0, q1, q0], [q1, q1, q0, q1]])[:, None]
     # Where the derivative of amplitude 2*bob_bit + eve_bit along the k-th
     # of d_xi, d_chi, alpha, delta and the two offsets goes in the (N, 4,
     # width) Jacobian: row OUTCOME_ORDER.index((bob_bit, eve_bit)), the
@@ -284,12 +366,15 @@ def _jacobian_kernel(
     columns[4], columns[5] = position[a_columns], position[b_columns]
     outcome = np.array([OUTCOME_ORDER.index(divmod(j, 2)) for j in range(4)])
     slots = (
-        4 * width * np.arange(n) + width * outcome[:, None, None] + columns
+        4 * width * np.arange(n) + width * outcome[:, None] + columns[:, None]
     ).ravel()
-    # Buffers of each call: the photon's (p0, p1) per stacked row, and per
-    # analyzed amplitude its value and its six derivatives.
-    photon = np.empty((2, 6, n), dtype=complex)
-    rows = np.empty((4, 7, n), dtype=complex)
+    # Buffers of each call, over the (6 rows, 4 amplitudes, N) stack: the
+    # photon's p0 or p1 per amplitude, the products of both stages, and the
+    # analyzed amplitudes (row 0) with their six derivatives (rows 1-6).
+    photon = np.empty((6, 4, n), dtype=complex)
+    products = np.empty((2, 6, 4, n), dtype=complex)
+    analyzed = np.empty((7, 4, n), dtype=complex)
+    first, second = products
 
     def jacobians(x: np.ndarray) -> np.ndarray:
         chi, xi, c, s, ep, em, terms = _phases(*x[_SHARED_COLUMNS].tolist())
@@ -304,20 +389,29 @@ def _jacobian_kernel(
         )
         d_xi, d_alpha, d_delta = ((*g, *(chi * term for term in g)) for g in gates)
         d_chi = (0.0, 0.0, 0.0, 0.0, *(1j * term for term in terms[4:]))
-        stack = np.array([terms, d_xi, d_chi, d_alpha, d_delta, terms]).T[..., None]
+        stack = np.array([terms, d_xi, d_chi, d_alpha, d_delta, terms])
+        coefficients = stack[:, _GATE_ORDER].reshape(6, 2, 4).transpose(1, 0, 2)
+        # Stage 1, _gated_probe: the first products plus or minus the second.
+        np.multiply(coefficients[..., None], probe, out=products)
+        np.add(first[:, :2], second[:, :2], out=first[:, :2])
+        np.subtract(first[:, 2:], second[:, 2:], out=first[:, 2:])
+        # Stage 2, _analyzed: times the photon, then onto the analyzer.
         theta = theta_a + x[a_columns]
         p0, p1 = np.cos(theta), np.sin(theta)
-        photon[0, :5], photon[1, :5] = p0, p1
-        photon[0, 5], photon[1, 5] = -p1, p0
+        photon[:5, :2], photon[:5, 2:] = p0, p1
+        photon[5, :2], photon[5, 2:] = -p1, p0
+        np.multiply(photon, first, out=first)
         phi = nominal + x[b_columns]
         cos_b, sin_b = np.cos(phi).astype(complex), np.sin(phi).astype(complex)
-        analyzed = _amplitudes(*photon, q0, q1, stack, cos_b, sin_b)
-        for row, amplitudes in zip(rows, analyzed):
-            row[:6] = amplitudes
-        a = rows[:, 0]
-        rows[:2, 6], rows[2:, 6] = -a[2:], a[:2]
+        np.multiply(cos_b, first, out=second)
+        np.multiply(sin_b, first, out=first)
+        np.subtract(second[:, :2], first[:, 2:], out=analyzed[:6, :2])
+        np.add(first[:, :2], second[:, 2:], out=analyzed[:6, 2:])
+        a = analyzed[0]
+        np.negative(a[2:], out=analyzed[6, :2])
+        analyzed[6, 2:] = a[:2]
         jac = np.zeros(4 * width * n)
-        jac[slots] = ((a.conj()[:, None] * rows[:, 1:]).real * 2.0).ravel()
+        jac[slots] = ((a.conj() * analyzed[1:]).real * 2.0).ravel()
         return jac.reshape(n, 4, width)
 
     return jacobians
@@ -337,16 +431,19 @@ def predict_outcome_probs(
     states (photon) and Eve's computational states (probe). Returns a
     ``(4,)`` float array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) =
     (1,0), (1,1), (0,1), (0,0); the entries sum to one by unitarity.
+
+    What depends only on ``params``, or on ``params`` and ``pe``, is
+    computed once per object and reused by its later calls: the photon's
+    and the analyzer's cosines and sines, and the gate acting on the probe
+    at this pe (``ErrorModelParams._gated_at``). A fit predicts all records
+    of one evaluation with one object, so each call then only applies the
+    photon and the analyzer.
     """
-    theta, key = _ANGLE_TERMS[alice._value_]
-    theta += getattr(params, key)
-    phi, key = _ANGLE_TERMS[bob_basis._value_]
-    phi += getattr(params, key)
-    theta_in = _probe_angle(pe)
-    return np.array(_outcome_probs(_amplitudes(
-        math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
-        params._shared_terms, math.cos(phi), math.sin(phi),
-    )))
+    p0, p1 = params._angle_trig[alice._value_]
+    cos_b, sin_b = params._angle_trig[bob_basis._value_]
+    return np.array(
+        _outcome_probs(_analyzed(p0, p1, params._gated_at(pe), cos_b, sin_b))
+    )
 
 
 def _predict(

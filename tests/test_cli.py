@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpbsim import (
@@ -24,7 +24,8 @@ from fpbsim import (
     renyi_closed_form,
 )
 import fpbsim
-from fpbsim.cli import MAX_STEPS, _emit_tables, _fmt, _jsonable, main
+from fpbsim.cli import MAX_STEPS, _emit_tables, _fit_json, _fmt, _jsonable, main
+from fpbsim.error_model import _PARAM_KEYS, FitResult
 from fpbsim.montecarlo import MAX_PAIRS, counts_file_text, parse_counts
 
 from conftest import (
@@ -283,6 +284,10 @@ class TestSimulate:
         )
         assert code == 0
         assert a.read_bytes() != b.read_bytes()
+        # Standard output carries the same bytes as the file.
+        code, out, _ = run(capsys, "simulate", "--pairs", "2000", "--seed", "7")
+        assert code == 0
+        assert out.encode() == b.read_bytes()
 
     def test_rows_are_seeded_multinomial_draws(self, capsys, tmp_path):
         # Row k, in (state, basis, pe) nesting order, is one multinomial
@@ -326,6 +331,9 @@ class TestSimulate:
         counts = read_counts_file(path)
         # One record per state x basis x pe combination.
         assert len(counts.pe) == 4 * 2 * 3
+        # At pe 0 the ideal attack never flips Bob's bit on a sift row: the
+        # cells of the other bit, of probability below 1e-32, stay empty.
+        error_free = 0
         for state, basis, pe, row in zip(
             counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist(),
             counts.counts.tolist(),
@@ -339,6 +347,8 @@ class TestSimulate:
                     if b != alice.bit
                 ]
                 assert wrong == [0, 0]
+                error_free += 1
+        assert error_free == 4
 
     def test_pipeline_closure_to_model_probabilities(self, capsys, tmp_path):
         # Estimated probabilities converge on the model table at large n.
@@ -953,6 +963,38 @@ def test_table_writer_matches_json_dumps_and_csv_join(tables):
         for names, rows in row_lists.values()
     ]
     assert emitted(tables, "csv") == "\n".join(blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    angles=st.lists(FLOAT_CELLS, min_size=10, max_size=10),
+    residual=FLOAT_CELLS,
+    evaluations=st.integers(0, 10**9),
+    termination=st.sampled_from(["ftol", "xtol", "gtol", "budget"]),
+    held=st.lists(st.sampled_from(_PARAM_KEYS), unique=True, max_size=4),
+)
+@example(
+    angles=[-0.0, 1e-7, 1e16, 123456.0] * 2 + [-0.0, 1e-7], residual=1e16,
+    evaluations=50_000, termination="budget", held=[],
+)
+@example(
+    angles=[123456.0, 1e16, 1e-7, -0.0] * 2 + [1.0, -1.0], residual=-0.0,
+    evaluations=13, termination="ftol", held=["d_theta_a_a"],
+)
+@example(
+    angles=[1e-7] * 10, residual=123456.0, evaluations=1, termination="xtol",
+    held=["d_theta_a_a", "d_theta_b_da"],
+)
+def test_fit_json_matches_json_dumps(angles, residual, evaluations, termination, held):
+    doc = dict(zip(_PARAM_KEYS, angles))
+    result = FitResult(ErrorModelParams(), residual, evaluations, tuple(held), termination)
+    payload = {key: _jsonable(value) for key, value in doc.items()}
+    payload["residual"] = float(f"{residual:.6e}")
+    payload["evaluations"] = evaluations
+    payload["converged"] = result.converged
+    payload["termination"] = termination
+    payload["held"] = held
+    assert _fit_json(doc, result) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

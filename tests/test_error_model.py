@@ -600,6 +600,19 @@ class TestForwardModel:
         ),
         x=BOX_VECTORS,
     )
+    # Every state and basis at pe 0.25, where the probe's sine is exactly
+    # 0, and at 0 and 0.5, at all-zero and signed-zero points.
+    @example(design=[(s, b, 0.25) for s in range(4) for b in range(2)], x=np.zeros(10))
+    @example(design=[(s, b, 0.0) for s in range(4) for b in range(2)], x=np.zeros(10))
+    @example(design=[(s, b, 0.5) for s in range(4) for b in range(2)], x=np.zeros(10))
+    @example(
+        design=[(s, b, pe) for s in range(4) for b in range(2) for pe in (0.0, 0.25, 0.5)],
+        x=np.array([-0.0] * 10),
+    )
+    @example(
+        design=[(s, b, pe) for s in range(4) for b in range(2) for pe in (0.0, 0.25, 0.5)],
+        x=np.array([0.0, -0.0, 0.3, -0.0, 0.0, -0.2, -0.0, 0.0, -0.0, 0.1]),
+    )
     def test_jacobian_kernel_equals_per_entry_oracle(self, design, x):
         # Any state and basis indices, the probe angles of drawn pe values,
         # and in-box parameters with exact zeros, which put the symmetric
@@ -612,20 +625,60 @@ class TestForwardModel:
         assert_equal_to_rounding(got, want)
 
 
+class TestPredictionMemo:
+    """``predict_outcome_probs`` memoizes the gate-on-probe terms per pe on
+    its ``ErrorModelParams``; reuse must not change a prediction."""
+
+    def test_reused_object_predicts_as_fresh_ones(self, ref_params):
+        # A shuffled sequence with repeats over more distinct pe values
+        # than the memo holds, -0.0 beside 0.0 among them.
+        pes = [0.0, -0.0, 5e-324, 0.25, 1 / 3, 0.5] + [k / 601 for k in range(1, 300)]
+        assert len(set(pes)) > error_model._GATED_MEMO_SIZE
+        sequence = pes * 2
+        random.Random(3).shuffle(sequence)
+        params = dataclasses.replace(ref_params)
+        for k, pe in enumerate(sequence):
+            state, basis = _STATES[k % 4], _BASES[k // 4 % 2]
+            fresh = dataclasses.replace(ref_params)
+            got = predict_outcome_probs(params, state, basis, pe)
+            assert got.tobytes() == predict_outcome_probs(fresh, state, basis, pe).tobytes()
+            assert len(params._gated_memo) <= error_model._GATED_MEMO_SIZE
+        assert len(params._gated_memo) == error_model._GATED_MEMO_SIZE
+
+    def test_rejected_pe_raises_on_every_call_and_is_not_stored(self, ref_params):
+        params = dataclasses.replace(ref_params)
+
+        def rejected():
+            for pe in (0.7, -0.1, math.nan):
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="error probability"):
+                        predict_outcome_probs(params, Bb84State.H, SiftBasis.HV, pe)
+
+        rejected()
+        assert params._gated_memo == {}
+        for pe in (0.1, 0.25):
+            predict_outcome_probs(params, Bb84State.D, SiftBasis.DA, pe)
+        memo = dict(params._gated_memo)
+        rejected()
+        assert list(params._gated_memo) == [0.1, 0.25]
+        assert params._gated_memo == memo
+
+
 class TestModelSummaries:
     @settings(derandomize=True, deadline=None)
     @given(params=ANY_PARAMS)
     @example(params=ErrorModelParams())
     def test_predict_rows_equal_single_predictions(self, params):
-        # All 8 state x basis pairs at pe 0, the least subnormal, 1/3 and 0.5.
-        pes = [0.0, 5e-324, 1 / 3, 0.5]
+        # All 8 state x basis pairs at pe 0, the least subnormal, 0.25 (a
+        # probe sine of exactly 0), 1/3 and 0.5.
+        pes = [0.0, 5e-324, 0.25, 1 / 3, 0.5]
         state, basis, pe_index = np.indices((4, 2, len(pes))).reshape(3, -1)
         got = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
         want = [
             predict_outcome_probs(params, _STATES[s], _BASES[b], pes[k])
             for s, b, k in zip(state.tolist(), basis.tolist(), pe_index.tolist())
         ]
-        assert got.shape == (32, 4)
+        assert got.shape == (40, 4)
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_chunked_grid_equals_per_point_calls(self, ref_params):
