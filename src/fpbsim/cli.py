@@ -53,10 +53,9 @@ from .montecarlo import _BASES, _BASIS_INDEX, _STATE_BASIS, _STATE_INDEX
 from .montecarlo import ASCII_SPACE, CountsColumns
 from .probe import SiftBasis
 
-#: Largest ``curve --steps``: in a fresh process, 10**6 steps take 2.9-3.2 s
-#: and peak at 307 MB resident in CSV, 3.8-3.9 s and 729 MB in JSON (2-vCPU
-#: Xeon), nearly all of the memory the output's columns and text; the
-#: model's share stays a few MB.
+#: Largest ``curve --steps``, a bound on memory: the peak grows with the
+#: steps, nearly all of it the output's columns and text, while the
+#: model's share stays a few MB. The README gives measured times and peaks.
 MAX_STEPS = 1_000_000
 
 
@@ -305,9 +304,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     states = _parse_states(args.states)
     pes = _parse_pe_list(args.pe)
     state, pe_index = np.repeat(states, len(pes)), np.tile(range(len(pes)), len(states))
-    probs = error_model._predict(
-        params.as_vector(), state, _STATE_BASIS[state], pe_index, pes
-    )
+    probs = error_model._predict(params, state, _STATE_BASIS[state], pe_index, pes)
     columns = [_SPELLINGS[state].tolist(), pes * len(states), *probs.T.tolist()]
     _emit_tables(args, {"table": (("alice", "pe", *_PROB_COLUMNS), columns, len(probs))})
     return 0
@@ -325,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     shape = (len(states), len(_BASES), len(pes))
     state, basis, pe_index = np.indices(shape).reshape(3, -1)
     state = states[state]
-    probs = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
+    probs = error_model._predict(params, state, basis, pe_index, pes)
     seeds = SeedSequence(args.seed).generate_state(len(probs), np.uint64)
     # Each row is one multinomial draw of --pairs events from its own
     # seed's PCG64 stream, over the row renormalized to sum to 1; every row

@@ -8,8 +8,7 @@ phase of the entangling gate, and one analyzer offset per measurement
 basis. With all ten at zero the model is the ideal attack. They are the
 fields of ``ErrorModelParams``, named and ordered as the parameter file.
 The probe enters as one float, the error probability pe that it induces,
-which alone fixes its preparation angle through ``probe._probe_angle``,
-memoized for the per-record predictions of a fit.
+which alone fixes its preparation angle through ``probe._probe_angle``.
 
 The model is one closed form, ``_amplitudes``: the amplitudes of the
 state after the entangling gate, projected onto Bob's analyzer, with no
@@ -18,10 +17,12 @@ it alike. It runs in two stages: ``_gated_probe``, the gate acting on the
 probe, which depends only on the parameters and pe, then ``_analyzed``,
 the photon and the analyzer. ``predict_outcome_probs`` evaluates it on
 numbers for one configuration and ``_predict`` on arrays for many, with
-bit-identical rows. One prediction reads what depends only on its
-``ErrorModelParams`` from the object, computed on first use: the gate and
-phase terms, the cosine and sine of the four state and two analyzer
-angles, and stage 1 per pe, memoized for a bounded number of pe values.
+bit-identical rows. What depends only on the ten angles is computed once,
+when an ``ErrorModelParams`` is made: ``_phases``, and ``math``'s cosine
+and sine of the four state and two analyzer angles. Both forward paths and
+the Jacobian read them from the object and take no trigonometry of those
+angles themselves; stage 1 is kept per pe on the object, for a bounded
+number of pe values.
 Two-qubit amplitudes are ordered control-major, index
 ``2*c + t`` for photon (control) bit ``c`` and probe (target) bit ``t``.
 Probabilities come in ``OUTCOME_ORDER``; the model is unitary by
@@ -36,7 +37,8 @@ and its analytic Jacobian, ``_jacobian_kernel``. The closed form is linear
 in its gate and phase terms, in the photon's cosine and sine and in the
 analyzer's, so the kernel writes no derivative of its own: it runs both
 stages of ``_amplitudes`` at the derivatives of those inputs, over one
-stacked array. Angles are radians; degrees appear only at I/O boundaries.
+stacked array, taken at the cosines and sines the residual predicts with.
+Angles are radians; degrees appear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 import numbers
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -57,9 +58,8 @@ from .probe import _probe_angle, renyi_information, sift_cells
 
 #: Fit box constraint on every parameter, radians.
 ANGLE_BOUND = math.pi / 2
-#: Most pe values one ``ErrorModelParams`` memoizes ``_gated_at`` for: the
-#: bound of ``probe._probe_angle``'s memo.
-_GATED_MEMO_SIZE = _probe_angle.cache_parameters()["maxsize"]
+#: Most pe values one ``ErrorModelParams`` keeps ``_gated_at``'s result for.
+_GATED_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -100,40 +100,32 @@ class ErrorModelParams:
         values = [getattr(self, key) for key in _PARAM_KEYS]
         # In Python numbers: a NaN fails the first comparison, so only a
         # vector with some angle outside the box reaches the messages.
-        if all(-ANGLE_BOUND < value < ANGLE_BOUND for value in values):
-            return
-        if not all(map(math.isfinite, values)):
-            raise ValueError("error-model parameters must be finite")
-        raise ValueError("error-model angles must satisfy |angle| < pi/2 radians")
-
-    @cached_property
-    def _shared_terms(self) -> tuple:
-        """``_amplitudes``'s ``terms``, computed once for all predictions
-        with this object; ``_gated_at`` reads them."""
-        return _phases(self.d_xi, self.d_chi, self.alpha, self.delta)[-1]
-
-    @cached_property
-    def _angle_trig(self) -> dict[str, tuple[float, float]]:
-        """``math``'s cosine and sine of each state's and each basis's angle
-        plus its offset, keyed as ``_ANGLE_TERMS``: 12 calls per object."""
+        if not all(-ANGLE_BOUND < value < ANGLE_BOUND for value in values):
+            if not all(map(math.isfinite, values)):
+                raise ValueError("error-model parameters must be finite")
+            raise ValueError("error-model angles must satisfy |angle| < pi/2 radians")
+        # What every prediction with this object reads, as plain attributes
+        # outside the fields, so ==, hash and repr see only the ten angles:
+        # ``_phases`` of the shared angles, ``math``'s cosine and sine of
+        # each state's and each basis's angle plus its offset, keyed as
+        # ``_ANGLE_TERMS``, and ``_gated_at``'s results by pe.
         trig = {}
         for name, (nominal, key) in _ANGLE_TERMS.items():
             angle = nominal + getattr(self, key)
             trig[name] = math.cos(angle), math.sin(angle)
-        return trig
-
-    @cached_property
-    def _gated_memo(self) -> dict:
-        """``_gated_at``'s results by pe."""
-        return {}
+        object.__setattr__(self, "_trig", trig)
+        object.__setattr__(
+            self, "_phases", _phases(self.d_xi, self.d_chi, self.alpha, self.delta)
+        )
+        object.__setattr__(self, "_gated_memo", {})
 
     def _gated_at(self, pe: float) -> tuple:
-        """``_gated_probe`` of ``_shared_terms`` at the probe angle of ``pe``.
+        """``_gated_probe`` of this object's ``_phases`` at the probe angle
+        of ``pe``, with ``math``'s cosine and sine of that angle.
 
-        Memoized on this object for at most ``_GATED_MEMO_SIZE`` pe values,
-        as ``probe._probe_angle`` is for all objects: a fit's evaluation
-        predicts each record with one object, over a few pe values. A
-        rejected pe raises on every call and is never stored.
+        Kept on this object for at most ``_GATED_MEMO_SIZE`` pe values: a
+        fit's evaluation predicts each record with one object, over a few
+        pe values. A rejected pe raises on every call and is never stored.
         """
         memo = self._gated_memo
         try:
@@ -141,7 +133,7 @@ class ErrorModelParams:
         except KeyError:
             pass
         theta_in = _probe_angle(pe)
-        gated = _gated_probe(self._shared_terms, math.cos(theta_in), math.sin(theta_in))
+        gated = _gated_probe(self._phases[-1], math.cos(theta_in), math.sin(theta_in))
         if len(memo) < _GATED_MEMO_SIZE:
             memo[pe] = gated
         return gated
@@ -208,15 +200,18 @@ _ANGLE_TERMS = {
 
 
 def _index_terms(members) -> tuple[np.ndarray, np.ndarray]:
-    """``_ANGLE_TERMS`` of ``members`` as arrays: nominal angles and the
-    field-order columns of the offsets."""
-    nominal, keys = zip(*(_ANGLE_TERMS[member.value] for member in members))
-    return np.array(nominal), np.array([_PARAM_KEYS.index(key) for key in keys])
+    """``_ANGLE_TERMS`` of ``members`` as arrays: the rows of their
+    ``_trig`` entries, in ``_ANGLE_TERMS`` order, and the field-order
+    columns of their offsets."""
+    names = [member.value for member in members]
+    rows = [list(_ANGLE_TERMS).index(name) for name in names]
+    columns = [_PARAM_KEYS.index(_ANGLE_TERMS[name][1]) for name in names]
+    return np.array(rows), np.array(columns)
 
 
 #: ``_ANGLE_TERMS`` by the state and basis indices of ``CountsColumns``.
-_STATE_ANGLES, _STATE_COLUMNS = _index_terms(_STATES)
-_BASIS_ANGLES, _BASIS_COLUMNS = _index_terms(_BASES)
+_STATE_ROWS, _STATE_COLUMNS = _index_terms(_STATES)
+_BASIS_ROWS, _BASIS_COLUMNS = _index_terms(_BASES)
 
 
 def _phases(d_xi, d_chi, alpha, delta):
@@ -309,16 +304,18 @@ _SHARED_COLUMNS = np.array(
 def _jacobian_kernel(
     state: np.ndarray, basis: np.ndarray, theta_in: np.ndarray,
     free: np.ndarray | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[ErrorModelParams], np.ndarray]:
     """Derivatives of ``predict_outcome_probs`` for many predictions at once.
 
     The N predictions are given as arrays: the state and basis indices of
     ``CountsColumns`` and the probe's preparation angle ``theta_in``. Their
-    nominal angles, offset columns, probe cosines and sines and the flat
-    index of their derivatives in the Jacobian are gathered once, here.
-    Returns ``x -> (N, 4, 10)``: for each prediction, the derivatives of
-    its four probabilities along the parameter vector ``x`` in field
-    order, ``2 Re(conj(a) da)`` for each analyzed amplitude ``a``. Six
+    rows in ``_ANGLE_TERMS``, offset columns, ``math`` cosines and sines of
+    the probe angles and the flat index of their derivatives in the
+    Jacobian are gathered once, here. Returns ``params -> (N, 4, 10)``: for
+    each prediction, the derivatives of its four probabilities along the
+    parameter vector of ``params`` in field order, ``2 Re(conj(a) da)`` for
+    each analyzed amplitude ``a``, with ``params``' own ``_phases`` and
+    state and analyzer cosines and sines, the values a prediction uses. Six
     columns can be nonzero: d_xi, d_chi, alpha, delta and the offsets of
     the state and the basis. The other four are exact zeros, and so are
     the d_xi, d_chi, alpha and delta columns wherever those four angles are
@@ -350,9 +347,11 @@ def _jacobian_kernel(
     if free is None:
         free = np.ones(len(_PARAM_KEYS), dtype=bool)
     width = np.count_nonzero(free)
-    theta_a, nominal = _STATE_ANGLES[state], _BASIS_ANGLES[basis]
-    a_columns, b_columns = _STATE_COLUMNS[state], _BASIS_COLUMNS[basis]
-    q0, q1 = np.cos(theta_in).astype(complex), np.sin(theta_in).astype(complex)
+    a_rows, b_rows = _STATE_ROWS[state], _BASIS_ROWS[basis]
+    q0, q1 = (
+        np.array(list(map(trig, theta_in.tolist())), dtype=complex)
+        for trig in (math.cos, math.sin)
+    )
     # The probe factor of each of _gated_probe's four first and four second
     # products, (2, 1, 4, N) against the (2, 6, 4, 1) coefficients.
     probe = np.array([[q0, q0, q1, q0], [q1, q1, q0, q1]])[:, None]
@@ -363,7 +362,8 @@ def _jacobian_kernel(
     position = free.cumsum() - 1
     columns = np.empty((6, n), dtype=np.intp)
     columns[:4] = position[_SHARED_COLUMNS, None]
-    columns[4], columns[5] = position[a_columns], position[b_columns]
+    columns[4] = position[_STATE_COLUMNS[state]]
+    columns[5] = position[_BASIS_COLUMNS[basis]]
     outcome = np.array([OUTCOME_ORDER.index(divmod(j, 2)) for j in range(4)])
     slots = (
         4 * width * np.arange(n) + width * outcome[:, None] + columns[:, None]
@@ -376,8 +376,8 @@ def _jacobian_kernel(
     analyzed = np.empty((7, 4, n), dtype=complex)
     first, second = products
 
-    def jacobians(x: np.ndarray) -> np.ndarray:
-        chi, xi, c, s, ep, em, terms = _phases(*x[_SHARED_COLUMNS].tolist())
+    def jacobians(params: ErrorModelParams) -> np.ndarray:
+        chi, xi, c, s, ep, em, terms = params._phases
         _, ia, ib, cxi = terms[:4]
         # The gate terms' derivatives along d_xi, alpha and delta, each
         # followed by chi times each; along d_chi only that chi-carrying half
@@ -396,13 +396,12 @@ def _jacobian_kernel(
         np.add(first[:, :2], second[:, :2], out=first[:, :2])
         np.subtract(first[:, 2:], second[:, 2:], out=first[:, 2:])
         # Stage 2, _analyzed: times the photon, then onto the analyzer.
-        theta = theta_a + x[a_columns]
-        p0, p1 = np.cos(theta), np.sin(theta)
+        cos, sin = np.array(list(params._trig.values())).T
+        p0, p1 = cos[a_rows], sin[a_rows]
         photon[:5, :2], photon[:5, 2:] = p0, p1
         photon[5, :2], photon[5, 2:] = -p1, p0
         np.multiply(photon, first, out=first)
-        phi = nominal + x[b_columns]
-        cos_b, sin_b = np.cos(phi).astype(complex), np.sin(phi).astype(complex)
+        cos_b, sin_b = cos[b_rows].astype(complex), sin[b_rows].astype(complex)
         np.multiply(cos_b, first, out=second)
         np.multiply(sin_b, first, out=first)
         np.subtract(second[:, :2], first[:, 2:], out=analyzed[:6, :2])
@@ -432,40 +431,36 @@ def predict_outcome_probs(
     ``(4,)`` float array in ``OUTCOME_ORDER``, i.e. (bob_bit, eve_bit) =
     (1,0), (1,1), (0,1), (0,0); the entries sum to one by unitarity.
 
-    What depends only on ``params``, or on ``params`` and ``pe``, is
-    computed once per object and reused by its later calls: the photon's
-    and the analyzer's cosines and sines, and the gate acting on the probe
-    at this pe (``ErrorModelParams._gated_at``). A fit predicts all records
-    of one evaluation with one object, so each call then only applies the
-    photon and the analyzer.
+    The photon's and the analyzer's cosines and sines come from
+    ``params``, computed when it was made, and the gate acting on the probe
+    at this pe from ``ErrorModelParams._gated_at``, kept on ``params`` per
+    pe. A fit predicts all records of one evaluation with one object, so
+    each call then only applies the photon and the analyzer.
     """
-    p0, p1 = params._angle_trig[alice._value_]
-    cos_b, sin_b = params._angle_trig[bob_basis._value_]
+    p0, p1 = params._trig[alice._value_]
+    cos_b, sin_b = params._trig[bob_basis._value_]
     return np.array(
         _outcome_probs(_analyzed(p0, p1, params._gated_at(pe), cos_b, sin_b))
     )
 
 
 def _predict(
-    x: np.ndarray, state: np.ndarray, basis: np.ndarray, pe_index: np.ndarray, pes
+    params: ErrorModelParams, state: np.ndarray, basis: np.ndarray,
+    pe_index: np.ndarray, pes,
 ) -> np.ndarray:
     """``predict_outcome_probs`` of N configurations as ``(N, 4)`` rows, bit
-    for bit. ``x`` is ``as_vector()``; ``state``, ``basis`` index states and
-    bases as in ``CountsColumns``, and ``pe_index`` indexes ``pes``. The four
-    state, two analyzer and ``len(pes)`` probe angles take their cosine and
-    sine from ``math`` once each, as one prediction does (numpy's need not
-    equal libm's), and are gathered by index. The probe angles come from
-    the unmemoized rule, ``_probe_angle.__wrapped__``: a grid's pe values
-    are distinct, so its lookups would only miss and evict the fit's."""
-    def trig(angles):
-        return np.array([(math.cos(t), math.sin(t)) for t in angles]).reshape(-1, 2).T
-
-    cos_a, sin_a = trig((_STATE_ANGLES + x[_STATE_COLUMNS]).tolist())
-    cos_b, sin_b = trig((_BASIS_ANGLES + x[_BASIS_COLUMNS]).tolist())
-    cos_in, sin_in = trig([_probe_angle.__wrapped__(pe) for pe in pes])
+    for bit. ``state``, ``basis`` index states and bases as in
+    ``CountsColumns``, and ``pe_index`` indexes ``pes``. The state and
+    analyzer cosines and sines are ``params``' own; the ``len(pes)`` probe
+    angles take theirs from ``math`` once each, as one prediction does
+    (numpy's need not equal libm's). All are gathered by index."""
+    cos, sin = np.array(list(params._trig.values())).T
+    angles = list(map(_probe_angle, pes))
+    cos_in, sin_in = (np.array(list(map(trig, angles))) for trig in (math.cos, math.sin))
+    a_rows, b_rows = _STATE_ROWS[state], _BASIS_ROWS[basis]
     return np.column_stack(_outcome_probs(_amplitudes(
-        cos_a[state], sin_a[state], cos_in[pe_index], sin_in[pe_index],
-        _phases(*x[_SHARED_COLUMNS].tolist())[-1], cos_b[basis], sin_b[basis],
+        cos[a_rows], sin[a_rows], cos_in[pe_index], sin_in[pe_index],
+        params._phases[-1], cos[b_rows], sin[b_rows],
     )))
 
 
@@ -487,13 +482,12 @@ def model_sift_summaries(
     the model predicts no error-free sift events (an error-free mass below
     1e-15, since predictions carry rounding noise).
     """
-    x = params.as_vector()
     renyi, error_rates = np.full((len(pes), 2), np.nan), np.empty((len(pes), 2))
     for start in range(0, len(pes), _SUMMARY_CHUNK):
         rows = slice(start, start + _SUMMARY_CHUNK)
         # Per pe, states H, V, D, A: per basis its bit-0 then bit-1 state.
         pe_index, state = np.indices((len(pes[rows]), 4)).reshape(2, -1)
-        probs = _predict(x, state, _STATE_BASIS[state], pe_index, pes[rows])
+        probs = _predict(params, state, _STATE_BASIS[state], pe_index, pes[rows])
         tables, error_rates[rows] = sift_cells(probs.reshape(-1, 2, 2, 4))
         has_mass = tables.sum(axis=(-2, -1)) >= 1e-15
         renyi[rows][has_mass] = renyi_information(tables[has_mass])
@@ -540,14 +534,15 @@ def _make_objective(
     int64 totals of many records can sum past the int64 limit, so records
     weight exactly.
 
-    Everything but ``x`` is fixed once, here: the canonical rows, each
-    with its probe angle from ``probe._probe_angle``, the estimated
-    probabilities as one flat vector, the weights (the exact 1s of "equal"
-    weighting are not multiplied in) and the gathers and slots of one
-    ``_jacobian_kernel``. Each call still predicts every record once with
+    Everything but ``x`` is fixed once, here: the canonical rows, the
+    probe angle of each distinct pe from ``probe._probe_angle``, the
+    estimated probabilities as one flat vector, the root weights ("equal"
+    weighting's are exact 1s, and multiplying by them changes no bit) and
+    the gathers and slots of one ``_jacobian_kernel``. Each call makes one
+    ``ErrorModelParams`` of ``x`` and predicts every record once with
     ``predict_outcome_probs``; the derivatives of all records come from one
-    kernel pass, the closed form evaluated at its differentiated inputs,
-    run only when ``jacobian`` is called.
+    kernel pass over the same object, the closed form evaluated at its
+    differentiated inputs, run only when ``jacobian`` is called.
     """
     state, basis, pe = counts.state.tolist(), counts.basis.tolist(), counts.pe.tolist()
     exact = counts.counts.tolist()
@@ -559,32 +554,29 @@ def _make_objective(
     states = [_STATES[state[k]] for k in order]
     bases = [_BASES[basis[k]] for k in order]
     pes = [pe[k] for k in order]
+    angles = {p: _probe_angle(p) for p in set(pes)}
     jacobians = _jacobian_kernel(
         counts.state[order], counts.basis[order],
-        np.array([_probe_angle(p) for p in pes]), free,
+        np.array([angles[p] for p in pes]), free,
     )
     estimated = counts.probabilities()[order].ravel()
-    root_weights = None
+    root_weights = np.ones(len(order))
     if weighting == "counts":
-        weights = counts.totals[order] / (sum(map(sum, exact)) / len(exact))
-        root_weights = np.sqrt(weights)
-        root_entries = np.repeat(root_weights, 4)
-        minus_root = -root_weights[:, None, None]
+        mean_total = sum(map(sum, exact)) / len(exact)
+        root_weights = np.sqrt(counts.totals[order] / mean_total)
+    root_entries = np.repeat(root_weights, 4)
+    minus_root = -root_weights[:, None, None]
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         params = ErrorModelParams(*x.tolist())
         r = estimated - np.concatenate(
             list(map(predict_outcome_probs, [params] * len(pes), states, bases, pes))
         )
-        if root_weights is not None:
-            r *= root_entries
+        r *= root_entries
 
         def jacobian() -> np.ndarray:
-            jac = jacobians(x)
-            if root_weights is None:
-                np.negative(jac, out=jac)
-            else:
-                jac *= minus_root
+            jac = jacobians(params)
+            jac *= minus_root
             return jac.reshape(r.size, -1)
 
         return r, jacobian
@@ -790,9 +782,9 @@ def fit_parameters(
     All that does not depend on the trial point is built once per fit:
     the held parameters and the free-column map, and ``_make_objective``'s
     canonical rows, weights and Jacobian kernel over the free columns. An
-    evaluation is then the record predictions, one subtraction (and for
-    "counts" one product), and the exact ``math.fsum`` of the squares that
-    picks the best point; its Jacobian comes without the held columns.
+    evaluation is then the record predictions, one subtraction, one
+    product by the root weights, and the exact ``math.fsum`` of the squares
+    that picks the best point; its Jacobian comes without the held columns.
 
     Parameters that no record constrains -- the wave-plate offset of an
     input state absent from the records, the analyzer offset of a basis

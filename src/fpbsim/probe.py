@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,14 +108,13 @@ class SiftBasis(Enum):
         return (Bb84State.D, Bb84State.A)
 
 
-@lru_cache(maxsize=256)
 def _probe_angle(pe: float) -> float:
     """Preparation angle of the probe qubit, radians, for the attack that
     induces error probability ``pe``: ``atan2((c - s)/sqrt2, (c + s)/sqrt2)``
-    with ``c = sqrt(1 - 2*pe)`` and ``s = sqrt(2*pe)``, after ``checked_pe``.
-    Memoized, since a fit asks for the same few pe values once per record
-    and evaluation; a rejected pe raises on every call. A grid of distinct
-    pe values calls the unmemoized rule, ``_probe_angle.__wrapped__``."""
+    with ``c = sqrt(1 - 2*pe)`` and ``s = sqrt(2*pe)``, after ``checked_pe``,
+    so a rejected pe raises. It keeps no memo: ``error_model`` asks for
+    each pe once per parameter object, once per grid pass and, for the
+    Jacobian, once per fit."""
     pe = checked_pe(pe)
     c = math.sqrt(1.0 - 2.0 * pe)
     s = math.sqrt(2.0 * pe)

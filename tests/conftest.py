@@ -17,11 +17,9 @@ from fpbsim import (
 )
 from fpbsim.error_model import (
     _ANGLE_TERMS,
-    _BASIS_ANGLES,
     _BASIS_COLUMNS,
     _PARAM_KEYS,
     _SHARED_COLUMNS,
-    _STATE_ANGLES,
     _STATE_COLUMNS,
     _amplitudes,
     _held_keys,
@@ -227,6 +225,12 @@ JACOBIAN_SLOTS = np.array(
 )
 
 
+#: The model's nominal angles, radians, by the state and basis indices of
+#: ``CountsColumns``.
+NOMINAL_STATE_ANGLES = np.array([_ANGLE_TERMS[state.value][0] for state in _STATES])
+NOMINAL_BASIS_ANGLES = np.array([_ANGLE_TERMS[basis.value][0] for basis in _BASES])
+
+
 def jacobian_kernel_oracle(state, basis, theta_in):
     """``error_model._jacobian_kernel`` with each derivative written by hand.
 
@@ -238,8 +242,8 @@ def jacobian_kernel_oracle(state, basis, theta_in):
     instead, must equal to rounding. Returns ``x -> (N, 4, 10)``.
     """
     n = len(state)
-    theta_a, a_columns = _STATE_ANGLES[state], _STATE_COLUMNS[state]
-    nominal, b_columns = _BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
+    theta_a, a_columns = NOMINAL_STATE_ANGLES[state], _STATE_COLUMNS[state]
+    nominal, b_columns = NOMINAL_BASIS_ANGLES[basis], _BASIS_COLUMNS[basis]
     q0, sin_in = np.cos(theta_in), np.sin(theta_in)
     slots = (JACOBIAN_SLOTS[state, basis] + 40 * np.arange(n)[:, None]).ravel()
     zero = np.zeros(n)
@@ -438,7 +442,7 @@ def shipped_output_state(
     theta_in = probe_angle_oracle(pe)
     return _amplitudes(
         math.cos(theta), math.sin(theta), math.cos(theta_in), math.sin(theta_in),
-        params._shared_terms, 1.0, 0.0,
+        params._phases[-1], 1.0, 0.0,
     )
 
 

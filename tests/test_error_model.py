@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -325,6 +327,35 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             ErrorModelParams(d_xi=float("nan"))
 
+    def test_model_inputs_stay_out_of_value_semantics(self, ref_params):
+        # The object holds its model inputs and its per-pe gate terms beside
+        # the ten fields; predictions must leave what the fields define, and
+        # every copy must predict as the original does.
+        params = dataclasses.replace(ref_params)
+        pes = [0.0, 0.1, 0.25, 1 / 3, 0.5]
+        configs = [
+            (state, basis, pe) for state in _STATES for basis in _BASES for pe in pes
+        ]
+        want = [predict_outcome_probs(params, *config).tobytes() for config in configs]
+        fresh = ErrorModelParams(*ref_params.as_vector().tolist())
+        assert params == fresh and hash(params) == hash(fresh)
+        assert repr(params) == repr(fresh)
+        assert params.to_dict() == fresh.to_dict()
+        assert [field.name for field in dataclasses.fields(params)] == list(_PARAM_KEYS)
+        copies = (
+            fresh, dataclasses.replace(params), copy.copy(params),
+            pickle.loads(pickle.dumps(params)),
+        )
+        for clone in copies:
+            assert clone == params
+            got = [predict_outcome_probs(clone, *config).tobytes() for config in configs]
+            assert got == want
+        box = r"^error-model angles must satisfy \|angle\| < pi/2 radians$"
+        with pytest.raises(ValueError, match=box):
+            dataclasses.replace(params, alpha=math.pi / 2)
+        with pytest.raises(ValueError, match="^error-model parameters must be finite$"):
+            dataclasses.replace(params, d_xi=math.nan)
+
     def test_field_order_is_the_file_and_vector_layout(self):
         names = [field.name for field in dataclasses.fields(ErrorModelParams)]
         assert list(json.loads(Path(EXAMPLE_PARAMS).read_text())) == names
@@ -570,7 +601,7 @@ class TestForwardModel:
         jac = _jacobian_kernel(
             np.array([_STATES.index(state)]), np.array([_BASES.index(basis)]),
             np.array([probe_angle_oracle(pe)]),
-        )(x)[0]
+        )(params)[0]
         assert probs.tobytes() == predict(x).tobytes()
         assert jac.shape == (4, 10)
         for i in range(10):
@@ -619,7 +650,7 @@ class TestForwardModel:
         # subspace's exactly-zero columns in reach.
         state, basis, pe = (np.array(column) for column in zip(*design))
         theta_in = np.array([probe_angle_oracle(p) for p in pe.tolist()])
-        got = _jacobian_kernel(state, basis, theta_in)(x)
+        got = _jacobian_kernel(state, basis, theta_in)(ErrorModelParams(*x.tolist()))
         want = jacobian_kernel_oracle(state, basis, theta_in)(x)
         assert got.shape == want.shape == (len(design), 4, 10)
         assert_equal_to_rounding(got, want)
@@ -673,7 +704,7 @@ class TestModelSummaries:
         # probe sine of exactly 0), 1/3 and 0.5.
         pes = [0.0, 5e-324, 0.25, 1 / 3, 0.5]
         state, basis, pe_index = np.indices((4, 2, len(pes))).reshape(3, -1)
-        got = error_model._predict(params.as_vector(), state, basis, pe_index, pes)
+        got = error_model._predict(params, state, basis, pe_index, pes)
         want = [
             predict_outcome_probs(params, _STATES[s], _BASES[b], pes[k])
             for s, b, k in zip(state.tolist(), basis.tolist(), pe_index.tolist())
@@ -687,14 +718,6 @@ class TestModelSummaries:
         points = [model_sift_summaries(ref_params, [pe]) for pe in grid]
         assert renyi.tobytes() == np.concatenate([r for r, _ in points]).tobytes()
         assert rates.tobytes() == np.concatenate([e for _, e in points]).tobytes()
-
-    def test_grid_leaves_the_probe_angle_memo_alone(self, ref_params):
-        # A grid's pe values are distinct: memoizing them would only miss
-        # and evict the few values a fit asks for again and again.
-        memo = error_model._probe_angle
-        before = memo.cache_info()
-        model_sift_summaries(ref_params, np.linspace(0.0, 0.5, 1000).tolist())
-        assert memo.cache_info() == before
 
     def test_empty_grid_gives_empty_columns(self, ref_params):
         renyi, rates = model_sift_summaries(ref_params, [])
@@ -928,6 +951,24 @@ class TestFit:
         records = synth_counts(ref_params, 20_000, seed=3)
         result = fit_parameters(records, max_evals=400, weighting="counts")
         assert result.residual >= 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, "golden"])
+    def test_counts_weighting_of_equal_totals_is_equal_weighting(self, tmp_path, seed):
+        # Every record of these files has the same total, so every "counts"
+        # weight is exactly 1 and the two weightings must fit bit for bit.
+        if seed == "golden":
+            path = Path(__file__).parent / "golden" / "simulate_example_seed42.csv"
+            records = read_counts_file(path)
+        else:
+            records = design_records(tmp_path, seed)
+        assert len(set(records.totals.tolist())) == 1
+
+        def fitted(weighting):
+            fit = fit_parameters(records, weighting=weighting)
+            angles = [value.hex() for value in fit.params.as_vector().tolist()]
+            return angles, fit.residual.hex(), fit.evaluations, fit.termination
+
+        assert fitted("counts") == fitted("equal")
 
     def test_options_rejected(self):
         with pytest.raises(ValueError, match="unknown weighting 'median'"):

@@ -137,7 +137,7 @@ class TestStatesAndConfig:
 
 
 class TestProbeAngle:
-    """``probe._probe_angle``, the memoized pe -> probe angle rule, against
+    """``probe._probe_angle``, the pe -> probe angle rule, against
     ``conftest.probe_angle_oracle``."""
 
     @settings(derandomize=True, deadline=None)
@@ -153,16 +153,13 @@ class TestProbeAngle:
 
     @pytest.mark.parametrize("pe, value", [(0.1, 0.1), (0, 0.0), (np.float64(0.1), 0.1)])
     def test_cold_and_cached_calls_agree(self, pe, value):
-        _probe_angle.cache_clear()
-        cold, cached = _probe_angle(pe), _probe_angle(pe)
-        assert _probe_angle.cache_info().hits == 1
-        assert type(cold) is float and type(cached) is float
-        assert cold.hex() == cached.hex() == probe_angle_oracle(value).hex()
+        first, again = _probe_angle(pe), _probe_angle(pe)
+        assert type(first) is float and type(again) is float
+        assert first.hex() == again.hex() == probe_angle_oracle(value).hex()
 
     @pytest.mark.parametrize("pe", [math.nan, math.inf, -math.inf, -0.01, 0.51])
     def test_rejects_with_the_shared_message(self, pe):
         message = f"^{re.escape(f'error probability must be in [0, 0.5], got {pe}')}$"
-        _probe_angle.cache_clear()
         with pytest.raises(ValueError, match=message):
             _probe_angle(pe)
         _probe_angle(0.1)
